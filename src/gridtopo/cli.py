@@ -67,14 +67,17 @@ class RunConfig:
             raise UsageError("--blocks entries must be positive")
 
 
-def _parse_triple(text: str, flag: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"{flag} expects three comma-separated integers")
+def _parse_ints(text: str, flag: str) -> list[int]:
     try:
-        x, y, z = (int(p) for p in parts)
+        return [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from exc
+
+
+def _parse_triple(text: str, flag: str) -> tuple[int, int, int]:
+    if len(text.split(",")) != 3:
+        raise UsageError(f"{flag} expects three comma-separated integers")
+    x, y, z = _parse_ints(text, flag)
     return (x, y, z)
 
 
@@ -110,7 +113,7 @@ def run_pipeline(config: RunConfig) -> dict:
     config.validate()
     grid = load_grid(config)
     order = sos_order(grid)
-    values = {v: float(grid.values[v]) for v in range(grid.n)}
+    values = grid.values.tolist()
     b = config.top_branches
     if b is None and config.threshold is None:
         b = 100
@@ -291,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
             rank_exec=args.rank_exec,
         )
         if args.lambda_sweep:
-            config.lambda_sweep = [int(x) for x in args.lambda_sweep.split(",")]
+            config.lambda_sweep = _parse_ints(args.lambda_sweep, "--lambda-sweep")
             config.validate()
             text = run_lambda_sweep(config)
             if config.sweep_out:

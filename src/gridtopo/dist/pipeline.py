@@ -49,6 +49,7 @@ from __future__ import annotations
 import bisect
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -58,7 +59,7 @@ from .. import measure
 from ..errors import DataError, UsageError
 from ..grid import ScalarGrid, VertexOrder, sos_order
 from ..measure import Branch, BranchDecomposition, VolumeAnnotation
-from ..tree import ContourTree, _from_edges, augment, contour_tree, tree_from_graph
+from ..tree import ContourTree, _from_edges, augment, contour_tree, relabel, tree_from_graph
 
 # --- decomposition ---------------------------------------------------------
 
@@ -252,20 +253,6 @@ class RegionState:
     mass_at: dict[int, int] = field(repr=False)
 
 
-def _relabel(ct: ContourTree, gid: list[int], global_rank: list[int]) -> ContourTree:
-    """The same tree with local vertex ids replaced by ``gid[local]``."""
-    return ContourTree(
-        verts=[gid[v] for v in ct.verts],
-        ranks={gid[v]: global_rank[v] for v in ct.verts},
-        parent={gid[v]: gid[p] for v, p in ct.parent.items()},
-        root=gid[ct.root],
-        supernodes=[gid[s] for s in ct.supernodes],
-        arc_inner={gid[o]: gid[i] for o, i in ct.arc_inner.items()},
-        superparent={gid[v]: gid[s] for v, s in ct.superparent.items()},
-        arc_regulars={gid[o]: [gid[v] for v in r] for o, r in ct.arc_regulars.items()},
-    )
-
-
 def _region(
     rank: int,
     extent: Extent,
@@ -356,12 +343,12 @@ def local_phase(grid: ScalarGrid, order: VertexOrder, extent: Extent, rank: int)
     block_values = grid.values[vids]
     sub = ScalarGrid(dims=extent.shape, values=block_values)
     gid = vids.tolist()
-    ct = _relabel(contour_tree(sub, sos_order(sub)), gid, order.rank_of[vids].tolist())
+    ct = relabel(contour_tree(sub, sos_order(sub)), gid, order.ranks)
     values = dict(zip(gid, block_values.tolist()))
     return _region(rank, extent, values, ct, extent.boundary(grid.dims, vids), {})
 
 
-def _merge(a: RegionState, b: RegionState, ranks: dict[int, int], dims) -> RegionState:
+def _merge(a: RegionState, b: RegionState, ranks: Sequence[int], dims) -> RegionState:
     """Glue two regions' kept trees and prune against the merged boundary."""
     for v in sorted(a.kept_verts & b.kept_verts):
         if a.values[v] != b.values[v]:
@@ -370,11 +357,8 @@ def _merge(a: RegionState, b: RegionState, ranks: dict[int, int], dims) -> Regio
                 f"{a.rank} but {b.values[v]!r} in block region {b.rank}"
             )
     verts = sorted(a.kept_verts | b.kept_verts)
-    adjacency: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in {(min(e), max(e)) for e in a.kept_edges + b.kept_edges}:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    ct = tree_from_graph(verts, ranks, adjacency)
+    edges = {(min(e), max(e)) for e in a.kept_edges + b.kept_edges}
+    ct = tree_from_graph(verts, ranks, edges)
     mass_at = dict(a.mass_at)
     for v, m in b.mass_at.items():
         mass_at[v] = mass_at.get(v, 0) + m
@@ -383,7 +367,7 @@ def _merge(a: RegionState, b: RegionState, ranks: dict[int, int], dims) -> Regio
     return _region(a.rank, extent, values, ct, extent.boundary(dims, verts), mass_at)
 
 
-def _tree_of(verts, edges, ranks: dict[int, int]) -> ContourTree:
+def _tree_of(verts, edges, ranks: Sequence[int]) -> ContourTree:
     """The augmented ``ContourTree`` of a vertex-level tree given by its edges.
 
     A tree is its own contour tree, so no sweep is needed: the
@@ -406,7 +390,7 @@ def fan_in(
     cut on the way: the local ones by rank, then each level's in leader
     order.
     """
-    ranks = dict(enumerate(order.rank_of.tolist()))
+    ranks = order.ranks
     records = [rec for s in states for rec in s.records]
     regions: list[RegionState | None] = list(states)
     for axis, splits in enumerate(decomp.splits):
@@ -480,7 +464,7 @@ def list_attachment_points(records: list[Record], lam: int) -> list[Record]:
     return [r for r in records if r.measure > lam]
 
 
-def _augment(base: ContourTree, retained: list[Record], ranks: dict[int, int]) -> ContourTree:
+def _augment(base: ContourTree, retained: list[Record]) -> ContourTree:
     """The base tree with the retained records put back at their attachments."""
     if not retained:
         return base
@@ -489,7 +473,7 @@ def _augment(base: ContourTree, retained: list[Record], ranks: dict[int, int]) -
     for rec in retained:
         verts.extend(rec.verts)
         edges.extend(rec.edges)
-    return _tree_of(verts, edges, ranks)
+    return _tree_of(verts, edges, base.ranks)
 
 
 def _volumes(ct: ContourTree, n: int, pruned: list[Record]) -> VolumeAnnotation:
@@ -518,19 +502,14 @@ def _log_branch_entries(
     retained: list[Record],
     pruned: list[Record],
     decomp: Decomposition,
-    ranks: dict[int, int],
     log: CommLog,
 ) -> None:
     """Best up/down and branch outer-end entries per rank (see the module notes)."""
     holder: dict[int, int] = {}
     for rec in retained:
         holder.update(dict.fromkeys(rec.verts, rec.rank))
-    up = dict.fromkeys(aug.supernodes, 0)
-    down = dict.fromkeys(aug.supernodes, 0)
-    for outer, inner in aug.arc_inner.items():
-        lo, hi = (outer, inner) if ranks[outer] < ranks[inner] else (inner, outer)
-        up[lo] += 1
-        down[hi] += 1
+    ranks = aug.ranks
+    up, down = aug.arc_degrees()
     for rec in pruned:
         a = rec.attach
         if a not in aug.superparent:
@@ -566,7 +545,7 @@ def _heavy_branches(bd: BranchDecomposition, lam: int) -> list[Branch]:
 
 def select_top_branches_distributed(
     bd: BranchDecomposition,
-    ranks: dict[int, int],
+    ranks: Sequence[int],
     b: int | None,
     lam: int,
     threshold: float | None = None,
@@ -637,11 +616,10 @@ def run_distributed(
     for h in hier:
         own = sum(records[i].measure > lam for i in h.record_targets)
         log.add("augmentation", "attachment_points_recv", h.rank, len(retained) - own)
-    ranks = dict(enumerate(order.rank_of.tolist()))
-    augmented = _augment(base, retained, ranks)
+    augmented = _augment(base, retained)
     post_volumes = _volumes(augmented, grid.n, pruned)
     bd = measure.branch_decomposition(augmented, post_volumes)
-    _log_branch_entries(augmented, retained, pruned, decomp, ranks, log)
+    _log_branch_entries(augmented, retained, pruned, decomp, log)
 
     selected, lambda_b = select_top_branches_distributed(
         bd, augmented.ranks, b, lam, threshold

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,11 @@ class VertexOrder:
     @property
     def n(self) -> int:
         return self.rank_of.size
+
+    @cached_property
+    def ranks(self) -> list[int]:
+        """``rank_of`` as a list: the one rank table every tree indexes by vertex id."""
+        return self.rank_of.tolist()
 
 
 def sos_order(grid: ScalarGrid) -> VertexOrder:

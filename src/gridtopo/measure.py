@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import InternalError, UsageError
@@ -132,7 +133,6 @@ class Branch:
 @dataclass
 class BranchDecomposition:
     branches: list[Branch] = field(repr=False)
-    arc_branch: dict[int, int] = field(repr=False, default_factory=dict)
 
     @property
     def trunk(self) -> Branch:
@@ -141,7 +141,7 @@ class BranchDecomposition:
                 return b
         raise InternalError("no trunk present")
 
-    def sorted_branches(self, ranks: dict[int, int]) -> list[Branch]:
+    def sorted_branches(self, ranks: Sequence[int]) -> list[Branch]:
         def sort_key(b: Branch):
             saddle_rank = -1 if b.saddle is None else ranks[b.saddle]
             return (-b.volume, saddle_rank)
@@ -216,23 +216,16 @@ def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomp
         r = ds.find(token[("a", a)])
         groups.setdefault(r, {"s": [], "a": []})["a"].append(a)
 
-    up_deg = {s: 0 for s in ct.supernodes}
-    down_deg = {s: 0 for s in ct.supernodes}
-    for outer, inner in ct.arc_inner.items():
-        lo, hi = (outer, inner) if ranks[outer] < ranks[inner] else (inner, outer)
-        up_deg[lo] += 1
-        down_deg[hi] += 1
+    up_deg, down_deg = ct.arc_degrees()
 
     branches: list[Branch] = []
-    arc_branch: dict[int, int] = {}
-    attach_of: dict[int, tuple[int, int] | None] = {}
     group_of_supernode: dict[int, int] = {}
     ordered_groups = sorted(groups.items(), key=lambda kv: min(kv[1]["a"] + kv[1]["s"]))
     for gi, (_, members) in enumerate(ordered_groups):
         for s in members["s"]:
             group_of_supernode[s] = gi
 
-    for gi, (_, members) in enumerate(ordered_groups):
+    for _, members in ordered_groups:
         own = set(members["s"])
         group_arcs = members["a"]
         if not group_arcs:
@@ -240,7 +233,6 @@ def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomp
         attach: tuple[int, int] | None = None
         ends: list[int] = []
         for a in group_arcs:
-            arc_branch[a] = gi
             for e in (a, ct.arc_inner[a]):
                 if e not in own:
                     if attach is not None and attach[0] != e:
@@ -249,7 +241,6 @@ def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomp
         for s in own:
             if up_deg[s] == 0 or down_deg[s] == 0:
                 ends.append(s)
-        attach_of[gi] = attach
         if attach is None:
             if len(ends) != 2:
                 raise InternalError("trunk must own exactly two extremum ends")
@@ -282,12 +273,12 @@ def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomp
         parent = branches[parent_group]
         b.parent_index = parent_group
         b.parent_saddle = None if parent.is_trunk else parent.saddle
-    return BranchDecomposition(branches=branches, arc_branch=arc_branch)
+    return BranchDecomposition(branches=branches)
 
 
 def select_top_branches(
     bd: BranchDecomposition,
-    ranks: dict[int, int],
+    ranks: Sequence[int],
     b: int | None = None,
     threshold: float | None = None,
 ) -> tuple[list[Branch], int]:
@@ -313,7 +304,7 @@ def select_top_branches(
 
 def write_branch_csv(
     selected: list[Branch],
-    values: dict[int, float],
+    values: Sequence[float] | Mapping[int, float],
     stream: io.TextIOBase,
     root: int,
 ) -> None:

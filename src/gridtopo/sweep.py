@@ -1,14 +1,16 @@
-"""Join and split tree construction by union-find sweeps.
+"""Join and split tree construction by one union-find sweep over dense ids.
 
-The join tree is built sweeping vertices in decreasing rank while
-merging superlevel-set components; the split tree mirrors it upward.
-Both work over any vertex set with an adjacency callback, so the same
-sweep serves full grids and the glued boundary graphs used by the
-distributed merge.
+A graph's ``n`` vertices are numbered 0..n-1.  The join tree is built
+sweeping vertices in decreasing rank while merging superlevel-set
+components; the split tree mirrors it upward.  ``sweep`` is the only
+sweep: grids pass their stencil and their vertex order, and
+``tree.tree_from_graph`` numbers a graph's vertices in rank order and
+passes its edges.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .errors import UsageError
@@ -44,30 +46,26 @@ class DisjointSet:
 
 @dataclass
 class MergeTree:
-    """Fully augmented merge tree: one arc per vertex except the root.
+    """Fully augmented merge tree over vertices 0..n-1, one arc per vertex but the root.
 
     ``arc_to[v]`` is the vertex v connects to in sweep direction: a
     lower-ranked vertex for join trees, higher for split trees.
     """
 
     direction: str  # "join" or "split"
-    verts: list[int] = field(repr=False)
+    n: int
     arc_to: dict[int, int] = field(repr=False)
     root: int = -1
 
-    @property
-    def n(self) -> int:
-        return len(self.verts)
-
-    def child_counts(self) -> dict[int, int]:
-        counts = {v: 0 for v in self.verts}
+    def child_counts(self) -> list[int]:
+        counts = [0] * self.n
         for dst in self.arc_to.values():
             counts[dst] += 1
         return counts
 
     def leaves(self) -> list[int]:
         counts = self.child_counts()
-        return [v for v in self.verts if counts[v] == 0]
+        return [v for v in range(self.n) if counts[v] == 0]
 
     def superarcs(self) -> set[tuple[int, int]]:
         """Arcs of the contracted tree, as (from, to) pairs in sweep direction.
@@ -76,7 +74,7 @@ class MergeTree:
         plus the root; chains of single-child vertices contract away.
         """
         counts = self.child_counts()
-        supers = {v for v in self.verts if counts[v] != 1 or v == self.root}
+        supers = {v for v in range(self.n) if counts[v] != 1 or v == self.root}
         arcs = set()
         for s in supers:
             if s == self.root:
@@ -88,55 +86,23 @@ class MergeTree:
         return arcs
 
 
-def sweep_graph(
-    verts: list[int],
-    ranks: dict[int, int],
-    adjacency: dict[int, list[int]],
-    direction: str,
+def sweep(
+    seq: Iterable[int], neighbors: Callable[[int], Iterable[int]], n: int, direction: str
 ) -> MergeTree:
-    """Run one union-find sweep over an arbitrary connected graph."""
-    if direction not in ("join", "split"):
-        raise UsageError(f"direction must be 'join' or 'split', not {direction!r}")
-    order = sorted(verts, key=lambda v: ranks[v], reverse=(direction == "join"))
-    index = {v: i for i, v in enumerate(order)}
-    ds = DisjointSet(len(order))
-    # Per component, the index of the vertex the next arc must attach from:
-    # the lowest vertex seen so far for join sweeps, the highest for split.
-    extreme = list(range(len(order)))
-    arc_to: dict[int, int] = {}
-    processed = [False] * len(order)
-    for v in order:
-        vi = index[v]
-        roots = []
-        for u in adjacency[v]:
-            ui = index.get(u)
-            if ui is not None and processed[ui]:
-                r = ds.find(ui)
-                if r not in roots:
-                    roots.append(r)
-        for r in roots:
-            arc_to[order[extreme[r]]] = v
-        root = vi
-        for r in roots:
-            root = ds.union(root, r)
-        extreme[root] = vi
-        processed[vi] = True
-    return MergeTree(direction=direction, verts=list(verts), arc_to=arc_to, root=order[-1])
+    """Union-find sweep over vertices 0..n-1, visited in the order ``seq``.
 
-
-def _grid_sweep(grid: ScalarGrid, order: VertexOrder, direction: str) -> MergeTree:
-    if order.n != grid.n:
-        raise UsageError("vertex order does not match grid size")
-    n = grid.n
-    rank_of = order.rank_of
+    ``seq`` runs by decreasing rank for a join tree and by increasing
+    rank for a split tree; ``neighbors(v)`` gives v's adjacent vertices.
+    """
     ds = DisjointSet(n)
+    # Per component, the vertex the next arc must attach from: the lowest
+    # vertex seen so far for join sweeps, the highest for split.
     extreme = list(range(n))
     arc_to: dict[int, int] = {}
     processed = bytearray(n)
-    seq = order.vertex_at[::-1] if direction == "join" else order.vertex_at
-    neighbors = grid.neighbors
     find = ds.find
     union = ds.union
+    v = -1
     for v in seq:
         v = int(v)
         roots = []
@@ -152,20 +118,21 @@ def _grid_sweep(grid: ScalarGrid, order: VertexOrder, direction: str) -> MergeTr
             root = union(root, r)
         extreme[root] = v
         processed[v] = True
-    root_vertex = int(seq[-1])
-    return MergeTree(
-        direction=direction,
-        verts=list(range(n)),
-        arc_to=arc_to,
-        root=root_vertex,
-    )
+    return MergeTree(direction=direction, n=n, arc_to=arc_to, root=v)
+
+
+def _check_order(grid: ScalarGrid, order: VertexOrder) -> None:
+    if order.n != grid.n:
+        raise UsageError("vertex order does not match grid size")
 
 
 def compute_join_tree(grid: ScalarGrid, order: VertexOrder) -> MergeTree:
     """Sweep downward: tracks superlevel-set components merging at saddles."""
-    return _grid_sweep(grid, order, "join")
+    _check_order(grid, order)
+    return sweep(order.vertex_at[::-1], grid.neighbors, grid.n, "join")
 
 
 def compute_split_tree(grid: ScalarGrid, order: VertexOrder) -> MergeTree:
     """Sweep upward: tracks sublevel-set components merging at saddles."""
-    return _grid_sweep(grid, order, "split")
+    _check_order(grid, order)
+    return sweep(order.vertex_at, grid.neighbors, grid.n, "split")

@@ -10,11 +10,12 @@ farther from the root, which is the highest-ranked supernode).
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .errors import InternalError, UsageError
 from .grid import ScalarGrid, VertexOrder
-from .sweep import MergeTree
+from .sweep import MergeTree, sweep
 
 
 @dataclass
@@ -26,10 +27,13 @@ class ContourTree:
     supernode at the other (root-facing) end of its superarc.
     ``superparent[v]`` is the outer end of the superarc a vertex lies
     on; supernodes map to their own id.
+
+    ``ranks`` is the shared rank table indexed by vertex id (for a grid,
+    ``VertexOrder.ranks``), held by reference, not a per-tree copy.
     """
 
     verts: list[int] = field(repr=False)
-    ranks: dict[int, int] = field(repr=False)
+    ranks: Sequence[int] = field(repr=False)
     parent: dict[int, int] = field(repr=False)
     root: int = -1
     supernodes: list[int] = field(default_factory=list, repr=False)
@@ -54,13 +58,16 @@ class ContourTree:
             lst.sort(key=lambda v: self.ranks[v])
         return kids
 
-    def arc_endpoint_ranks(self) -> list[tuple[int, int, int]]:
-        """(outer, min_rank, max_rank) per superarc."""
-        out = []
+    def arc_degrees(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Per supernode, its superarcs leading up (to a higher rank) and down."""
+        ranks = self.ranks
+        up = dict.fromkeys(self.supernodes, 0)
+        down = dict.fromkeys(self.supernodes, 0)
         for outer, inner in self.arc_inner.items():
-            a, b = self.ranks[outer], self.ranks[inner]
-            out.append((outer, min(a, b), max(a, b)))
-        return out
+            lo, hi = (outer, inner) if ranks[outer] < ranks[inner] else (inner, outer)
+            up[lo] += 1
+            down[hi] += 1
+        return up, down
 
     def straddling_arcs(self, gap: int) -> int:
         """Number of superarcs whose endpoint ranks straddle rank gap ``gap``."""
@@ -83,7 +90,7 @@ class ContourTree:
         return "\n".join(lines)
 
 
-def combine(join: MergeTree, split: MergeTree, ranks: dict[int, int]) -> ContourTree:
+def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourTree:
     """Merge the two trees by repeated leaf transfer.
 
     A vertex transfers as an upper leaf when it has no join children and
@@ -92,17 +99,16 @@ def combine(join: MergeTree, split: MergeTree, ranks: dict[int, int]) -> Contour
     from both trees.  The resulting edge set is unique, so any valid
     processing order yields the same tree.
     """
-    if set(join.verts) != set(split.verts):
+    if join.n != split.n:
         raise UsageError("join and split trees cover different vertex sets")
-    verts = sorted(join.verts)
-    n = len(verts)
+    n = join.n
     if n == 0:
         raise UsageError("empty vertex set")
+    verts = list(range(n))
     if n == 1:
-        v = verts[0]
-        tree = ContourTree(verts=verts, ranks=dict(ranks), parent={}, root=v)
-        tree.supernodes = [v]
-        tree.superparent = {v: v}
+        tree = ContourTree(verts=verts, ranks=ranks, parent={}, root=0)
+        tree.supernodes = [0]
+        tree.superparent = {0: 0}
         return tree
 
     j_parent = dict(join.arc_to)
@@ -175,7 +181,7 @@ def combine(join: MergeTree, split: MergeTree, ranks: dict[int, int]) -> Contour
 
 
 def _from_edges(
-    verts: list[int], ranks: dict[int, int], edges: list[tuple[int, int]]
+    verts: list[int], ranks: Sequence[int], edges: list[tuple[int, int]]
 ) -> ContourTree:
     """Build the rooted tree and contracted superstructure from CT edges."""
     adj: dict[int, list[int]] = {v: [] for v in verts}
@@ -211,7 +217,7 @@ def _from_edges(
     )
     tree = ContourTree(
         verts=list(verts),
-        ranks={v: ranks[v] for v in verts},
+        ranks=ranks,
         parent=parent,
         root=root,
         supernodes=supernodes,
@@ -253,16 +259,39 @@ def contour_tree(grid: ScalarGrid, order: VertexOrder) -> ContourTree:
 
     join = compute_join_tree(grid, order)
     split = compute_split_tree(grid, order)
-    ranks = {v: int(order.rank_of[v]) for v in range(grid.n)}
-    return augment(combine(join, split, ranks))
+    return augment(combine(join, split, order.ranks))
 
 
 def tree_from_graph(
-    verts: list[int], ranks: dict[int, int], adjacency: dict[int, list[int]]
+    verts: Iterable[int], ranks: Sequence[int], edges: Iterable[tuple[int, int]]
 ) -> ContourTree:
-    """Contour tree of an arbitrary connected graph (used by the merge)."""
-    from .sweep import sweep_graph
+    """Contour tree of a connected graph on ``verts`` (used by the merge).
 
-    join = sweep_graph(verts, ranks, adjacency, "join")
-    split = sweep_graph(verts, ranks, adjacency, "split")
-    return augment(combine(join, split, ranks))
+    The vertices are numbered in rank order, so each local id is its own
+    rank; the tree is built over those ids and mapped back with ``relabel``.
+    """
+    gid = sorted(verts, key=ranks.__getitem__)
+    local = {v: i for i, v in enumerate(gid)}
+    n = len(gid)
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        a, b = local[u], local[v]
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    join = sweep(range(n - 1, -1, -1), adjacency.__getitem__, n, "join")
+    split = sweep(range(n), adjacency.__getitem__, n, "split")
+    return relabel(augment(combine(join, split, range(n))), gid, ranks)
+
+
+def relabel(ct: ContourTree, gid: Sequence[int], ranks: Sequence[int]) -> ContourTree:
+    """The same tree with local vertex ids replaced by ``gid[local]``, ranked by ``ranks``."""
+    return ContourTree(
+        verts=[gid[v] for v in ct.verts],
+        ranks=ranks,
+        parent={gid[v]: gid[p] for v, p in ct.parent.items()},
+        root=gid[ct.root],
+        supernodes=sorted(gid[s] for s in ct.supernodes),
+        arc_inner={gid[o]: gid[i] for o, i in ct.arc_inner.items()},
+        superparent={gid[v]: gid[s] for v, s in ct.superparent.items()},
+        arc_regulars={gid[o]: [gid[v] for v in r] for o, r in ct.arc_regulars.items()},
+    )

@@ -212,6 +212,17 @@ def test_usage_error_exit_code():
     )
 
 
+def test_lambda_sweep_bad_value_exit_code(capsys):
+    rc = run_cli(
+        [
+            "run", "--synthetic", "random", "--dims", "8,8,1",
+            "--blocks", "2,1,1", "--lambda-sweep", "0,abc",
+        ]
+    )
+    assert rc == 1
+    assert "--lambda-sweep" in capsys.readouterr().err
+
+
 def test_data_error_exit_code(tmp_path):
     path = tmp_path / "short.raw"
     path.write_bytes(b"\x00" * 10)

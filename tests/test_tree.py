@@ -3,6 +3,7 @@ import pytest
 
 from gridtopo import contour_tree, sos_order
 from gridtopo.oracle import level_set_census
+from gridtopo.tree import tree_from_graph
 
 from conftest import grid_1d, local_extrema, make_grid, random_grid
 
@@ -52,6 +53,29 @@ def test_census_equivalence(dims, seed):
     census = level_set_census(grid, order)
     for gap in range(grid.n - 1):
         assert ct.straddling_arcs(gap) == census[gap], f"gap {gap}"
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        random_grid((7, 6, 1), 3),
+        random_grid((4, 3, 5), 8),
+        make_grid((4, 4, 2), np.zeros(32)),
+        make_grid((6, 5, 2), np.arange(60) % 3),
+        grid_1d([3, 1, 4, 1, 5, 9, 2, 6, 5, 3]),
+        make_grid((1, 1, 1), [2.0]),
+    ],
+    ids=["random-2d", "random-3d", "constant", "tied", "1d", "single"],
+)
+def test_tree_from_graph_matches_grid_tree(grid):
+    """The graph entry point over the stencil edges builds the grid's tree."""
+    order = sos_order(grid)
+    expected = contour_tree(grid, order)
+    got = tree_from_graph(range(grid.n), order.ranks, grid.edges())
+    assert got.supernodes == expected.supernodes
+    assert got.arc_inner == expected.arc_inner
+    assert got.superparent == expected.superparent
+    assert got.root == expected.root
 
 
 def test_augment_monotone():
