@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import measure, tree
 from .dist import estimate, pipeline
-from .errors import GridTopoError, UsageError
+from .errors import GridTopoError, InternalError, UsageError
 from .grid import (
     ScalarGrid,
     load_raw,
@@ -65,6 +66,10 @@ class RunConfig:
             raise UsageError("--top-branches and --threshold are mutually exclusive")
         if any(b < 1 for b in self.blocks):
             raise UsageError("--blocks entries must be positive")
+        if self.oracle_check and self.mode == "distributed" and self.lam > 0:
+            # Pre-simplification removes small branches, so the tree no
+            # longer matches the level-set census of the full grid.
+            raise UsageError("--oracle-check needs --lambda 0 in distributed mode")
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
@@ -103,7 +108,7 @@ def _oracle_check(grid: ScalarGrid, order, ct, max_gaps: int = 64) -> None:
         expected = count_contours(grid, order, gap)
         got = ct.straddling_arcs(gap)
         if expected != got:
-            raise GridTopoError(
+            raise InternalError(
                 f"oracle mismatch at gap {gap}: tree {got}, oracle {expected}"
             )
 
@@ -293,16 +298,21 @@ def main(argv: list[str] | None = None) -> int:
             oracle_check=args.oracle_check,
             rank_exec=args.rank_exec,
         )
-        if args.lambda_sweep:
-            config.lambda_sweep = _parse_ints(args.lambda_sweep, "--lambda-sweep")
-            config.validate()
-            text = run_lambda_sweep(config)
-            if config.sweep_out:
-                Path(config.sweep_out).write_text(text)
-            else:
-                sys.stdout.write(text)
-            return 0
-        metrics = run_pipeline(config)
+        try:
+            if args.lambda_sweep:
+                config.lambda_sweep = _parse_ints(args.lambda_sweep, "--lambda-sweep")
+                config.validate()
+                text = run_lambda_sweep(config)
+                if config.sweep_out:
+                    Path(config.sweep_out).write_text(text)
+                else:
+                    sys.stdout.write(text)
+                return 0
+            metrics = run_pipeline(config)
+        except MemoryError:
+            raise UsageError(
+                f"out of memory for a grid of {math.prod(config.dims)} vertices"
+            ) from None
         for warning in metrics.get("warnings", []):
             print(f"warning: {warning}", file=sys.stderr)
         summary = {

@@ -3,18 +3,29 @@
 A graph's ``n`` vertices are numbered 0..n-1.  The join tree is built
 sweeping vertices in decreasing rank while merging superlevel-set
 components; the split tree mirrors it upward.  ``sweep`` is the only
-sweep: grids pass their stencil and their vertex order, and
-``tree.tree_from_graph`` numbers a graph's vertices in rank order and
-passes its edges.
+sweep: grids pass their vertex order, and ``tree.tree_from_graph``
+numbers a graph's vertices in rank order and passes its edges.
+
+A grid sweep visits one neighbour per connected component of a vertex's
+upper link (join) or lower link (split), not the whole stencil: two link
+neighbours are linked when their offset difference is itself a stencil
+offset.  This is exact.  A link path between two upper neighbours runs
+over stencil edges whose endpoints all rank above the vertex, so by the
+time the vertex is swept its whole upper-link component is already one
+union-find component; one representative finds the same root as any
+other member, and the merge trees do not change.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import cache
+
+import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarGrid, VertexOrder
+from .grid import _ALL_OFFSETS, ScalarGrid, VertexOrder
 
 
 class DisjointSet:
@@ -126,13 +137,60 @@ def _check_order(grid: ScalarGrid, order: VertexOrder) -> None:
         raise UsageError("vertex order does not match grid size")
 
 
+@cache
+def link_representatives() -> np.ndarray:
+    """Representative slots of every set of present stencil slots.
+
+    Slot ``i`` is ``_ALL_OFFSETS[i]``, and two present slots are linked
+    when their offset difference is itself a stencil offset.  Row ``mask``
+    of the (2^14, 14) result marks the lowest slot of each connected
+    component of the slots set in ``mask``.  Built once per process by
+    min-label propagation over all masks at once.
+    """
+    offsets = np.array(_ALL_OFFSETS)
+    k = len(offsets)
+    diff = offsets[:, None, None, :] - offsets[None, :, None, :]
+    linked = np.argwhere((diff == offsets[None, None, :, :]).all(-1).any(-1))
+    slots = np.arange(k, dtype=np.uint8)[:, None]
+    present = (np.arange(1 << k) >> slots) & 1 == 1
+    label = np.where(present, slots, k).astype(np.uint8)
+    while True:
+        before = label.copy()
+        for i, j in linked:
+            np.minimum(label[i], label[j], out=label[i], where=present[i])
+        if np.array_equal(before, label):
+            break
+    table = (present & (label == slots)).T.copy()
+    table.flags.writeable = False  # shared by every caller in the process
+    return table
+
+
+def _link_neighbors(grid: ScalarGrid, order: VertexOrder, upper: bool):
+    """``neighbors(v)``: one upper (or lower) neighbour per link component of v."""
+    nx, ny, nz = grid.dims
+    # Rank the sweep's processed side high; slots outside the domain rank -1.
+    key = order.rank_of if upper else grid.n - 1 - order.rank_of
+    key = key.reshape(nz, ny, nx)
+    padded = np.pad(key, 1, constant_values=-1)
+    mask = np.zeros(key.shape, dtype=np.uint16)
+    deltas = []
+    for slot, (dx, dy, dz) in enumerate(_ALL_OFFSETS):
+        nbr = padded[1 + dz : 1 + dz + nz, 1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
+        mask |= (nbr > key).astype(np.uint16) << slot
+        deltas.append(dx + nx * (dy + ny * dz))
+    verts, slots = np.nonzero(link_representatives()[mask.ravel()])
+    starts = np.searchsorted(verts, np.arange(grid.n + 1)).tolist()
+    nbrs = (verts + np.array(deltas)[slots]).tolist()
+    return lambda v: nbrs[starts[v] : starts[v + 1]]
+
+
 def compute_join_tree(grid: ScalarGrid, order: VertexOrder) -> MergeTree:
     """Sweep downward: tracks superlevel-set components merging at saddles."""
     _check_order(grid, order)
-    return sweep(order.vertex_at[::-1], grid.neighbors, grid.n, "join")
+    return sweep(order.vertex_at[::-1], _link_neighbors(grid, order, True), grid.n, "join")
 
 
 def compute_split_tree(grid: ScalarGrid, order: VertexOrder) -> MergeTree:
     """Sweep upward: tracks sublevel-set components merging at saddles."""
     _check_order(grid, order)
-    return sweep(order.vertex_at, grid.neighbors, grid.n, "split")
+    return sweep(order.vertex_at, _link_neighbors(grid, order, False), grid.n, "split")

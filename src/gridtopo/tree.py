@@ -98,6 +98,10 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
     merge-tree arc becomes a contour tree edge and the vertex is deleted
     from both trees.  The resulting edge set is unique, so any valid
     processing order yields the same tree.
+
+    Each tree's state is three lists over the dense ids: parent (-1 for
+    none), child count and the sum of child ids, which names the child
+    of a vertex that has exactly one.
     """
     if join.n != split.n:
         raise UsageError("join and split trees cover different vertex sets")
@@ -111,71 +115,57 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
         tree.superparent = {0: 0}
         return tree
 
-    j_parent = dict(join.arc_to)
-    s_parent = dict(split.arc_to)
-    j_children: dict[int, set[int]] = {v: set() for v in verts}
-    s_children: dict[int, set[int]] = {v: set() for v in verts}
-    for src, dst in j_parent.items():
-        j_children[dst].add(src)
-    for src, dst in s_parent.items():
-        s_children[dst].add(src)
+    def state(mt: MergeTree) -> tuple[list[int], list[int], list[int]]:
+        parent = [-1] * n
+        count = [0] * n
+        total = [0] * n
+        for src, dst in mt.arc_to.items():
+            parent[src] = dst
+            count[dst] += 1
+            total[dst] += src
+        return parent, count, total
 
-    def upper_ready(v: int) -> bool:
-        return len(j_children[v]) == 0 and len(s_children[v]) == 1
+    j_parent, j_count, j_sum = state(join)
+    s_parent, s_count, s_sum = state(split)
 
-    def lower_ready(v: int) -> bool:
-        return len(s_children[v]) == 0 and len(j_children[v]) == 1
+    def ready(v: int) -> bool:
+        return (j_count[v] == 0 and s_count[v] == 1) or (s_count[v] == 0 and j_count[v] == 1)
 
-    queue = deque(v for v in verts if upper_ready(v) or lower_ready(v))
-    queued = set(queue)
+    # A vertex is queued at most once at a time and leaves the trees only
+    # when popped, so every queued vertex is alive and so is its parent.
+    queue = deque(v for v in verts if ready(v))
+    queued = bytearray(n)
+    for v in queue:
+        queued[v] = 1
     edges: list[tuple[int, int]] = []
-    alive = set(verts)
 
-    while len(alive) > 1:
+    while len(edges) < n - 1:
         if not queue:
             raise InternalError("leaf transfer stalled with vertices remaining")
         v = queue.popleft()
-        queued.discard(v)
-        if v not in alive:
-            continue
-        if upper_ready(v):
-            other = j_parent[v]
-            # Remove v from the join tree (it is a leaf there).
-            j_children[other].discard(v)
-            del j_parent[v]
-            # Remove v from the split tree, where it is regular.
-            (child,) = s_children[v]
-            sp = s_parent.get(v)
-            if sp is not None:
-                s_parent[child] = sp
-                s_children[sp].discard(v)
-                s_children[sp].add(child)
-            else:
-                s_parent.pop(child, None)
-            del s_children[v]
-        elif lower_ready(v):
-            other = s_parent[v]
-            s_children[other].discard(v)
-            del s_parent[v]
-            (child,) = j_children[v]
-            jp = j_parent.get(v)
-            if jp is not None:
-                j_parent[child] = jp
-                j_children[jp].discard(v)
-                j_children[jp].add(child)
-            else:
-                j_parent.pop(child, None)
-            del j_children[v]
+        queued[v] = 0
+        if j_count[v] == 0 and s_count[v] == 1:
+            # v is a join-tree leaf and regular in the split tree.
+            leaf_parent, leaf_count, leaf_sum = j_parent, j_count, j_sum
+            reg_parent, reg_sum = s_parent, s_sum
+        elif s_count[v] == 0 and j_count[v] == 1:
+            leaf_parent, leaf_count, leaf_sum = s_parent, s_count, s_sum
+            reg_parent, reg_sum = j_parent, j_sum
         else:
             continue
+        other = leaf_parent[v]
+        leaf_count[other] -= 1
+        leaf_sum[other] -= v
+        # Splice v out of the other tree: its one child takes its parent.
+        child = reg_sum[v]
+        up = reg_parent[v]
+        reg_parent[child] = up
+        if up != -1:
+            reg_sum[up] += child - v
         edges.append((v, other))
-        alive.discard(v)
-        if len(alive) == 1:
-            break
-        for w in (v, other):
-            if w in alive and w not in queued and (upper_ready(w) or lower_ready(w)):
-                queue.append(w)
-                queued.add(w)
+        if not queued[other] and ready(other):
+            queue.append(other)
+            queued[other] = 1
 
     return _from_edges(verts, ranks, edges)
 

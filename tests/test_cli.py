@@ -268,3 +268,56 @@ def test_advise_infeasible(capsys):
 def test_missing_input_file_exit_code(tmp_path):
     rc = run_cli(["run", "--input", str(tmp_path / "nope.raw"), "--dims", "4,4,1"])
     assert rc == 2
+
+
+def test_oracle_check_rejects_simplified_distributed_run(capsys):
+    # A tree pre-simplified at lambda > 0 cannot match the full-grid census.
+    rc = run_cli(
+        [
+            "run", "--synthetic", "random", "--dims", "8,8,4",
+            "--mode", "distributed", "--blocks", "2,2,1", "--lambda", "1",
+            "--oracle-check",
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "UsageError" in err and "--oracle-check" in err
+
+
+def test_oracle_check_distributed_lambda_zero_passes():
+    rc = run_cli(
+        [
+            "run", "--synthetic", "random", "--dims", "8,8,4",
+            "--mode", "distributed", "--blocks", "2,2,1", "--lambda", "0",
+            "--oracle-check",
+        ]
+    )
+    assert rc == 0
+
+
+def test_oracle_mismatch_is_internal_error(monkeypatch, capsys):
+    from gridtopo import oracle
+
+    real = oracle.count_contours
+    monkeypatch.setattr(oracle, "count_contours", lambda *a: real(*a) + 1)
+    rc = run_cli(
+        [
+            "run", "--synthetic", "random", "--seed", "2", "--dims", "6,6,1",
+            "--oracle-check",
+        ]
+    )
+    assert rc == 3
+    assert "error (InternalError): oracle mismatch at gap 0" in capsys.readouterr().err
+
+
+def test_grid_too_large_to_allocate(monkeypatch, capsys):
+    from gridtopo import cli
+
+    def no_memory(config):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "load_grid", no_memory)
+    rc = run_cli(["run", "--synthetic", "random", "--dims", "100000,100000,100"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error (UsageError)" in err and str(100000 * 100000 * 100) in err

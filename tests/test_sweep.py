@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridtopo import compute_join_tree, compute_split_tree, sos_order
+from gridtopo.grid import _ALL_OFFSETS
+from gridtopo.sweep import link_representatives, sweep
 
 from conftest import (
     grid_1d,
     local_extrema,
+    make_grid,
     random_grid,
     sublevel_components,
     superlevel_components,
@@ -136,3 +141,89 @@ def test_split_arcs_count_sublevel_components(seed):
             if rank[src] <= gap < rank[dst]
         )
         assert straddle == sublevel_components(grid, order, gap)
+
+
+def full_stencil_tree(grid, order, direction):
+    """The sweep kernel fed every stencil neighbour, the reference input."""
+    seq = order.vertex_at[::-1] if direction == "join" else order.vertex_at
+    return sweep(seq, grid.neighbors, grid.n, direction)
+
+
+def tied_grid(dims, seed):
+    rng = np.random.default_rng(seed)
+    n = dims[0] * dims[1] * dims[2]
+    return make_grid(dims, rng.integers(0, 3, size=n))
+
+
+REDUCED_INPUT_DIMS = [
+    (1, 1, 1),
+    (9, 1, 1),
+    (1, 9, 1),
+    (1, 1, 9),
+    (1, 5, 6),
+    (5, 1, 6),
+    (7, 6, 1),
+    (5, 4, 3),
+    (4, 4, 4),
+]
+
+
+@pytest.mark.parametrize("field", ["random", "constant", "tied"])
+@pytest.mark.parametrize("dims", REDUCED_INPUT_DIMS)
+def test_link_sweep_matches_full_stencil_sweep(dims, field):
+    """One neighbour per link component builds the full-stencil merge trees."""
+    n = dims[0] * dims[1] * dims[2]
+    for seed in range(3):
+        if field == "random":
+            grid = random_grid(dims, seed)
+        elif field == "constant":
+            grid = make_grid(dims, np.zeros(n))
+        else:
+            grid = tied_grid(dims, seed)
+        order = sos_order(grid)
+        for build, direction in ((compute_join_tree, "join"), (compute_split_tree, "split")):
+            got = build(grid, order)
+            want = full_stencil_tree(grid, order, direction)
+            assert got.arc_to == want.arc_to
+            assert got.root == want.root
+
+
+def link_components(mask):
+    """Brute-force BFS over the present slots: one frozenset per component."""
+    present = [i for i in range(len(_ALL_OFFSETS)) if mask >> i & 1]
+    stencil = set(_ALL_OFFSETS)
+
+    def linked(i, j):
+        return tuple(a - b for a, b in zip(_ALL_OFFSETS[i], _ALL_OFFSETS[j])) in stencil
+
+    seen, comps = set(), []
+    for start in present:
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            i = frontier.pop()
+            for j in present:
+                if j not in comp and linked(i, j):
+                    comp.add(j)
+                    frontier.append(j)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << len(_ALL_OFFSETS)) - 1))
+def test_link_representatives_match_bfs(mask):
+    rep_slots = set(np.flatnonzero(link_representatives()[mask]).tolist())
+    assert rep_slots == {min(comp) for comp in link_components(mask)}
+
+
+def test_link_representatives_extremes():
+    table = link_representatives()
+    k = len(_ALL_OFFSETS)
+    assert table.shape == (1 << k, k) and table.dtype == bool
+    assert not table[0].any()
+    # The full link is one component (a sphere); a lone slot represents itself.
+    assert np.flatnonzero(table[-1]).tolist() == [0]
+    assert all(np.flatnonzero(table[1 << i]).tolist() == [i] for i in range(k))

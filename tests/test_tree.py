@@ -1,7 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from gridtopo import contour_tree, sos_order
+from gridtopo import tree as gtree
 from gridtopo.oracle import level_set_census
 from gridtopo.tree import tree_from_graph
 
@@ -169,3 +172,114 @@ def test_combine_rejects_mismatched_vertex_sets():
     split = compute_split_tree(g2, o2)
     with pytest.raises(UsageError):
         combine(join, split, {v: v for v in range(4)})
+
+
+def set_based_leaf_transfer(join, split):
+    """Reference leaf transfer on dicts of parents and sets of children."""
+    verts = list(range(join.n))
+    j_parent, s_parent = dict(join.arc_to), dict(split.arc_to)
+    j_children = {v: set() for v in verts}
+    s_children = {v: set() for v in verts}
+    for src, dst in j_parent.items():
+        j_children[dst].add(src)
+    for src, dst in s_parent.items():
+        s_children[dst].add(src)
+
+    def upper_ready(v):
+        return len(j_children[v]) == 0 and len(s_children[v]) == 1
+
+    def lower_ready(v):
+        return len(s_children[v]) == 0 and len(j_children[v]) == 1
+
+    def transfer(v, leaf_parent, leaf_children, reg_parent, reg_children):
+        other = leaf_parent.pop(v)
+        leaf_children[other].discard(v)
+        (child,) = reg_children.pop(v)
+        up = reg_parent.get(v)
+        if up is not None:
+            reg_parent[child] = up
+            reg_children[up].discard(v)
+            reg_children[up].add(child)
+        else:
+            reg_parent.pop(child, None)
+        return other
+
+    queue = deque(v for v in verts if upper_ready(v) or lower_ready(v))
+    queued = set(queue)
+    alive = set(verts)
+    edges = []
+    while len(alive) > 1:
+        v = queue.popleft()
+        queued.discard(v)
+        if v not in alive:
+            continue
+        if upper_ready(v):
+            other = transfer(v, j_parent, j_children, s_parent, s_children)
+        elif lower_ready(v):
+            other = transfer(v, s_parent, s_children, j_parent, j_children)
+        else:
+            continue
+        edges.append((v, other))
+        alive.discard(v)
+        if len(alive) == 1:
+            break
+        for w in (v, other):
+            if w in alive and w not in queued and (upper_ready(w) or lower_ready(w)):
+                queue.append(w)
+                queued.add(w)
+    return edges
+
+
+@pytest.fixture
+def combine_calls(monkeypatch):
+    """Record each combine's merge trees and the edge list it emits."""
+    calls = []
+    real_combine, real_from_edges = gtree.combine, gtree._from_edges
+
+    def recording_combine(join, split, ranks):
+        calls.append({"join": join, "split": split})
+        return real_combine(join, split, ranks)
+
+    def recording_from_edges(verts, ranks, edges):
+        calls[-1]["edges"] = list(edges)
+        return real_from_edges(verts, ranks, edges)
+
+    monkeypatch.setattr(gtree, "combine", recording_combine)
+    monkeypatch.setattr(gtree, "_from_edges", recording_from_edges)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        random_grid((7, 6, 1), 0),
+        random_grid((5, 4, 3), 1),
+        random_grid((6, 6, 6), 2),
+        make_grid((6, 5, 2), np.arange(60) % 3),
+        make_grid((4, 4, 4), np.random.default_rng(3).integers(0, 2, 64)),
+        grid_1d([3, 1, 4, 1, 5, 9, 2, 6, 5, 3]),
+        make_grid((1, 1, 12), np.random.default_rng(4).random(12)),
+    ],
+    ids=["random-2d", "random-3d", "random-3d-large", "tied", "tied-binary", "1d", "1d-z"],
+)
+def test_array_combine_matches_set_based_edges(grid, combine_calls):
+    contour_tree(grid, sos_order(grid))
+    (call,) = combine_calls
+    assert call["edges"] == set_based_leaf_transfer(call["join"], call["split"])
+
+
+@pytest.mark.parametrize(
+    "edges,n",
+    [
+        ([(0, i) for i in range(1, 9)], 9),
+        ([(i, i + 1) for i in range(11)], 12),
+    ],
+    ids=["star", "path"],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_array_combine_matches_set_based_edges_on_graphs(edges, n, seed, combine_calls):
+    ranks = np.random.default_rng(seed).permutation(n).tolist()
+    tree_from_graph(range(n), ranks, edges)
+    (call,) = combine_calls
+    assert len(call["edges"]) == n - 1
+    assert call["edges"] == set_based_leaf_transfer(call["join"], call["split"])
