@@ -60,8 +60,9 @@ class RunConfig:
             raise UsageError("--lambda must be non-negative")
         if self.top_branches is not None and self.top_branches < 1:
             raise UsageError("--top-branches must be at least 1")
-        if self.threshold is not None and self.threshold < 0:
-            raise UsageError("--threshold must be non-negative")
+        if self.threshold is not None and not 0 <= self.threshold < math.inf:
+            # NaN fails every comparison and would select only the trunk.
+            raise UsageError("--threshold must be a finite non-negative number")
         if self.top_branches is not None and self.threshold is not None:
             raise UsageError("--top-branches and --threshold are mutually exclusive")
         if any(b < 1 for b in self.blocks):

@@ -14,14 +14,27 @@ Two criteria bound the threshold lambda from below:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from ..errors import DataError, UsageError
+
+
+def _check_finite(name: str, value: float) -> None:
+    """Raise ``UsageError`` for NaN, an infinity or an int beyond float range."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise UsageError(f"{name} is too large for a float") from None
+    if not finite:
+        raise UsageError(f"{name} must be a finite number, got {value!r}")
 
 
 def attachment_point_bound(n: int, ranks: int, lam: float) -> float:
     """Most attachment points one rank can receive: ``(n - n/ranks)/(lam+1)``."""
     if n < 1 or ranks < 1:
         raise UsageError("n and ranks must be positive")
+    _check_finite("n", n)
+    _check_finite("lambda", lam)
     if lam < 0:
         raise UsageError("lambda must be non-negative")
     return (n - n / ranks) / (lam + 1)
@@ -34,27 +47,24 @@ def estimate_lambda_min_memory(
 
     That is the least ``lambda >= 0`` with
     ``bytes_per_ap * (n - n/ranks) / (lambda + 1) < mem_per_rank - base_mem``
-    (strictly less).  Raises ``DataError`` when the base footprint alone
-    fills the budget.
+    (strictly less), solved in exact rationals, so neither float rounding
+    nor a huge result can go wrong.  Raises ``DataError`` when the base
+    footprint alone fills the budget.
     """
+    attachment_point_bound(n, ranks, 0)  # validates n and ranks
+    _check_finite("memory per rank", mem_per_rank)
+    _check_finite("bytes per attachment point", bytes_per_ap)
+    _check_finite("base memory", base_mem)
     if bytes_per_ap < 0:
         raise UsageError("bytes per attachment point must be non-negative")
-    budget = mem_per_rank - base_mem
+    budget = Fraction(mem_per_rank) - Fraction(base_mem)
     if budget <= 0:
         raise DataError(
             f"base memory {base_mem:g} B leaves no room in {mem_per_rank:g} B per rank"
         )
-
-    def fits(lam: int) -> bool:
-        return bytes_per_ap * attachment_point_bound(n, ranks, lam) < budget
-
-    # Start from the closed form, then step over floating-point rounding.
-    lam = max(0, math.floor(bytes_per_ap * attachment_point_bound(n, ranks, 0) / budget))
-    while not fits(lam):
-        lam += 1
-    while lam > 0 and fits(lam - 1):
-        lam -= 1
-    return lam
+    # need / (lambda + 1) < budget  <=>  lambda > need / budget - 1.
+    need = Fraction(bytes_per_ap) * n * (ranks - 1) / ranks
+    return math.floor(need / budget)
 
 
 def estimate_bytes_per_ap(
@@ -87,12 +97,14 @@ def communication_lambda_floor(n: int, c: float = 1.0) -> int:
     """
     if n < 1:
         raise UsageError("n must be positive")
+    _check_finite("n", n)
+    _check_finite("the communication constant", c)
     if c < 0:
         raise UsageError("the communication constant must be non-negative")
     root = _integer_cube_root(n)
-    if root**3 == n:
-        return math.ceil(c * root)
-    return math.ceil(c * math.cbrt(n))
+    floor = c * (root if root**3 == n else math.cbrt(n))
+    _check_finite("the communication floor", floor)
+    return math.ceil(floor)
 
 
 def lambda_advisor_report(
@@ -109,6 +121,8 @@ def lambda_advisor_report(
     ``lambda_cap`` is the volume of the smallest feature that must stay
     exact; the recommendation is feasible when it lies below it.
     """
+    if lambda_cap is not None:
+        _check_finite("lambda cap", lambda_cap)
     memory_min = estimate_lambda_min_memory(n, ranks, mem_per_rank, bytes_per_ap, base_mem)
     floor = communication_lambda_floor(n, c)
     recommended = max(memory_min, floor)

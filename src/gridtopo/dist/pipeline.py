@@ -223,9 +223,10 @@ def _map_ranks(fn, items, mode: str) -> list:
 class Record:
     """A subtree cut off a region's contour tree at vertex ``attach``.
 
-    ``edges`` are its vertex-level tree edges; the first one is the
-    hanging edge ``(head, attach)``, ``head`` being its vertex next to
-    ``attach``.  ``measure`` counts its vertices plus
+    ``edges`` are its vertex-level tree edges as ``(child, parent)``
+    pairs rooted at ``attach``: each of ``verts`` is a child exactly once.
+    The first one is the hanging edge ``(head, attach)``, ``head`` being
+    its vertex next to ``attach``.  ``measure`` counts its vertices plus
     the mass of earlier records attached inside it.  ``rank`` is the
     rank that cut it.
     """
@@ -308,11 +309,21 @@ def _region(
                 hanging.append((v, c, pre[pos[c] : pos[c] + size[c]]))
     if top != ct.root:
         hanging.append((top, parent[top], pre[: pos[top]] + pre[pos[top] + size[top] :]))
+    # Record edges point from child to parent toward the attachment.  The
+    # record above ``top`` holds the root, so its path from ``head`` up to
+    # the root turns around.
+    turned: dict[int, int] = {}
+    v = top
+    while v != ct.root:
+        turned[parent[v]] = v
+        v = parent[v]
     records = []
     new_mass = {v: m for v, m in mass_at.items() if v in kept_set}
     for attach, head, verts in hanging:
         edges = [(head, attach)] + [
-            (u, parent[u]) for u in verts if u in parent and parent[u] != attach
+            (u, p)
+            for u in verts
+            if (p := turned.get(u, parent.get(u))) is not None and p != attach
         ]
         weight = len(verts) + sum(mass_at.get(u, 0) for u in verts)
         records.append(Record(attach, sorted(verts), edges, weight, rank))
@@ -371,7 +382,8 @@ def _tree_of(verts, edges, ranks: Sequence[int]) -> ContourTree:
     """The augmented ``ContourTree`` of a vertex-level tree given by its edges.
 
     A tree is its own contour tree, so no sweep is needed: the
-    superstructure follows from the edges and the ranks alone.
+    superstructure follows from the edges and the ranks alone.  The
+    edges are ``(child, parent)`` pairs of any rooting of the tree.
     """
     return augment(_from_edges(sorted(verts), ranks, list(edges)))
 

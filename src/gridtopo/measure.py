@@ -5,17 +5,28 @@ its outer-end supernode, so the superarc totals plus one (the root)
 partition the vertex set exactly.  Subtree volumes are physical-cut
 counts: the outward volume of an arc is the number of vertices strictly
 on its outer side when the tree is severed at the inner end.
+
+``hypersweep`` and ``branch_decomposition`` read the tree through its
+shared array view, ``ContourTree.superstructure``, and run as numpy
+passes over supernode positions: subtree sums over an Euler tour ranked
+by pointer jumping, best up/down arcs by max/min reductions over arc
+incidences, and branches labelled by pointer jumping along chains of
+mutually-best arcs.  Python loops only build the output dicts and
+``Branch`` objects.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InternalError, UsageError
-from .tree import ContourTree
+from .tree import ContourTree, Superstructure, _chain_ends, _pair_key
 
 
 @dataclass
@@ -56,6 +67,47 @@ def superarc_counts(ct: ContourTree) -> VolumeAnnotation:
     return VolumeAnnotation(n=ct.n, counts=counts)
 
 
+def _per_supernode(values: Mapping[int, int], supernodes: list[int]) -> np.ndarray:
+    """``values`` as an array over supernode positions; absent keys are 0."""
+    return np.fromiter(
+        map(values.get, supernodes, itertools.repeat(0)), np.int64, len(supernodes)
+    )
+
+
+def _subtree_sums(st: Superstructure, weight: np.ndarray) -> np.ndarray:
+    """Per supernode, the sum of ``weight`` over its rooted subtree.
+
+    The subtree of a supernode is the stretch of the Euler tour between
+    entering and leaving it.  Tour step ``i`` enters supernode ``i`` and
+    step ``k + i`` leaves it; each step's successor is set from the
+    children lists, and list ranking by pointer jumping gives every step
+    its tour position.
+    """
+    k = st.inner.size
+    kids = np.flatnonzero(st.inner >= 0)
+    kids = kids[np.argsort(st.inner[kids], kind="stable")]
+    up = st.inner[kids]
+    first = np.ones(kids.size, dtype=bool)
+    first[1:] = up[1:] != up[:-1]
+    succ = np.concatenate([np.arange(k, 2 * k), k + np.arange(k)])
+    succ[up[first]] = kids[first]  # enter a parent -> enter its first child
+    succ[k + kids] = k + up  # leave a last child -> leave its parent
+    sib = ~first[1:]
+    succ[k + kids[:-1][sib]] = kids[1:][sib]  # leave a child -> enter the next
+    # Leaving the root ends the tour.  ``left`` counts steps to that end.
+    left = (succ != np.arange(2 * k)).astype(np.int64)
+    for _ in range((2 * k).bit_length()):
+        left += left[succ]
+        succ = succ[succ]
+    if (succ != k + st.root).any():
+        raise InternalError("superstructure is not a tree")
+    at = 2 * k - 1 - left
+    tour = np.zeros(2 * k, dtype=np.int64)
+    tour[at[:k]] = weight
+    run = np.cumsum(tour)
+    return run[at[k:]] - run[at[:k]] + weight
+
+
 def hypersweep(ct: ContourTree, ann: VolumeAnnotation) -> VolumeAnnotation:
     """Aggregate counts leafward-to-root into outward subtree volumes.
 
@@ -65,45 +117,25 @@ def hypersweep(ct: ContourTree, ann: VolumeAnnotation) -> VolumeAnnotation:
     distributed pipeline folds pre-simplified subtrees into them), so
     conservation is checked against ``ann.n``.
     """
-    kids = ct.children_index()
-    outward: dict[int, int] = {}
-    closed: dict[int, int] = {}
-
-    post: list[int] = []
-    stack = [ct.root]
-    while stack:
-        s = stack.pop()
-        post.append(s)
-        stack.extend(kids[s])
-    for s in reversed(post):
-        sub = 1 + ann.at_node.get(s, 0)
-        for c in kids[s]:
-            sub += outward[c]
-        closed[s] = sub
-        if s != ct.root:
-            outward[s] = sub + ann.counts[s] - 1 - ann.at_node.get(s, 0)
-    if closed[ct.root] != ann.n:
+    st = ct.superstructure
+    sn = ct.supernodes
+    counts = _per_supernode(ann.counts, sn)
+    counts[st.root] = 0  # the root indexes no arc
+    at_node = _per_supernode(ann.at_node, sn)
+    outward = _subtree_sums(st, counts)
+    closed = outward - counts + 1 + at_node
+    if closed[st.root] != ann.n:
         raise InternalError(
-            f"volume conservation failed: {closed[ct.root]} != {ann.n}"
+            f"volume conservation failed: {closed[st.root]} != {ann.n}"
         )
+    arcs = np.flatnonzero(st.inner >= 0)
     return VolumeAnnotation(
         n=ann.n,
         counts=ann.counts,
-        outward=outward,
-        closed=closed,
+        outward=dict(zip(map(sn.__getitem__, arcs.tolist()), outward[arcs].tolist())),
+        closed=dict(zip(sn, closed.tolist())),
         at_node=ann.at_node,
     )
-
-
-def away_volume(ct: ContourTree, ann: VolumeAnnotation, arc_outer: int, at: int) -> int:
-    """Subtree volume on the far side of an arc as seen from supernode ``at``.
-
-    For a child arc this is its outward volume; for the supernode's own
-    (parent-facing) arc it is everything outside the closed subtree.
-    """
-    if arc_outer == at:
-        return ann.n - ann.closed[at]
-    return ann.outward[arc_outer]
 
 
 @dataclass
@@ -156,123 +188,131 @@ def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomp
     in each direction (ties to the lower outer-end rank) joins that
     supernode's branch; maximal chains of mutually-best arcs form the
     branches.  Exactly one branch ends at no attachment saddle: the
-    trunk.
+    trunk.  Branches are listed by their least member id (supernode or
+    arc outer end), a supernode member first on a tie.
     """
     if not ann.outward and ct.n > 1:
         raise UsageError("hypersweep volumes required")
-    ranks = ct.ranks
-    kids = ct.children_index()
-
-    if len(ct.supernodes) == 1:
+    sn = ct.supernodes
+    if len(sn) == 1:
         only = Branch(arcs=(), leaf=ct.root, volume=ct.n, is_trunk=True)
         return BranchDecomposition(branches=[only])
 
-    # Incident arcs per supernode: (arc_outer, far_rank) tagged up/down.
-    best_up: dict[int, int] = {}
-    best_down: dict[int, int] = {}
-    for s in ct.supernodes:
-        candidates: list[tuple[int, bool]] = []
-        if s != ct.root:
-            inner = ct.arc_inner[s]
-            candidates.append((s, ranks[inner] > ranks[s]))
-        for c in kids[s]:
-            candidates.append((c, ranks[c] > ranks[s]))
-        for upward in (True, False):
-            best = None
-            best_val = None
-            for outer, is_up in candidates:
-                if is_up != upward:
-                    continue
-                vol = away_volume(ct, ann, outer, s)
-                val = (vol, -ranks[outer])
-                if best_val is None or val > best_val:
-                    best, best_val = outer, val
-            if best is not None:
-                if upward:
-                    best_up[s] = best
-                else:
-                    best_down[s] = best
+    st = ct.superstructure
+    k, rank = len(sn), st.rank
+    arcs = np.flatnonzero(st.inner >= 0)  # arc i is the one with outer end i
+    inner = st.inner[arcs]
+    outward = _per_supernode(ann.outward, sn)
+    closed = _per_supernode(ann.closed, sn)
 
-    # Branch membership: union supernodes with their best arcs.
-    token = {}
-    for i, s in enumerate(ct.supernodes):
-        token[("s", s)] = i
-    arcs = sorted(ct.arc_inner)
-    for j, a in enumerate(arcs):
-        token[("a", a)] = len(ct.supernodes) + j
-    from .sweep import DisjointSet
+    # Each arc is incident to both of its ends; ``far`` is the volume
+    # beyond it as seen from that end.
+    rises = rank[inner] > rank[arcs]
+    node = np.concatenate([arcs, inner])
+    arc = np.concatenate([arcs, arcs])
+    far = np.concatenate([ann.n - closed[arcs], outward[arcs]])
+    up = np.concatenate([rises, ~rises])
+    # Per (supernode, direction): the largest far volume, then the lowest
+    # outer-end rank among the arcs that reach it.
+    side = 2 * node + up
+    most = np.full(2 * k, -1, dtype=np.int64)
+    np.maximum.at(most, side, far)
+    tied = far == most[side]
+    least = np.full(2 * k, rank.max() + 1, dtype=np.int64)
+    np.minimum.at(least, side[tied], rank[arc[tied]])
+    win = tied & (rank[arc] == least[side])
+    best = np.full(2 * k, -1, dtype=np.int64)
+    best[side[win]] = arc[win]
+    best_up, best_down = best[1::2], best[0::2]
 
-    ds = DisjointSet(len(token))
-    for s in ct.supernodes:
-        for best in (best_up.get(s), best_down.get(s)):
-            if best is not None:
-                ds.union(token[("s", s)], token[("a", best)])
+    # A supernode's best up arc leads to a higher supernode, and joins the
+    # two into one branch when it is that supernode's best down arc too.
+    # Such chains rise in rank, so each branch's supernodes form a path;
+    # pointer jumping labels them with its top supernode.
+    step = np.arange(k)
+    low = np.flatnonzero(best_up >= 0)
+    a = best_up[low]
+    high = np.where(a == low, st.inner[a], a)
+    mutual = best_down[high] == a
+    step[low[mutual]] = high[mutual]
+    top = _chain_ends(step)
 
-    groups: dict[int, dict[str, list[int]]] = {}
-    for s in ct.supernodes:
-        r = ds.find(token[("s", s)])
-        groups.setdefault(r, {"s": [], "a": []})["s"].append(s)
-    for a in arcs:
-        r = ds.find(token[("a", a)])
-        groups.setdefault(r, {"s": [], "a": []})["a"].append(a)
+    by_outer = (best_up[arcs] == arcs) | (best_down[arcs] == arcs)
+    by_inner = (best_up[inner] == arcs) | (best_down[inner] == arcs)
+    if not (by_outer | by_inner).all():
+        raise InternalError("branch attached at two saddles")
+    hangs = by_outer != by_inner  # the far end is the branch's attachment saddle
+    hang_saddle = np.where(by_outer, inner, arcs)[hangs]
 
-    up_deg, down_deg = ct.arc_degrees()
+    # Number the branches in output order: (least member, first token).
+    heads = np.flatnonzero(step == np.arange(k))
+    label = np.full(k, -1, dtype=np.int64)
+    label[heads] = np.arange(heads.size)
+    sn_group = label[top]
+    arc_group = label[np.where(by_outer, top[arcs], top[inner])]
+    first_sn = np.full(heads.size, k)
+    np.minimum.at(first_sn, sn_group, np.arange(k))
+    first_arc = np.full(heads.size, k)
+    np.minimum.at(first_arc, arc_group, arcs)
+    place = np.empty(heads.size, dtype=np.int64)
+    place[np.argsort(_pair_key(np.minimum(first_sn, first_arc), first_sn, k))] = np.arange(
+        heads.size
+    )
+    sn_group, arc_group = place[sn_group], place[arc_group]
+    g = heads.size
 
-    branches: list[Branch] = []
-    group_of_supernode: dict[int, int] = {}
-    ordered_groups = sorted(groups.items(), key=lambda kv: min(kv[1]["a"] + kv[1]["s"]))
-    for gi, (_, members) in enumerate(ordered_groups):
-        for s in members["s"]:
-            group_of_supernode[s] = gi
+    n_arcs = np.bincount(arc_group, minlength=g)
+    if (n_arcs == 0).any():
+        raise InternalError("branch with supernodes but no arcs")
+    if (np.bincount(arc_group[hangs], minlength=g) > 1).any():
+        raise InternalError("branch attached at two saddles")
+    trunk = np.ones(g, dtype=bool)
+    trunk[arc_group[hangs]] = False
+    saddle = np.full(g, -1, dtype=np.int64)
+    saddle[arc_group[hangs]] = hang_saddle
+    terminal = np.full(g, -1, dtype=np.int64)
+    terminal[arc_group[hangs]] = arcs[hangs]
 
-    for _, members in ordered_groups:
-        own = set(members["s"])
-        group_arcs = members["a"]
-        if not group_arcs:
-            raise InternalError("branch with supernodes but no arcs")
-        attach: tuple[int, int] | None = None
-        ends: list[int] = []
-        for a in group_arcs:
-            for e in (a, ct.arc_inner[a]):
-                if e not in own:
-                    if attach is not None and attach[0] != e:
-                        raise InternalError("branch attached at two saddles")
-                    attach = (e, a)
-        for s in own:
-            if up_deg[s] == 0 or down_deg[s] == 0:
-                ends.append(s)
-        if attach is None:
-            if len(ends) != 2:
-                raise InternalError("trunk must own exactly two extremum ends")
-            leaf = min(ends, key=lambda v: ranks[v])
-            branches.append(
-                Branch(arcs=tuple(sorted(group_arcs)), leaf=leaf, volume=ann.n, is_trunk=True)
-            )
-        else:
-            if len(ends) != 1:
-                raise InternalError("branch must own exactly one extremum end")
-            saddle, terminal = attach
-            branches.append(
-                Branch(
-                    arcs=tuple(sorted(group_arcs)),
-                    leaf=ends[0],
-                    volume=away_volume(ct, ann, terminal, saddle),
-                    saddle=saddle,
-                )
-            )
+    up_deg = np.bincount(node[up], minlength=k)
+    down_deg = np.bincount(node[~up], minlength=k)
+    ends = np.flatnonzero((up_deg == 0) | (down_deg == 0))
+    n_ends = np.bincount(sn_group[ends], minlength=g)
+    if (n_ends[trunk] != 2).any():
+        raise InternalError("trunk must own exactly two extremum ends")
+    if (n_ends[~trunk] != 1).any():
+        raise InternalError("branch must own exactly one extremum end")
+    if trunk.sum() != 1:
+        raise InternalError(f"expected exactly one trunk, found {int(trunk.sum())}")
+    ends = ends[np.argsort(_pair_key(sn_group[ends], rank[ends], int(rank.max()) + 1))]
+    leaf = ends[np.r_[0, np.cumsum(n_ends)[:-1]]]  # the lowest-ranked end per branch
 
-    trunks = [b for b in branches if b.is_trunk]
-    if len(trunks) != 1:
-        raise InternalError(f"expected exactly one trunk, found {len(trunks)}")
-    for gi, b in enumerate(branches):
-        if b.is_trunk:
-            continue
-        parent_group = group_of_supernode[b.saddle]
-        if parent_group == gi:
-            raise InternalError("branch attached to itself")
-        parent = branches[parent_group]
-        b.parent_index = parent_group
-        b.parent_saddle = None if parent.is_trunk else parent.saddle
+    t = terminal[~trunk]
+    volume = np.full(g, ann.n, dtype=np.int64)
+    volume[~trunk] = np.where(saddle[~trunk] == t, ann.n - closed[t], outward[t])
+    parent = np.full(g, -1, dtype=np.int64)
+    parent[~trunk] = sn_group[saddle[~trunk]]
+    if (parent == np.arange(g)).any():
+        raise InternalError("branch attached to itself")
+
+    ids = sn.__getitem__
+    members = list(map(ids, arcs[np.argsort(arc_group, kind="stable")].tolist()))
+    bounds = np.cumsum(n_arcs).tolist()
+    saddle_ids = [None if s < 0 else sn[s] for s in saddle.tolist()]
+    (trunk_index,) = np.flatnonzero(trunk).tolist()
+    branches = [
+        Branch(
+            arcs=tuple(members[b - c : b]),
+            leaf=sn[lf],
+            volume=vol,
+            saddle=sd,
+            parent_saddle=None if p in (-1, trunk_index) else saddle_ids[p],
+            parent_index=None if p < 0 else p,
+            is_trunk=p < 0,
+        )
+        for c, b, lf, vol, sd, p in zip(
+            n_arcs.tolist(), bounds, leaf.tolist(), volume.tolist(), saddle_ids, parent.tolist()
+        )
+    ]
     return BranchDecomposition(branches=branches)
 
 

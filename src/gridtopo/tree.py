@@ -5,17 +5,48 @@ augmented merge trees; the result is contracted to a superstructure
 whose superarcs are indexed by their outer-end supernode (the end
 farther from the root, which is the highest-ranked supernode).
 ``augment`` assigns every regular vertex to its superarc.
+
+Only the leaf-transfer queue is a Python loop.  Everything around it
+runs as numpy passes over vertex positions (the index of a vertex in
+``verts``; ids may be sparse and are mapped through one lookup table):
+``_from_edges`` re-roots the edge list at the highest-ranked vertex,
+counts degrees with ``bincount`` and finds each supernode's inner end
+by pointer jumping up regular chains; ``augment`` jumps down them to
+the outer end and orders each superarc's regular vertices with one
+sort on (superarc, signed rank) (Carr, Rübel, Weber & Ahrens, IEEE
+TVCG 2021).  The public fields stay dicts and lists of the ids in
+``verts``, the same int objects reused, so the containers add no
+per-vertex int copies.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import InternalError, UsageError
 from .grid import ScalarGrid, VertexOrder
 from .sweep import MergeTree, sweep
+
+
+@dataclass(frozen=True)
+class Superstructure:
+    """A contour tree's superarcs as arrays over supernode positions.
+
+    Position ``i`` is ``ContourTree.supernodes[i]`` (ascending ids), and
+    arc ``i`` is the superarc whose outer end is supernode ``i``.
+    ``inner[i]`` is the position of its inner end (-1 at the root),
+    ``rank[i]`` the supernode's rank and ``root`` the root's position.
+    """
+
+    inner: np.ndarray = field(repr=False)
+    rank: np.ndarray = field(repr=False)
+    root: int
 
 
 @dataclass
@@ -48,6 +79,25 @@ class ContourTree:
     @property
     def is_augmented(self) -> bool:
         return bool(self.superparent) or self.n <= 1
+
+    @cached_property
+    def superstructure(self) -> Superstructure:
+        """The shared array view of ``supernodes``, ``arc_inner`` and ``root``.
+
+        Built on first use and kept: the superstructure is fixed once the
+        tree is built (``augment`` only adds the regular vertices).
+        """
+        where = _Positions(self.supernodes)
+        m = len(self.arc_inner)
+        inner = np.full(len(self.supernodes), -1, dtype=np.int64)
+        inner[where.of(np.fromiter(self.arc_inner.keys(), np.int64, m))] = where.of(
+            np.fromiter(self.arc_inner.values(), np.int64, m)
+        )
+        return Superstructure(
+            inner=inner,
+            rank=_rank_array(self.supernodes, self.ranks),
+            root=int(where.of(np.array([self.root]))[0]),
+        )
 
     def children_index(self) -> dict[int, list[int]]:
         """Superstructure children: inner end -> outer ends, rank-sorted."""
@@ -101,7 +151,8 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
 
     Each tree's state is three lists over the dense ids: parent (-1 for
     none), child count and the sum of child ids, which names the child
-    of a vertex that has exactly one.
+    of a vertex that has exactly one.  They are built with numpy; the
+    queue loop then runs on the lists.
     """
     if join.n != split.n:
         raise UsageError("join and split trees cover different vertex sets")
@@ -115,30 +166,30 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
         tree.superparent = {0: 0}
         return tree
 
-    def state(mt: MergeTree) -> tuple[list[int], list[int], list[int]]:
-        parent = [-1] * n
-        count = [0] * n
-        total = [0] * n
-        for src, dst in mt.arc_to.items():
-            parent[src] = dst
-            count[dst] += 1
-            total[dst] += src
-        return parent, count, total
+    def state(mt: MergeTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        m = len(mt.arc_to)
+        src = np.fromiter(mt.arc_to.keys(), np.int64, m)
+        dst = np.fromiter(mt.arc_to.values(), np.int64, m)
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[src] = dst
+        # Float sums of ids are exact: they stay far below 2**53.
+        total = np.bincount(dst, weights=src, minlength=n).astype(np.int64)
+        return parent, np.bincount(dst, minlength=n), total
 
     j_parent, j_count, j_sum = state(join)
     s_parent, s_count, s_sum = state(split)
-
-    def ready(v: int) -> bool:
-        return (j_count[v] == 0 and s_count[v] == 1) or (s_count[v] == 0 and j_count[v] == 1)
-
+    ready = ((j_count == 0) & (s_count == 1)) | ((s_count == 0) & (j_count == 1))
     # A vertex is queued at most once at a time and leaves the trees only
     # when popped, so every queued vertex is alive and so is its parent.
-    queue = deque(v for v in verts if ready(v))
-    queued = bytearray(n)
-    for v in queue:
-        queued[v] = 1
-    edges: list[tuple[int, int]] = []
+    queue = deque(np.flatnonzero(ready).tolist())
+    queued = bytearray(ready.tobytes())
+    j_parent, j_count, j_sum = j_parent.tolist(), j_count.tolist(), j_sum.tolist()
+    s_parent, s_count, s_sum = s_parent.tolist(), s_count.tolist(), s_sum.tolist()
 
+    def ready_now(v: int) -> bool:
+        return (j_count[v] == 0 and s_count[v] == 1) or (s_count[v] == 0 and j_count[v] == 1)
+
+    edges: list[tuple[int, int]] = []
     while len(edges) < n - 1:
         if not queue:
             raise InternalError("leaf transfer stalled with vertices remaining")
@@ -163,84 +214,183 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
         if up != -1:
             reg_sum[up] += child - v
         edges.append((v, other))
-        if not queued[other] and ready(other):
+        if not queued[other] and ready_now(other):
             queue.append(other)
             queued[other] = 1
 
     return _from_edges(verts, ranks, edges)
 
 
+class _Positions:
+    """Vertex ids -> positions in ``verts`` through one table over ``0..max(id)``.
+
+    The same gather serves dense grid ids and the sparse global ids of
+    distributed trees, whose largest id is below the grid's vertex count.
+    """
+
+    def __init__(self, verts: Sequence[int]):
+        n = len(verts)
+        ids = np.fromiter(verts, np.int64, n)
+        if ids.min(initial=0) < 0:
+            raise InternalError("vertex ids must be non-negative")
+        self.table = np.full(int(ids.max(initial=0)) + 1, -1, dtype=np.int64)
+        self.table[ids] = np.arange(n)
+        if (self.table[ids] != np.arange(n)).any():
+            raise InternalError("vertex ids are not distinct")
+
+    def of(self, ids: np.ndarray) -> np.ndarray:
+        """Positions of ``ids``; raises ``InternalError`` for an id not in ``verts``."""
+        inside = (ids >= 0) & (ids < self.table.size)
+        pos = self.table[np.where(inside, ids, 0)]
+        if not inside.all() or (pos < 0).any():
+            raise InternalError("edge endpoint outside the vertex set")
+        return pos
+
+
+def _chain_ends(hop: np.ndarray) -> np.ndarray:
+    """Pointer jumping to the fixpoint: each entry's chain end (``hop[e] == e``).
+
+    Rounds are capped at log2 of the length, so a cycle raises instead of
+    looping.
+    """
+    for _ in range(hop.size.bit_length() + 1):
+        far = hop[hop]
+        if np.array_equal(far, hop):
+            return hop
+        hop = far
+    raise InternalError("pointer chain has a cycle")
+
+
+def _rank_array(verts: Sequence[int], ranks: Sequence[int]) -> np.ndarray:
+    """``ranks`` of ``verts``, by position."""
+    return np.fromiter(map(ranks.__getitem__, verts), np.int64, len(verts))
+
+
+def _pair_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
+    """One int64 sort key ordering by ``major``, then ``minor`` (``0 <= minor < span``).
+
+    An ``argsort`` of it is several times faster than ``lexsort`` on the pair.
+    """
+    if (int(major.max(initial=0)) + 1) * span >= 2**63:
+        raise UsageError("too many vertices for 64-bit sort keys")
+    return major * span + minor
+
+
 def _from_edges(
     verts: list[int], ranks: Sequence[int], edges: list[tuple[int, int]]
 ) -> ContourTree:
-    """Build the rooted tree and contracted superstructure from CT edges."""
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    """Build the rooted tree and contracted superstructure from CT edges.
 
-    up_deg = {v: 0 for v in verts}
-    down_deg = {v: 0 for v in verts}
-    for a, b in edges:
-        lo, hi = (a, b) if ranks[a] < ranks[b] else (b, a)
-        up_deg[lo] += 1
-        down_deg[hi] += 1
+    Each edge is a ``(child, parent)`` pair of some rooting of the tree:
+    every vertex but one is a child exactly once.  The tree is re-rooted
+    at the highest-ranked vertex by reversing the one path up from it.
+    Malformed input (a wrong edge count, two parents, an id outside
+    ``verts``, a cycle or a disconnected graph) raises ``InternalError``.
+    """
+    n = len(verts)
+    if n == 0 or len(edges) != n - 1:
+        raise InternalError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
+    where = _Positions(verts)
+    pairs = where.of(np.fromiter(itertools.chain.from_iterable(edges), np.int64, 2 * n - 2))
+    child, par = pairs[0::2], pairs[1::2]
+    if (np.bincount(child, minlength=n) > 1).any():
+        raise InternalError("contour tree vertex with two parents")
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[child] = par
+    (top,) = np.flatnonzero(parent < 0)
+    rank = _rank_array(verts, ranks)
+    root = int(np.argmax(rank))
 
-    root = max(verts, key=lambda v: ranks[v])
-    parent: dict[int, int] = {}
-    stack = [root]
-    seen = {root}
-    order_out = []
-    while stack:
-        v = stack.pop()
-        order_out.append(v)
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = v
-                stack.append(w)
-    if len(seen) != len(verts):
+    # Pointer doubling up to ``top`` checks that the edges form one tree
+    # and marks the path from ``root`` up to ``top`` on the way.
+    jump = np.where(parent < 0, top, parent)
+    path = np.zeros(n, dtype=bool)
+    path[root] = True
+    for _ in range(n.bit_length()):
+        path[jump[path]] = True
+        jump = jump[jump]
+    if (jump != top).any():
         raise InternalError("contour tree is not connected")
+    below = np.flatnonzero(path & (parent >= 0))
+    parent[parent[below]] = below
+    parent[root] = -1
 
-    supernodes = sorted(
-        v for v in verts if not (up_deg[v] == 1 and down_deg[v] == 1)
-    )
-    tree = ContourTree(
-        verts=list(verts),
+    lo_is_child = rank[child] < rank[par]
+    up_deg = np.bincount(np.where(lo_is_child, child, par), minlength=n)
+    down_deg = np.bincount(np.where(lo_is_child, par, child), minlength=n)
+    is_super = (up_deg != 1) | (down_deg != 1)
+    # The root has no higher neighbour, so every upward chain of regular
+    # vertices ends at a supernode.
+    inner = _chain_ends(np.where(is_super, np.arange(n), parent))
+    by_id = where.table[where.table >= 0]
+    supers = by_id[is_super[by_id]]
+    arcs = supers[supers != root]
+
+    vid = list(verts)
+    ids = vid.__getitem__
+    up_from = dict(zip(vid, map(ids, parent.tolist())))
+    del up_from[vid[root]]
+    return ContourTree(
+        verts=vid,
         ranks=ranks,
-        parent=parent,
-        root=root,
-        supernodes=supernodes,
+        parent=up_from,
+        root=vid[root],
+        supernodes=list(map(ids, supers.tolist())),
+        arc_inner=dict(zip(map(ids, arcs.tolist()), map(ids, inner[parent[arcs]].tolist()))),
     )
-    superset = set(supernodes)
-    arc_inner: dict[int, int] = {}
-    for s in supernodes:
-        if s == root:
-            continue
-        cur = parent[s]
-        while cur not in superset:
-            cur = parent[cur]
-        arc_inner[s] = cur
-    tree.arc_inner = arc_inner
-    return tree
 
 
 def augment(ct: ContourTree) -> ContourTree:
-    """Fill ``superparent`` and per-arc regular vertex lists in place."""
-    superset = set(ct.supernodes)
-    superparent = {s: s for s in ct.supernodes}
-    arc_regulars: dict[int, list[int]] = {s: [] for s in ct.arc_inner}
-    for s in ct.arc_inner:
-        cur = ct.parent[s]
-        while cur not in superset:
-            superparent[cur] = s
-            arc_regulars[s].append(cur)
-            cur = ct.parent[cur]
-    if len(superparent) != ct.n:
-        raise InternalError("augmentation missed vertices")
-    ct.superparent = superparent
-    ct.arc_regulars = arc_regulars
+    """Fill ``superparent`` and per-arc regular vertex lists in place.
+
+    A regular vertex has exactly one child, so jumping down child
+    pointers ends at the outer end of its superarc.  Along a superarc
+    ranks are monotone, so one sort on (superarc, signed rank) lists each
+    arc's regular vertices from the outer end inward.
+    """
+    vid = ct.verts
+    ids = vid.__getitem__
+    outer, walk, first, stop = _arc_walks(ct)
+    regs = list(map(ids, walk.tolist()))
+    ct.superparent = dict(zip(vid, map(ids, outer.tolist())))
+    ct.arc_regulars = {
+        o: regs[a:b] for o, a, b in zip(ct.arc_inner, first.tolist(), stop.tolist())
+    }
     return ct
+
+
+def _arc_walks(ct: ContourTree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The array pass of ``augment``, by vertex position.
+
+    Returns each vertex's superarc (its outer end), the regular vertices
+    in walk order, and for each arc in ``arc_inner`` order the slice of
+    that walk it owns.
+    """
+    n = ct.n
+    where = _Positions(ct.verts)
+    m = len(ct.parent)
+    child = where.of(np.fromiter(ct.parent.keys(), np.int64, m))
+    par = where.of(np.fromiter(ct.parent.values(), np.int64, m))
+    is_super = np.zeros(n, dtype=bool)
+    is_super[where.of(np.fromiter(ct.supernodes, np.int64, len(ct.supernodes)))] = True
+    down = np.arange(n)
+    down[par] = child  # only read at regular vertices, which have one child
+    outer = _chain_ends(np.where(is_super, np.arange(n), down))
+    if not is_super[outer].all():
+        raise InternalError("augmentation missed vertices")
+
+    regular = np.flatnonzero(~is_super)
+    rank = _rank_array(ct.verts, ct.ranks)
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[child] = par
+    reg_rank = rank[regular]
+    signed = np.where(rank[parent[regular]] > reg_rank, reg_rank, -reg_rank)
+    span = int(rank.max()) + 1
+    walk = regular[np.argsort(_pair_key(outer[regular], signed + span, 2 * span))]
+    sizes = np.bincount(outer[regular], minlength=n)
+    stop = np.cumsum(sizes)
+    arcs = where.of(np.fromiter(ct.arc_inner.keys(), np.int64, len(ct.arc_inner)))
+    return outer, walk, (stop - sizes)[arcs], stop[arcs]
 
 
 def contour_tree(grid: ScalarGrid, order: VertexOrder) -> ContourTree:

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from gridtopo.cli import main
 from gridtopo.grid import ScalarGrid, save_raw, synthetic_gaussians
@@ -321,3 +322,51 @@ def test_grid_too_large_to_allocate(monkeypatch, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error (UsageError)" in err and str(100000 * 100000 * 100) in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_threshold_must_be_finite_non_negative(value, capsys):
+    rc = run_cli(
+        ["run", "--synthetic", "random", "--dims", "6,6,1", "--threshold", value]
+    )
+    assert rc == 1
+    assert "error (UsageError): --threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--bytes-per-ap", "nan"),
+        ("--bytes-per-ap", "inf"),
+        ("--bytes-per-ap", "1e308"),
+        ("--mem-per-rank", "nan"),
+        ("--base-mem", "-inf"),
+        ("--constant", "nan"),
+        ("--constant", "1e308"),
+        ("--lambda-cap", "nan"),
+        ("--lambda-cap", "inf"),
+    ],
+)
+def test_advise_non_finite_or_overflowing_input(flag, value, capsys):
+    args = {
+        "--n": str(10**10), "--ranks": "8", "--mem-per-rank": "1e9",
+        "--bytes-per-ap": "200", "--base-mem": "1e6",
+    }
+    args[flag] = value
+    rc = run_cli(["advise"] + [f"{k}={v}" for k, v in args.items()])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert "error (UsageError)" in out.err and out.out == ""
+
+
+def test_advise_huge_lambda_is_exact_and_prompt(capsys):
+    # lambda_min near 5e25: float stepping could not move past it.
+    rc = run_cli(
+        [
+            "advise", "--n", "1000000", "--ranks", "2", "--mem-per-rank", "2",
+            "--bytes-per-ap", "1e20", "--base-mem", "1",
+        ]
+    )
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["memory_criterion_lambda_min"] == 5 * 10**25

@@ -498,3 +498,25 @@ def test_transport_ordered_per_channel():
     t.send(1, 0, "b")
     got = t.recv_all(0)
     assert got == [(1, ["a", "b"]), (2, ["x"])]
+
+
+@pytest.mark.parametrize(
+    "grid,splits",
+    [
+        (random_grid((8, 6, 1), 3), (2, 1, 1)),
+        (random_grid((12, 10, 1), 7), (4, 2, 1)),
+        (random_grid((10, 10, 4), 5), (2, 2, 1)),
+        (random_grid((9, 9, 9), 1), (3, 3, 3)),
+    ],
+    ids=["2d", "2d-8-blocks", "3d", "3d-27-blocks"],
+)
+def test_record_edges_point_toward_attachment(grid, splits):
+    """Each record vertex is a child exactly once, its parent in the record or the attachment."""
+    result = run_distributed(grid, sos_order(grid), splits, lam=0, b=10)
+    assert result.records
+    for rec in result.records:
+        children = [c for c, _ in rec.edges]
+        assert sorted(children) == rec.verts
+        allowed = set(rec.verts) | {rec.attach}
+        assert all(p in allowed for _, p in rec.edges)
+        assert rec.edges[0][1] == rec.attach

@@ -104,3 +104,47 @@ def test_advisor_report_composes():
 def test_advisor_report_infeasible_cap():
     report = lambda_advisor_report(10**6, 8, 1e12, 200.0, 1e6, lambda_cap=10)
     assert report["feasible"] is False
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_lambda_min_rejects_non_finite(bad):
+    for args in (
+        (10**6, 8, bad, 200.0, 1e6),
+        (10**6, 8, 1e12, bad, 1e6),
+        (10**6, 8, 1e12, 200.0, bad),
+    ):
+        with pytest.raises(UsageError):
+            estimate_lambda_min_memory(*args)
+
+
+def test_lambda_min_overflowing_product_is_exact():
+    # bytes_per_ap * points overflows a float; the exact answer does not.
+    lam = estimate_lambda_min_memory(10**10, 2, 2.0, 1e308, 1.0)
+    assert lam == int(1e308) * 10**10 // 2
+
+
+def test_lambda_min_beyond_float_precision():
+    # lambda + 1 == lambda in floats here; the exact solution still ends.
+    assert estimate_lambda_min_memory(10**6, 2, 2.0, 1e20, 1.0) == 5 * 10**25
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), 1e308])
+def test_comm_floor_rejects_non_finite(c):
+    with pytest.raises(UsageError):
+        communication_lambda_floor(10**10, c)
+
+
+def test_comm_floor_rejects_n_beyond_float_range():
+    with pytest.raises(UsageError):
+        communication_lambda_floor(10**400, 1.0)
+
+
+@pytest.mark.parametrize("cap", [float("nan"), float("inf")])
+def test_advisor_report_rejects_non_finite_cap(cap):
+    with pytest.raises(UsageError):
+        lambda_advisor_report(10**6, 8, 1e12, 200.0, 1e6, lambda_cap=cap)
+
+
+def test_advisor_report_rejects_lambda_beyond_float_range():
+    with pytest.raises(UsageError):
+        lambda_advisor_report(10**10, 2, 2.0, 1e308, 1.0)

@@ -1,0 +1,344 @@
+"""The array passes of ``tree`` and ``measure`` against dict-based references.
+
+The references below are the per-vertex dict walks the array passes
+replaced: ``_from_edges`` + ``augment`` build the rooted tree with an
+adjacency DFS and walk each superarc up from its outer end;
+``hypersweep`` accumulates a post-order; ``branch_decomposition`` picks
+best arcs per supernode and groups them with union-find.  The array code
+must give equal trees, volumes and branches, down to the order of every
+arc's regular vertices and of the branch list.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridtopo import contour_tree, sos_order
+from gridtopo import measure
+from gridtopo import tree as gtree
+from gridtopo.dist import run_distributed
+from gridtopo.errors import InternalError
+from gridtopo.measure import Branch, BranchDecomposition, VolumeAnnotation
+from gridtopo.sweep import DisjointSet
+from gridtopo.tree import ContourTree, tree_from_graph
+
+from conftest import grid_1d, make_grid, random_grid
+
+# --- references --------------------------------------------------------------
+
+
+def ref_from_edges(verts, ranks, edges):
+    adj = {v: [] for v in verts}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    up_deg = dict.fromkeys(verts, 0)
+    down_deg = dict.fromkeys(verts, 0)
+    for a, b in edges:
+        lo, hi = (a, b) if ranks[a] < ranks[b] else (b, a)
+        up_deg[lo] += 1
+        down_deg[hi] += 1
+    root = max(verts, key=lambda v: ranks[v])
+    parent = {}
+    stack = [root]
+    seen = {root}
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                parent[w] = v
+                stack.append(w)
+    assert len(seen) == len(verts)
+    supernodes = sorted(v for v in verts if not (up_deg[v] == 1 and down_deg[v] == 1))
+    superset = set(supernodes)
+    arc_inner = {}
+    for s in supernodes:
+        if s == root:
+            continue
+        cur = parent[s]
+        while cur not in superset:
+            cur = parent[cur]
+        arc_inner[s] = cur
+    return ContourTree(
+        verts=list(verts), ranks=ranks, parent=parent, root=root,
+        supernodes=supernodes, arc_inner=arc_inner,
+    )
+
+
+def ref_augment(ct):
+    superset = set(ct.supernodes)
+    superparent = {s: s for s in ct.supernodes}
+    arc_regulars = {s: [] for s in ct.arc_inner}
+    for s in ct.arc_inner:
+        cur = ct.parent[s]
+        while cur not in superset:
+            superparent[cur] = s
+            arc_regulars[s].append(cur)
+            cur = ct.parent[cur]
+    assert len(superparent) == ct.n
+    ct.superparent = superparent
+    ct.arc_regulars = arc_regulars
+    return ct
+
+
+def ref_hypersweep(ct, ann):
+    kids = ct.children_index()
+    outward, closed = {}, {}
+    post = []
+    stack = [ct.root]
+    while stack:
+        s = stack.pop()
+        post.append(s)
+        stack.extend(kids[s])
+    for s in reversed(post):
+        sub = 1 + ann.at_node.get(s, 0)
+        for c in kids[s]:
+            sub += outward[c]
+        closed[s] = sub
+        if s != ct.root:
+            outward[s] = sub + ann.counts[s] - 1 - ann.at_node.get(s, 0)
+    assert closed[ct.root] == ann.n
+    return VolumeAnnotation(
+        n=ann.n, counts=ann.counts, outward=outward, closed=closed, at_node=ann.at_node
+    )
+
+
+def away_volume(ct, ann, arc_outer, at):
+    """Volume beyond an arc seen from its end ``at``: outward, or the complement."""
+    if arc_outer == at:
+        return ann.n - ann.closed[at]
+    return ann.outward[arc_outer]
+
+
+def ref_branch_decomposition(ct, ann):
+    ranks = ct.ranks
+    kids = ct.children_index()
+    if len(ct.supernodes) == 1:
+        return BranchDecomposition([Branch(arcs=(), leaf=ct.root, volume=ct.n, is_trunk=True)])
+    best = {}
+    for s in ct.supernodes:
+        candidates = []
+        if s != ct.root:
+            candidates.append((s, ranks[ct.arc_inner[s]] > ranks[s]))
+        candidates += [(c, ranks[c] > ranks[s]) for c in kids[s]]
+        for upward in (True, False):
+            options = [
+                ((away_volume(ct, ann, o, s), -ranks[o]), o)
+                for o, is_up in candidates
+                if is_up == upward
+            ]
+            if options:
+                best[s, upward] = max(options)[1]
+    token = {("s", s): i for i, s in enumerate(ct.supernodes)}
+    arcs = sorted(ct.arc_inner)
+    for j, a in enumerate(arcs):
+        token[("a", a)] = len(ct.supernodes) + j
+    ds = DisjointSet(len(token))
+    for (s, _), a in best.items():
+        ds.union(token[("s", s)], token[("a", a)])
+    groups = {}
+    for s in ct.supernodes:
+        groups.setdefault(ds.find(token[("s", s)]), {"s": [], "a": []})["s"].append(s)
+    for a in arcs:
+        groups.setdefault(ds.find(token[("a", a)]), {"s": [], "a": []})["a"].append(a)
+    up_deg, down_deg = ct.arc_degrees()
+    ordered = sorted(groups.values(), key=lambda m: min(m["a"] + m["s"]))
+    group_of = {s: gi for gi, m in enumerate(ordered) for s in m["s"]}
+    branches = []
+    for members in ordered:
+        own = set(members["s"])
+        attach = None
+        for a in members["a"]:
+            for e in (a, ct.arc_inner[a]):
+                if e not in own:
+                    assert attach is None or attach[0] == e
+                    attach = (e, a)
+        ends = [s for s in own if up_deg[s] == 0 or down_deg[s] == 0]
+        arcs_t = tuple(sorted(members["a"]))
+        if attach is None:
+            assert len(ends) == 2
+            leaf = min(ends, key=lambda v: ranks[v])
+            branches.append(Branch(arcs=arcs_t, leaf=leaf, volume=ann.n, is_trunk=True))
+        else:
+            assert len(ends) == 1
+            saddle, terminal = attach
+            branches.append(
+                Branch(arcs=arcs_t, leaf=ends[0],
+                       volume=away_volume(ct, ann, terminal, saddle), saddle=saddle)
+            )
+    for gi, b in enumerate(branches):
+        if not b.is_trunk:
+            p = group_of[b.saddle]
+            b.parent_index = p
+            b.parent_saddle = None if branches[p].is_trunk else branches[p].saddle
+    return BranchDecomposition(branches)
+
+
+# --- comparisons -------------------------------------------------------------
+
+
+def assert_same_tree(got, want):
+    assert got.verts == want.verts
+    assert got.root == want.root
+    assert got.parent == want.parent
+    assert got.supernodes == want.supernodes
+    assert list(got.arc_inner.items()) == list(want.arc_inner.items())
+    assert got.superparent == want.superparent
+    assert list(got.arc_regulars.items()) == list(want.arc_regulars.items())
+
+
+def assert_same_measures(ct, ann):
+    """Both hypersweeps and both decompositions agree on ``ct`` and ``ann``."""
+    got = measure.hypersweep(ct, ann)
+    want = ref_hypersweep(ct, ann)
+    assert got.outward == want.outward
+    assert got.closed == want.closed
+    assert measure.branch_decomposition(ct, got).branches == (
+        ref_branch_decomposition(ct, want).branches
+    )
+
+
+def check_tree_input(verts, ranks, edges):
+    got = gtree.augment(gtree._from_edges(verts, ranks, edges))
+    want = ref_augment(ref_from_edges(verts, ranks, edges))
+    assert_same_tree(got, want)
+    return got
+
+
+@contextlib.contextmanager
+def recorded_from_edges():
+    """Record the arguments of every ``tree._from_edges`` call made inside."""
+    calls = []
+    real = gtree._from_edges
+
+    def recording(verts, ranks, edges):
+        calls.append((list(verts), ranks, list(edges)))
+        return real(verts, ranks, edges)
+
+    gtree._from_edges = recording
+    try:
+        yield calls
+    finally:
+        gtree._from_edges = real
+
+
+def check_grid(grid):
+    """Tree, volumes and branches of ``grid`` against the references.
+
+    The reference tree is built from the combine's own edge list, in
+    leaf-transfer orientation.
+    """
+    order = sos_order(grid)
+    with recorded_from_edges() as calls:
+        ct = contour_tree(grid, order)
+    if grid.n > 1:
+        (call,) = calls
+        assert_same_tree(ct, ref_augment(ref_from_edges(*call)))
+    assert_same_measures(ct, measure.superarc_counts(ct))
+
+
+GRIDS = {
+    "single": make_grid((1, 1, 1), [2.0]),
+    "1d": grid_1d([3, 1, 4, 1, 5, 9, 2, 6, 5, 3]),
+    "1d-z": make_grid((1, 1, 12), np.random.default_rng(4).random(12)),
+    "constant": make_grid((4, 4, 2), np.zeros(32)),
+    "tied": make_grid((6, 5, 2), np.arange(60) % 3),
+    "tied-binary": make_grid((4, 4, 4), np.random.default_rng(3).integers(0, 2, 64)),
+    "random-2d": random_grid((9, 7, 1), 3),
+    "random-3d": random_grid((5, 4, 3), 1),
+    "random-3d-large": random_grid((8, 7, 6), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(GRIDS))
+def test_grid_matches_reference(name):
+    check_grid(GRIDS[name])
+
+
+@pytest.mark.parametrize(
+    "edges,n",
+    [([(0, i) for i in range(1, 9)], 9), ([(i, i + 1) for i in range(11)], 12)],
+    ids=["star", "path"],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_matches_reference(edges, n, seed):
+    ranks = np.random.default_rng(seed).permutation(n).tolist()
+    with recorded_from_edges() as calls:
+        ct = tree_from_graph(range(n), ranks, edges)
+    (call,) = calls
+    check_tree_input(*call)
+    assert_same_measures(ct, measure.superarc_counts(ct))
+
+
+def test_sparse_ids_match_reference():
+    """Global ids with gaps, edges in any orientation-consistent order."""
+    rng = np.random.default_rng(7)
+    verts = sorted(rng.choice(1000, size=40, replace=False).tolist())
+    ranks = [0] * 1000
+    for r, v in enumerate(rng.permutation(verts).tolist()):
+        ranks[v] = r
+    edges = [(verts[i], verts[int(rng.integers(0, i))]) for i in range(1, 40)]
+    rng.shuffle(edges)
+    ct = check_tree_input(verts, ranks, edges)
+    assert_same_measures(ct, measure.superarc_counts(ct))
+
+
+@pytest.mark.parametrize("lam", [3, 20])
+def test_distributed_annotation_matches_reference(lam):
+    """A pre-simplified tree with pruned mass folded in through ``at_node``."""
+    grid = random_grid((10, 9, 4), 11)
+    order = sos_order(grid)
+    result = run_distributed(grid, order, (2, 2, 1), lam=lam, b=10)
+    ann = result.post_volumes
+    assert ann.at_node, "expected pruned mass hanging at supernodes"
+    ct = result.augmented_tree
+    assert_same_measures(ct, VolumeAnnotation(n=ann.n, counts=ann.counts, at_node=ann.at_node))
+    # The augmented tree's own build input: base edges plus retained records.
+    base = result.base_tree
+    verts = sorted(base.verts + [v for rec in result.retained for v in rec.verts])
+    edges = list(base.parent.items()) + [e for rec in result.retained for e in rec.edges]
+    check_tree_input(verts, order.ranks, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 3)),
+    levels=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_small_grids_match_reference(dims, levels, seed):
+    n = dims[0] * dims[1] * dims[2]
+    values = np.random.default_rng(seed).integers(0, levels, n)
+    check_grid(make_grid(dims, values))
+
+
+# --- malformed edge lists ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "verts,edges",
+    [
+        (list(range(6)), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]),
+        (list(range(6)), [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]),
+        (list(range(4)), [(0, 1), (1, 0), (2, 3)]),
+        (list(range(6)), [(0, 1), (1, 2), (2, 3)]),
+        (list(range(6)), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]),
+        ([0, 1, 2], [(0, 1), (1, 9)]),
+        ([10, 20, 30], [(10, 20), (25, 30)]),
+        ([0, 1, 2], [(0, 1), (1, -1)]),
+        (list(range(20000)), [(i, (i + 1) % 19999) for i in range(19999)]),
+    ],
+    ids=[
+        "cycle", "two-parents", "disconnected-pair", "too-few-edges",
+        "too-many-edges", "id-outside", "sparse-id-outside", "negative-id",
+        "long-cycle",
+    ],
+)
+def test_from_edges_rejects_malformed(verts, edges):
+    ranks = list(range(max(max(verts) + 1, 1)))
+    with pytest.raises(InternalError):
+        gtree._from_edges(verts, ranks, edges)
