@@ -2,9 +2,14 @@
 
 A graph's ``n`` vertices are numbered 0..n-1.  The join tree is built
 sweeping vertices in decreasing rank while merging superlevel-set
-components; the split tree mirrors it upward.  ``sweep`` is the only
-sweep: grids pass their vertex order, and ``tree.tree_from_graph``
-numbers a graph's vertices in rank order and passes its edges.
+components; the split tree mirrors it upward.  ``sweep_csr`` is the only
+sweep kernel.  It reads CSR lists: ``nbrs[starts[v]:starts[v + 1]]``
+holds neighbours of ``v`` swept strictly before ``v``, never ``v``
+itself.  Grids build the lists from their vertex order, and
+``tree.tree_from_graph`` numbers a graph's vertices in rank order and
+lists each edge at one end.  ``sweep`` adapts a ``neighbors(v)``
+callback to the same kernel.  A ``MergeTree`` stores its arcs as one
+int64 array (-1 at the root); ``arc_to`` is a read-only mapping view.
 
 A grid sweep visits one neighbour per connected component of a vertex's
 upper link (join) or lower link (split), not the whole stencil: two link
@@ -18,13 +23,15 @@ other member, and the merge trees do not change.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+import itertools
+import operator
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import InternalError, UsageError
 from .grid import _ALL_OFFSETS, ScalarGrid, VertexOrder
 
 
@@ -55,28 +62,54 @@ class DisjointSet:
         return i
 
 
+class ArcView(Mapping):
+    """Read-only ``{v: arcs[v]}`` over the vertices whose arc is not -1."""
+
+    def __init__(self, arcs: np.ndarray):
+        self._arcs = arcs
+
+    def __getitem__(self, v) -> int:
+        try:
+            i = operator.index(v)
+        except TypeError:
+            raise KeyError(v) from None
+        if 0 <= i < self._arcs.size and (to := int(self._arcs[i])) >= 0:
+            return to
+        raise KeyError(v)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.flatnonzero(self._arcs >= 0).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._arcs >= 0))
+
+
 @dataclass
 class MergeTree:
     """Fully augmented merge tree over vertices 0..n-1, one arc per vertex but the root.
 
-    ``arc_to[v]`` is the vertex v connects to in sweep direction: a
-    lower-ranked vertex for join trees, higher for split trees.
+    ``arcs[v]`` is the vertex v connects to in sweep direction: a
+    lower-ranked vertex for join trees, higher for split trees; -1 at
+    the root.  ``arc_to`` is the same as a read-only mapping.
     """
 
     direction: str  # "join" or "split"
     n: int
-    arc_to: dict[int, int] = field(repr=False)
+    arcs: np.ndarray = field(repr=False)
     root: int = -1
 
+    @property
+    def arc_to(self) -> ArcView:
+        return ArcView(self.arcs)
+
+    def _counts(self) -> np.ndarray:
+        return np.bincount(self.arcs[self.arcs >= 0], minlength=self.n)
+
     def child_counts(self) -> list[int]:
-        counts = [0] * self.n
-        for dst in self.arc_to.values():
-            counts[dst] += 1
-        return counts
+        return self._counts().tolist()
 
     def leaves(self) -> list[int]:
-        counts = self.child_counts()
-        return [v for v in range(self.n) if counts[v] == 0]
+        return np.flatnonzero(self._counts() == 0).tolist()
 
     def superarcs(self) -> set[tuple[int, int]]:
         """Arcs of the contracted tree, as (from, to) pairs in sweep direction.
@@ -84,52 +117,100 @@ class MergeTree:
         Supernodes are vertices whose child count differs from one,
         plus the root; chains of single-child vertices contract away.
         """
-        counts = self.child_counts()
-        supers = {v for v in range(self.n) if counts[v] != 1 or v == self.root}
-        arcs = set()
-        for s in supers:
-            if s == self.root:
+        arcs = self.arcs
+        has_arc = arcs >= 0
+        ends = (self._counts() != 1) | ~has_arc
+        end_of = _chain_ends(np.where(ends, np.arange(self.n), arcs))
+        supers = np.flatnonzero(ends & has_arc)
+        return set(zip(supers.tolist(), end_of[arcs[supers]].tolist()))
+
+
+def _chain_ends(hop: np.ndarray) -> np.ndarray:
+    """Pointer jumping to the fixpoint: each entry's chain end (``hop[e] == e``).
+
+    Rounds are capped at log2 of the length, so a cycle raises instead of
+    looping.
+    """
+    for _ in range(hop.size.bit_length() + 1):
+        far = hop[hop]
+        if np.array_equal(far, hop):
+            return hop
+        hop = far
+    raise InternalError("pointer chain has a cycle")
+
+
+def sweep_csr(
+    seq: Iterable[int], nbrs: list[int], starts: list[int], n: int, direction: str
+) -> MergeTree:
+    """The union-find sweep over vertices 0..n-1, visited in the order ``seq``.
+
+    ``nbrs[starts[v]:starts[v + 1]]`` lists v's neighbours that ``seq``
+    visits strictly before v (so never v itself); repeats are allowed.
+    ``seq`` runs by decreasing rank for a join tree and by increasing
+    rank for a split tree.  Find (with path compression) and union (by
+    size) are inlined over local lists.
+    """
+    parent = list(range(n))
+    size = [1] * n
+    # Per component root, the vertex the next arc must attach from: the
+    # lowest vertex seen so far for join sweeps, the highest for split.
+    extreme = list(range(n))
+    arcs = [-1] * n
+    v = -1
+    for v in seq:
+        lo = starts[v]
+        hi = starts[v + 1]
+        if hi - lo == 1:
+            # One neighbour: v joins its component as the new extreme.
+            u = nbrs[lo]
+            r = parent[u]
+            if parent[r] != r:
+                while parent[r] != r:
+                    r = parent[r]
+                while parent[u] != r:
+                    parent[u], u = r, parent[u]
+            arcs[extreme[r]] = v
+            extreme[r] = v
+            parent[v] = r
+            size[r] += 1
+            continue
+        root = v
+        for u in nbrs[lo:hi]:
+            r = parent[u]
+            if parent[r] != r:
+                while parent[r] != r:
+                    r = parent[r]
+                while parent[u] != r:
+                    parent[u], u = r, parent[u]
+            if r == root:
                 continue
-            cur = self.arc_to[s]
-            while cur not in supers:
-                cur = self.arc_to[cur]
-            arcs.add((s, cur))
-        return arcs
+            arcs[extreme[r]] = v
+            if size[root] < size[r]:
+                root, r = r, root
+            parent[r] = root
+            size[root] += size[r]
+        extreme[root] = v
+    arcs = np.array(arcs, dtype=np.int64)
+    arcs.flags.writeable = False
+    return MergeTree(direction=direction, n=n, arcs=arcs, root=v)
 
 
 def sweep(
     seq: Iterable[int], neighbors: Callable[[int], Iterable[int]], n: int, direction: str
 ) -> MergeTree:
-    """Union-find sweep over vertices 0..n-1, visited in the order ``seq``.
+    """``sweep_csr`` for a graph given as ``neighbors(v)``, all of v's adjacent vertices.
 
-    ``seq`` runs by decreasing rank for a join tree and by increasing
-    rank for a split tree; ``neighbors(v)`` gives v's adjacent vertices.
+    Keeps, per vertex, the neighbours ``seq`` visits before it, and runs
+    the one kernel on those lists.
     """
-    ds = DisjointSet(n)
-    # Per component, the vertex the next arc must attach from: the lowest
-    # vertex seen so far for join sweeps, the highest for split.
-    extreme = list(range(n))
-    arc_to: dict[int, int] = {}
-    processed = bytearray(n)
-    find = ds.find
-    union = ds.union
-    v = -1
+    seq = [int(v) for v in seq]
+    swept = bytearray(n)
+    earlier: list[list[int]] = [[] for _ in range(n)]
     for v in seq:
-        v = int(v)
-        roots = []
-        for u in neighbors(v):
-            if processed[u]:
-                r = find(u)
-                if r not in roots:
-                    roots.append(r)
-        for r in roots:
-            arc_to[extreme[r]] = v
-        root = v
-        for r in roots:
-            root = union(root, r)
-        extreme[root] = v
-        processed[v] = True
-    return MergeTree(direction=direction, n=n, arc_to=arc_to, root=v)
+        earlier[v] = [u for u in neighbors(v) if swept[u]]
+        swept[v] = 1
+    starts = list(itertools.accumulate(map(len, earlier), initial=0))
+    return sweep_csr(seq, list(itertools.chain.from_iterable(earlier)), starts, n, direction)
 
 
 def _check_order(grid: ScalarGrid, order: VertexOrder) -> None:
@@ -165,8 +246,10 @@ def link_representatives() -> np.ndarray:
     return table
 
 
-def _link_neighbors(grid: ScalarGrid, order: VertexOrder, upper: bool):
-    """``neighbors(v)``: one upper (or lower) neighbour per link component of v."""
+def _link_neighbors(
+    grid: ScalarGrid, order: VertexOrder, upper: bool
+) -> tuple[list[int], list[int]]:
+    """CSR lists (``nbrs``, ``starts``): one upper (or lower) neighbour per link component."""
     nx, ny, nz = grid.dims
     # Rank the sweep's processed side high; slots outside the domain rank -1.
     key = order.rank_of if upper else grid.n - 1 - order.rank_of
@@ -181,16 +264,18 @@ def _link_neighbors(grid: ScalarGrid, order: VertexOrder, upper: bool):
     verts, slots = np.nonzero(link_representatives()[mask.ravel()])
     starts = np.searchsorted(verts, np.arange(grid.n + 1)).tolist()
     nbrs = (verts + np.array(deltas)[slots]).tolist()
-    return lambda v: nbrs[starts[v] : starts[v + 1]]
+    return nbrs, starts
 
 
 def compute_join_tree(grid: ScalarGrid, order: VertexOrder) -> MergeTree:
     """Sweep downward: tracks superlevel-set components merging at saddles."""
     _check_order(grid, order)
-    return sweep(order.vertex_at[::-1], _link_neighbors(grid, order, True), grid.n, "join")
+    nbrs, starts = _link_neighbors(grid, order, True)
+    return sweep_csr(order.vertex_at[::-1].tolist(), nbrs, starts, grid.n, "join")
 
 
 def compute_split_tree(grid: ScalarGrid, order: VertexOrder) -> MergeTree:
     """Sweep upward: tracks sublevel-set components merging at saddles."""
     _check_order(grid, order)
-    return sweep(order.vertex_at, _link_neighbors(grid, order, False), grid.n, "split")
+    nbrs, starts = _link_neighbors(grid, order, False)
+    return sweep_csr(order.vertex_at.tolist(), nbrs, starts, grid.n, "split")

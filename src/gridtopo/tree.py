@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InternalError, UsageError
 from .grid import ScalarGrid, VertexOrder
-from .sweep import MergeTree, sweep
+from .sweep import MergeTree, _chain_ends, sweep_csr
 
 
 @dataclass(frozen=True)
@@ -167,14 +167,11 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
         return tree
 
     def state(mt: MergeTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        m = len(mt.arc_to)
-        src = np.fromiter(mt.arc_to.keys(), np.int64, m)
-        dst = np.fromiter(mt.arc_to.values(), np.int64, m)
-        parent = np.full(n, -1, dtype=np.int64)
-        parent[src] = dst
+        (src,) = np.nonzero(mt.arcs >= 0)
+        dst = mt.arcs[src]
         # Float sums of ids are exact: they stay far below 2**53.
         total = np.bincount(dst, weights=src, minlength=n).astype(np.int64)
-        return parent, np.bincount(dst, minlength=n), total
+        return mt.arcs, np.bincount(dst, minlength=n), total
 
     j_parent, j_count, j_sum = state(join)
     s_parent, s_count, s_sum = state(split)
@@ -245,20 +242,6 @@ class _Positions:
         if not inside.all() or (pos < 0).any():
             raise InternalError("edge endpoint outside the vertex set")
         return pos
-
-
-def _chain_ends(hop: np.ndarray) -> np.ndarray:
-    """Pointer jumping to the fixpoint: each entry's chain end (``hop[e] == e``).
-
-    Rounds are capped at log2 of the length, so a cycle raises instead of
-    looping.
-    """
-    for _ in range(hop.size.bit_length() + 1):
-        far = hop[hop]
-        if np.array_equal(far, hop):
-            return hop
-        hop = far
-    raise InternalError("pointer chain has a cycle")
 
 
 def _rank_array(verts: Sequence[int], ranks: Sequence[int]) -> np.ndarray:
@@ -409,18 +392,27 @@ def tree_from_graph(
 
     The vertices are numbered in rank order, so each local id is its own
     rank; the tree is built over those ids and mapped back with ``relabel``.
+    Self-loops are dropped, repeated edges are harmless, and an endpoint
+    outside ``verts`` raises ``InternalError``.
     """
     gid = sorted(verts, key=ranks.__getitem__)
-    local = {v: i for i, v in enumerate(gid)}
     n = len(gid)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        a, b = local[u], local[v]
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    join = sweep(range(n - 1, -1, -1), adjacency.__getitem__, n, "join")
-    split = sweep(range(n), adjacency.__getitem__, n, "split")
-    return relabel(augment(combine(join, split, range(n))), gid, ranks)
+    ends = np.fromiter(itertools.chain.from_iterable(edges), np.int64)
+    pairs = _Positions(gid).of(ends).reshape(-1, 2)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    keep = lo != hi
+    lo, hi = lo[keep], hi[keep]
+    # The join sweep visits a vertex after all higher-ranked ones and the
+    # split sweep after all lower-ranked ones: list each edge at one end.
+    trees = []
+    for at, other, seq, direction in (
+        (lo, hi, range(n - 1, -1, -1), "join"),
+        (hi, lo, range(n), "split"),
+    ):
+        by = np.argsort(at, kind="stable")
+        starts = np.searchsorted(at[by], np.arange(n + 1)).tolist()
+        trees.append(sweep_csr(seq, other[by].tolist(), starts, n, direction))
+    return relabel(augment(combine(*trees, range(n))), gid, ranks)
 
 
 def relabel(ct: ContourTree, gid: Sequence[int], ranks: Sequence[int]) -> ContourTree:

@@ -1,7 +1,9 @@
 """The array passes of ``tree`` and ``measure`` against dict-based references.
 
 The references below are the per-vertex dict walks the array passes
-replaced: ``_from_edges`` + ``augment`` build the rooted tree with an
+replaced: the merge-tree sweep runs a ``DisjointSet`` over every
+adjacent vertex and skips those not yet processed;
+``_from_edges`` + ``augment`` build the rooted tree with an
 adjacency DFS and walk each superarc up from its outer end;
 ``hypersweep`` accumulates a post-order; ``branch_decomposition`` picks
 best arcs per supernode and groups them with union-find.  The array code
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtopo import contour_tree, sos_order
+from gridtopo import compute_join_tree, compute_split_tree, contour_tree, sos_order
 from gridtopo import measure
 from gridtopo import tree as gtree
 from gridtopo.dist import run_distributed
@@ -26,8 +28,34 @@ from gridtopo.sweep import DisjointSet
 from gridtopo.tree import ContourTree, tree_from_graph
 
 from conftest import grid_1d, make_grid, random_grid
+from test_tree import combine_calls  # noqa: F401  (fixture)
 
 # --- references --------------------------------------------------------------
+
+
+def ref_sweep(seq, neighbors, n):
+    """Merge-tree arcs ``{v: to}`` and root of a union-find sweep in order ``seq``."""
+    ds = DisjointSet(n)
+    extreme = list(range(n))
+    arc_to = {}
+    processed = bytearray(n)
+    v = -1
+    for v in seq:
+        v = int(v)
+        roots = []
+        for u in neighbors(v):
+            if processed[u]:
+                r = ds.find(u)
+                if r not in roots:
+                    roots.append(r)
+        for r in roots:
+            arc_to[extreme[r]] = v
+        root = v
+        for r in roots:
+            root = ds.union(root, r)
+        extreme[root] = v
+        processed[v] = True
+    return arc_to, v
 
 
 def ref_from_edges(verts, ranks, edges):
@@ -181,6 +209,22 @@ def ref_branch_decomposition(ct, ann):
 # --- comparisons -------------------------------------------------------------
 
 
+def assert_same_merge_tree(got, want_arc_to, want_root):
+    assert sorted(got.arc_to.items()) == sorted(want_arc_to.items())
+    assert got.root == want_root
+
+
+def check_grid_sweeps(grid):
+    """Both grid merge trees against the reference sweep over the full stencil."""
+    order = sos_order(grid)
+    assert_same_merge_tree(
+        compute_join_tree(grid, order), *ref_sweep(order.vertex_at[::-1], grid.neighbors, grid.n)
+    )
+    assert_same_merge_tree(
+        compute_split_tree(grid, order), *ref_sweep(order.vertex_at, grid.neighbors, grid.n)
+    )
+
+
 def assert_same_tree(got, want):
     assert got.verts == want.verts
     assert got.root == want.root
@@ -259,6 +303,57 @@ def test_grid_matches_reference(name):
     check_grid(GRIDS[name])
 
 
+SWEEP_GRIDS = {
+    "single": make_grid((1, 1, 1), [2.0]),
+    "1d-x": grid_1d([3, 1, 4, 1, 5, 9, 2, 6, 5, 3]),
+    "1d-y": make_grid((1, 11, 1), np.random.default_rng(5).random(11)),
+    "1d-z": make_grid((1, 1, 12), np.random.default_rng(4).random(12)),
+    "slab-1xNxM": random_grid((1, 5, 6), 6),
+    "slab-Nx1xM": random_grid((5, 1, 6), 7),
+    "random-2d": random_grid((9, 7, 1), 3),
+    "random-3d": random_grid((5, 4, 3), 1),
+    "random-3d-large": random_grid((8, 7, 6), 2),
+    "tied-2d": make_grid((7, 6, 1), np.random.default_rng(8).integers(0, 3, 42)),
+    "tied-3d": make_grid((6, 5, 2), np.arange(60) % 3),
+    "tied-binary": make_grid((4, 4, 4), np.random.default_rng(3).integers(0, 2, 64)),
+    "constant-2d": make_grid((6, 5, 1), np.zeros(30)),
+    "constant-3d": make_grid((4, 4, 2), np.zeros(32)),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_GRIDS))
+def test_grid_sweeps_match_reference(name):
+    check_grid_sweeps(SWEEP_GRIDS[name])
+
+
+GRAPHS = {
+    "star": ([(0, i) for i in range(1, 9)], 9),
+    "path": ([(i, i + 1) for i in range(11)], 12),
+    "duplicate-edges": ([(0, 1), (1, 2), (2, 0), (1, 0), (3, 2), (2, 3), (3, 4), (4, 4)], 5),
+}
+
+
+@pytest.mark.parametrize("name", list(GRAPHS))
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_sweeps_match_reference(name, seed, combine_calls):
+    """The merge trees ``tree_from_graph`` builds, against the reference sweep.
+
+    The reference numbers the vertices in rank order and lists every
+    adjacent vertex, as the merge did before.
+    """
+    edges, n = GRAPHS[name]
+    ranks = np.random.default_rng(seed).permutation(n).tolist()
+    tree_from_graph(range(n), ranks, edges)
+    (call,) = combine_calls
+    local = {v: i for i, v in enumerate(sorted(range(n), key=ranks.__getitem__))}
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[local[u]].append(local[v])
+        adjacency[local[v]].append(local[u])
+    assert_same_merge_tree(call["join"], *ref_sweep(range(n - 1, -1, -1), adjacency.__getitem__, n))
+    assert_same_merge_tree(call["split"], *ref_sweep(range(n), adjacency.__getitem__, n))
+
+
 @pytest.mark.parametrize(
     "edges,n",
     [([(0, i) for i in range(1, 9)], 9), ([(i, i + 1) for i in range(11)], 12)],
@@ -314,6 +409,18 @@ def test_random_small_grids_match_reference(dims, levels, seed):
     n = dims[0] * dims[1] * dims[2]
     values = np.random.default_rng(seed).integers(0, levels, n)
     check_grid(make_grid(dims, values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4)),
+    levels=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_small_grid_sweeps_match_reference(dims, levels, seed):
+    n = dims[0] * dims[1] * dims[2]
+    values = np.random.default_rng(seed).integers(0, levels, n)
+    check_grid_sweeps(make_grid(dims, values))
 
 
 # --- malformed edge lists ----------------------------------------------------

@@ -227,3 +227,98 @@ def test_link_representatives_extremes():
     # The full link is one component (a sphere); a lone slot represents itself.
     assert np.flatnonzero(table[-1]).tolist() == [0]
     assert all(np.flatnonzero(table[1 << i]).tolist() == [i] for i in range(k))
+
+
+# --- the array-backed ``arc_to`` view -----------------------------------------
+
+
+def dict_child_counts(arc_to, n):
+    counts = [0] * n
+    for dst in arc_to.values():
+        counts[dst] += 1
+    return counts
+
+
+def dict_superarcs(arc_to, n, root):
+    """The contracted arcs, walked over a plain dict of arcs."""
+    counts = dict_child_counts(arc_to, n)
+    supers = {v for v in range(n) if counts[v] != 1 or v == root}
+    arcs = set()
+    for s in supers - {root}:
+        cur = arc_to[s]
+        while cur not in supers:
+            cur = arc_to[cur]
+        arcs.add((s, cur))
+    return arcs
+
+
+ZIGZAG_GRIDS = [
+    grid_1d([0, 5, 2, 6, 1]),
+    grid_1d([1, 2, 3, 4]),
+    random_grid((6, 6, 1), 0),
+    random_grid((4, 4, 3), 1),
+    make_grid((3, 3, 2), np.zeros(18)),
+]
+
+
+@pytest.mark.parametrize("grid", ZIGZAG_GRIDS, ids=["zigzag", "monotone", "2d", "3d", "constant"])
+@pytest.mark.parametrize("build", [compute_join_tree, compute_split_tree])
+def test_tree_queries_match_dict_implementation(grid, build):
+    tree = build(grid, sos_order(grid))
+    arcs = dict(tree.arc_to)
+    counts = dict_child_counts(arcs, grid.n)
+    assert tree.child_counts() == counts
+    assert tree.leaves() == [v for v in range(grid.n) if counts[v] == 0]
+    assert tree.superarcs() == dict_superarcs(arcs, grid.n, tree.root)
+
+
+def test_arc_view_reads_like_a_dict():
+    grid = grid_1d([0, 5, 2, 6, 1])
+    join = compute_join_tree(grid, sos_order(grid))
+    plain = {1: 2, 2: 4, 3: 2, 4: 0}
+    assert join.arc_to == plain and plain == join.arc_to
+    assert join.arc_to != {**plain, 4: 2}
+    assert dict(join.arc_to) == plain
+    assert sorted(join.arc_to.items()) == sorted(plain.items())
+    assert len(join.arc_to) == 4
+    assert 4 in join.arc_to and join.root not in join.arc_to
+    assert join.arc_to[np.int64(3)] == 2
+
+
+@pytest.mark.parametrize("key", [0, -1, -5, 5, 99, "1", 1.5, None])
+def test_arc_view_missing_keys(key):
+    grid = grid_1d([0, 5, 2, 6, 1])
+    join = compute_join_tree(grid, sos_order(grid))
+    assert join.root == 0
+    with pytest.raises(KeyError):
+        join.arc_to[key]
+    assert key not in join.arc_to
+    assert join.arc_to.get(key) is None
+
+
+def test_arc_view_is_read_only():
+    grid = grid_1d([0, 5, 2, 6, 1])
+    join = compute_join_tree(grid, sos_order(grid))
+    with pytest.raises(TypeError):
+        join.arc_to[1] = 0
+    with pytest.raises(TypeError):
+        del join.arc_to[1]
+    with pytest.raises(ValueError):
+        join.arcs[1] = 0
+    assert join.arc_to[1] == 2
+
+
+@pytest.mark.parametrize("dims", REDUCED_INPUT_DIMS)
+@pytest.mark.parametrize("upper", [True, False])
+def test_link_neighbors_are_swept_before(dims, upper):
+    """The grid CSR lists only neighbours the sweep visited strictly before."""
+    from gridtopo.sweep import _link_neighbors
+
+    grid = tied_grid(dims, 0)
+    order = sos_order(grid)
+    nbrs, starts = _link_neighbors(grid, order, upper)
+    rank = order.rank_of
+    for v in range(grid.n):
+        listed = nbrs[starts[v] : starts[v + 1]]
+        assert set(listed) <= set(grid.neighbors(v))
+        assert all((rank[u] > rank[v]) == upper and u != v for u in listed)

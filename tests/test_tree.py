@@ -283,3 +283,55 @@ def test_array_combine_matches_set_based_edges_on_graphs(edges, n, seed, combine
     (call,) = combine_calls
     assert len(call["edges"]) == n - 1
     assert call["edges"] == set_based_leaf_transfer(call["join"], call["split"])
+
+
+def test_tree_from_graph_rejects_endpoint_outside_verts():
+    from gridtopo.errors import InternalError
+
+    with pytest.raises(InternalError):
+        tree_from_graph([0, 1, 2], [0, 1, 2], [(0, 1), (1, 5)])
+    with pytest.raises(InternalError):
+        tree_from_graph([0, 1, 2], [0, 1, 2], [(0, 1), (-1, 2)])
+
+
+@pytest.mark.parametrize(
+    "ranks,edges,noisy",
+    [
+        ([0, 1], [(0, 1)], [(0, 0), (0, 1), (0, 1)]),
+        ([1, 0], [(0, 1)], [(0, 0), (0, 1), (0, 1)]),
+        ([1, 0], [(0, 1)], [(1, 0), (1, 1), (0, 1)]),
+        ([2, 0, 3, 1], [(0, 1), (1, 2), (2, 3)],
+         [(0, 0), (0, 1), (1, 2), (2, 2), (2, 3), (3, 2), (1, 0), (3, 3)]),
+    ],
+)
+def test_tree_from_graph_ignores_self_loops_and_repeats(ranks, edges, noisy):
+    n = len(ranks)
+    want = tree_from_graph(range(n), ranks, edges)
+    got = tree_from_graph(range(n), ranks, noisy)
+    assert (got.root, got.parent, got.supernodes, got.arc_inner) == (
+        want.root, want.parent, want.supernodes, want.arc_inner
+    )
+    assert got.superparent == want.superparent
+    assert got.arc_regulars == want.arc_regulars
+
+
+def test_tree_from_graph_sweeps_get_the_csr_contract(monkeypatch):
+    """Each sweep lists, per vertex, only neighbours it swept strictly before."""
+    calls = []
+    real = gtree.sweep_csr
+
+    def recording(seq, nbrs, starts, n, direction):
+        calls.append((list(seq), nbrs, starts))
+        return real(seq, nbrs, starts, n, direction)
+
+    monkeypatch.setattr(gtree, "sweep_csr", recording)
+    ranks = [3, 0, 4, 1, 2]
+    edges = [(0, 1), (1, 1), (1, 2), (2, 1), (2, 3), (3, 4), (4, 4), (0, 0)]
+    tree_from_graph(range(5), ranks, edges)
+    assert len(calls) == 2
+    for seq, nbrs, starts in calls:
+        when = {v: i for i, v in enumerate(seq)}
+        listed = [(v, u) for v in seq for u in nbrs[starts[v] : starts[v + 1]]]
+        assert all(when[u] < when[v] for v, u in listed)
+        # Each edge but the self-loops, listed once per occurrence.
+        assert len(listed) == 5
