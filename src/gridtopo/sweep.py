@@ -84,7 +84,7 @@ class ArcView(Mapping):
         return int(np.count_nonzero(self._arcs >= 0))
 
 
-@dataclass
+@dataclass(eq=False)
 class MergeTree:
     """Fully augmented merge tree over vertices 0..n-1, one arc per vertex but the root.
 
@@ -97,6 +97,12 @@ class MergeTree:
     n: int
     arcs: np.ndarray = field(repr=False)
     root: int = -1
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MergeTree):
+            return NotImplemented
+        same = (self.direction, self.n, self.root) == (other.direction, other.n, other.root)
+        return same and np.array_equal(self.arcs, other.arcs)
 
     @property
     def arc_to(self) -> ArcView:

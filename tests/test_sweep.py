@@ -322,3 +322,14 @@ def test_link_neighbors_are_swept_before(dims, upper):
         listed = nbrs[starts[v] : starts[v + 1]]
         assert set(listed) <= set(grid.neighbors(v))
         assert all((rank[u] > rank[v]) == upper and u != v for u in listed)
+
+
+def test_merge_trees_compare_by_value():
+    grid = grid_1d([0, 5, 2, 6, 1])
+    order = sos_order(grid)
+    join = compute_join_tree(grid, order)
+    assert join == compute_join_tree(grid, order)
+    assert join != compute_split_tree(grid, order)
+    other = grid_1d([5, 0, 2, 6, 1])
+    assert join != compute_join_tree(other, sos_order(other))
+    assert join != dict(join.arc_to)
