@@ -59,7 +59,9 @@ from .. import measure
 from ..errors import DataError, UsageError
 from ..grid import ScalarGrid, VertexOrder, sos_order
 from ..measure import Branch, BranchDecomposition, VolumeAnnotation
-from ..tree import ContourTree, _from_edges, augment, contour_tree, relabel, tree_from_graph
+from ..sweep import _chain_ends
+from ..tree import ContourTree, _from_edges, _Positions, augment, contour_tree, relabel
+from ..tree import tree_from_graph
 
 # --- decomposition ---------------------------------------------------------
 
@@ -265,70 +267,55 @@ def _region(
     """Split ``ct`` into the boundary's Steiner tree and the records hanging off it.
 
     The Steiner tree is the smallest subtree connecting every boundary
-    vertex.  ``mass_at`` is the mass of earlier records attached at each
-    vertex; it moves into the measure of a new record that swallows the
-    vertex.
+    vertex (the root when there is none): the marked vertices, those
+    whose subtree holds some but not all marks, and those where marks
+    meet from two child subtrees.  Every other vertex lies in a record,
+    under the record's head next to its attachment.  ``mass_at`` is the
+    mass of earlier records attached at each vertex; it moves into the
+    measure of a new record that swallows the vertex.
     """
-    parent = ct.parent
-    kids: dict[int, list[int]] = {v: [] for v in ct.verts}
-    for v, p in parent.items():
-        kids[p].append(v)
-    # Depth-first preorder: every subtree is a contiguous slice.
-    pre: list[int] = []
-    stack = [ct.root]
-    while stack:
-        v = stack.pop()
-        pre.append(v)
-        stack.extend(kids[v])
-    pos = {v: i for i, v in enumerate(pre)}
-    marks = boundary or {ct.root}
-    size = dict.fromkeys(pre, 1)
-    below = {v: int(v in marks) for v in pre}  # marked vertices in the subtree
-    busy = dict.fromkeys(pre, 0)  # children whose subtree holds a mark
-    for v in reversed(pre):
-        p = parent.get(v)
-        if p is not None:
-            size[p] += size[v]
-            below[p] += below[v]
-            busy[p] += below[v] > 0
-    total = below[ct.root]
-    top = ct.root
-    while top not in marks and busy[top] == 1:
-        top = next(c for c in kids[top] if below[c])
-    kept = [
-        v
-        for v in pre[pos[top] : pos[top] + size[top]]
-        if v in marks or 0 < below[v] < total or busy[v] >= 2
-    ]
+    n, up, ids = ct.n, ct.up, ct.ids
+    root = int(ct.superstructure.vertex[ct.superstructure.root])
+    where = _Positions(ids)
+    marks = np.zeros(n, dtype=np.int64)
+    marks[where.of(np.fromiter(boundary, np.int64, len(boundary))) if boundary else root] = 1
+    below = measure._subtree_sums(up, root, marks)
+    child = np.flatnonzero(up >= 0)
+    busy = np.bincount(up[child[below[child] > 0]], minlength=n)
+    kept = (marks > 0) | ((0 < below) & (below < below[root])) | (busy >= 2)
 
-    kept_set = set(kept)
-    hanging: list[tuple[int, int, list[int]]] = []  # (attach, head, verts)
-    for v in kept:
-        for c in kids[v]:
-            if not below[c]:
-                hanging.append((v, c, pre[pos[c] : pos[c] + size[c]]))
-    if top != ct.root:
-        hanging.append((top, parent[top], pre[: pos[top]] + pre[pos[top] + size[top] :]))
     # Record edges point from child to parent toward the attachment.  The
-    # record above ``top`` holds the root, so its path from ``head`` up to
-    # the root turns around.
-    turned: dict[int, int] = {}
-    v = top
-    while v != ct.root:
-        turned[parent[v]] = v
-        v = parent[v]
+    # record above the top holds the root, so the path from the top up to
+    # the root (the vertices left out with marks below them) turns around.
+    toward = up.copy()
+    path = ~kept & (below > 0)
+    step = np.flatnonzero((below > 0) & (up >= 0) & path[up])
+    toward[up[step]] = step
+    # A record's head is its one vertex whose edge leads to a kept vertex.
+    is_head = ~kept & kept[toward]
+    head_of = _chain_ends(np.where(kept | is_head, np.arange(n), toward))
+
+    mass = np.zeros(n, dtype=np.int64)
+    mass[where.of(np.fromiter(mass_at, np.int64, len(mass_at)))] = list(mass_at.values())
+    hanging = np.flatnonzero(~kept)
+    hanging = hanging[np.lexsort((ids[hanging], head_of[hanging]))]
+    heads, first = np.unique(head_of[hanging], return_index=True)
+    attach = toward[heads]
+    weight = np.add.reduceat(1 + mass[hanging], first)
+    new_mass = np.where(kept, mass, 0)
+    np.add.at(new_mass, attach, weight)
+
+    verts, parents = ids[hanging].tolist(), ids[toward[hanging]].tolist()
+    bounds = np.append(first, hanging.size).tolist()
+    head_ids, attach_ids, weight = ids[heads].tolist(), ids[attach].tolist(), weight.tolist()
     records = []
-    new_mass = {v: m for v, m in mass_at.items() if v in kept_set}
-    for attach, head, verts in hanging:
-        edges = [(head, attach)] + [
-            (u, p)
-            for u in verts
-            if (p := turned.get(u, parent.get(u))) is not None and p != attach
+    for g in np.argsort(ids[hanging[first]]).tolist():  # by least vertex id
+        lo, hi, at = bounds[g], bounds[g + 1], attach_ids[g]
+        edges = [(head_ids[g], at)] + [
+            (u, p) for u, p in zip(verts[lo:hi], parents[lo:hi]) if p != at
         ]
-        weight = len(verts) + sum(mass_at.get(u, 0) for u in verts)
-        records.append(Record(attach, sorted(verts), edges, weight, rank))
-        new_mass[attach] = new_mass.get(attach, 0) + weight
-    records.sort(key=lambda r: r.verts[0])
+        records.append(Record(at, verts[lo:hi], edges, weight[g], rank))
+    held, inside = np.flatnonzero(new_mass), np.flatnonzero(kept & (up >= 0) & kept[up])
     return RegionState(
         rank=rank,
         extent=extent,
@@ -336,10 +323,10 @@ def _region(
         values=values,
         local_tree=ct,
         boundary=set(boundary),
-        kept_verts=kept_set,
-        kept_edges=[(v, parent[v]) for v in kept if v != top],
+        kept_verts=set(ids[kept].tolist()),
+        kept_edges=list(zip(ids[inside].tolist(), ids[up[inside]].tolist())),
         records=records,
-        mass_at=new_mass,
+        mass_at=dict(zip(ids[held].tolist(), new_mass[held].tolist())),
     )
 
 
@@ -353,9 +340,8 @@ def local_phase(grid: ScalarGrid, order: VertexOrder, extent: Extent, rank: int)
     vids = extent.vids(grid.dims)
     block_values = grid.values[vids]
     sub = ScalarGrid(dims=extent.shape, values=block_values)
-    gid = vids.tolist()
-    ct = relabel(contour_tree(sub, sos_order(sub)), gid, order.ranks)
-    values = dict(zip(gid, block_values.tolist()))
+    ct = relabel(contour_tree(sub, sos_order(sub)), vids, order.ranks)
+    values = dict(zip(vids.tolist(), block_values.tolist()))
     return _region(rank, extent, values, ct, extent.boundary(grid.dims, vids), {})
 
 
@@ -496,16 +482,13 @@ def _volumes(ct: ContourTree, n: int, pruned: list[Record]) -> VolumeAnnotation:
     """
     counts = dict(measure.superarc_counts(ct).counts)
     at_node: dict[int, int] = {}
-    supernodes = set(ct.supernodes)
     for rec in pruned:
-        a = rec.attach
-        if a not in ct.superparent:
+        s = ct.superparent.get(rec.attach)
+        if s is None:
             continue
-        if a in supernodes:
-            at_node[a] = at_node.get(a, 0) + rec.measure
-            counts[a] = counts.get(a, 0) + rec.measure
-        else:
-            counts[ct.superparent[a]] += rec.measure
+        if s == rec.attach:  # a supernode: the mass hangs at it
+            at_node[s] = at_node.get(s, 0) + rec.measure
+        counts[s] = counts.get(s, 0) + rec.measure
     return measure.hypersweep(ct, VolumeAnnotation(n=n, counts=counts, at_node=at_node))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalError, UsageError
-from .tree import ContourTree, Superstructure, _chain_ends, _pair_key
+from .tree import ContourTree, _chain_ends, _pair_key
 
 
 @dataclass
@@ -63,8 +63,9 @@ def superarc_counts(ct: ContourTree) -> VolumeAnnotation:
     """Count vertices per superarc (regulars plus the outer-end supernode)."""
     if not ct.is_augmented:
         raise UsageError("tree must be augmented before counting")
-    counts = {outer: 1 + len(regs) for outer, regs in ct.arc_regulars.items()}
-    return VolumeAnnotation(n=ct.n, counts=counts)
+    outer = ct.superstructure.vertex[ct.superstructure.inner >= 0]
+    counts = 1 + ct.walk_start[outer + 1] - ct.walk_start[outer]
+    return VolumeAnnotation(n=ct.n, counts=dict(zip(ct.ids[outer].tolist(), counts.tolist())))
 
 
 def _per_supernode(values: Mapping[int, int], supernodes: list[int]) -> np.ndarray:
@@ -74,19 +75,19 @@ def _per_supernode(values: Mapping[int, int], supernodes: list[int]) -> np.ndarr
     )
 
 
-def _subtree_sums(st: Superstructure, weight: np.ndarray) -> np.ndarray:
-    """Per supernode, the sum of ``weight`` over its rooted subtree.
+def _subtree_sums(parent: np.ndarray, root: int, weight: np.ndarray) -> np.ndarray:
+    """Per node of a rooted tree, the sum of ``weight`` over its subtree.
 
-    The subtree of a supernode is the stretch of the Euler tour between
-    entering and leaving it.  Tour step ``i`` enters supernode ``i`` and
-    step ``k + i`` leaves it; each step's successor is set from the
-    children lists, and list ranking by pointer jumping gives every step
-    its tour position.
+    ``parent[i]`` is the parent of node ``i``, -1 at ``root``.  The
+    subtree of a node is the stretch of the Euler tour between entering
+    and leaving it.  Tour step ``i`` enters node ``i`` and step ``k + i``
+    leaves it; each step's successor is set from the children lists, and
+    list ranking by pointer jumping gives every step its tour position.
     """
-    k = st.inner.size
-    kids = np.flatnonzero(st.inner >= 0)
-    kids = kids[np.argsort(st.inner[kids], kind="stable")]
-    up = st.inner[kids]
+    k = parent.size
+    kids = np.flatnonzero(parent >= 0)
+    kids = kids[np.argsort(parent[kids], kind="stable")]
+    up = parent[kids]
     first = np.ones(kids.size, dtype=bool)
     first[1:] = up[1:] != up[:-1]
     succ = np.concatenate([np.arange(k, 2 * k), k + np.arange(k)])
@@ -99,8 +100,8 @@ def _subtree_sums(st: Superstructure, weight: np.ndarray) -> np.ndarray:
     for _ in range((2 * k).bit_length()):
         left += left[succ]
         succ = succ[succ]
-    if (succ != k + st.root).any():
-        raise InternalError("superstructure is not a tree")
+    if (succ != k + root).any():
+        raise InternalError("parent pointers do not form one tree")
     at = 2 * k - 1 - left
     tour = np.zeros(2 * k, dtype=np.int64)
     tour[at[:k]] = weight
@@ -122,7 +123,7 @@ def hypersweep(ct: ContourTree, ann: VolumeAnnotation) -> VolumeAnnotation:
     counts = _per_supernode(ann.counts, sn)
     counts[st.root] = 0  # the root indexes no arc
     at_node = _per_supernode(ann.at_node, sn)
-    outward = _subtree_sums(st, counts)
+    outward = _subtree_sums(st.inner, st.root, counts)
     closed = outward - counts + 1 + at_node
     if closed[st.root] != ann.n:
         raise InternalError(

@@ -9,7 +9,8 @@ itself.  Grids build the lists from their vertex order, and
 ``tree.tree_from_graph`` numbers a graph's vertices in rank order and
 lists each edge at one end.  ``sweep`` adapts a ``neighbors(v)``
 callback to the same kernel.  A ``MergeTree`` stores its arcs as one
-int64 array (-1 at the root); ``arc_to`` is a read-only mapping view.
+int64 array (-1 at the root); ``arc_to`` is a read-only ``ArcView`` of
+it, the one mapping view class, which also serves ``tree.ContourTree``.
 
 A grid sweep visits one neighbour per connected component of a vertex's
 upper link (join) or lower link (split), not the whole stencil: two link
@@ -63,25 +64,46 @@ class DisjointSet:
 
 
 class ArcView(Mapping):
-    """Read-only ``{v: arcs[v]}`` over the vertices whose arc is not -1."""
+    """Read-only ``{keys[i]: ids[to[i]]}`` over the slots ``i`` with ``to[i] >= 0``.
 
-    def __init__(self, arcs: np.ndarray):
-        self._arcs = arcs
+    ``keys`` and ``ids`` name slots and targets by id; None names slot or
+    target ``i`` by ``i``.  With ``spans = (walk, first, stop)``, slot
+    ``i`` maps to the list ``ids[walk[first[i]:stop[i]]]`` instead.  One
+    lookup reads memoryviews, which give plain ints several times faster
+    than numpy scalar indexing, through a table from key ids to slots.
+    """
 
-    def __getitem__(self, v) -> int:
+    __slots__ = ("_to", "_keys", "_ids", "_spans", "_at", "_slot_of", "_name")
+
+    def __init__(self, to: np.ndarray, keys=None, ids=None, spans=None):
+        self._to, self._keys, self._ids, self._spans = to, keys, ids, spans
+        self._at, self._slot_of = memoryview(to), None
+        self._name = None if ids is None else memoryview(ids)
+        if keys is not None:
+            table = np.full(int(keys.max(initial=-1)) + 1, -1, dtype=np.int64)
+            table[keys] = np.arange(keys.size)
+            self._slot_of = memoryview(table)
+
+    def __getitem__(self, key):
         try:
-            i = operator.index(v)
-        except TypeError:
-            raise KeyError(v) from None
-        if 0 <= i < self._arcs.size and (to := int(self._arcs[i])) >= 0:
-            return to
-        raise KeyError(v)
+            i = operator.index(key)
+            if i >= 0 and self._slot_of is not None:
+                i = self._slot_of[i]
+            if i >= 0 and (to := self._at[i]) >= 0:
+                if self._spans is None:
+                    return to if self._name is None else self._name[to]
+                walk, first, stop = self._spans
+                return self._ids[walk[first[i] : stop[i]]].tolist()
+        except (TypeError, IndexError):
+            pass
+        raise KeyError(key)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(np.flatnonzero(self._arcs >= 0).tolist())
+        live = np.flatnonzero(self._to >= 0)
+        return iter((live if self._keys is None else self._keys[live]).tolist())
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._arcs >= 0))
+        return int(np.count_nonzero(self._to >= 0))
 
 
 @dataclass(eq=False)

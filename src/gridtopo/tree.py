@@ -14,13 +14,15 @@ counts degrees with ``bincount`` and finds each supernode's inner end
 by pointer jumping up regular chains; ``augment`` jumps down them to
 the outer end and orders each superarc's regular vertices with one
 sort on (superarc, signed rank) (Carr, Rübel, Weber & Ahrens, IEEE
-TVCG 2021).  The public fields stay dicts and lists of the ids in
-``verts``, the same int objects reused, so the containers add no
-per-vertex int copies.
+TVCG 2021).  Those int64 arrays are the whole state of a tree.  Its
+``parent``, ``arc_inner``, ``superparent`` and ``arc_regulars`` fields
+are read-only mapping views of them (``sweep.ArcView``), and ``verts``
+and ``supernodes`` are lists built on first use.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import deque
 from collections.abc import Iterable, Sequence
@@ -31,73 +33,92 @@ import numpy as np
 
 from .errors import InternalError, UsageError
 from .grid import ScalarGrid, VertexOrder
-from .sweep import MergeTree, _chain_ends, sweep_csr
+from .sweep import ArcView, MergeTree, _chain_ends, sweep_csr
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class Superstructure:
     """A contour tree's superarcs as arrays over supernode positions.
 
-    Position ``i`` is ``ContourTree.supernodes[i]`` (ascending ids), and
-    arc ``i`` is the superarc whose outer end is supernode ``i``.
-    ``inner[i]`` is the position of its inner end (-1 at the root),
-    ``rank[i]`` the supernode's rank and ``root`` the root's position.
+    Position ``i`` is ``ContourTree.supernodes[i]`` (ascending ids), the
+    vertex at position ``vertex[i]``, and arc ``i`` is the superarc whose
+    outer end is supernode ``i``.  ``inner[i]`` is the position of its
+    inner end (-1 at the root), ``rank[i]`` the supernode's rank and
+    ``root`` the root's position.
     """
 
+    vertex: np.ndarray = field(repr=False)
     inner: np.ndarray = field(repr=False)
     rank: np.ndarray = field(repr=False)
     root: int
 
 
-@dataclass
+@dataclass(eq=False)
 class ContourTree:
     """Contour tree over an arbitrary vertex subset with global ids.
 
-    ``parent`` is the vertex-level tree rooted at the highest-ranked
-    vertex.  ``arc_inner[outer]`` maps each non-root supernode to the
-    supernode at the other (root-facing) end of its superarc.
-    ``superparent[v]`` is the outer end of the superarc a vertex lies
-    on; supernodes map to their own id.
-
-    ``ranks`` is the shared rank table indexed by vertex id (for a grid,
-    ``VertexOrder.ranks``), held by reference, not a per-tree copy.
+    The state is int64 arrays over vertex positions: ``ids``, and ``up``,
+    the parent in the tree rooted at the highest-ranked vertex (-1 at the
+    root).  ``augment`` adds ``outer``, the outer end of each vertex's
+    superarc, and that superarc's regular vertices from the outer end
+    ``p`` inward as ``walk[walk_start[p]:walk_start[p + 1]]``.  The
+    mapping fields are read-only views of them keyed by vertex id;
+    ``arc_inner`` maps each non-root supernode to the other, root-facing
+    end of its superarc.  ``ranks`` is the shared rank table indexed by
+    vertex id (for a grid, ``VertexOrder.ranks``), not a per-tree copy.
     """
 
-    verts: list[int] = field(repr=False)
+    ids: np.ndarray = field(repr=False)
     ranks: Sequence[int] = field(repr=False)
-    parent: dict[int, int] = field(repr=False)
-    root: int = -1
-    supernodes: list[int] = field(default_factory=list, repr=False)
-    arc_inner: dict[int, int] = field(default_factory=dict, repr=False)
-    superparent: dict[int, int] = field(default_factory=dict, repr=False)
-    arc_regulars: dict[int, list[int]] = field(default_factory=dict, repr=False)
+    up: np.ndarray = field(repr=False)
+    superstructure: Superstructure = field(repr=False)
+    outer: np.ndarray | None = field(default=None, repr=False)
+    walk: np.ndarray | None = field(default=None, repr=False)
+    walk_start: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
-        return len(self.verts)
+        return self.ids.size
+
+    @property
+    def root(self) -> int:
+        st = self.superstructure
+        return self.ids.item(st.vertex[st.root])
 
     @property
     def is_augmented(self) -> bool:
-        return bool(self.superparent) or self.n <= 1
+        return self.outer is not None
 
     @cached_property
-    def superstructure(self) -> Superstructure:
-        """The shared array view of ``supernodes``, ``arc_inner`` and ``root``.
+    def verts(self) -> list[int]:
+        return self.ids.tolist()
 
-        Built on first use and kept: the superstructure is fixed once the
-        tree is built (``augment`` only adds the regular vertices).
-        """
-        where = _Positions(self.supernodes)
-        m = len(self.arc_inner)
-        inner = np.full(len(self.supernodes), -1, dtype=np.int64)
-        inner[where.of(np.fromiter(self.arc_inner.keys(), np.int64, m))] = where.of(
-            np.fromiter(self.arc_inner.values(), np.int64, m)
-        )
-        return Superstructure(
-            inner=inner,
-            rank=_rank_array(self.supernodes, self.ranks),
-            root=int(where.of(np.array([self.root]))[0]),
-        )
+    @cached_property
+    def supernodes(self) -> list[int]:
+        return self.ids[self.superstructure.vertex].tolist()
+
+    @cached_property
+    def parent(self) -> ArcView:
+        return ArcView(self.up, self.ids, self.ids)
+
+    @cached_property
+    def arc_inner(self) -> ArcView:
+        sn = self.ids[self.superstructure.vertex]
+        return ArcView(self.superstructure.inner, sn, sn)
+
+    @cached_property
+    def superparent(self) -> ArcView:
+        return ArcView(_EMPTY if self.outer is None else self.outer, self.ids, self.ids)
+
+    @cached_property
+    def arc_regulars(self) -> ArcView:
+        if self.outer is None:
+            return ArcView(_EMPTY)
+        st, start = self.superstructure, self.walk_start
+        spans = (self.walk, start[st.vertex], start[st.vertex + 1])
+        return ArcView(st.inner, self.ids[st.vertex], self.ids, spans)
 
     def children_index(self) -> dict[int, list[int]]:
         """Superstructure children: inner end -> outer ends, rank-sorted."""
@@ -110,23 +131,22 @@ class ContourTree:
 
     def arc_degrees(self) -> tuple[dict[int, int], dict[int, int]]:
         """Per supernode, its superarcs leading up (to a higher rank) and down."""
-        ranks = self.ranks
-        up = dict.fromkeys(self.supernodes, 0)
-        down = dict.fromkeys(self.supernodes, 0)
-        for outer, inner in self.arc_inner.items():
-            lo, hi = (outer, inner) if ranks[outer] < ranks[inner] else (inner, outer)
-            up[lo] += 1
-            down[hi] += 1
-        return up, down
+        st = self.superstructure
+        arcs = np.flatnonzero(st.inner >= 0)
+        inner = st.inner[arcs]
+        rises = st.rank[inner] > st.rank[arcs]
+        k = st.inner.size
+        up = np.bincount(np.where(rises, arcs, inner), minlength=k)
+        down = np.bincount(np.where(rises, inner, arcs), minlength=k)
+        sn = self.supernodes
+        return dict(zip(sn, up.tolist())), dict(zip(sn, down.tolist()))
 
     def straddling_arcs(self, gap: int) -> int:
         """Number of superarcs whose endpoint ranks straddle rank gap ``gap``."""
-        count = 0
-        for outer, inner in self.arc_inner.items():
-            a, b = self.ranks[outer], self.ranks[inner]
-            if min(a, b) <= gap < max(a, b):
-                count += 1
-        return count
+        st = self.superstructure
+        arcs = st.inner >= 0
+        a, b = st.rank[arcs], st.rank[st.inner[arcs]]
+        return int(np.count_nonzero((np.minimum(a, b) <= gap) & (gap < np.maximum(a, b))))
 
     def dump(self, values: dict[int, float] | None = None) -> str:
         """Debug text: supernodes (id, value, rank) and superarcs, stable order."""
@@ -159,12 +179,6 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
     n = join.n
     if n == 0:
         raise UsageError("empty vertex set")
-    verts = list(range(n))
-    if n == 1:
-        tree = ContourTree(verts=verts, ranks=ranks, parent={}, root=0)
-        tree.supernodes = [0]
-        tree.superparent = {0: 0}
-        return tree
 
     def state(mt: MergeTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         (src,) = np.nonzero(mt.arcs >= 0)
@@ -215,19 +229,18 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
             queue.append(other)
             queued[other] = 1
 
-    return _from_edges(verts, ranks, edges)
+    return _from_edges(range(n), ranks, edges)
 
 
 class _Positions:
-    """Vertex ids -> positions in ``verts`` through one table over ``0..max(id)``.
+    """Vertex ids -> positions in ``ids`` through one table over ``0..max(id)``.
 
     The same gather serves dense grid ids and the sparse global ids of
     distributed trees, whose largest id is below the grid's vertex count.
     """
 
-    def __init__(self, verts: Sequence[int]):
-        n = len(verts)
-        ids = np.fromiter(verts, np.int64, n)
+    def __init__(self, ids: np.ndarray):
+        n = ids.size
         if ids.min(initial=0) < 0:
             raise InternalError("vertex ids must be non-negative")
         self.table = np.full(int(ids.max(initial=0)) + 1, -1, dtype=np.int64)
@@ -236,7 +249,7 @@ class _Positions:
             raise InternalError("vertex ids are not distinct")
 
     def of(self, ids: np.ndarray) -> np.ndarray:
-        """Positions of ``ids``; raises ``InternalError`` for an id not in ``verts``."""
+        """Positions of ``ids``; raises ``InternalError`` for an id not in the table."""
         inside = (ids >= 0) & (ids < self.table.size)
         pos = self.table[np.where(inside, ids, 0)]
         if not inside.all() or (pos < 0).any():
@@ -244,9 +257,9 @@ class _Positions:
         return pos
 
 
-def _rank_array(verts: Sequence[int], ranks: Sequence[int]) -> np.ndarray:
-    """``ranks`` of ``verts``, by position."""
-    return np.fromiter(map(ranks.__getitem__, verts), np.int64, len(verts))
+def _rank_array(ids: np.ndarray, ranks: Sequence[int]) -> np.ndarray:
+    """``ranks`` of the vertices ``ids``, in order."""
+    return np.fromiter(map(ranks.__getitem__, ids.tolist()), np.int64, ids.size)
 
 
 def _pair_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
@@ -260,7 +273,7 @@ def _pair_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
 
 
 def _from_edges(
-    verts: list[int], ranks: Sequence[int], edges: list[tuple[int, int]]
+    verts: Sequence[int], ranks: Sequence[int], edges: list[tuple[int, int]]
 ) -> ContourTree:
     """Build the rooted tree and contracted superstructure from CT edges.
 
@@ -273,7 +286,8 @@ def _from_edges(
     n = len(verts)
     if n == 0 or len(edges) != n - 1:
         raise InternalError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
-    where = _Positions(verts)
+    ids = np.fromiter(verts, np.int64, n)
+    where = _Positions(ids)
     pairs = where.of(np.fromiter(itertools.chain.from_iterable(edges), np.int64, 2 * n - 2))
     child, par = pairs[0::2], pairs[1::2]
     if (np.bincount(child, minlength=n) > 1).any():
@@ -281,7 +295,7 @@ def _from_edges(
     parent = np.full(n, -1, dtype=np.int64)
     parent[child] = par
     (top,) = np.flatnonzero(parent < 0)
-    rank = _rank_array(verts, ranks)
+    rank = _rank_array(ids, ranks)
     root = int(np.argmax(rank))
 
     # Pointer doubling up to ``top`` checks that the edges form one tree
@@ -306,74 +320,45 @@ def _from_edges(
     # vertices ends at a supernode.
     inner = _chain_ends(np.where(is_super, np.arange(n), parent))
     by_id = where.table[where.table >= 0]
-    supers = by_id[is_super[by_id]]
-    arcs = supers[supers != root]
-
-    vid = list(verts)
-    ids = vid.__getitem__
-    up_from = dict(zip(vid, map(ids, parent.tolist())))
-    del up_from[vid[root]]
-    return ContourTree(
-        verts=vid,
-        ranks=ranks,
-        parent=up_from,
-        root=vid[root],
-        supernodes=list(map(ids, supers.tolist())),
-        arc_inner=dict(zip(map(ids, arcs.tolist()), map(ids, inner[parent[arcs]].tolist()))),
-    )
+    vertex = by_id[is_super[by_id]]
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[vertex] = np.arange(vertex.size)
+    above = parent[vertex]
+    inner = np.where(above >= 0, slot[inner[above]], -1)
+    st = Superstructure(vertex=vertex, inner=inner, rank=rank[vertex], root=int(slot[root]))
+    return ContourTree(ids=ids, ranks=ranks, up=parent, superstructure=st)
 
 
 def augment(ct: ContourTree) -> ContourTree:
-    """Fill ``superparent`` and per-arc regular vertex lists in place.
+    """The tree with every vertex's superarc and every superarc's regular vertices.
 
     A regular vertex has exactly one child, so jumping down child
     pointers ends at the outer end of its superarc.  Along a superarc
     ranks are monotone, so one sort on (superarc, signed rank) lists each
     arc's regular vertices from the outer end inward.
     """
-    vid = ct.verts
-    ids = vid.__getitem__
-    outer, walk, first, stop = _arc_walks(ct)
-    regs = list(map(ids, walk.tolist()))
-    ct.superparent = dict(zip(vid, map(ids, outer.tolist())))
-    ct.arc_regulars = {
-        o: regs[a:b] for o, a, b in zip(ct.arc_inner, first.tolist(), stop.tolist())
-    }
-    return ct
-
-
-def _arc_walks(ct: ContourTree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The array pass of ``augment``, by vertex position.
-
-    Returns each vertex's superarc (its outer end), the regular vertices
-    in walk order, and for each arc in ``arc_inner`` order the slice of
-    that walk it owns.
-    """
-    n = ct.n
-    where = _Positions(ct.verts)
-    m = len(ct.parent)
-    child = where.of(np.fromiter(ct.parent.keys(), np.int64, m))
-    par = where.of(np.fromiter(ct.parent.values(), np.int64, m))
+    n, up, st = ct.n, ct.up, ct.superstructure
     is_super = np.zeros(n, dtype=bool)
-    is_super[where.of(np.fromiter(ct.supernodes, np.int64, len(ct.supernodes)))] = True
+    is_super[st.vertex] = True
+    child = np.flatnonzero(up >= 0)
     down = np.arange(n)
-    down[par] = child  # only read at regular vertices, which have one child
+    down[up[child]] = child  # only read at regular vertices, which have one child
     outer = _chain_ends(np.where(is_super, np.arange(n), down))
     if not is_super[outer].all():
         raise InternalError("augmentation missed vertices")
 
+    # A regular vertex ranks below its parent exactly when its superarc
+    # rises from the outer end to the inner end.
+    arcs = np.flatnonzero(st.inner >= 0)
+    rises = np.zeros(n, dtype=bool)
+    rises[st.vertex[arcs]] = st.rank[st.inner[arcs]] > st.rank[arcs]
     regular = np.flatnonzero(~is_super)
-    rank = _rank_array(ct.verts, ct.ranks)
-    parent = np.full(n, -1, dtype=np.int64)
-    parent[child] = par
-    reg_rank = rank[regular]
-    signed = np.where(rank[parent[regular]] > reg_rank, reg_rank, -reg_rank)
-    span = int(rank.max()) + 1
+    reg_rank = _rank_array(ct.ids[regular], ct.ranks)
+    span = int(reg_rank.max(initial=0)) + 1
+    signed = np.where(rises[outer[regular]], reg_rank, -reg_rank)
     walk = regular[np.argsort(_pair_key(outer[regular], signed + span, 2 * span))]
-    sizes = np.bincount(outer[regular], minlength=n)
-    stop = np.cumsum(sizes)
-    arcs = where.of(np.fromiter(ct.arc_inner.keys(), np.int64, len(ct.arc_inner)))
-    return outer, walk, (stop - sizes)[arcs], stop[arcs]
+    walk_start = np.r_[0, np.cumsum(np.bincount(outer[regular], minlength=n))]
+    return dataclasses.replace(ct, outer=outer, walk=walk, walk_start=walk_start)
 
 
 def contour_tree(grid: ScalarGrid, order: VertexOrder) -> ContourTree:
@@ -395,8 +380,8 @@ def tree_from_graph(
     Self-loops are dropped, repeated edges are harmless, and an endpoint
     outside ``verts`` raises ``InternalError``.
     """
-    gid = sorted(verts, key=ranks.__getitem__)
-    n = len(gid)
+    gid = np.array(sorted(verts, key=ranks.__getitem__), dtype=np.int64)
+    n = gid.size
     ends = np.fromiter(itertools.chain.from_iterable(edges), np.int64)
     pairs = _Positions(gid).of(ends).reshape(-1, 2)
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
@@ -415,15 +400,17 @@ def tree_from_graph(
     return relabel(augment(combine(*trees, range(n))), gid, ranks)
 
 
-def relabel(ct: ContourTree, gid: Sequence[int], ranks: Sequence[int]) -> ContourTree:
-    """The same tree with local vertex ids replaced by ``gid[local]``, ranked by ``ranks``."""
-    return ContourTree(
-        verts=[gid[v] for v in ct.verts],
-        ranks=ranks,
-        parent={gid[v]: gid[p] for v, p in ct.parent.items()},
-        root=gid[ct.root],
-        supernodes=sorted(gid[s] for s in ct.supernodes),
-        arc_inner={gid[o]: gid[i] for o, i in ct.arc_inner.items()},
-        superparent={gid[v]: gid[s] for v, s in ct.superparent.items()},
-        arc_regulars={gid[o]: [gid[v] for v in r] for o, r in ct.arc_regulars.items()},
-    )
+def relabel(ct: ContourTree, gid, ranks: Sequence[int]) -> ContourTree:
+    """The same tree with local vertex ids replaced by ``gid[local]``, ranked by ``ranks``.
+
+    Positions stay: one gather of ids, and one sort of the supernodes by them.
+    """
+    ids = np.asarray(gid, dtype=np.int64)[ct.ids]
+    st = ct.superstructure
+    order = np.argsort(ids[st.vertex])
+    place = np.argsort(order)
+    vertex, inner = st.vertex[order], st.inner[order]
+    inner = np.where(inner >= 0, place[inner], -1)
+    rank = _rank_array(ids[vertex], ranks)
+    st = Superstructure(vertex=vertex, inner=inner, rank=rank, root=int(place[st.root]))
+    return dataclasses.replace(ct, ids=ids, ranks=ranks, superstructure=st)

@@ -6,12 +6,16 @@ adjacent vertex and skips those not yet processed;
 ``_from_edges`` + ``augment`` build the rooted tree with an
 adjacency DFS and walk each superarc up from its outer end;
 ``hypersweep`` accumulates a post-order; ``branch_decomposition`` picks
-best arcs per supernode and groups them with union-find.  The array code
-must give equal trees, volumes and branches, down to the order of every
-arc's regular vertices and of the branch list.
+best arcs per supernode and groups them with union-find; ``relabel``
+maps every dict entry; the distributed ``_region`` walks a depth-first
+preorder.  The array code must give equal trees, volumes, branches and
+regions, down to the order of every arc's regular vertices and of the
+branch and record lists.
 """
 
 import contextlib
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -21,11 +25,11 @@ from hypothesis import strategies as st
 from gridtopo import compute_join_tree, compute_split_tree, contour_tree, sos_order
 from gridtopo import measure
 from gridtopo import tree as gtree
-from gridtopo.dist import run_distributed
+from gridtopo.dist import pipeline, run_distributed
 from gridtopo.errors import InternalError
 from gridtopo.measure import Branch, BranchDecomposition, VolumeAnnotation
 from gridtopo.sweep import DisjointSet
-from gridtopo.tree import ContourTree, tree_from_graph
+from gridtopo.tree import tree_from_graph
 
 from conftest import grid_1d, make_grid, random_grid
 from test_tree import combine_calls  # noqa: F401  (fixture)
@@ -56,6 +60,24 @@ def ref_sweep(seq, neighbors, n):
         extreme[root] = v
         processed[v] = True
     return arc_to, v
+
+
+@dataclass
+class RefTree:
+    """The reference tree: the fields ``ContourTree`` serves, as plain dicts and lists."""
+
+    verts: list
+    ranks: object
+    parent: dict
+    root: int
+    supernodes: list
+    arc_inner: dict
+    superparent: dict = field(default_factory=dict)
+    arc_regulars: dict = field(default_factory=dict)
+
+    @property
+    def n(self):
+        return len(self.verts)
 
 
 def ref_from_edges(verts, ranks, edges):
@@ -91,7 +113,7 @@ def ref_from_edges(verts, ranks, edges):
         while cur not in superset:
             cur = parent[cur]
         arc_inner[s] = cur
-    return ContourTree(
+    return RefTree(
         verts=list(verts), ranks=ranks, parent=parent, root=root,
         supernodes=supernodes, arc_inner=arc_inner,
     )
@@ -204,6 +226,90 @@ def ref_branch_decomposition(ct, ann):
             b.parent_index = p
             b.parent_saddle = None if branches[p].is_trunk else branches[p].saddle
     return BranchDecomposition(branches)
+
+
+def ref_relabel(ct, gid, ranks):
+    return RefTree(
+        verts=[gid[v] for v in ct.verts],
+        ranks=ranks,
+        parent={gid[v]: gid[p] for v, p in ct.parent.items()},
+        root=gid[ct.root],
+        supernodes=sorted(gid[s] for s in ct.supernodes),
+        arc_inner={gid[o]: gid[i] for o, i in ct.arc_inner.items()},
+        superparent={gid[v]: gid[s] for v, s in ct.superparent.items()},
+        arc_regulars={gid[o]: [gid[v] for v in r] for o, r in ct.arc_regulars.items()},
+    )
+
+
+def ref_region(rank, extent, values, ct, boundary, mass_at):
+    """The Steiner tree and hanging records by one preorder walk with per-vertex dicts."""
+    parent = dict(ct.parent)
+    kids = {v: [] for v in ct.verts}
+    for v, p in parent.items():
+        kids[p].append(v)
+    pre = []
+    stack = [ct.root]
+    while stack:
+        v = stack.pop()
+        pre.append(v)
+        stack.extend(kids[v])
+    pos = {v: i for i, v in enumerate(pre)}
+    marks = boundary or {ct.root}
+    size = dict.fromkeys(pre, 1)
+    below = {v: int(v in marks) for v in pre}
+    busy = dict.fromkeys(pre, 0)
+    for v in reversed(pre):
+        p = parent.get(v)
+        if p is not None:
+            size[p] += size[v]
+            below[p] += below[v]
+            busy[p] += below[v] > 0
+    total = below[ct.root]
+    top = ct.root
+    while top not in marks and busy[top] == 1:
+        top = next(c for c in kids[top] if below[c])
+    kept = [
+        v
+        for v in pre[pos[top] : pos[top] + size[top]]
+        if v in marks or 0 < below[v] < total or busy[v] >= 2
+    ]
+    kept_set = set(kept)
+    hanging = []
+    for v in kept:
+        for c in kids[v]:
+            if not below[c]:
+                hanging.append((v, c, pre[pos[c] : pos[c] + size[c]]))
+    if top != ct.root:
+        hanging.append((top, parent[top], pre[: pos[top]] + pre[pos[top] + size[top] :]))
+    turned = {}
+    v = top
+    while v != ct.root:
+        turned[parent[v]] = v
+        v = parent[v]
+    records = []
+    new_mass = {v: m for v, m in mass_at.items() if v in kept_set}
+    for attach, head, verts in hanging:
+        edges = [(head, attach)] + [
+            (u, p)
+            for u in verts
+            if (p := turned.get(u, parent.get(u))) is not None and p != attach
+        ]
+        weight = len(verts) + sum(mass_at.get(u, 0) for u in verts)
+        records.append(pipeline.Record(attach, sorted(verts), edges, weight, rank))
+        new_mass[attach] = new_mass.get(attach, 0) + weight
+    records.sort(key=lambda r: r.verts[0])
+    return pipeline.RegionState(
+        rank=rank,
+        extent=extent,
+        num_vertices=math.prod(extent.shape),
+        values=values,
+        local_tree=ct,
+        boundary=set(boundary),
+        kept_verts=kept_set,
+        kept_edges=[(v, parent[v]) for v in kept if v != top],
+        records=records,
+        mass_at=new_mass,
+    )
 
 
 # --- comparisons -------------------------------------------------------------
@@ -421,6 +527,77 @@ def test_random_small_grid_sweeps_match_reference(dims, levels, seed):
     n = dims[0] * dims[1] * dims[2]
     values = np.random.default_rng(seed).integers(0, levels, n)
     check_grid_sweeps(make_grid(dims, values))
+
+
+# --- distributed regions and relabelling -------------------------------------
+
+
+def assert_same_region(got, want):
+    assert got.kept_verts == want.kept_verts
+    assert set(got.kept_edges) == set(want.kept_edges)
+    assert len(got.kept_edges) == len(want.kept_edges)
+    assert got.mass_at == want.mass_at
+    assert got.boundary == want.boundary
+    assert (got.rank, got.extent, got.num_vertices) == (want.rank, want.extent, want.num_vertices)
+    assert len(got.records) == len(want.records)
+    for g, w in zip(got.records, want.records):
+        assert (g.attach, g.verts, g.measure, g.rank) == (w.attach, w.verts, w.measure, w.rank)
+        assert g.edges[0] == w.edges[0]
+        assert set(g.edges) == set(w.edges) and len(g.edges) == len(w.edges)
+
+
+def assert_same_relabel(got, want):
+    assert got.verts == want.verts
+    assert got.root == want.root
+    assert list(got.parent.items()) == list(want.parent.items())
+    assert got.supernodes == want.supernodes
+    assert got.arc_inner == want.arc_inner
+    assert list(got.arc_inner) == sorted(want.arc_inner)
+    assert list(got.superparent.items()) == list(want.superparent.items())
+    assert got.arc_regulars == want.arc_regulars
+
+
+REGION_RUNS = {
+    "1d-blocks": (random_grid((31, 1, 1), 2), (3, 1, 1)),
+    "2d-8-blocks": (random_grid((12, 10, 1), 7), (4, 2, 1)),
+    "3d-4-blocks": (random_grid((10, 10, 4), 5), (2, 2, 1)),
+    "3d-27-blocks": (random_grid((9, 9, 9), 1), (3, 3, 3)),
+    "constant": (make_grid((6, 6, 6), np.zeros(216)), (2, 2, 2)),
+    "tied": (make_grid((8, 6, 4), np.random.default_rng(6).integers(0, 3, 192)), (2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(REGION_RUNS))
+def test_regions_and_relabels_match_reference(name, monkeypatch):
+    """Every region split and relabel of a run, local phase and each fan-in level."""
+    grid, splits = REGION_RUNS[name]
+    real_region, real_relabel = pipeline._region, gtree.relabel
+    seen = {"regions": 0, "with_mass": 0, "relabels": 0}
+
+    def checked_region(rank, extent, values, ct, boundary, mass_at):
+        got = real_region(rank, extent, values, ct, boundary, mass_at)
+        assert_same_region(got, ref_region(rank, extent, values, ct, boundary, mass_at))
+        seen["regions"] += 1
+        seen["with_mass"] += bool(mass_at)
+        return got
+
+    def checked_relabel(ct, gid, ranks):
+        got = real_relabel(ct, gid, ranks)
+        assert_same_relabel(got, ref_relabel(ct, np.asarray(gid).tolist(), ranks))
+        seen["relabels"] += 1
+        return got
+
+    monkeypatch.setattr(pipeline, "_region", checked_region)
+    monkeypatch.setattr(pipeline, "relabel", checked_relabel)
+    monkeypatch.setattr(gtree, "relabel", checked_relabel)
+    run_distributed(grid, sos_order(grid), splits, lam=0, b=10)
+    blocks = math.prod(splits)
+    # One region per block, then one per merge; every block and merge relabels.
+    assert seen["regions"] == seen["relabels"] == 2 * blocks - 1
+    # A 1D block's contour tree is its own path and a constant field is a
+    # ramp in vertex order: neither cuts records, so no mass is carried.
+    if name not in ("1d-blocks", "constant"):
+        assert seen["with_mass"] > 0
 
 
 # --- malformed edge lists ----------------------------------------------------

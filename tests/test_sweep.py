@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtopo import compute_join_tree, compute_split_tree, sos_order
+from gridtopo import compute_join_tree, compute_split_tree, contour_tree, sos_order
 from gridtopo.grid import _ALL_OFFSETS
 from gridtopo.sweep import link_representatives, sweep
+from gridtopo.tree import tree_from_graph
 
 from conftest import (
     grid_1d,
@@ -306,6 +307,62 @@ def test_arc_view_is_read_only():
     with pytest.raises(ValueError):
         join.arcs[1] = 0
     assert join.arc_to[1] == 2
+
+
+# Values 0, 5, 4, 3, 6, 1 on a path: vertex 2 is the one regular vertex,
+# on the superarc from the maximum 1 down to the minimum 3; 4 is the root.
+VIEW_VALUES = [0, 5, 4, 3, 6, 1]
+VIEW_FIELDS = {
+    "parent": {0: 1, 1: 2, 2: 3, 3: 4, 5: 4},
+    "arc_inner": {0: 1, 1: 3, 3: 4, 5: 4},
+    "superparent": {0: 0, 1: 1, 2: 1, 3: 3, 4: 4, 5: 5},
+    "arc_regulars": {0: [], 1: [2], 3: [], 5: []},
+}
+
+
+def view_tree(sparse):
+    """The path's contour tree over ids 0..5, or over sparse ids from a graph."""
+    if not sparse:
+        grid = grid_1d(VIEW_VALUES)
+        return list(range(6)), contour_tree(grid, sos_order(grid))
+    gid = [2, 5, 7, 11, 13, 17]
+    ranks = [0] * 18
+    for v, r in zip(gid, [0, 4, 3, 2, 5, 1]):
+        ranks[v] = r
+    return gid, tree_from_graph(gid[::-1], ranks, list(zip(gid, gid[1:])))
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense-ids", "sparse-ids"])
+@pytest.mark.parametrize("name", list(VIEW_FIELDS))
+def test_contour_tree_views_read_like_dicts(name, sparse):
+    gid, ct = view_tree(sparse)
+    view = getattr(ct, name)
+    want = {
+        gid[k]: [gid[x] for x in v] if isinstance(v, list) else gid[v]
+        for k, v in VIEW_FIELDS[name].items()
+    }
+    assert view == want and want == view
+    assert dict(view) == want and len(view) == len(want)
+    assert view != {**want, gid[0]: None} and {**want, gid[0]: None} != view
+    assert view[np.int64(gid[1])] == want[gid[1]]
+    if name == "arc_inner":
+        assert list(view) == sorted(want)
+    missing = [-1, -5, 99, "1", 1.5, None, gid[-1] + 1]
+    if sparse:
+        missing.append(3)  # inside the id range, not a vertex
+    if name != "superparent":
+        missing.append(ct.root)
+    if name.startswith("arc_"):
+        missing.append(gid[2])  # a regular vertex
+    for key in missing:
+        with pytest.raises(KeyError):
+            view[key]
+        assert key not in view and view.get(key) is None
+    with pytest.raises(TypeError):
+        view[gid[0]] = 1
+    with pytest.raises(TypeError):
+        del view[gid[0]]
+    assert view == want
 
 
 @pytest.mark.parametrize("dims", REDUCED_INPUT_DIMS)
