@@ -46,6 +46,28 @@ def test_single_vertex_grid():
     assert ct.superparent == {0: 0}
 
 
+def test_arc_degrees_zigzag():
+    grid = grid_1d([0, 5, 4, 3, 6, 1])
+    up, down = contour_tree(grid, sos_order(grid)).arc_degrees()
+    assert up == {0: 1, 1: 0, 3: 2, 4: 0, 5: 1}
+    assert down == {0: 0, 1: 2, 3: 0, 4: 2, 5: 0}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_arc_degrees_count_each_arc_at_both_ends(seed):
+    grid = random_grid((5, 4, 3), seed)
+    ct = contour_tree(grid, sos_order(grid))
+    want_up = dict.fromkeys(ct.supernodes, 0)
+    want_down = dict.fromkeys(ct.supernodes, 0)
+    for outer, inner in ct.arc_inner.items():
+        lo, hi = sorted((outer, inner), key=ct.ranks.__getitem__)
+        want_up[lo] += 1
+        want_down[hi] += 1
+    up, down = ct.arc_degrees()
+    assert (up, down) == (want_up, want_down)
+    assert list(up) == list(down) == ct.supernodes
+
+
 @pytest.mark.parametrize("seed", range(40))
 @pytest.mark.parametrize("dims", [(6, 6, 1), (4, 4, 4)])
 def test_census_equivalence(dims, seed):
