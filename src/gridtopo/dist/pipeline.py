@@ -592,6 +592,7 @@ def run_distributed(
         raise UsageError(f"rank execution must be 'sequential' or 'concurrent', not {mode!r}")
     if lam < 0:
         raise UsageError(f"lambda must be non-negative, got {lam}")
+    measure.check_selection(b, threshold)
     decomp = decompose(grid, blocks)
     log = CommLog(decomp.num_blocks)
     transport = Transport(decomp.num_blocks)

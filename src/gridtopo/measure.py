@@ -317,6 +317,14 @@ def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomp
     return BranchDecomposition(branches=branches)
 
 
+def check_selection(b: int | None, threshold: float | None) -> None:
+    """Raise ``UsageError`` unless ``b`` (at least 1) or ``threshold`` is given."""
+    if b is None and threshold is None:
+        raise UsageError("either b or threshold must be given")
+    if b is not None and b < 1:
+        raise UsageError("branch count must be at least 1")
+
+
 def select_top_branches(
     bd: BranchDecomposition,
     ranks: Sequence[int],
@@ -329,12 +337,9 @@ def select_top_branches(
     branch.  The trunk sorts first (it carries the full domain volume)
     and counts toward ``b``.
     """
-    if b is None and threshold is None:
-        raise UsageError("either b or threshold must be given")
+    check_selection(b, threshold)
     ordered = bd.sorted_branches(ranks)
     if b is not None:
-        if b < 1:
-            raise UsageError("branch count must be at least 1")
         selected = ordered[:b]
     else:
         selected = [x for x in ordered if x.volume > threshold]

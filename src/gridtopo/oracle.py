@@ -158,9 +158,6 @@ def brute_subtree_volume(ct: ContourTree, arc_outer: int) -> int:
             if w not in component:
                 component.add(w)
                 stack.append(w)
-    total = 0
-    for v in ct.verts:
-        sp = ct.superparent[v]
-        if sp in component:
-            total += 1
-    return total
+    inside = np.zeros(ct.n, dtype=bool)
+    inside[ct.superstructure.vertex] = [s in component for s in ct.supernodes]
+    return int(np.count_nonzero(inside[ct.outer]))

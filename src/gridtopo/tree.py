@@ -1,23 +1,33 @@
 """Contour tree assembly from join and split trees.
 
-``combine`` runs the classic serial leaf transfer over the fully
-augmented merge trees; the result is contracted to a superstructure
-whose superarcs are indexed by their outer-end supernode (the end
-farther from the root, which is the highest-ranked supernode).
+``combine`` merges the two trees on their critical vertices only: those
+whose join-child or split-child count is not 1, which are exactly the
+contour tree's supernodes.  Each merge tree is contracted onto them by
+pointer jumping up its chains of single-child vertices, the classic
+serial leaf transfer runs on that contracted pair (Carr, Snoeyink &
+Axen, Computational Geometry 2003), and every regular vertex is then
+placed on its superarc.  A regular vertex w lies on the tree path from
+the first critical vertex up its chain of single join children to the
+first one down its chain of single split children; ranks along that
+path stay above w's rank until w's own superarc and below it after, so
+binary lifting over the superarcs finds the arc where they cross.  The
+superstructure is indexed by each superarc's outer-end supernode (the
+end farther from the root, which is the highest-ranked supernode).
 ``augment`` assigns every regular vertex to its superarc.
 
-Only the leaf-transfer queue is a Python loop.  Everything around it
-runs as numpy passes over vertex positions (the index of a vertex in
-``verts``; ids may be sparse and are mapped through one lookup table):
-``_from_edges`` re-roots the edge list at the highest-ranked vertex,
-counts degrees with ``bincount`` and finds each supernode's inner end
-by pointer jumping up regular chains; ``augment`` jumps down them to
-the outer end and orders each superarc's regular vertices with one
-sort on (superarc, signed rank) (Carr, Rübel, Weber & Ahrens, IEEE
-TVCG 2021).  Those int64 arrays are the whole state of a tree.  Its
-``parent``, ``arc_inner``, ``superparent`` and ``arc_regulars`` fields
-are read-only mapping views of them (``sweep.ArcView``), and ``verts``
-and ``supernodes`` are lists built on first use.
+Only the leaf-transfer queue is a Python loop, over the critical
+vertices.  Everything around it runs as numpy passes over vertex
+positions (the index of a vertex in ``verts``; ids may be sparse and are
+mapped through one lookup table): ``_from_edges`` re-roots an edge list
+at the highest-ranked vertex, counts degrees with ``bincount`` and finds
+each supernode's inner end by pointer jumping up regular chains;
+``augment`` jumps down them to the outer end; ``combine`` and ``augment``
+order each superarc's regular vertices with one sort on (superarc,
+signed rank) (Carr, Rübel, Weber & Ahrens, IEEE TVCG 2021).  Those int64
+arrays are the whole state of a tree.  Its ``parent``, ``arc_inner``,
+``superparent`` and ``arc_regulars`` fields are read-only mapping views
+of them (``sweep.ArcView``), and ``verts`` and ``supernodes`` are lists
+built on first use.
 """
 
 from __future__ import annotations
@@ -161,34 +171,114 @@ class ContourTree:
 
 
 def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourTree:
-    """Merge the two trees by repeated leaf transfer.
+    """Merge the two trees by leaf transfer on their critical vertices.
 
-    A vertex transfers as an upper leaf when it has no join children and
-    exactly one split child (mirror condition for lower leaves); its
-    merge-tree arc becomes a contour tree edge and the vertex is deleted
-    from both trees.  The resulting edge set is unique, so any valid
-    processing order yields the same tree.
+    The critical set C holds every vertex whose join-child or split-child
+    count is not 1; both roots are in it, as the minimum has no split
+    children and the maximum no join children.  Those counts are the up-
+    and down-degrees in the contour tree, so C is its supernode set.  Each
+    merge tree is contracted onto C (its chains of single-child vertices
+    become one arc), and the leaf transfer runs on the contracted pair:
+    a vertex transfers as an upper leaf when it has no join children and
+    exactly one split child (mirror condition for lower leaves); its arc
+    becomes a superarc and the vertex is deleted from both trees.  The
+    resulting arc set is unique, so any valid processing order yields
+    the same tree (Carr, Snoeyink & Axen, Computational Geometry 2003).
 
-    Each tree's state is three lists over the dense ids: parent (-1 for
-    none), child count and the sum of child ids, which names the child
-    of a vertex that has exactly one.  They are built with numpy; the
-    queue loop then runs on the lists.
+    A regular vertex w is then placed on its superarc.  JU(w), the first
+    critical vertex up w's chain of single join children, lies in the
+    component of the superlevel set above w that w's upward arc enters;
+    SD(w), down its chain of single split children, lies in the sublevel
+    component below.  So the tree path from JU(w) to SD(w) runs through
+    w, ranks above w before it and below w after it: among superarcs, it
+    crosses w's rank exactly once, on w's own superarc.  Binary lifting
+    climbs from JU(w) while ancestors rank above w and from SD(w) while
+    they rank below; the deeper stopping node is the outer end of that
+    arc.  One sort on (superarc, signed rank) then links each arc's
+    regular vertices in order.
     """
     if join.n != split.n:
         raise UsageError("join and split trees cover different vertex sets")
     n = join.n
     if n == 0:
         raise UsageError("empty vertex set")
+    j_count, j_sum = _child_state(join.arcs)
+    s_count, s_sum = _child_state(split.arcs)
+    crit = (j_count != 1) | (s_count != 1)
+    crit_ids = np.flatnonzero(crit)
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[crit_ids] = np.arange(crit_ids.size)
+    ju, j_tree = _contract(join.arcs, j_count, j_sum, crit_ids, slot)
+    sd, s_tree = _contract(split.arcs, s_count, s_sum, crit_ids, slot)
+    child, parent = _leaf_transfer(crit_ids.size, j_tree, s_tree)
+    st = _from_pairs(_Positions(crit_ids), ranks, child, parent).superstructure
+    if st.vertex.size != crit_ids.size:
+        raise InternalError("a critical vertex is regular in the contracted tree")
 
-    def state(mt: MergeTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        (src,) = np.nonzero(mt.arcs >= 0)
-        dst = mt.arcs[src]
-        # Float sums of ids are exact: they stay far below 2**53.
-        total = np.bincount(dst, weights=src, minlength=n).astype(np.int64)
-        return mt.arcs, np.bincount(dst, minlength=n), total
+    up = np.empty(n, dtype=np.int64)
+    up[crit_ids] = np.where(st.inner >= 0, crit_ids[st.inner], -1)
+    regular = np.flatnonzero(~crit)
+    if regular.size:
+        rank = _rank_array(regular, ranks)
+        outer = _lift(st, ju[regular], sd[regular], rank)
+        lo, hi = st.rank[outer], st.rank[st.inner[outer]]
+        if ((rank < np.minimum(lo, hi)) | (rank > np.maximum(lo, hi))).any():
+            raise InternalError("regular vertex outside its superarc's rank range")
+        order = _walk_order(outer, rank, hi > lo)
+        walk, arc = regular[order], outer[order]
+        # Each arc's walk runs from its outer end inward: the outer end
+        # points at its first vertex, and its last points at the inner end.
+        breaks = np.flatnonzero(arc[1:] != arc[:-1])
+        last = np.zeros(walk.size, dtype=bool)
+        last[breaks] = last[-1] = True
+        up[walk] = np.where(last, crit_ids[st.inner[arc]], np.roll(walk, -1))
+        heads = np.r_[0, breaks + 1]
+        up[crit_ids[arc[heads]]] = walk[heads]
+    st = dataclasses.replace(st, vertex=crit_ids)
+    return ContourTree(ids=np.arange(n), ranks=ranks, up=up, superstructure=st)
 
-    j_parent, j_count, j_sum = state(join)
-    s_parent, s_count, s_sum = state(split)
+
+def _child_state(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Child count and sum of child ids per vertex of a parent array (-1 at roots).
+
+    The sum names the child of a vertex that has exactly one.
+    """
+    (src,) = np.nonzero(arcs >= 0)
+    dst = arcs[src]
+    # Float sums of ids are exact: they stay far below 2**53.
+    total = np.bincount(dst, weights=src, minlength=arcs.size).astype(np.int64)
+    return np.bincount(dst, minlength=arcs.size), total
+
+
+def _contract(
+    arcs: np.ndarray, count: np.ndarray, total: np.ndarray, crit_ids: np.ndarray, slot: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A merge tree contracted onto its critical vertices ``crit_ids`` (``slot`` numbers them).
+
+    ``count`` and ``total`` are ``_child_state(arcs)``.  Returns the slot
+    of each vertex's first critical vertex up its chain of single
+    children (its own if critical), and the contracted tree over slots as
+    (parent, child count, child-slot sum) arrays.
+    """
+    crit = slot >= 0
+    # A regular vertex has exactly one child, named by ``total``.
+    top = _chain_ends(np.where(crit, np.arange(arcs.size), total))
+    # The bottom vertex of each chain carries the arc to the next critical one.
+    (tail,) = np.nonzero((arcs >= 0) & crit[arcs])
+    parent = np.full(crit_ids.size, -1, dtype=np.int64)
+    parent[slot[top[tail]]] = slot[arcs[tail]]
+    return slot[top], (parent, count[crit_ids], _child_state(parent)[1])
+
+
+def _leaf_transfer(n: int, join, split) -> tuple[np.ndarray, np.ndarray]:
+    """The leaf-transfer queue over vertices 0..n-1 of a join and a split tree.
+
+    Each tree is given as (parent, child count, child-id sum) arrays.
+    Returns the n - 1 contour tree edges as (child, parent) arrays: each
+    transferred vertex and its parent in the tree it was a leaf of.  The
+    queue loop runs on lists.
+    """
+    (j_parent, j_count, j_sum), (s_parent, s_count, s_sum) = join, split
     ready = ((j_count == 0) & (s_count == 1)) | ((s_count == 0) & (j_count == 1))
     # A vertex is queued at most once at a time and leaves the trees only
     # when popped, so every queued vertex is alive and so is its parent.
@@ -200,8 +290,9 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
     def ready_now(v: int) -> bool:
         return (j_count[v] == 0 and s_count[v] == 1) or (s_count[v] == 0 and j_count[v] == 1)
 
-    edges: list[tuple[int, int]] = []
-    while len(edges) < n - 1:
+    child: list[int] = []
+    parent: list[int] = []
+    while len(child) < n - 1:
         if not queue:
             raise InternalError("leaf transfer stalled with vertices remaining")
         v = queue.popleft()
@@ -219,17 +310,63 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
         leaf_count[other] -= 1
         leaf_sum[other] -= v
         # Splice v out of the other tree: its one child takes its parent.
-        child = reg_sum[v]
-        up = reg_parent[v]
-        reg_parent[child] = up
-        if up != -1:
-            reg_sum[up] += child - v
-        edges.append((v, other))
+        below = reg_sum[v]
+        above = reg_parent[v]
+        reg_parent[below] = above
+        if above != -1:
+            reg_sum[above] += below - v
+        child.append(v)
+        parent.append(other)
         if not queued[other] and ready_now(other):
             queue.append(other)
             queued[other] = 1
+    return np.array(child, dtype=np.int64), np.array(parent, dtype=np.int64)
 
-    return _from_edges(range(n), ranks, edges)
+
+def _lift(st: Superstructure, ju: np.ndarray, sd: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Outer end of the superarc where the path from ``ju`` to ``sd`` crosses ``rank``.
+
+    ``ju`` and ``sd`` are supernode positions ranked above and below each
+    entry of ``rank``, and ranks along the path fall below it once.  Binary
+    lifting over tables of the least and greatest rank among each
+    supernode's 2**l nearest ancestors climbs from ``ju`` while ancestors
+    rank above and from ``sd`` while they rank below; the deeper of the
+    two stops is the crossing arc's outer end.  The tables are int32 with
+    one row per bit of the tree's depth.
+    """
+    dt = np.int32 if int(st.rank.max()) <= np.iinfo(np.int32).max else np.int64
+    has = st.inner >= 0
+    # The root is its own parent, so a climb past it stays there.
+    step = np.where(has, st.inner, st.root).astype(dt)
+    depth = has.astype(dt)
+    hop = step
+    while (hop != st.root).any():
+        depth += depth[hop]
+        hop = hop[hop]
+    levels = int(depth.max()).bit_length()
+    anc, lo, hi = [step], [st.rank[step].astype(dt)], [st.rank[step].astype(dt)]
+    for _ in range(1, levels):
+        a = anc[-1]
+        anc.append(a[a])
+        lo.append(np.minimum(lo[-1], lo[-1][a]))
+        hi.append(np.maximum(hi[-1], hi[-1][a]))
+    x, y = ju.astype(dt), sd.astype(dt)
+    for lv in reversed(range(levels)):
+        x = np.where(lo[lv][x] > rank, anc[lv][x], x)
+        y = np.where(hi[lv][y] < rank, anc[lv][y], y)
+    return np.where(depth[x] > depth[y], x, y).astype(np.int64)
+
+
+def _walk_order(arc: np.ndarray, rank: np.ndarray, rises: np.ndarray) -> np.ndarray:
+    """Order grouping regular vertices by superarc, each arc from its outer end inward.
+
+    ``arc`` names each vertex's superarc, ``rank`` its rank and ``rises``
+    whether that arc rises from its outer end.  Ranks are monotone along
+    a superarc, so one sort on (superarc, signed rank) gives the order.
+    """
+    span = int(rank.max(initial=0)) + 1
+    signed = np.where(rises, rank, -rank)
+    return np.argsort(_pair_key(arc, signed + span, 2 * span))
 
 
 class _Positions:
@@ -240,6 +377,7 @@ class _Positions:
     """
 
     def __init__(self, ids: np.ndarray):
+        self.ids = ids
         n = ids.size
         if ids.min(initial=0) < 0:
             raise InternalError("vertex ids must be non-negative")
@@ -286,10 +424,16 @@ def _from_edges(
     n = len(verts)
     if n == 0 or len(edges) != n - 1:
         raise InternalError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
-    ids = np.fromiter(verts, np.int64, n)
-    where = _Positions(ids)
+    where = _Positions(np.fromiter(verts, np.int64, n))
     pairs = where.of(np.fromiter(itertools.chain.from_iterable(edges), np.int64, 2 * n - 2))
-    child, par = pairs[0::2], pairs[1::2]
+    return _from_pairs(where, ranks, pairs[0::2], pairs[1::2])
+
+
+def _from_pairs(
+    where: _Positions, ranks: Sequence[int], child: np.ndarray, par: np.ndarray
+) -> ContourTree:
+    """``_from_edges`` for n - 1 edges given as position arrays over ``where.ids``."""
+    ids, n = where.ids, where.ids.size
     if (np.bincount(child, minlength=n) > 1).any():
         raise InternalError("contour tree vertex with two parents")
     parent = np.full(n, -1, dtype=np.int64)
@@ -353,11 +497,9 @@ def augment(ct: ContourTree) -> ContourTree:
     rises = np.zeros(n, dtype=bool)
     rises[st.vertex[arcs]] = st.rank[st.inner[arcs]] > st.rank[arcs]
     regular = np.flatnonzero(~is_super)
-    reg_rank = _rank_array(ct.ids[regular], ct.ranks)
-    span = int(reg_rank.max(initial=0)) + 1
-    signed = np.where(rises[outer[regular]], reg_rank, -reg_rank)
-    walk = regular[np.argsort(_pair_key(outer[regular], signed + span, 2 * span))]
-    walk_start = np.r_[0, np.cumsum(np.bincount(outer[regular], minlength=n))]
+    arc = outer[regular]
+    walk = regular[_walk_order(arc, _rank_array(ct.ids[regular], ct.ranks), rises[arc])]
+    walk_start = np.r_[0, np.cumsum(np.bincount(arc, minlength=n))]
     return dataclasses.replace(ct, outer=outer, walk=walk, walk_start=walk_start)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from gridtopo import (
     ScalarGrid,
@@ -12,6 +13,7 @@ from gridtopo import (
     sos_order,
     superarc_counts,
 )
+from gridtopo import tree as gtree
 
 
 def make_grid(dims, values):
@@ -26,6 +28,20 @@ def random_grid(dims, seed):
     rng = np.random.default_rng(seed)
     n = dims[0] * dims[1] * dims[2]
     return make_grid(dims, rng.integers(0, max(4, n // 2), size=n))
+
+
+@pytest.fixture
+def combine_calls(monkeypatch):
+    """Record each ``tree.combine``'s merge trees and the tree it returns."""
+    calls = []
+    real = gtree.combine
+
+    def recording(join, split, ranks):
+        calls.append({"join": join, "split": split, "tree": real(join, split, ranks)})
+        return calls[-1]["tree"]
+
+    monkeypatch.setattr(gtree, "combine", recording)
+    return calls
 
 
 def serial_pipeline(grid):

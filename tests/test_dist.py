@@ -447,6 +447,18 @@ def test_select_top_branches_distributed_b_zero():
         select_top_branches_distributed(result.bd, result.augmented_tree.ranks, 0, 0)
 
 
+@pytest.mark.parametrize("b,threshold", [(None, None), (0, None), (-1, 5.0)])
+def test_run_distributed_checks_selection_before_local_phase(b, threshold, monkeypatch):
+    from gridtopo.dist import pipeline
+
+    calls = []
+    monkeypatch.setattr(pipeline, "local_phase", lambda *args: calls.append(args))
+    grid = random_grid((6, 6, 1), 0)
+    with pytest.raises(UsageError):
+        run_distributed(grid, sos_order(grid), (2, 1, 1), lam=0, b=b, threshold=threshold)
+    assert calls == []
+
+
 # --- comm log, transport, determinism ---------------------------------------
 
 

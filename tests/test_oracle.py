@@ -3,6 +3,7 @@ import pytest
 from gridtopo import contour_tree, sos_order
 from gridtopo.errors import UsageError
 from gridtopo.oracle import brute_subtree_volume, count_contours, level_set_census
+from gridtopo.tree import tree_from_graph
 
 from conftest import grid_1d, random_grid
 
@@ -81,3 +82,38 @@ def test_brute_volume_complement():
     for outer, inner in ct.arc_inner.items():
         outer_side = brute_subtree_volume(ct, outer)
         assert 0 < outer_side < grid.n
+
+
+def per_vertex_volume(ct, arc_outer):
+    """Vertices whose superparent is on the outer side of ``arc_outer``, one by one."""
+    inner = ct.arc_inner[arc_outer]
+    side, stack = {arc_outer}, [arc_outer]
+    while stack:
+        v = stack.pop()
+        for o, i in ct.arc_inner.items():
+            if (o, i) == (arc_outer, inner):
+                continue
+            for w in ((i,) if o == v else (o,) if i == v else ()):
+                if w not in side:
+                    side.add(w)
+                    stack.append(w)
+    return sum(ct.superparent[v] in side for v in ct.verts)
+
+
+def sparse_id_tree():
+    ranks = [0] * 121
+    for r, v in enumerate([10, 40, 41, 120, 17, 3, 99]):
+        ranks[v] = r
+    edges = [(3, 10), (10, 17), (10, 40), (40, 41), (41, 99), (41, 120)]
+    return tree_from_graph([3, 10, 17, 40, 41, 99, 120], ranks, edges)
+
+
+@pytest.mark.parametrize(
+    "ct",
+    [contour_tree(random_grid((5, 4, 3), 1), sos_order(random_grid((5, 4, 3), 1))),
+     sparse_id_tree()],
+    ids=["grid", "sparse-ids"],
+)
+def test_brute_volume_matches_per_vertex_count(ct):
+    for outer in ct.arc_inner:
+        assert brute_subtree_volume(ct, outer) == per_vertex_volume(ct, outer)

@@ -2,7 +2,8 @@
 
 The references below are the per-vertex dict walks the array passes
 replaced: the merge-tree sweep runs a ``DisjointSet`` over every
-adjacent vertex and skips those not yet processed;
+adjacent vertex and skips those not yet processed; ``combine`` runs
+the leaf transfer over every vertex, not only the critical ones;
 ``_from_edges`` + ``augment`` build the rooted tree with an
 adjacency DFS and walk each superarc up from its outer end;
 ``hypersweep`` accumulates a post-order; ``branch_decomposition`` picks
@@ -13,8 +14,8 @@ regions, down to the order of every arc's regular vertices and of the
 branch and record lists.
 """
 
-import contextlib
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,6 @@ from gridtopo.sweep import DisjointSet
 from gridtopo.tree import tree_from_graph
 
 from conftest import grid_1d, make_grid, random_grid
-from test_tree import combine_calls  # noqa: F401  (fixture)
 
 # --- references --------------------------------------------------------------
 
@@ -60,6 +60,59 @@ def ref_sweep(seq, neighbors, n):
         extreme[root] = v
         processed[v] = True
     return arc_to, v
+
+
+def ref_vertex_combine(join, split):
+    """Contour tree edges ``(v, other)`` of the leaf transfer over every vertex.
+
+    Each tree's state is three lists over the dense ids: parent (-1 for
+    none), child count and the sum of child ids, which names the child
+    of a vertex that has exactly one.
+    """
+    n = join.n
+
+    def state(mt):
+        (src,) = np.nonzero(mt.arcs >= 0)
+        dst = mt.arcs[src]
+        total = np.bincount(dst, weights=src, minlength=n).astype(np.int64)
+        return mt.arcs, np.bincount(dst, minlength=n), total
+
+    j_parent, j_count, j_sum = state(join)
+    s_parent, s_count, s_sum = state(split)
+    ready = ((j_count == 0) & (s_count == 1)) | ((s_count == 0) & (j_count == 1))
+    queue = deque(np.flatnonzero(ready).tolist())
+    queued = bytearray(ready.tobytes())
+    j_parent, j_count, j_sum = j_parent.tolist(), j_count.tolist(), j_sum.tolist()
+    s_parent, s_count, s_sum = s_parent.tolist(), s_count.tolist(), s_sum.tolist()
+
+    def ready_now(v):
+        return (j_count[v] == 0 and s_count[v] == 1) or (s_count[v] == 0 and j_count[v] == 1)
+
+    edges = []
+    while len(edges) < n - 1:
+        v = queue.popleft()
+        queued[v] = 0
+        if j_count[v] == 0 and s_count[v] == 1:
+            leaf_parent, leaf_count, leaf_sum = j_parent, j_count, j_sum
+            reg_parent, reg_sum = s_parent, s_sum
+        elif s_count[v] == 0 and j_count[v] == 1:
+            leaf_parent, leaf_count, leaf_sum = s_parent, s_count, s_sum
+            reg_parent, reg_sum = j_parent, j_sum
+        else:
+            continue
+        other = leaf_parent[v]
+        leaf_count[other] -= 1
+        leaf_sum[other] -= v
+        child = reg_sum[v]
+        up = reg_parent[v]
+        reg_parent[child] = up
+        if up != -1:
+            reg_sum[up] += child - v
+        edges.append((v, other))
+        if not queued[other] and ready_now(other):
+            queue.append(other)
+            queued[other] = 1
+    return edges
 
 
 @dataclass
@@ -359,35 +412,31 @@ def check_tree_input(verts, ranks, edges):
     return got
 
 
-@contextlib.contextmanager
-def recorded_from_edges():
-    """Record the arguments of every ``tree._from_edges`` call made inside."""
-    calls = []
-    real = gtree._from_edges
+def check_combine(call, ranks):
+    """A recorded ``combine`` against the reference tree of the vertex-level edges.
 
-    def recording(verts, ranks, edges):
-        calls.append((list(verts), ranks, list(edges)))
-        return real(verts, ranks, edges)
-
-    gtree._from_edges = recording
-    try:
-        yield calls
-    finally:
-        gtree._from_edges = real
+    Compares ``up`` and the superstructure, and after ``augment`` every
+    vertex's superarc and every arc's regular vertices in walk order.
+    """
+    join, split = call["join"], call["split"]
+    want = ref_from_edges(range(join.n), ranks, ref_vertex_combine(join, split))
+    # ``augment`` keeps ``up`` and the superstructure, so both are compared here too.
+    got = gtree.augment(call["tree"])
+    assert_same_tree(got, ref_augment(want))
+    return got
 
 
 def check_grid(grid):
     """Tree, volumes and branches of ``grid`` against the references.
 
-    The reference tree is built from the combine's own edge list, in
-    leaf-transfer orientation.
+    The reference tree is built from the vertex-level leaf transfer's
+    edge list, in leaf-transfer orientation.
     """
     order = sos_order(grid)
-    with recorded_from_edges() as calls:
-        ct = contour_tree(grid, order)
-    if grid.n > 1:
-        (call,) = calls
-        assert_same_tree(ct, ref_augment(ref_from_edges(*call)))
+    join, split = compute_join_tree(grid, order), compute_split_tree(grid, order)
+    call = {"join": join, "split": split, "tree": gtree.combine(join, split, order.ranks)}
+    ct = check_combine(call, order.ranks)
+    assert_same_tree(contour_tree(grid, order), ct)
     assert_same_measures(ct, measure.superarc_counts(ct))
 
 
@@ -442,7 +491,7 @@ GRAPHS = {
 @pytest.mark.parametrize("name", list(GRAPHS))
 @pytest.mark.parametrize("seed", range(4))
 def test_graph_sweeps_match_reference(name, seed, combine_calls):
-    """The merge trees ``tree_from_graph`` builds, against the reference sweep.
+    """The merge trees ``tree_from_graph`` builds, and their combine, against the references.
 
     The reference numbers the vertices in rank order and lists every
     adjacent vertex, as the merge did before.
@@ -458,6 +507,7 @@ def test_graph_sweeps_match_reference(name, seed, combine_calls):
         adjacency[local[v]].append(local[u])
     assert_same_merge_tree(call["join"], *ref_sweep(range(n - 1, -1, -1), adjacency.__getitem__, n))
     assert_same_merge_tree(call["split"], *ref_sweep(range(n), adjacency.__getitem__, n))
+    check_combine(call, range(n))
 
 
 @pytest.mark.parametrize(
@@ -466,12 +516,12 @@ def test_graph_sweeps_match_reference(name, seed, combine_calls):
     ids=["star", "path"],
 )
 @pytest.mark.parametrize("seed", range(4))
-def test_graph_matches_reference(edges, n, seed):
+def test_graph_matches_reference(edges, n, seed, combine_calls):
     ranks = np.random.default_rng(seed).permutation(n).tolist()
-    with recorded_from_edges() as calls:
-        ct = tree_from_graph(range(n), ranks, edges)
-    (call,) = calls
-    check_tree_input(*call)
+    ct = tree_from_graph(range(n), ranks, edges)
+    (call,) = combine_calls
+    # The merge combines over local ids numbered in rank order.
+    check_combine(call, range(n))
     assert_same_measures(ct, measure.superarc_counts(ct))
 
 

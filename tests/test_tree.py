@@ -9,6 +9,7 @@ from gridtopo.oracle import level_set_census
 from gridtopo.tree import tree_from_graph
 
 from conftest import grid_1d, local_extrema, make_grid, random_grid
+from test_reference_equivalence import check_combine, ref_vertex_combine
 
 
 def arc_pairs(ct):
@@ -252,25 +253,6 @@ def set_based_leaf_transfer(join, split):
     return edges
 
 
-@pytest.fixture
-def combine_calls(monkeypatch):
-    """Record each combine's merge trees and the edge list it emits."""
-    calls = []
-    real_combine, real_from_edges = gtree.combine, gtree._from_edges
-
-    def recording_combine(join, split, ranks):
-        calls.append({"join": join, "split": split})
-        return real_combine(join, split, ranks)
-
-    def recording_from_edges(verts, ranks, edges):
-        calls[-1]["edges"] = list(edges)
-        return real_from_edges(verts, ranks, edges)
-
-    monkeypatch.setattr(gtree, "combine", recording_combine)
-    monkeypatch.setattr(gtree, "_from_edges", recording_from_edges)
-    return calls
-
-
 @pytest.mark.parametrize(
     "grid",
     [
@@ -281,13 +263,21 @@ def combine_calls(monkeypatch):
         make_grid((4, 4, 4), np.random.default_rng(3).integers(0, 2, 64)),
         grid_1d([3, 1, 4, 1, 5, 9, 2, 6, 5, 3]),
         make_grid((1, 1, 12), np.random.default_rng(4).random(12)),
+        make_grid((1, 1, 1), [2.0]),
+        make_grid((4, 4, 2), np.zeros(32)),
     ],
-    ids=["random-2d", "random-3d", "random-3d-large", "tied", "tied-binary", "1d", "1d-z"],
+    ids=[
+        "random-2d", "random-3d", "random-3d-large", "tied", "tied-binary", "1d", "1d-z",
+        "single", "constant",
+    ],
 )
 def test_array_combine_matches_set_based_edges(grid, combine_calls):
-    contour_tree(grid, sos_order(grid))
+    order = sos_order(grid)
+    contour_tree(grid, order)
     (call,) = combine_calls
-    assert call["edges"] == set_based_leaf_transfer(call["join"], call["split"])
+    edges = ref_vertex_combine(call["join"], call["split"])
+    assert edges == set_based_leaf_transfer(call["join"], call["split"])
+    check_combine(call, order.ranks)
 
 
 @pytest.mark.parametrize(
@@ -303,8 +293,10 @@ def test_array_combine_matches_set_based_edges_on_graphs(edges, n, seed, combine
     ranks = np.random.default_rng(seed).permutation(n).tolist()
     tree_from_graph(range(n), ranks, edges)
     (call,) = combine_calls
-    assert len(call["edges"]) == n - 1
-    assert call["edges"] == set_based_leaf_transfer(call["join"], call["split"])
+    edges = ref_vertex_combine(call["join"], call["split"])
+    assert len(edges) == n - 1
+    assert edges == set_based_leaf_transfer(call["join"], call["split"])
+    check_combine(call, range(n))
 
 
 def test_tree_from_graph_rejects_endpoint_outside_verts():
