@@ -13,7 +13,10 @@ All ranks live in one process.  The phases:
    region's boundary.  Cutting off a hanging subtree with no boundary
    vertex keeps superlevel and sublevel connectivity, so the glued tree
    is exact (Morozov & Weber, "Distributed contour trees", 2012).  The
-   last kept tree is the shared *base tree*.
+   last kept tree is the shared *base tree*.  A region's message is its
+   kept tree as numpy arrays, from the local phase to the augmented tree:
+   sorted ids, ``(child, parent)`` edge rows, aligned values, and the
+   carried mass as aligned id and amount arrays (``RegionState``).
 4. **Fan-out.**  Rank 0 sends the base tree to every rank; each rank
    keeps the records it cut, keyed to the base superarc they attach to.
 5. **Augmentation.**  Records whose measure exceeds the threshold lambda
@@ -60,8 +63,8 @@ from ..errors import DataError, UsageError
 from ..grid import ScalarGrid, VertexOrder, sos_order
 from ..measure import Branch, BranchDecomposition, VolumeAnnotation
 from ..sweep import _chain_ends
-from ..tree import ContourTree, _from_edges, _Positions, augment, contour_tree, relabel
-from ..tree import tree_from_graph
+from ..tree import _EMPTY, ContourTree, _from_edges, _Positions, augment, contour_tree
+from ..tree import relabel, tree_from_graph
 
 # --- decomposition ---------------------------------------------------------
 
@@ -90,11 +93,11 @@ class Extent:
         )
         return Extent(lo, tuple(h - l for h, l in zip(hi, lo)))
 
-    def boundary(self, dims: tuple[int, int, int], vids) -> set[int]:
+    def boundary(self, dims: tuple[int, int, int], vids) -> np.ndarray:
         """The ``vids`` lying on a face of the box along an axis of more than one vertex.
 
         These are the vertices on a domain face or shared with a block
-        outside the box.
+        outside the box.  They come back as int64 ids in ``vids`` order.
         """
         v = np.asarray(vids, dtype=np.int64)
         nx, ny, _ = dims
@@ -103,7 +106,7 @@ class Extent:
         for c, d, o, s in zip(coords, dims, self.origin, self.shape):
             if d > 1:
                 on_face |= (c == o) | (c == o + s - 1)
-        return set(v[on_face].tolist())
+        return v[on_face]
 
 
 @dataclass(frozen=True)
@@ -225,12 +228,12 @@ def _map_ranks(fn, items, mode: str) -> list:
 class Record:
     """A subtree cut off a region's contour tree at vertex ``attach``.
 
-    ``edges`` are its vertex-level tree edges as ``(child, parent)``
-    pairs rooted at ``attach``: each of ``verts`` is a child exactly once.
-    The first one is the hanging edge ``(head, attach)``, ``head`` being
-    its vertex next to ``attach``.  ``measure`` counts its vertices plus
-    the mass of earlier records attached inside it.  ``rank`` is the
-    rank that cut it.
+    ``verts`` are its ids in ascending order, ``edges`` its tree edges as
+    ``(child, parent)`` pairs rooted at ``attach``: each of ``verts`` is a
+    child exactly once.  The first one is the hanging edge ``(head,
+    attach)``, ``head`` being its vertex next to ``attach``.  ``measure``
+    counts its vertices plus the mass of earlier records attached inside
+    it.  ``rank`` is the rank that cut it.
     """
 
     attach: int
@@ -240,29 +243,30 @@ class Record:
     rank: int
 
 
-@dataclass
+@dataclass(eq=False)
 class RegionState:
-    """What a rank holds for its region (its block, or a merged box)."""
+    """What a rank holds for its region (its block, or a merged box).
+
+    Its kept tree, the region's fan-in message, is int64 arrays:
+    ``kept_verts`` (ascending ids) and ``kept_edges`` (an (m, 2) array of
+    ``(child, parent)`` rows), with float64 ``values`` aligned with
+    ``kept_verts``.  ``mass[i]`` is the mass of earlier records attached
+    at ``mass_verts[i]`` (ascending ids, only vertices that hold mass).
+    """
 
     rank: int
     extent: Extent
     num_vertices: int
-    values: dict[int, float] = field(repr=False)
-    local_tree: ContourTree = field(repr=False)
-    boundary: set[int] = field(repr=False)
-    kept_verts: set[int] = field(repr=False)
-    kept_edges: list[tuple[int, int]] = field(repr=False)
+    kept_verts: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    kept_edges: np.ndarray = field(repr=False)
+    mass_verts: np.ndarray = field(repr=False)
+    mass: np.ndarray = field(repr=False)
     records: list[Record] = field(repr=False)
-    mass_at: dict[int, int] = field(repr=False)
 
 
 def _region(
-    rank: int,
-    extent: Extent,
-    values: dict[int, float],
-    ct: ContourTree,
-    boundary: set[int],
-    mass_at: dict[int, int],
+    rank: int, extent: Extent, ct: ContourTree, values, boundary, mass_verts, mass
 ) -> RegionState:
     """Split ``ct`` into the boundary's Steiner tree and the records hanging off it.
 
@@ -270,15 +274,16 @@ def _region(
     vertex (the root when there is none): the marked vertices, those
     whose subtree holds some but not all marks, and those where marks
     meet from two child subtrees.  Every other vertex lies in a record,
-    under the record's head next to its attachment.  ``mass_at`` is the
-    mass of earlier records attached at each vertex; it moves into the
-    measure of a new record that swallows the vertex.
+    under the record's head next to its attachment.  ``values`` follow
+    the ids of ``ct`` in ascending order.  ``mass``, the mass of earlier
+    records attached at ``mass_verts`` (ids may repeat), moves into the
+    measure of a new record that swallows its vertex.
     """
     n, up, ids = ct.n, ct.up, ct.ids
     root = int(ct.superstructure.vertex[ct.superstructure.root])
     where = _Positions(ids)
     marks = np.zeros(n, dtype=np.int64)
-    marks[where.of(np.fromiter(boundary, np.int64, len(boundary))) if boundary else root] = 1
+    marks[where.of(boundary) if boundary.size else root] = 1
     below = measure._subtree_sums(up, root, marks)
     child = np.flatnonzero(up >= 0)
     busy = np.bincount(up[child[below[child] > 0]], minlength=n)
@@ -295,14 +300,14 @@ def _region(
     is_head = ~kept & kept[toward]
     head_of = _chain_ends(np.where(kept | is_head, np.arange(n), toward))
 
-    mass = np.zeros(n, dtype=np.int64)
-    mass[where.of(np.fromiter(mass_at, np.int64, len(mass_at)))] = list(mass_at.values())
+    carried = np.zeros(n, dtype=np.int64)
+    np.add.at(carried, where.of(mass_verts), mass)
     hanging = np.flatnonzero(~kept)
     hanging = hanging[np.lexsort((ids[hanging], head_of[hanging]))]
     heads, first = np.unique(head_of[hanging], return_index=True)
     attach = toward[heads]
-    weight = np.add.reduceat(1 + mass[hanging], first)
-    new_mass = np.where(kept, mass, 0)
+    weight = np.add.reduceat(1 + carried[hanging], first)
+    new_mass = np.where(kept, carried, 0)
     np.add.at(new_mass, attach, weight)
 
     verts, parents = ids[hanging].tolist(), ids[toward[hanging]].tolist()
@@ -315,18 +320,19 @@ def _region(
             (u, p) for u, p in zip(verts[lo:hi], parents[lo:hi]) if p != at
         ]
         records.append(Record(at, verts[lo:hi], edges, weight[g], rank))
-    held, inside = np.flatnonzero(new_mass), np.flatnonzero(kept & (up >= 0) & kept[up])
+    by_id = where.table[where.table >= 0]
+    keep, held = by_id[kept[by_id]], by_id[new_mass[by_id] > 0]
+    inside = np.flatnonzero(kept & (up >= 0) & kept[up])
     return RegionState(
         rank=rank,
         extent=extent,
         num_vertices=math.prod(extent.shape),
-        values=values,
-        local_tree=ct,
-        boundary=set(boundary),
-        kept_verts=set(ids[kept].tolist()),
-        kept_edges=list(zip(ids[inside].tolist(), ids[up[inside]].tolist())),
+        kept_verts=ids[keep],
+        values=values[kept[by_id]],
+        kept_edges=np.column_stack((ids[inside], ids[up[inside]])),
+        mass_verts=ids[held],
+        mass=new_mass[held],
         records=records,
-        mass_at=dict(zip(ids[held].tolist(), new_mass[held].tolist())),
     )
 
 
@@ -338,40 +344,31 @@ def local_phase(grid: ScalarGrid, order: VertexOrder, extent: Extent, rank: int)
     box keep their relative order; the tree carries global ids and ranks.
     """
     vids = extent.vids(grid.dims)
-    block_values = grid.values[vids]
-    sub = ScalarGrid(dims=extent.shape, values=block_values)
+    sub = ScalarGrid(dims=extent.shape, values=grid.values[vids])
     ct = relabel(contour_tree(sub, sos_order(sub)), vids, order.ranks)
-    values = dict(zip(vids.tolist(), block_values.tolist()))
-    return _region(rank, extent, values, ct, extent.boundary(grid.dims, vids), {})
+    boundary = extent.boundary(grid.dims, vids)
+    return _region(rank, extent, ct, sub.values, boundary, _EMPTY, _EMPTY)
 
 
 def _merge(a: RegionState, b: RegionState, ranks: Sequence[int], dims) -> RegionState:
     """Glue two regions' kept trees and prune against the merged boundary."""
-    for v in sorted(a.kept_verts & b.kept_verts):
-        if a.values[v] != b.values[v]:
-            raise DataError(
-                f"shared vertex {v} has value {a.values[v]!r} in block region "
-                f"{a.rank} but {b.values[v]!r} in block region {b.rank}"
-            )
-    verts = sorted(a.kept_verts | b.kept_verts)
-    edges = {(min(e), max(e)) for e in a.kept_edges + b.kept_edges}
-    ct = tree_from_graph(verts, ranks, edges)
-    mass_at = dict(a.mass_at)
-    for v, m in b.mass_at.items():
-        mass_at[v] = mass_at.get(v, 0) + m
+    shared, ia, ib = np.intersect1d(
+        a.kept_verts, b.kept_verts, assume_unique=True, return_indices=True
+    )
+    clash = np.flatnonzero(a.values[ia] != b.values[ib])
+    if clash.size:
+        i = clash[0]
+        raise DataError(
+            f"shared vertex {shared[i]} has value {a.values[ia[i]].item()!r} in block "
+            f"region {a.rank} but {b.values[ib[i]].item()!r} in block region {b.rank}"
+        )
+    verts, first = np.unique(np.concatenate((a.kept_verts, b.kept_verts)), return_index=True)
+    ct = tree_from_graph(verts, ranks, np.concatenate((a.kept_edges, b.kept_edges)))
+    values = np.concatenate((a.values, b.values))[first]
+    mass_verts = np.concatenate((a.mass_verts, b.mass_verts))
+    mass = np.concatenate((a.mass, b.mass))
     extent = a.extent.union(b.extent)
-    values = {**a.values, **b.values}
-    return _region(a.rank, extent, values, ct, extent.boundary(dims, verts), mass_at)
-
-
-def _tree_of(verts, edges, ranks: Sequence[int]) -> ContourTree:
-    """The augmented ``ContourTree`` of a vertex-level tree given by its edges.
-
-    A tree is its own contour tree, so no sweep is needed: the
-    superstructure follows from the edges and the ranks alone.  The
-    edges are ``(child, parent)`` pairs of any rooting of the tree.
-    """
-    return augment(_from_edges(sorted(verts), ranks, list(edges)))
+    return _region(a.rank, extent, ct, values, extent.boundary(dims, verts), mass_verts, mass)
 
 
 def fan_in(
@@ -413,7 +410,8 @@ def fan_in(
                 records.extend(region.records)
             stride *= 2
     top = regions[0]
-    return _tree_of(top.kept_verts, top.kept_edges, ranks), records
+    # A tree is its own contour tree: no sweep, only its edges and ranks.
+    return augment(_from_edges(top.kept_verts, ranks, top.kept_edges)), records
 
 
 @dataclass
@@ -466,12 +464,11 @@ def _augment(base: ContourTree, retained: list[Record]) -> ContourTree:
     """The base tree with the retained records put back at their attachments."""
     if not retained:
         return base
-    verts = list(base.verts)
-    edges = list(base.parent.items())
-    for rec in retained:
-        verts.extend(rec.verts)
-        edges.extend(rec.edges)
-    return _tree_of(verts, edges, base.ranks)
+    child = np.flatnonzero(base.up >= 0)
+    base_edges = np.column_stack((base.ids[child], base.ids[base.up[child]]))
+    verts = np.sort(np.concatenate([base.ids, *(rec.verts for rec in retained)]))
+    edges = np.concatenate([base_edges, *(rec.edges for rec in retained)])
+    return augment(_from_edges(verts, base.ranks, edges))
 
 
 def _volumes(ct: ContourTree, n: int, pruned: list[Record]) -> VolumeAnnotation:

@@ -33,9 +33,8 @@ built on first use.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -410,23 +409,24 @@ def _pair_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
     return major * span + minor
 
 
-def _from_edges(
-    verts: Sequence[int], ranks: Sequence[int], edges: list[tuple[int, int]]
-) -> ContourTree:
+def _from_edges(verts, ranks: Sequence[int], edges) -> ContourTree:
     """Build the rooted tree and contracted superstructure from CT edges.
 
-    Each edge is a ``(child, parent)`` pair of some rooting of the tree:
-    every vertex but one is a child exactly once.  The tree is re-rooted
-    at the highest-ranked vertex by reversing the one path up from it.
+    ``verts`` are the vertex ids and ``edges`` an (n - 1, 2) array-like of
+    ``(child, parent)`` rows of some rooting of the tree: every vertex but
+    one is a child exactly once.  The tree is re-rooted at the
+    highest-ranked vertex by reversing the one path up from it.
     Malformed input (a wrong edge count, two parents, an id outside
     ``verts``, a cycle or a disconnected graph) raises ``InternalError``.
     """
-    n = len(verts)
+    verts = np.asarray(verts, dtype=np.int64)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    n = verts.size
     if n == 0 or len(edges) != n - 1:
         raise InternalError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
-    where = _Positions(np.fromiter(verts, np.int64, n))
-    pairs = where.of(np.fromiter(itertools.chain.from_iterable(edges), np.int64, 2 * n - 2))
-    return _from_pairs(where, ranks, pairs[0::2], pairs[1::2])
+    where = _Positions(verts)
+    pairs = where.of(edges)
+    return _from_pairs(where, ranks, pairs[:, 0], pairs[:, 1])
 
 
 def _from_pairs(
@@ -512,20 +512,19 @@ def contour_tree(grid: ScalarGrid, order: VertexOrder) -> ContourTree:
     return augment(combine(join, split, order.ranks))
 
 
-def tree_from_graph(
-    verts: Iterable[int], ranks: Sequence[int], edges: Iterable[tuple[int, int]]
-) -> ContourTree:
+def tree_from_graph(verts, ranks: Sequence[int], edges) -> ContourTree:
     """Contour tree of a connected graph on ``verts`` (used by the merge).
 
-    The vertices are numbered in rank order, so each local id is its own
-    rank; the tree is built over those ids and mapped back with ``relabel``.
-    Self-loops are dropped, repeated edges are harmless, and an endpoint
-    outside ``verts`` raises ``InternalError``.
+    ``verts`` are distinct vertex ids and ``edges`` an (m, 2) array-like
+    of id pairs.  The vertices are numbered in rank order, so each local
+    id is its own rank; the tree is built over those ids and mapped back
+    with ``relabel``.  Self-loops are dropped, repeated edges are
+    harmless, and an endpoint outside ``verts`` raises ``InternalError``.
     """
-    gid = np.array(sorted(verts, key=ranks.__getitem__), dtype=np.int64)
+    verts = np.asarray(verts, dtype=np.int64)
+    gid = verts[np.argsort(_rank_array(verts, ranks), kind="stable")]
     n = gid.size
-    ends = np.fromiter(itertools.chain.from_iterable(edges), np.int64)
-    pairs = _Positions(gid).of(ends).reshape(-1, 2)
+    pairs = _Positions(gid).of(np.asarray(edges, dtype=np.int64).reshape(-1, 2))
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     keep = lo != hi
     lo, hi = lo[keep], hi[keep]

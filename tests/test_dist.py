@@ -84,11 +84,11 @@ def test_decompose_infeasible():
 def test_local_phase_1d_blocks():
     grid, order, decomp = two_block_1d()
     left = local_phase(grid, order, decomp.extents[0], 0)
-    assert sorted(left.local_tree.arc_inner.items()) == [(0, 1), (2, 1)]
-    assert left.boundary == {0, 2}
+    assert sorted(map(tuple, left.kept_edges.tolist())) == [(0, 1), (2, 1)]
+    assert decomp.extents[0].boundary(grid.dims, [0, 1, 2]).tolist() == [0, 2]
     assert left.records == []
     right = local_phase(grid, order, decomp.extents[1], 1)
-    assert sorted(right.local_tree.arc_inner.items()) == [(2, 3), (4, 3)]
+    assert sorted(map(tuple, right.kept_edges.tolist())) == [(2, 3), (4, 3)]
     assert right.records == []
 
 
@@ -145,7 +145,7 @@ def test_fan_in_single_block_identity():
     decomp = decompose(grid, (1, 1, 1))
     state = local_phase(grid, order, decomp.extents[0], 0)
     base, records = fan_in([state], decomp, order, Transport(1))
-    assert set(base.verts) == state.kept_verts
+    assert set(base.verts) == set(state.kept_verts.tolist())
     assert records == state.records
 
 
@@ -159,12 +159,38 @@ def test_fan_in_census_matches_serial_after_full_augment(seed):
         assert result.augmented_tree.straddling_arcs(gap) == serial.straddling_arcs(gap)
 
 
+def corrupt_value(state, vid, value):
+    (at,) = np.flatnonzero(state.kept_verts == vid)
+    state.values[at] = value
+
+
 def test_fan_in_detects_inconsistent_shared_values():
     grid, order, decomp = two_block_1d()
     states = [local_phase(grid, order, decomp.extents[r], r) for r in range(2)]
-    states[1].values[2] = 99.0  # corrupt the shared-plane copy
-    with pytest.raises(DataError, match="shared vertex 2"):
+    corrupt_value(states[1], 2, 99.0)  # corrupt the shared-plane copy
+    with pytest.raises(DataError) as err:
         fan_in(states, decomp, order, Transport(2))
+    assert str(err.value) == (
+        "shared vertex 2 has value 2.0 in block region 0 but 99.0 in block region 1"
+    )
+
+
+def test_fan_in_detects_inconsistent_shared_values_after_first_level():
+    # 6x6 cut at x = 2 and y = 2: vertex 15 = (3, 2) lies on the y cut
+    # only, so blocks 1 and 3 hold it and the x-level merges never compare
+    # it.  Both merged regions keep it as a boundary vertex of their box,
+    # and it is not the least vertex they share.
+    values = np.arange(36, dtype=np.float64) / 4
+    grid = make_grid((6, 6, 1), values)
+    order = sos_order(grid)
+    decomp = decompose(grid, (2, 2, 1))
+    states = [local_phase(grid, order, decomp.extents[r], r) for r in range(4)]
+    corrupt_value(states[3], 15, 99.0)
+    with pytest.raises(DataError) as err:
+        fan_in(states, decomp, order, Transport(4))
+    assert str(err.value) == (
+        "shared vertex 15 has value 3.75 in block region 0 but 99.0 in block region 2"
+    )
 
 
 # --- fan-out ---------------------------------------------------------------

@@ -294,8 +294,12 @@ def ref_relabel(ct, gid, ranks):
     )
 
 
-def ref_region(rank, extent, values, ct, boundary, mass_at):
+def ref_region(rank, extent, ct, values, boundary, mass_verts, mass):
     """The Steiner tree and hanging records by one preorder walk with per-vertex dicts."""
+    value_of = dict(zip(sorted(ct.verts), values.tolist()))
+    mass_at = {}
+    for v, m in zip(mass_verts.tolist(), mass.tolist()):
+        mass_at[v] = mass_at.get(v, 0) + m
     parent = dict(ct.parent)
     kids = {v: [] for v in ct.verts}
     for v, p in parent.items():
@@ -307,7 +311,7 @@ def ref_region(rank, extent, values, ct, boundary, mass_at):
         pre.append(v)
         stack.extend(kids[v])
     pos = {v: i for i, v in enumerate(pre)}
-    marks = boundary or {ct.root}
+    marks = set(boundary.tolist()) or {ct.root}
     size = dict.fromkeys(pre, 1)
     below = {v: int(v in marks) for v in pre}
     busy = dict.fromkeys(pre, 0)
@@ -351,17 +355,19 @@ def ref_region(rank, extent, values, ct, boundary, mass_at):
         records.append(pipeline.Record(attach, sorted(verts), edges, weight, rank))
         new_mass[attach] = new_mass.get(attach, 0) + weight
     records.sort(key=lambda r: r.verts[0])
+    kept_ids, held = sorted(kept_set), sorted(new_mass)
     return pipeline.RegionState(
         rank=rank,
         extent=extent,
         num_vertices=math.prod(extent.shape),
-        values=values,
-        local_tree=ct,
-        boundary=set(boundary),
-        kept_verts=kept_set,
-        kept_edges=[(v, parent[v]) for v in kept if v != top],
+        kept_verts=np.array(kept_ids, dtype=np.int64),
+        values=np.array([value_of[v] for v in kept_ids], dtype=np.float64),
+        kept_edges=np.array(
+            [(v, parent[v]) for v in kept if v != top], dtype=np.int64
+        ).reshape(-1, 2),
+        mass_verts=np.array(held, dtype=np.int64),
+        mass=np.array([new_mass[v] for v in held], dtype=np.int64),
         records=records,
-        mass_at=new_mass,
     )
 
 
@@ -583,11 +589,14 @@ def test_random_small_grid_sweeps_match_reference(dims, levels, seed):
 
 
 def assert_same_region(got, want):
-    assert got.kept_verts == want.kept_verts
-    assert set(got.kept_edges) == set(want.kept_edges)
-    assert len(got.kept_edges) == len(want.kept_edges)
-    assert got.mass_at == want.mass_at
-    assert got.boundary == want.boundary
+    for name in ("kept_verts", "values", "kept_edges", "mass_verts", "mass"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+    assert got.kept_verts.tolist() == want.kept_verts.tolist()
+    assert got.values.tolist() == want.values.tolist()
+    assert set(map(tuple, got.kept_edges.tolist())) == set(map(tuple, want.kept_edges.tolist()))
+    assert got.kept_edges.shape == want.kept_edges.shape
+    assert got.mass_verts.tolist() == want.mass_verts.tolist()
+    assert got.mass.tolist() == want.mass.tolist()
     assert (got.rank, got.extent, got.num_vertices) == (want.rank, want.extent, want.num_vertices)
     assert len(got.records) == len(want.records)
     for g, w in zip(got.records, want.records):
@@ -610,6 +619,7 @@ def assert_same_relabel(got, want):
 REGION_RUNS = {
     "1d-blocks": (random_grid((31, 1, 1), 2), (3, 1, 1)),
     "2d-8-blocks": (random_grid((12, 10, 1), 7), (4, 2, 1)),
+    "2d-16-blocks": (random_grid((16, 16, 1), 1), (4, 4, 1)),
     "3d-4-blocks": (random_grid((10, 10, 4), 5), (2, 2, 1)),
     "3d-27-blocks": (random_grid((9, 9, 9), 1), (3, 3, 3)),
     "constant": (make_grid((6, 6, 6), np.zeros(216)), (2, 2, 2)),
@@ -622,13 +632,16 @@ def test_regions_and_relabels_match_reference(name, monkeypatch):
     """Every region split and relabel of a run, local phase and each fan-in level."""
     grid, splits = REGION_RUNS[name]
     real_region, real_relabel = pipeline._region, gtree.relabel
-    seen = {"regions": 0, "with_mass": 0, "relabels": 0}
+    seen = {"regions": 0, "with_mass": 0, "shared_mass": 0, "relabels": 0}
 
-    def checked_region(rank, extent, values, ct, boundary, mass_at):
-        got = real_region(rank, extent, values, ct, boundary, mass_at)
-        assert_same_region(got, ref_region(rank, extent, values, ct, boundary, mass_at))
+    def checked_region(rank, extent, ct, values, boundary, mass_verts, mass):
+        got = real_region(rank, extent, ct, values, boundary, mass_verts, mass)
+        want = ref_region(rank, extent, ct, values, boundary, mass_verts, mass)
+        assert_same_region(got, want)
         seen["regions"] += 1
-        seen["with_mass"] += bool(mass_at)
+        seen["with_mass"] += bool(mass.size)
+        # A merge whose two regions both carry mass at one vertex.
+        seen["shared_mass"] += np.unique(mass_verts).size < mass_verts.size
         return got
 
     def checked_relabel(ct, gid, ranks):
@@ -648,6 +661,9 @@ def test_regions_and_relabels_match_reference(name, monkeypatch):
     # ramp in vertex order: neither cuts records, so no mass is carried.
     if name not in ("1d-blocks", "constant"):
         assert seen["with_mass"] > 0
+    # Both 2D runs reach merges that add two regions' mass at one vertex.
+    if name.startswith("2d-"):
+        assert seen["shared_mass"] > 0
 
 
 # --- malformed edge lists ----------------------------------------------------

@@ -97,7 +97,7 @@ def test_tree_from_graph_matches_grid_tree(grid):
     """The graph entry point over the stencil edges builds the grid's tree."""
     order = sos_order(grid)
     expected = contour_tree(grid, order)
-    got = tree_from_graph(range(grid.n), order.ranks, grid.edges())
+    got = tree_from_graph(range(grid.n), order.ranks, list(grid.edges()))
     assert got.supernodes == expected.supernodes
     assert got.arc_inner == expected.arc_inner
     assert got.superparent == expected.superparent
