@@ -1,32 +1,53 @@
-"""Join and split tree construction by one union-find sweep over dense ids.
+"""Join and split tree construction by a peak-pruned union-find sweep over dense ids.
 
 A graph's ``n`` vertices are numbered 0..n-1.  The join tree is built
 sweeping vertices in decreasing rank while merging superlevel-set
 components; the split tree mirrors it upward.  ``sweep_csr`` is the only
-sweep kernel.  It reads CSR lists: ``nbrs[starts[v]:starts[v + 1]]``
+sweep kernel.  It reads CSR arrays: ``nbrs[starts[v]:starts[v + 1]]``
 holds neighbours of ``v`` swept strictly before ``v``, never ``v``
-itself.  Grids build the lists from their vertex order, and
+itself.  Grids build the arrays from their vertex order, and
 ``tree.tree_from_graph`` numbers a graph's vertices in rank order and
-lists each edge at one end.  ``sweep`` adapts a ``neighbors(v)``
-callback to the same kernel.  A ``MergeTree`` stores its arcs as one
+lists each edge at one end.  A ``MergeTree`` stores its arcs as one
 int64 array (-1 at the root); ``arc_to`` is a read-only ``ArcView`` of
 it, the one mapping view class, which also serves ``tree.ContourTree``.
 
-A grid sweep visits one neighbour per connected component of a vertex's
+The kernel prunes the sweep to the vertices that can merge components,
+after parallel peak pruning (Carr, Weber, Sewell & Ahrens, LDAV 2016;
+in data-parallel form, Carr, Rübel, Weber & Ahrens, IEEE TVCG 2021).
+A candidate is a vertex with zero listed neighbours or two or more; a
+regular vertex has exactly one, its ascent pointer.  Pointer jumping
+along ascent pointers takes every vertex to its peak, the candidate
+where its chain ends.  Find and union then run over the candidates
+only, each listed neighbour replaced by its peak, and build the reduced
+tree of arcs between candidates.  Each regular vertex is placed by
+binary lifting up the reduced tree from its peak, and one stable sort
+links the regular vertices into chains between a candidate and its
+reduced parent.  This is exact.  Components merge only at candidates: a
+regular vertex joins the one component of its single neighbour.  The
+ascent chain from a vertex u to its peak runs over vertices swept
+before u, so by the time any later vertex lists u, u and its peak share
+a component, and the reduced sweep sees the same merges.  A regular
+vertex w extends the component of its peak; that component's last
+swept candidate is the farthest ancestor of the peak in the reduced
+tree swept before w, and w follows it and the regular vertices placed
+there before w.
+
+A grid sweep lists one neighbour per connected component of a vertex's
 upper link (join) or lower link (split), not the whole stencil: two link
 neighbours are linked when their offset difference is itself a stencil
 offset.  This is exact.  A link path between two upper neighbours runs
 over stencil edges whose endpoints all rank above the vertex, so by the
 time the vertex is swept its whole upper-link component is already one
 union-find component; one representative finds the same root as any
-other member, and the merge trees do not change.
+other member, and the merge trees do not change.  It also makes most
+grid vertices regular: on smooth fields only the extrema and the
+saddles are candidates.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -34,33 +55,6 @@ import numpy as np
 
 from .errors import InternalError, UsageError
 from .grid import _ALL_OFFSETS, ScalarGrid, VertexOrder
-
-
-class DisjointSet:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        root = i
-        while p[root] != root:
-            root = p[root]
-        while p[i] != root:
-            p[i], i = root, p[i]
-        return root
-
-    def union(self, i: int, j: int) -> int:
-        i, j = self.find(i), self.find(j)
-        if i == j:
-            return i
-        if self.size[i] < self.size[j]:
-            i, j = j, i
-        self.parent[j] = i
-        self.size[i] += self.size[j]
-        return i
 
 
 class ArcView(Mapping):
@@ -157,53 +151,73 @@ def _chain_ends(hop: np.ndarray) -> np.ndarray:
     """Pointer jumping to the fixpoint: each entry's chain end (``hop[e] == e``).
 
     Rounds are capped at log2 of the length, so a cycle raises instead of
-    looping.
+    looping.  A cycle whose length is a power of two jumps onto itself, so
+    the ends found are checked against ``hop`` too.
     """
+    end = hop
     for _ in range(hop.size.bit_length() + 1):
-        far = hop[hop]
-        if np.array_equal(far, hop):
-            return hop
-        hop = far
+        far = end[end]
+        if np.array_equal(far, end):
+            if (hop[end] != end).any():
+                break
+            return end
+        end = far
     raise InternalError("pointer chain has a cycle")
 
 
-def sweep_csr(
-    seq: Iterable[int], nbrs: list[int], starts: list[int], n: int, direction: str
-) -> MergeTree:
+def sweep_csr(seq, nbrs, starts, n: int, direction: str) -> MergeTree:
     """The union-find sweep over vertices 0..n-1, visited in the order ``seq``.
 
     ``nbrs[starts[v]:starts[v + 1]]`` lists v's neighbours that ``seq``
     visits strictly before v (so never v itself); repeats are allowed.
     ``seq`` runs by decreasing rank for a join tree and by increasing
-    rank for a split tree.  Find (with path compression) and union (by
-    size) are inlined over local lists.
+    rank for a split tree.  All three are array-likes of ints.
+
+    Components merge only at candidates, the vertices with zero listed
+    neighbours or two or more.  A regular vertex (one entry) points at
+    that neighbour, and pointer jumping takes it to its peak, the
+    candidate where the chain ends.  The chain runs over vertices swept
+    earlier, so a vertex and its peak share a component by the time any
+    later vertex lists it.  The find/union loop therefore runs on the
+    candidates alone, each entry replaced by its peak, and builds the
+    reduced tree: the arcs between candidates, in sweep order.  A regular
+    vertex w extends the component of its peak, whose last swept
+    candidate c is the farthest ancestor of the peak in the reduced tree
+    swept before w; binary lifting finds it.  One stable sort by c lists
+    each candidate's regular vertices in sweep order, and the merge tree
+    runs from c through them to c's reduced parent.
     """
-    parent = list(range(n))
-    size = [1] * n
-    # Per component root, the vertex the next arc must attach from: the
-    # lowest vertex seen so far for join sweeps, the highest for split.
-    extreme = list(range(n))
-    arcs = [-1] * n
-    v = -1
-    for v in seq:
-        lo = starts[v]
-        hi = starts[v + 1]
-        if hi - lo == 1:
-            # One neighbour: v joins its component as the new extreme.
-            u = nbrs[lo]
-            r = parent[u]
-            if parent[r] != r:
-                while parent[r] != r:
-                    r = parent[r]
-                while parent[u] != r:
-                    parent[u], u = r, parent[u]
-            arcs[extreme[r]] = v
-            extreme[r] = v
-            parent[v] = r
-            size[r] += 1
-            continue
+    seq = np.asarray(seq, dtype=np.int64)
+    nbrs = np.asarray(nbrs, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    arcs = np.full(n, -1, dtype=np.int64)
+    count = np.diff(starts)
+    regular = count == 1
+    hop = np.arange(n)
+    hop[regular] = nbrs[starts[:-1][regular]]
+    peak = _chain_ends(hop)
+
+    # Candidates in sweep order; slot s is the s-th one swept.
+    swept_regular = regular[seq]
+    cand = seq[~swept_regular]
+    k = cand.size
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[cand] = np.arange(k)
+    width = count[cand]
+    red_starts = np.r_[0, np.cumsum(width)]
+    entry = np.repeat(starts[cand] - red_starts[:-1], width) + np.arange(red_starts[-1])
+    red_nbrs = slot[peak[nbrs[entry]]].tolist()
+    red_starts = red_starts.tolist()
+
+    parent = list(range(k))
+    size = [1] * k
+    # Per component root, the slot the next arc must attach from: the
+    # last candidate swept into the component.
+    extreme = list(range(k))
+    up = [-1] * k
+    for v in range(k):
         root = v
-        for u in nbrs[lo:hi]:
+        for u in red_nbrs[red_starts[v] : red_starts[v + 1]]:
             r = parent[u]
             if parent[r] != r:
                 while parent[r] != r:
@@ -212,33 +226,50 @@ def sweep_csr(
                     parent[u], u = r, parent[u]
             if r == root:
                 continue
-            arcs[extreme[r]] = v
+            up[extreme[r]] = v
             if size[root] < size[r]:
                 root, r = r, root
             parent[r] = root
             size[root] += size[r]
         extreme[root] = v
-    arcs = np.array(arcs, dtype=np.int64)
+    up = np.array(up, dtype=np.int64)
+
+    above = np.where(up >= 0, cand[up], -1)
+    arcs[cand] = above
+    reg = seq[swept_regular]
+    if reg.size:
+        # The number of candidates swept before each regular vertex.
+        before = np.cumsum(~swept_regular)[swept_regular]
+        c = _climb(np.where(up >= 0, up, np.arange(k)), slot[peak[reg]], before)
+        if ((c >= before) | ((up[c] >= 0) & (up[c] < before))).any():
+            raise InternalError("regular vertex outside its candidate's reduced arc")
+        order = np.argsort(c, kind="stable")
+        walk, arc = reg[order], c[order]
+        # Each chain runs from its candidate to the candidate's reduced parent.
+        breaks = np.flatnonzero(arc[1:] != arc[:-1])
+        last = np.zeros(walk.size, dtype=bool)
+        last[breaks] = last[-1] = True
+        arcs[walk] = np.where(last, above[arc], np.roll(walk, -1))
+        heads = np.r_[0, breaks + 1]
+        arcs[cand[arc[heads]]] = walk[heads]
     arcs.flags.writeable = False
-    return MergeTree(direction=direction, n=n, arcs=arcs, root=v)
+    root = int(seq[-1]) if seq.size else -1
+    return MergeTree(direction=direction, n=n, arcs=arcs, root=root)
 
 
-def sweep(
-    seq: Iterable[int], neighbors: Callable[[int], Iterable[int]], n: int, direction: str
-) -> MergeTree:
-    """``sweep_csr`` for a graph given as ``neighbors(v)``, all of v's adjacent vertices.
+def _climb(step: np.ndarray, x: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """The farthest ancestor of each slot ``x`` whose slot is below ``bound``.
 
-    Keeps, per vertex, the neighbours ``seq`` visits before it, and runs
-    the one kernel on those lists.
+    ``step`` is the parent of each slot, itself at a root; a parent's slot
+    exceeds its child's, so binary lifting over ``step``'s powers finds it.
     """
-    seq = [int(v) for v in seq]
-    swept = bytearray(n)
-    earlier: list[list[int]] = [[] for _ in range(n)]
-    for v in seq:
-        earlier[v] = [u for u in neighbors(v) if swept[u]]
-        swept[v] = 1
-    starts = list(itertools.accumulate(map(len, earlier), initial=0))
-    return sweep_csr(seq, list(itertools.chain.from_iterable(earlier)), starts, n, direction)
+    hops = [step]
+    while not np.array_equal(far := hops[-1][hops[-1]], hops[-1]):
+        hops.append(far)
+    for hop in reversed(hops):
+        to = hop[x]
+        x = np.where(to < bound, to, x)
+    return x
 
 
 def _check_order(grid: ScalarGrid, order: VertexOrder) -> None:
@@ -276,8 +307,8 @@ def link_representatives() -> np.ndarray:
 
 def _link_neighbors(
     grid: ScalarGrid, order: VertexOrder, upper: bool
-) -> tuple[list[int], list[int]]:
-    """CSR lists (``nbrs``, ``starts``): one upper (or lower) neighbour per link component."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (``nbrs``, ``starts``): one upper (or lower) neighbour per link component."""
     nx, ny, nz = grid.dims
     # Rank the sweep's processed side high; slots outside the domain rank -1.
     key = order.rank_of if upper else grid.n - 1 - order.rank_of
@@ -290,20 +321,19 @@ def _link_neighbors(
         mask |= (nbr > key).astype(np.uint16) << slot
         deltas.append(dx + nx * (dy + ny * dz))
     verts, slots = np.nonzero(link_representatives()[mask.ravel()])
-    starts = np.searchsorted(verts, np.arange(grid.n + 1)).tolist()
-    nbrs = (verts + np.array(deltas)[slots]).tolist()
-    return nbrs, starts
+    starts = np.searchsorted(verts, np.arange(grid.n + 1))
+    return verts + np.array(deltas)[slots], starts
 
 
 def compute_join_tree(grid: ScalarGrid, order: VertexOrder) -> MergeTree:
     """Sweep downward: tracks superlevel-set components merging at saddles."""
     _check_order(grid, order)
     nbrs, starts = _link_neighbors(grid, order, True)
-    return sweep_csr(order.vertex_at[::-1].tolist(), nbrs, starts, grid.n, "join")
+    return sweep_csr(order.vertex_at[::-1], nbrs, starts, grid.n, "join")
 
 
 def compute_split_tree(grid: ScalarGrid, order: VertexOrder) -> MergeTree:
     """Sweep upward: tracks sublevel-set components merging at saddles."""
     _check_order(grid, order)
     nbrs, starts = _link_neighbors(grid, order, False)
-    return sweep_csr(order.vertex_at.tolist(), nbrs, starts, grid.n, "split")
+    return sweep_csr(order.vertex_at, nbrs, starts, grid.n, "split")

@@ -13,7 +13,6 @@ path stay above w's rank until w's own superarc and below it after, so
 binary lifting over the superarcs finds the arc where they cross.  The
 superstructure is indexed by each superarc's outer-end supernode (the
 end farther from the root, which is the highest-ranked supernode).
-``augment`` assigns every regular vertex to its superarc.
 
 Only the leaf-transfer queue is a Python loop, over the critical
 vertices.  Everything around it runs as numpy passes over vertex
@@ -21,13 +20,15 @@ positions (the index of a vertex in ``verts``; ids may be sparse and are
 mapped through one lookup table): ``_from_edges`` re-roots an edge list
 at the highest-ranked vertex, counts degrees with ``bincount`` and finds
 each supernode's inner end by pointer jumping up regular chains;
-``augment`` jumps down them to the outer end; ``combine`` and ``augment``
-order each superarc's regular vertices with one sort on (superarc,
-signed rank) (Carr, Rübel, Weber & Ahrens, IEEE TVCG 2021).  Those int64
-arrays are the whole state of a tree.  Its ``parent``, ``arc_inner``,
-``superparent`` and ``arc_regulars`` fields are read-only mapping views
-of them (``sweep.ArcView``), and ``verts`` and ``supernodes`` are lists
-built on first use.
+``augment`` jumps down them to the outer end.  ``combine`` and
+``augment`` order each superarc's regular vertices with one sort on
+(superarc, signed rank) (Carr, Rübel, Weber & Ahrens, IEEE TVCG 2021).
+``combine`` has placed every regular vertex by then, so it returns its
+tree augmented; only the trees ``_from_edges`` builds take ``augment``'s
+own pass.  Those int64 arrays are the whole state of a tree.  Its
+``parent``, ``arc_inner``, ``superparent`` and ``arc_regulars`` fields
+are read-only mapping views of them (``sweep.ArcView``), and ``verts``
+and ``supernodes`` are lists built on first use.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class ContourTree:
 
     The state is int64 arrays over vertex positions: ``ids``, and ``up``,
     the parent in the tree rooted at the highest-ranked vertex (-1 at the
-    root).  ``augment`` adds ``outer``, the outer end of each vertex's
+    root).  Augmentation (by ``combine``, or ``augment`` for trees built
+    from edges) adds ``outer``, the outer end of each vertex's
     superarc, and that superarc's regular vertices from the outer end
     ``p`` inward as ``walk[walk_start[p]:walk_start[p + 1]]``.  The
     mapping fields are read-only views of them keyed by vertex id;
@@ -194,7 +196,8 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
     climbs from JU(w) while ancestors rank above w and from SD(w) while
     they rank below; the deeper stopping node is the outer end of that
     arc.  One sort on (superarc, signed rank) then links each arc's
-    regular vertices in order.
+    regular vertices in order.  That placement and walk are the
+    augmentation, so the tree comes back augmented.
     """
     if join.n != split.n:
         raise UsageError("join and split trees cover different vertex sets")
@@ -216,7 +219,8 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
 
     up = np.empty(n, dtype=np.int64)
     up[crit_ids] = np.where(st.inner >= 0, crit_ids[st.inner], -1)
-    regular = np.flatnonzero(~crit)
+    regular = walk = np.flatnonzero(~crit)
+    arc = _EMPTY
     if regular.size:
         rank = _rank_array(regular, ranks)
         outer = _lift(st, ju[regular], sd[regular], rank)
@@ -234,7 +238,13 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
         heads = np.r_[0, breaks + 1]
         up[crit_ids[arc[heads]]] = walk[heads]
     st = dataclasses.replace(st, vertex=crit_ids)
-    return ContourTree(ids=np.arange(n), ranks=ranks, up=up, superstructure=st)
+    outer = np.arange(n)
+    outer[walk] = crit_ids[arc]
+    walk_start = np.r_[0, np.cumsum(np.bincount(outer[walk], minlength=n))]
+    return ContourTree(
+        ids=np.arange(n), ranks=ranks, up=up, superstructure=st,
+        outer=outer, walk=walk, walk_start=walk_start,
+    )
 
 
 def _child_state(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -476,11 +486,14 @@ def _from_pairs(
 def augment(ct: ContourTree) -> ContourTree:
     """The tree with every vertex's superarc and every superarc's regular vertices.
 
-    A regular vertex has exactly one child, so jumping down child
-    pointers ends at the outer end of its superarc.  Along a superarc
-    ranks are monotone, so one sort on (superarc, signed rank) lists each
-    arc's regular vertices from the outer end inward.
+    A tree that is already augmented (``combine`` returns one) comes back
+    unchanged.  Otherwise: a regular vertex has exactly one child, so
+    jumping down child pointers ends at the outer end of its superarc.
+    Along a superarc ranks are monotone, so one sort on (superarc, signed
+    rank) lists each arc's regular vertices from the outer end inward.
     """
+    if ct.is_augmented:
+        return ct
     n, up, st = ct.n, ct.up, ct.superstructure
     is_super = np.zeros(n, dtype=bool)
     is_super[st.vertex] = True
@@ -532,12 +545,12 @@ def tree_from_graph(verts, ranks: Sequence[int], edges) -> ContourTree:
     # split sweep after all lower-ranked ones: list each edge at one end.
     trees = []
     for at, other, seq, direction in (
-        (lo, hi, range(n - 1, -1, -1), "join"),
-        (hi, lo, range(n), "split"),
+        (lo, hi, np.arange(n - 1, -1, -1), "join"),
+        (hi, lo, np.arange(n), "split"),
     ):
         by = np.argsort(at, kind="stable")
-        starts = np.searchsorted(at[by], np.arange(n + 1)).tolist()
-        trees.append(sweep_csr(seq, other[by].tolist(), starts, n, direction))
+        starts = np.searchsorted(at[by], np.arange(n + 1))
+        trees.append(sweep_csr(seq, other[by], starts, n, direction))
     return relabel(augment(combine(*trees, range(n))), gid, ranks)
 
 

@@ -29,12 +29,38 @@ from gridtopo import tree as gtree
 from gridtopo.dist import pipeline, run_distributed
 from gridtopo.errors import InternalError
 from gridtopo.measure import Branch, BranchDecomposition, VolumeAnnotation
-from gridtopo.sweep import DisjointSet
 from gridtopo.tree import tree_from_graph
 
 from conftest import grid_1d, make_grid, random_grid
 
 # --- references --------------------------------------------------------------
+
+
+class DisjointSet:
+    """Union-find with path compression and union by size."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, i: int) -> int:
+        p = self.parent
+        root = i
+        while p[root] != root:
+            root = p[root]
+        while p[i] != root:
+            p[i], i = root, p[i]
+        return root
+
+    def union(self, i: int, j: int) -> int:
+        i, j = self.find(i), self.find(j)
+        if i == j:
+            return i
+        if self.size[i] < self.size[j]:
+            i, j = j, i
+        self.parent[j] = i
+        self.size[i] += self.size[j]
+        return i
 
 
 def ref_sweep(seq, neighbors, n):

@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtopo import compute_join_tree, compute_split_tree, contour_tree, sos_order
+from gridtopo.errors import InternalError
 from gridtopo.grid import _ALL_OFFSETS
-from gridtopo.sweep import link_representatives, sweep
+from gridtopo.sweep import _chain_ends, link_representatives, sweep_csr
 from gridtopo.tree import tree_from_graph
 
 from conftest import (
@@ -16,6 +19,7 @@ from conftest import (
     sublevel_components,
     superlevel_components,
 )
+from test_reference_equivalence import assert_same_merge_tree, ref_sweep
 
 
 def test_join_tree_zigzag():
@@ -142,6 +146,22 @@ def test_split_arcs_count_sublevel_components(seed):
             if rank[src] <= gap < rank[dst]
         )
         assert straddle == sublevel_components(grid, order, gap)
+
+
+def sweep(seq, neighbors, n, direction):
+    """``sweep_csr`` for a graph given as ``neighbors(v)``, all of v's adjacent vertices.
+
+    Keeps, per vertex, the neighbours ``seq`` visits before it, and runs
+    the one kernel on those lists.
+    """
+    seq = [int(v) for v in seq]
+    swept = bytearray(n)
+    earlier = [[] for _ in range(n)]
+    for v in seq:
+        earlier[v] = [u for u in neighbors(v) if swept[u]]
+        swept[v] = 1
+    starts = list(itertools.accumulate(map(len, earlier), initial=0))
+    return sweep_csr(seq, list(itertools.chain.from_iterable(earlier)), starts, n, direction)
 
 
 def full_stencil_tree(grid, order, direction):
@@ -390,3 +410,132 @@ def test_merge_trees_compare_by_value():
     other = grid_1d([5, 0, 2, 6, 1])
     assert join != compute_join_tree(other, sos_order(other))
     assert join != dict(join.arc_to)
+
+
+# --- the peak-pruned kernel against the reference sweep -----------------------
+
+
+def csr(lists):
+    """``nbrs`` and ``starts`` of per-vertex neighbour lists."""
+    return list(itertools.chain.from_iterable(lists)), list(
+        itertools.accumulate(map(len, lists), initial=0)
+    )
+
+
+def kernel_tree(seq, lists, direction="join"):
+    """``sweep_csr`` on per-vertex lists, checked against ``ref_sweep``."""
+    n = len(lists)
+    got = sweep_csr(seq, *csr(lists), n, direction)
+    assert_same_merge_tree(got, *ref_sweep(seq, lists.__getitem__, n))
+    return got
+
+
+def test_kernel_monotone_path_has_one_candidate():
+    # Only the first swept vertex has no entry; every other lists one.
+    seq = [4, 2, 0, 3, 1, 5]
+    lists = [[2], [3], [4], [0], [], [1]]
+    tree = kernel_tree(seq, lists)
+    assert tree.arcs.tolist() == [3, 5, 0, 1, 2, -1]
+    assert tree.root == 5
+
+
+def test_kernel_every_vertex_a_candidate():
+    # Two maxima, then each vertex lists the two swept just before it.
+    n = 9
+    lists = [[], []] + [[v - 1, v - 2] for v in range(2, n)]
+    tree = kernel_tree(range(n), lists)
+    assert tree.arcs.tolist() == [2, 2, 3, 4, 5, 6, 7, 8, -1]
+
+
+def test_kernel_repeated_entries():
+    # Vertex 2 lists 1 twice and so is a candidate that merges nothing;
+    # vertex 4 meets both components, one of them through repeats.
+    lists = [[], [0], [1, 1], [], [3, 2, 3, 0, 2]]
+    tree = kernel_tree(range(5), lists)
+    assert tree.arcs.tolist() == [1, 2, 4, 4, -1]
+
+
+def test_kernel_disconnected_graph():
+    # Three components: a path, a two-armed merge and an isolated vertex.
+    seq = [0, 5, 1, 6, 2, 7, 3, 8, 4]
+    lists = [[], [0], [1], [7], [3], [], [], [6, 5], []]
+    tree = kernel_tree(seq, lists, "split")
+    assert tree.arcs.tolist() == [1, 2, -1, 4, -1, 7, 7, 3, -1]
+    assert tree.root == 4
+    assert np.count_nonzero(tree.arcs < 0) == 3
+
+
+def test_kernel_single_vertex():
+    tree = kernel_tree([0], [[]])
+    assert tree.arcs.tolist() == [-1] and tree.root == 0
+
+
+def test_kernel_empty_graph():
+    tree = kernel_tree([], [])
+    assert tree.n == 0 and tree.arcs.size == 0 and tree.root == -1
+
+
+@pytest.mark.parametrize(
+    "seq,lists",
+    [([0, 1, 2], [[2], [], [1]]), ([0, 1], [[1], [0]])],
+    ids=["lists-a-later-vertex", "ascent-cycle"],
+)
+def test_kernel_rejects_entries_not_swept_before(seq, lists):
+    with pytest.raises(InternalError):
+        sweep_csr(seq, *csr(lists), len(lists), "join")
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 8])
+def test_chain_ends_reject_cycles(length):
+    # A path 0 <- 1 <- 2 beside a cycle over the next ``length`` entries.
+    cycle = 3 + np.arange(length)
+    hop = np.r_[0, 0, 1, np.roll(cycle, -1)]
+    if length == 1:
+        assert _chain_ends(hop).tolist() == [0, 0, 0, 3]
+        return
+    with pytest.raises(InternalError):
+        _chain_ends(hop)
+
+
+@st.composite
+def swept_graphs(draw):
+    """A sweep order and, per vertex, entries for earlier-swept neighbours, with repeats."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    seq = draw(st.permutations(range(n)))
+    when = {v: i for i, v in enumerate(seq)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    lists = [[] for _ in range(n)]
+    for a, b in draw(st.lists(pairs, max_size=3 * n)):
+        if a != b:
+            late, early = (a, b) if when[a] > when[b] else (b, a)
+            lists[late].append(early)
+    return seq, lists
+
+
+@settings(max_examples=300, deadline=None)
+@given(swept_graphs())
+def test_kernel_matches_reference_on_random_graphs(graph):
+    seq, lists = graph
+    tree = kernel_tree(seq, lists)
+    assert tree.root == seq[-1]
+
+
+@pytest.mark.parametrize("field", ["random", "gaussians"])
+def test_grid_sweeps_match_reference_on_deep_reduced_trees(field):
+    """32x32x16 grids against the full-stencil reference sweep.
+
+    Random data gives about 4 700 candidates per direction and 13 lifting
+    levels, far beyond the small grids; the gaussians give long regular
+    chains over a handful of candidates.
+    """
+    from gridtopo.grid import synthetic_gaussians, synthetic_random
+
+    dims = (32, 32, 16)
+    grid = synthetic_random(dims, 5) if field == "random" else synthetic_gaussians(dims, 5)
+    order = sos_order(grid)
+    assert_same_merge_tree(
+        compute_join_tree(grid, order), *ref_sweep(order.vertex_at[::-1], grid.neighbors, grid.n)
+    )
+    assert_same_merge_tree(
+        compute_split_tree(grid, order), *ref_sweep(order.vertex_at, grid.neighbors, grid.n)
+    )

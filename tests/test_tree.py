@@ -1,9 +1,10 @@
+import dataclasses
 from collections import deque
 
 import numpy as np
 import pytest
 
-from gridtopo import contour_tree, sos_order
+from gridtopo import compute_join_tree, compute_split_tree, contour_tree, sos_order
 from gridtopo import tree as gtree
 from gridtopo.oracle import level_set_census
 from gridtopo.tree import tree_from_graph
@@ -253,24 +254,24 @@ def set_based_leaf_transfer(join, split):
     return edges
 
 
-@pytest.mark.parametrize(
-    "grid",
-    [
-        random_grid((7, 6, 1), 0),
-        random_grid((5, 4, 3), 1),
-        random_grid((6, 6, 6), 2),
-        make_grid((6, 5, 2), np.arange(60) % 3),
-        make_grid((4, 4, 4), np.random.default_rng(3).integers(0, 2, 64)),
-        grid_1d([3, 1, 4, 1, 5, 9, 2, 6, 5, 3]),
-        make_grid((1, 1, 12), np.random.default_rng(4).random(12)),
-        make_grid((1, 1, 1), [2.0]),
-        make_grid((4, 4, 2), np.zeros(32)),
-    ],
-    ids=[
-        "random-2d", "random-3d", "random-3d-large", "tied", "tied-binary", "1d", "1d-z",
-        "single", "constant",
-    ],
-)
+COMBINE_GRIDS = [
+    random_grid((7, 6, 1), 0),
+    random_grid((5, 4, 3), 1),
+    random_grid((6, 6, 6), 2),
+    make_grid((6, 5, 2), np.arange(60) % 3),
+    make_grid((4, 4, 4), np.random.default_rng(3).integers(0, 2, 64)),
+    grid_1d([3, 1, 4, 1, 5, 9, 2, 6, 5, 3]),
+    make_grid((1, 1, 12), np.random.default_rng(4).random(12)),
+    make_grid((1, 1, 1), [2.0]),
+    make_grid((4, 4, 2), np.zeros(32)),
+]
+COMBINE_IDS = [
+    "random-2d", "random-3d", "random-3d-large", "tied", "tied-binary", "1d", "1d-z",
+    "single", "constant",
+]
+
+
+@pytest.mark.parametrize("grid", COMBINE_GRIDS, ids=COMBINE_IDS)
 def test_array_combine_matches_set_based_edges(grid, combine_calls):
     order = sos_order(grid)
     contour_tree(grid, order)
@@ -297,6 +298,33 @@ def test_array_combine_matches_set_based_edges_on_graphs(edges, n, seed, combine
     assert len(edges) == n - 1
     assert edges == set_based_leaf_transfer(call["join"], call["split"])
     check_combine(call, range(n))
+
+
+def assert_combine_augments_like_augment(ct):
+    """``combine``'s own augmentation equals ``augment``'s full pass over its bare tree."""
+    assert ct.is_augmented and gtree.augment(ct) is ct
+    bare = dataclasses.replace(ct, outer=None, walk=None, walk_start=None)
+    full = gtree.augment(bare)
+    for name in ("outer", "walk", "walk_start"):
+        got, want = getattr(ct, name), getattr(full, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("grid", COMBINE_GRIDS, ids=COMBINE_IDS)
+def test_combine_returns_the_tree_augment_builds(grid):
+    order = sos_order(grid)
+    join, split = compute_join_tree(grid, order), compute_split_tree(grid, order)
+    assert_combine_augments_like_augment(gtree.combine(join, split, order.ranks))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_combine_augments_graph_trees_like_augment(seed, combine_calls):
+    rng = np.random.default_rng(seed)
+    n = 12
+    edges = [(i, int(rng.integers(0, i))) for i in range(1, n)]
+    tree_from_graph(range(n), rng.permutation(n).tolist(), edges)
+    (call,) = combine_calls
+    assert_combine_augments_like_augment(call["tree"])
 
 
 def test_tree_from_graph_rejects_endpoint_outside_verts():
