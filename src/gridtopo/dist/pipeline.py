@@ -345,12 +345,12 @@ def local_phase(grid: ScalarGrid, order: VertexOrder, extent: Extent, rank: int)
     """
     vids = extent.vids(grid.dims)
     sub = ScalarGrid(dims=extent.shape, values=grid.values[vids])
-    ct = relabel(contour_tree(sub, sos_order(sub)), vids, order.ranks)
+    ct = relabel(contour_tree(sub, sos_order(sub)), vids, order.rank_of)
     boundary = extent.boundary(grid.dims, vids)
     return _region(rank, extent, ct, sub.values, boundary, _EMPTY, _EMPTY)
 
 
-def _merge(a: RegionState, b: RegionState, ranks: Sequence[int], dims) -> RegionState:
+def _merge(a: RegionState, b: RegionState, ranks: np.ndarray, dims) -> RegionState:
     """Glue two regions' kept trees and prune against the merged boundary."""
     shared, ia, ib = np.intersect1d(
         a.kept_verts, b.kept_verts, assume_unique=True, return_indices=True
@@ -385,7 +385,7 @@ def fan_in(
     cut on the way: the local ones by rank, then each level's in leader
     order.
     """
-    ranks = order.ranks
+    ranks = order.rank_of
     records = [rec for s in states for rec in s.records]
     regions: list[RegionState | None] = list(states)
     for axis, splits in enumerate(decomp.splits):

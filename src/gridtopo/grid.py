@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -127,11 +126,6 @@ class VertexOrder:
     @property
     def n(self) -> int:
         return self.rank_of.size
-
-    @cached_property
-    def ranks(self) -> list[int]:
-        """``rank_of`` as a list: the one rank table every tree indexes by vertex id."""
-        return self.rank_of.tolist()
 
 
 def sos_order(grid: ScalarGrid) -> VertexOrder:

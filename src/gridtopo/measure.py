@@ -175,11 +175,15 @@ class BranchDecomposition:
         raise InternalError("no trunk present")
 
     def sorted_branches(self, ranks: Sequence[int]) -> list[Branch]:
-        def sort_key(b: Branch):
-            saddle_rank = -1 if b.saddle is None else ranks[b.saddle]
-            return (-b.volume, saddle_rank)
+        """Branches by descending volume, then ascending saddle rank (the trunk's is -1).
 
-        return sorted(self.branches, key=sort_key)
+        One stable ``lexsort`` over the rank table, so equal keys keep their order.
+        """
+        branches = self.branches
+        saddle = np.array([-1 if b.saddle is None else b.saddle for b in branches], dtype=np.int64)
+        saddle_rank = np.where(saddle >= 0, np.asarray(ranks)[saddle], -1)
+        volume = np.array([b.volume for b in branches])
+        return [branches[i] for i in np.lexsort((saddle_rank, -volume)).tolist()]
 
 
 def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomposition:

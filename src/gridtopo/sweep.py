@@ -284,23 +284,26 @@ def link_representatives() -> np.ndarray:
     Slot ``i`` is ``_ALL_OFFSETS[i]``, and two present slots are linked
     when their offset difference is itself a stencil offset.  Row ``mask``
     of the (2^14, 14) result marks the lowest slot of each connected
-    component of the slots set in ``mask``.  Built once per process by
-    min-label propagation over all masks at once.
+    component of the slots set in ``mask``.  Built once per process by a
+    dynamic program over the masks: ``comp[mask, i]`` is the bitmask of
+    slot i's component (0 if i is absent).  Step h fills the masks whose
+    highest slot is h from those without it: the components of h's
+    linked slots merge with h into one mask, which every slot meeting it
+    takes.  A slot represents its component when it is that mask's
+    lowest set bit.
     """
     offsets = np.array(_ALL_OFFSETS)
     k = len(offsets)
     diff = offsets[:, None, None, :] - offsets[None, :, None, :]
-    linked = np.argwhere((diff == offsets[None, None, :, :]).all(-1).any(-1))
-    slots = np.arange(k, dtype=np.uint8)[:, None]
-    present = (np.arange(1 << k) >> slots) & 1 == 1
-    label = np.where(present, slots, k).astype(np.uint8)
-    while True:
-        before = label.copy()
-        for i, j in linked:
-            np.minimum(label[i], label[j], out=label[i], where=present[i])
-        if np.array_equal(before, label):
-            break
-    table = (present & (label == slots)).T.copy()
+    linked = (diff == offsets[None, None, :, :]).all(-1).any(-1)
+    comp = np.zeros((1 << k, k), dtype=np.uint16)
+    for h in range(k):
+        low, high = comp[: 1 << h], comp[1 << h : 2 << h]
+        merged = np.bitwise_or.reduce(low[:, linked[h]], axis=1) | np.uint16(1 << h)
+        high[:] = np.where(low & merged[:, None], merged[:, None], low)
+        high[:, h] = merged
+    below = (np.uint16(1) << np.arange(k, dtype=np.uint16)) - np.uint16(1)
+    table = (comp != 0) & (comp & below == 0)
     table.flags.writeable = False  # shared by every caller in the process
     return table
 

@@ -3,39 +3,48 @@
 ``combine`` merges the two trees on their critical vertices only: those
 whose join-child or split-child count is not 1, which are exactly the
 contour tree's supernodes.  Each merge tree is contracted onto them by
-pointer jumping up its chains of single-child vertices, the classic
-serial leaf transfer runs on that contracted pair (Carr, Snoeyink &
-Axen, Computational Geometry 2003), and every regular vertex is then
-placed on its superarc.  A regular vertex w lies on the tree path from
-the first critical vertex up its chain of single join children to the
-first one down its chain of single split children; ranks along that
-path stay above w's rank until w's own superarc and below it after, so
-binary lifting over the superarcs finds the arc where they cross.  The
+pointer jumping up its chains of single-child vertices, leaf transfer
+(Carr, Snoeyink & Axen, Computational Geometry 2003) runs on that
+contracted pair, and every regular vertex is then placed on its
+superarc.  A regular vertex w lies on the tree path from the first
+critical vertex up its chain of single join children to the first one
+down its chain of single split children; ranks along that path stay
+above w's rank until w's own superarc and below it after, so binary
+lifting over the superarcs finds the arc where they cross.  The
 superstructure is indexed by each superarc's outer-end supernode (the
 end farther from the root, which is the highest-ranked supernode).
 
-Only the leaf-transfer queue is a Python loop, over the critical
-vertices.  Everything around it runs as numpy passes over vertex
-positions (the index of a vertex in ``verts``; ids may be sparse and are
-mapped through one lookup table): ``_from_edges`` re-roots an edge list
-at the highest-ranked vertex, counts degrees with ``bincount`` and finds
-each supernode's inner end by pointer jumping up regular chains;
-``augment`` jumps down them to the outer end.  ``combine`` and
-``augment`` order each superarc's regular vertices with one sort on
-(superarc, signed rank) (Carr, Rübel, Weber & Ahrens, IEEE TVCG 2021).
-``combine`` has placed every regular vertex by then, so it returns its
-tree augmented; only the trees ``_from_edges`` builds take ``augment``'s
-own pass.  Those int64 arrays are the whole state of a tree.  Its
-``parent``, ``arc_inner``, ``superparent`` and ``arc_regulars`` fields
-are read-only mapping views of them (``sweep.ArcView``), and ``verts``
-and ``supernodes`` are lists built on first use.
+Leaf transfer runs in batched rounds, after the data-parallel assembly
+of Carr, Weber, Sewell & Ahrens (LDAV 2016) and Carr, Rübel, Weber &
+Ahrens (IEEE TVCG 2021): a round transfers every upper leaf in one numpy
+pass and every lower leaf in another, and one level function
+(``_assemble``) serves ``combine`` and each smaller level the rounds
+leave.  A level whose round transfers less than half of its vertices
+goes to the serial queue (``_leaf_transfer``) instead, so levels at
+least halve.
+
+Everything but that queue runs as numpy passes over vertex positions
+(the index of a vertex in ``verts``; ids may be sparse and are mapped
+through one lookup table): ``_from_edges`` re-roots an edge list at the
+highest-ranked vertex, counts degrees with ``bincount`` and finds each
+supernode's inner end by pointer jumping up regular chains; ``augment``
+jumps down them to the outer end.  ``combine`` and ``augment`` order
+each superarc's regular vertices with one sort on (superarc, signed
+rank).  ``combine`` has placed every regular vertex by then, so it
+returns its tree augmented; only the trees ``_from_edges`` builds take
+``augment``'s own pass.  Ranks are read from one int64 table indexed by
+vertex id (``VertexOrder.rank_of`` for a grid).  Those int64 arrays are
+the whole state of a tree.  Its ``parent``, ``arc_inner``,
+``superparent`` and ``arc_regulars`` fields are read-only mapping views
+of them (``sweep.ArcView``), and ``verts`` and ``supernodes`` are lists
+built on first use.  No function keeps state between calls, so trees can
+be built on several threads at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -77,12 +86,13 @@ class ContourTree:
     ``p`` inward as ``walk[walk_start[p]:walk_start[p + 1]]``.  The
     mapping fields are read-only views of them keyed by vertex id;
     ``arc_inner`` maps each non-root supernode to the other, root-facing
-    end of its superarc.  ``ranks`` is the shared rank table indexed by
-    vertex id (for a grid, ``VertexOrder.ranks``), not a per-tree copy.
+    end of its superarc.  ``ranks`` is the shared int64 rank table
+    indexed by vertex id (for a grid, ``VertexOrder.rank_of``), not a
+    per-tree copy.
     """
 
     ids: np.ndarray = field(repr=False)
-    ranks: Sequence[int] = field(repr=False)
+    ranks: np.ndarray = field(repr=False)
     up: np.ndarray = field(repr=False)
     superstructure: Superstructure = field(repr=False)
     outer: np.ndarray | None = field(default=None, repr=False)
@@ -171,20 +181,34 @@ class ContourTree:
         return "\n".join(lines)
 
 
-def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourTree:
+def combine(join: MergeTree, split: MergeTree, ranks) -> ContourTree:
     """Merge the two trees by leaf transfer on their critical vertices.
+
+    ``ranks`` is the rank table indexed by vertex id, any int sequence;
+    it is converted once to the int64 array the tree keeps.
 
     The critical set C holds every vertex whose join-child or split-child
     count is not 1; both roots are in it, as the minimum has no split
     children and the maximum no join children.  Those counts are the up-
     and down-degrees in the contour tree, so C is its supernode set.  Each
     merge tree is contracted onto C (its chains of single-child vertices
-    become one arc), and the leaf transfer runs on the contracted pair:
-    a vertex transfers as an upper leaf when it has no join children and
+    become one arc), and leaf transfer runs on the contracted pair: a
+    vertex transfers as an upper leaf when it has no join children and
     exactly one split child (mirror condition for lower leaves); its arc
     becomes a superarc and the vertex is deleted from both trees.  The
     resulting arc set is unique, so any valid processing order yields
     the same tree (Carr, Snoeyink & Axen, Computational Geometry 2003).
+
+    The transfer runs in batched rounds (``_transfer``).  A round
+    transfers every upper leaf at once, then every lower leaf, and
+    recurses on the vertices left through ``_assemble``: the same
+    contraction, transfer and placement steps as here, one level down.
+    The vertices that level contracts are placed like the regular
+    vertices below, and that is exact: each is regular in the remaining
+    contour tree, so the path between its join child and its split child
+    crosses its rank once.  A round that transfers less than half of its
+    level's vertices hands the level to the serial queue instead, which
+    keeps the work linear and the depth at most log2(k) + 1.
 
     A regular vertex w is then placed on its superarc.  JU(w), the first
     critical vertex up w's chain of single join children, lies in the
@@ -204,25 +228,46 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
     n = join.n
     if n == 0:
         raise UsageError("empty vertex set")
-    j_count, j_sum = _child_state(join.arcs)
-    s_count, s_sum = _child_state(split.arcs)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    up, st, walk, arc = _assemble(join.arcs, split.arcs, ranks)
+    outer = np.arange(n)
+    outer[walk] = st.vertex[arc]
+    walk_start = np.r_[0, np.cumsum(np.bincount(outer[walk], minlength=n))]
+    return ContourTree(
+        ids=np.arange(n), ranks=ranks, up=up, superstructure=st,
+        outer=outer, walk=walk, walk_start=walk_start,
+    )
+
+
+def _assemble(j_arcs: np.ndarray, s_arcs: np.ndarray, rank: np.ndarray):
+    """The contour tree of a join/split pair over positions 0..m-1, ``combine``'s steps.
+
+    ``j_arcs`` and ``s_arcs`` are parent arrays (-1 at the roots) and
+    ``rank[p]`` ranks position p.  Returns ``up``, the parent of each
+    position in the tree rooted at the highest rank; the superstructure,
+    whose ``vertex`` holds the supernodes' positions; and the regular
+    positions in walk order with the superarc (supernode slot) of each.
+    """
+    m = j_arcs.size
+    j_count, j_sum = _child_state(j_arcs)
+    s_count, s_sum = _child_state(s_arcs)
     crit = (j_count != 1) | (s_count != 1)
     crit_ids = np.flatnonzero(crit)
-    slot = np.full(n, -1, dtype=np.int64)
+    slot = np.full(m, -1, dtype=np.int64)
     slot[crit_ids] = np.arange(crit_ids.size)
-    ju, j_tree = _contract(join.arcs, j_count, j_sum, crit_ids, slot)
-    sd, s_tree = _contract(split.arcs, s_count, s_sum, crit_ids, slot)
-    child, parent = _leaf_transfer(crit_ids.size, j_tree, s_tree)
-    st = _from_pairs(_Positions(crit_ids), ranks, child, parent).superstructure
+    ju, j_tree = _contract(j_arcs, j_count, j_sum, crit_ids, slot)
+    sd, s_tree = _contract(s_arcs, s_count, s_sum, crit_ids, slot)
+    child, parent = _transfer(j_tree, s_tree, rank[crit_ids])
+    st = _from_pairs(_Positions(crit_ids), rank, child, parent).superstructure
     if st.vertex.size != crit_ids.size:
         raise InternalError("a critical vertex is regular in the contracted tree")
 
-    up = np.empty(n, dtype=np.int64)
+    up = np.empty(m, dtype=np.int64)
     up[crit_ids] = np.where(st.inner >= 0, crit_ids[st.inner], -1)
     regular = walk = np.flatnonzero(~crit)
     arc = _EMPTY
     if regular.size:
-        rank = _rank_array(regular, ranks)
+        rank = rank[regular]
         outer = _lift(st, ju[regular], sd[regular], rank)
         lo, hi = st.rank[outer], st.rank[st.inner[outer]]
         if ((rank < np.minimum(lo, hi)) | (rank > np.maximum(lo, hi))).any():
@@ -237,14 +282,7 @@ def combine(join: MergeTree, split: MergeTree, ranks: Sequence[int]) -> ContourT
         up[walk] = np.where(last, crit_ids[st.inner[arc]], np.roll(walk, -1))
         heads = np.r_[0, breaks + 1]
         up[crit_ids[arc[heads]]] = walk[heads]
-    st = dataclasses.replace(st, vertex=crit_ids)
-    outer = np.arange(n)
-    outer[walk] = crit_ids[arc]
-    walk_start = np.r_[0, np.cumsum(np.bincount(outer[walk], minlength=n))]
-    return ContourTree(
-        ids=np.arange(n), ranks=ranks, up=up, superstructure=st,
-        outer=outer, walk=walk, walk_start=walk_start,
-    )
+    return up, dataclasses.replace(st, vertex=crit_ids), walk, arc
 
 
 def _child_state(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,13 +317,80 @@ def _contract(
     return slot[top], (parent, count[crit_ids], _child_state(parent)[1])
 
 
+def _transfer(join, split, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf transfer over slots 0..k-1 in batched rounds; ``rank`` ranks the slots.
+
+    Each tree is given as (parent, child count, child-slot sum) arrays.
+    Returns the k - 1 contour tree edges as (child, parent) arrays.  A
+    round takes two numpy passes.  The first transfers every upper leaf
+    (no join children, one split child) at once: its edge goes to its
+    join parent, and it is spliced out of the split tree.  The second
+    does the mirror for every lower leaf of the updated trees.  Leaves of
+    one kind are never each other's parents, and splicing keeps the
+    other vertices' child counts, so each pass equals the serial queue
+    run in some order.  The vertices left and their trees are the
+    contour tree without those leaves and its join and split trees, and
+    ``_assemble`` builds that tree one level down.  A leaf without a
+    parent only occurs in a malformed pair; it is left to the queue.
+
+    A level whose round transfers less than half of its vertices goes to
+    the ``_leaf_transfer`` queue instead.  Each deeper level is then at
+    most half as large, so the work stays linear and the recursion depth
+    is at most log2(k) + 1.
+    """
+    (j_parent, j_count, _), (s_parent, s_count, _) = join, split
+    k = rank.size
+    upper = (j_count == 0) & (s_count == 1) & (j_parent >= 0)
+    upper_to = j_parent[upper]
+    s_parent = _splice(s_parent, upper)
+    j_count = j_count - np.bincount(upper_to, minlength=k)
+    lower = ~upper & (s_count == 0) & (j_count == 1) & (s_parent >= 0)
+    lower_to = s_parent[lower]
+    j_parent = _splice(j_parent, lower)
+    keep = np.flatnonzero(~(upper | lower))
+    if 2 * keep.size > k:
+        return _leaf_transfer(k, join, split)
+    child = np.r_[np.flatnonzero(upper), np.flatnonzero(lower)]
+    parent = np.r_[upper_to, lower_to]
+    if keep.size > 1:
+        pos = np.full(k, -1, dtype=np.int64)
+        pos[keep] = np.arange(keep.size)
+        j_keep, s_keep = j_parent[keep], s_parent[keep]
+        up = _assemble(
+            np.where(j_keep >= 0, pos[j_keep], -1),
+            np.where(s_keep >= 0, pos[s_keep], -1),
+            rank[keep],
+        )[0]
+        has = up >= 0
+        child = np.r_[child, keep[has]]
+        parent = np.r_[parent, keep[up[has]]]
+    return child, parent
+
+
+def _splice(parent: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``parent`` with the single-child vertices marked in ``out`` spliced out.
+
+    Each other vertex's parent becomes its first ancestor not in ``out``
+    (-1 past the root); pointer jumping skips runs of them.
+    """
+    k = parent.size
+    up = np.where(parent >= 0, parent, k)
+    end = _chain_ends(np.append(np.where(out, up, np.arange(k)), k))[up]
+    return np.where(end < k, end, -1)
+
+
 def _leaf_transfer(n: int, join, split) -> tuple[np.ndarray, np.ndarray]:
-    """The leaf-transfer queue over vertices 0..n-1 of a join and a split tree.
+    """The serial leaf-transfer queue over vertices 0..n-1 of a join and a split tree.
 
     Each tree is given as (parent, child count, child-id sum) arrays.
     Returns the n - 1 contour tree edges as (child, parent) arrays: each
     transferred vertex and its parent in the tree it was a leaf of.  The
-    queue loop runs on lists.
+    queue loop runs on lists.  It finishes the degenerate levels of
+    ``_transfer``, those where a batched round would transfer less than
+    half of the vertices (on a zigzag path, one round transfers only the
+    leaves near its two ends).  A pair whose leaves run out before one
+    vertex is left is not a contour tree's (its graph's Reeb graph has a
+    loop, say), and the queue raises ``InternalError`` for it.
     """
     (j_parent, j_count, j_sum), (s_parent, s_count, s_sum) = join, split
     ready = ((j_count == 0) & (s_count == 1)) | ((s_count == 0) & (j_count == 1))
@@ -404,11 +509,6 @@ class _Positions:
         return pos
 
 
-def _rank_array(ids: np.ndarray, ranks: Sequence[int]) -> np.ndarray:
-    """``ranks`` of the vertices ``ids``, in order."""
-    return np.fromiter(map(ranks.__getitem__, ids.tolist()), np.int64, ids.size)
-
-
 def _pair_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
     """One int64 sort key ordering by ``major``, then ``minor`` (``0 <= minor < span``).
 
@@ -419,7 +519,7 @@ def _pair_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
     return major * span + minor
 
 
-def _from_edges(verts, ranks: Sequence[int], edges) -> ContourTree:
+def _from_edges(verts, ranks, edges) -> ContourTree:
     """Build the rooted tree and contracted superstructure from CT edges.
 
     ``verts`` are the vertex ids and ``edges`` an (n - 1, 2) array-like of
@@ -430,6 +530,7 @@ def _from_edges(verts, ranks: Sequence[int], edges) -> ContourTree:
     ``verts``, a cycle or a disconnected graph) raises ``InternalError``.
     """
     verts = np.asarray(verts, dtype=np.int64)
+    ranks = np.asarray(ranks, dtype=np.int64)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     n = verts.size
     if n == 0 or len(edges) != n - 1:
@@ -440,7 +541,7 @@ def _from_edges(verts, ranks: Sequence[int], edges) -> ContourTree:
 
 
 def _from_pairs(
-    where: _Positions, ranks: Sequence[int], child: np.ndarray, par: np.ndarray
+    where: _Positions, ranks: np.ndarray, child: np.ndarray, par: np.ndarray
 ) -> ContourTree:
     """``_from_edges`` for n - 1 edges given as position arrays over ``where.ids``."""
     ids, n = where.ids, where.ids.size
@@ -449,7 +550,7 @@ def _from_pairs(
     parent = np.full(n, -1, dtype=np.int64)
     parent[child] = par
     (top,) = np.flatnonzero(parent < 0)
-    rank = _rank_array(ids, ranks)
+    rank = ranks[ids]
     root = int(np.argmax(rank))
 
     # Pointer doubling up to ``top`` checks that the edges form one tree
@@ -511,7 +612,7 @@ def augment(ct: ContourTree) -> ContourTree:
     rises[st.vertex[arcs]] = st.rank[st.inner[arcs]] > st.rank[arcs]
     regular = np.flatnonzero(~is_super)
     arc = outer[regular]
-    walk = regular[_walk_order(arc, _rank_array(ct.ids[regular], ct.ranks), rises[arc])]
+    walk = regular[_walk_order(arc, ct.ranks[ct.ids[regular]], rises[arc])]
     walk_start = np.r_[0, np.cumsum(np.bincount(arc, minlength=n))]
     return dataclasses.replace(ct, outer=outer, walk=walk, walk_start=walk_start)
 
@@ -522,10 +623,10 @@ def contour_tree(grid: ScalarGrid, order: VertexOrder) -> ContourTree:
 
     join = compute_join_tree(grid, order)
     split = compute_split_tree(grid, order)
-    return augment(combine(join, split, order.ranks))
+    return augment(combine(join, split, order.rank_of))
 
 
-def tree_from_graph(verts, ranks: Sequence[int], edges) -> ContourTree:
+def tree_from_graph(verts, ranks, edges) -> ContourTree:
     """Contour tree of a connected graph on ``verts`` (used by the merge).
 
     ``verts`` are distinct vertex ids and ``edges`` an (m, 2) array-like
@@ -535,7 +636,8 @@ def tree_from_graph(verts, ranks: Sequence[int], edges) -> ContourTree:
     harmless, and an endpoint outside ``verts`` raises ``InternalError``.
     """
     verts = np.asarray(verts, dtype=np.int64)
-    gid = verts[np.argsort(_rank_array(verts, ranks), kind="stable")]
+    ranks = np.asarray(ranks, dtype=np.int64)
+    gid = verts[np.argsort(ranks[verts], kind="stable")]
     n = gid.size
     pairs = _Positions(gid).of(np.asarray(edges, dtype=np.int64).reshape(-1, 2))
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
@@ -551,20 +653,21 @@ def tree_from_graph(verts, ranks: Sequence[int], edges) -> ContourTree:
         by = np.argsort(at, kind="stable")
         starts = np.searchsorted(at[by], np.arange(n + 1))
         trees.append(sweep_csr(seq, other[by], starts, n, direction))
-    return relabel(augment(combine(*trees, range(n))), gid, ranks)
+    return relabel(augment(combine(*trees, np.arange(n))), gid, ranks)
 
 
-def relabel(ct: ContourTree, gid, ranks: Sequence[int]) -> ContourTree:
+def relabel(ct: ContourTree, gid, ranks) -> ContourTree:
     """The same tree with local vertex ids replaced by ``gid[local]``, ranked by ``ranks``.
 
     Positions stay: one gather of ids, and one sort of the supernodes by them.
     """
     ids = np.asarray(gid, dtype=np.int64)[ct.ids]
+    ranks = np.asarray(ranks, dtype=np.int64)
     st = ct.superstructure
     order = np.argsort(ids[st.vertex])
     place = np.argsort(order)
     vertex, inner = st.vertex[order], st.inner[order]
     inner = np.where(inner >= 0, place[inner], -1)
-    rank = _rank_array(ids[vertex], ranks)
+    rank = ranks[ids[vertex]]
     st = Superstructure(vertex=vertex, inner=inner, rank=rank, root=int(place[st.root]))
     return dataclasses.replace(ct, ids=ids, ranks=ranks, superstructure=st)

@@ -142,6 +142,18 @@ def test_select_top3_matches_full_sort_oracle():
     assert [b.key() for b in selected] == [b.key() for b in oracle]
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_sorted_branches_match_full_sort_oracle(seed):
+    """The whole order, ties included: many small branches share a volume."""
+    _, ct, ann, bd = serial_pipeline(random_grid((8, 8, 4), seed))
+    oracle = sorted(
+        bd.branches,
+        key=lambda b: (-b.volume, -1 if b.saddle is None else ct.ranks[b.saddle]),
+    )
+    assert len({b.volume for b in bd.branches}) < len(bd.branches)
+    assert [id(b) for b in bd.sorted_branches(ct.ranks)] == [id(b) for b in oracle]
+
+
 def test_select_threshold():
     grid = random_grid((8, 8, 1), 9)
     _, ct, ann, bd = serial_pipeline(grid)

@@ -466,8 +466,8 @@ def check_grid(grid):
     """
     order = sos_order(grid)
     join, split = compute_join_tree(grid, order), compute_split_tree(grid, order)
-    call = {"join": join, "split": split, "tree": gtree.combine(join, split, order.ranks)}
-    ct = check_combine(call, order.ranks)
+    call = {"join": join, "split": split, "tree": gtree.combine(join, split, order.rank_of)}
+    ct = check_combine(call, order.rank_of)
     assert_same_tree(contour_tree(grid, order), ct)
     assert_same_measures(ct, measure.superarc_counts(ct))
 
@@ -584,7 +584,7 @@ def test_distributed_annotation_matches_reference(lam):
     base = result.base_tree
     verts = sorted(base.verts + [v for rec in result.retained for v in rec.verts])
     edges = list(base.parent.items()) + [e for rec in result.retained for e in rec.edges]
-    check_tree_input(verts, order.ranks, edges)
+    check_tree_input(verts, order.rank_of, edges)
 
 
 @settings(max_examples=40, deadline=None)

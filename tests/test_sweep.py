@@ -250,6 +250,30 @@ def test_link_representatives_extremes():
     assert all(np.flatnonzero(table[1 << i]).tolist() == [i] for i in range(k))
 
 
+def propagated_link_representatives():
+    """Reference table: min-label propagation over all masks at once."""
+    offsets = np.array(_ALL_OFFSETS)
+    k = len(offsets)
+    diff = offsets[:, None, None, :] - offsets[None, :, None, :]
+    linked = np.argwhere((diff == offsets[None, None, :, :]).all(-1).any(-1))
+    slots = np.arange(k, dtype=np.uint8)[:, None]
+    present = (np.arange(1 << k) >> slots) & 1 == 1
+    label = np.where(present, slots, k).astype(np.uint8)
+    while True:
+        before = label.copy()
+        for i, j in linked:
+            np.minimum(label[i], label[j], out=label[i], where=present[i])
+        if np.array_equal(before, label):
+            break
+    return (present & (label == slots)).T.copy()
+
+
+def test_link_representatives_match_propagation():
+    table = link_representatives()
+    assert not table.flags.writeable
+    assert np.array_equal(table, propagated_link_representatives())
+
+
 # --- the array-backed ``arc_to`` view -----------------------------------------
 
 

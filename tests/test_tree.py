@@ -1,8 +1,11 @@
 import dataclasses
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gridtopo import compute_join_tree, compute_split_tree, contour_tree, sos_order
 from gridtopo import tree as gtree
@@ -98,7 +101,7 @@ def test_tree_from_graph_matches_grid_tree(grid):
     """The graph entry point over the stencil edges builds the grid's tree."""
     order = sos_order(grid)
     expected = contour_tree(grid, order)
-    got = tree_from_graph(range(grid.n), order.ranks, list(grid.edges()))
+    got = tree_from_graph(range(grid.n), order.rank_of, list(grid.edges()))
     assert got.supernodes == expected.supernodes
     assert got.arc_inner == expected.arc_inner
     assert got.superparent == expected.superparent
@@ -278,7 +281,7 @@ def test_array_combine_matches_set_based_edges(grid, combine_calls):
     (call,) = combine_calls
     edges = ref_vertex_combine(call["join"], call["split"])
     assert edges == set_based_leaf_transfer(call["join"], call["split"])
-    check_combine(call, order.ranks)
+    check_combine(call, order.rank_of)
 
 
 @pytest.mark.parametrize(
@@ -314,7 +317,7 @@ def assert_combine_augments_like_augment(ct):
 def test_combine_returns_the_tree_augment_builds(grid):
     order = sos_order(grid)
     join, split = compute_join_tree(grid, order), compute_split_tree(grid, order)
-    assert_combine_augments_like_augment(gtree.combine(join, split, order.ranks))
+    assert_combine_augments_like_augment(gtree.combine(join, split, order.rank_of))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -377,3 +380,151 @@ def test_tree_from_graph_sweeps_get_the_csr_contract(monkeypatch):
         assert all(when[u] < when[v] for v, u in listed)
         # Each edge but the self-loops, listed once per occurrence.
         assert len(listed) == 5
+
+
+# --- batched leaf-transfer rounds ---------------------------------------------
+
+
+@pytest.fixture
+def levels(monkeypatch):
+    """Record each round's level size and the vertex count of each queue run."""
+    sizes, queued = [], []
+    real_transfer, real_queue = gtree._transfer, gtree._leaf_transfer
+
+    def transfer(join, split, rank):
+        sizes.append(rank.size)
+        return real_transfer(join, split, rank)
+
+    def queue(n, join, split):
+        queued.append(n)
+        return real_queue(n, join, split)
+
+    monkeypatch.setattr(gtree, "_transfer", transfer)
+    monkeypatch.setattr(gtree, "_leaf_transfer", queue)
+    return sizes, queued
+
+
+def zigzag_ranks(n, seed):
+    """Path ranks alternating low and high, so every inner vertex is an extremum."""
+    rng = np.random.default_rng(seed)
+    ranks = np.empty(n, dtype=np.int64)
+    lows = (n + 1) // 2
+    ranks[0::2] = rng.permutation(lows)
+    ranks[1::2] = lows + rng.permutation(n // 2)
+    return ranks.tolist()
+
+
+def path_edges(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def zigzag_spine_with_leaves(m, seed):
+    """A zigzag path 0..m-1 with leaf m + i hung on vertex i.
+
+    Leaves hung on the path's minima rank below the whole path and those
+    on its maxima above it, so every leaf is transferred in the first
+    round and the bare zigzag is left for the next level.
+    """
+    rng = np.random.default_rng(seed)
+    spine = np.array(zigzag_ranks(m, seed), dtype=float)
+    low = np.arange(m) % 2 == 0
+    leaf = np.where(low, -1 - rng.random(m), m + 1 + rng.random(m))
+    values = np.r_[spine, leaf]
+    ranks = np.argsort(np.argsort(values)).tolist()
+    return ranks, path_edges(m) + [(i, m + i) for i in range(m)]
+
+
+def assert_rounds_match_references(call, n):
+    edges = ref_vertex_combine(call["join"], call["split"])
+    assert len(edges) == n - 1
+    assert edges == set_based_leaf_transfer(call["join"], call["split"])
+    check_combine(call, range(n))
+
+
+@pytest.mark.parametrize("n", [12, 51, 300])
+@pytest.mark.parametrize("seed", range(3))
+def test_zigzag_path_sends_level_zero_to_the_queue(n, seed, combine_calls, levels):
+    tree_from_graph(range(n), zigzag_ranks(n, seed), path_edges(n))
+    (call,) = combine_calls
+    assert_rounds_match_references(call, n)
+    assert levels == ([n], [n])
+
+
+def test_lower_pass_sees_the_upper_pass(levels):
+    """Vertex 2 becomes a lower leaf only once the upper pass transfers vertex 3."""
+    ct = tree_from_graph(range(4), [0, 2, 1, 3], path_edges(4))
+    assert levels == ([4], [])
+    assert {frozenset(e) for e in ct.arc_inner.items()} == {frozenset(e) for e in path_edges(4)}
+
+
+@pytest.mark.parametrize("m", [12, 101])
+@pytest.mark.parametrize("seed", range(3))
+def test_zigzag_spine_with_leaves_reaches_the_queue_deeper(m, seed, combine_calls, levels):
+    ranks, edges = zigzag_spine_with_leaves(m, seed)
+    tree_from_graph(range(2 * m), ranks, edges)
+    (call,) = combine_calls
+    assert_rounds_match_references(call, 2 * m)
+    sizes, queued = levels
+    # The spine's two ends are regular: each has one neighbour above, one below.
+    assert sizes[0] == 2 * m - 2 and len(sizes) == 2 and queued == [sizes[1]]
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    n=st.integers(1, 60), width=st.integers(1, 60), seed=st.integers(0, 2**32 - 1)
+)
+def test_rounds_match_references_on_random_tree_graphs(n, width, seed, combine_calls):
+    """Random trees, from stars (width 1 picks any earlier vertex) to long paths."""
+    combine_calls.clear()
+    rng = np.random.default_rng(seed)
+    edges = [(i, int(rng.integers(max(0, i - width), i))) for i in range(1, n)]
+    ct = tree_from_graph(range(n), rng.permutation(n).tolist(), edges)
+    (call,) = combine_calls
+    assert_rounds_match_references(call, n)
+    # A tree graph is its own contour tree.
+    assert {frozenset(e) for e in ct.parent.items()} == {frozenset(e) for e in edges}
+
+
+def test_long_zigzag_path_is_its_own_contour_tree():
+    n = 32_000
+    ct = tree_from_graph(range(n), zigzag_ranks(n, 0), path_edges(n))
+    assert len(ct.supernodes) == n
+    assert {frozenset(e) for e in ct.arc_inner.items()} == {frozenset(e) for e in path_edges(n)}
+
+
+def test_reeb_graph_loop_stalls():
+    """A graph whose Reeb graph has a loop has no contour tree to assemble."""
+    from gridtopo.errors import InternalError
+
+    edges = [(1, 0), (2, 0), (3, 1), (4, 2), (5, 4), (0, 3), (5, 3)]
+    with pytest.raises(InternalError, match="stalled"):
+        tree_from_graph(range(6), [3, 0, 1, 5, 4, 2], edges)
+
+
+def test_level_sizes_halve_on_a_random_grid(levels):
+    grid = random_grid((16, 16, 8), 0)
+    contour_tree(grid, sos_order(grid))
+    sizes, queued = levels
+    assert len(sizes) >= 3 and queued == []
+    assert all(2 * b <= a for a, b in zip(sizes, sizes[1:]))
+
+
+def tree_arrays(ct):
+    st = ct.superstructure
+    return [ct.ids, ct.ranks, ct.up, ct.outer, ct.walk, ct.walk_start,
+            st.vertex, st.inner, st.rank, np.array([st.root])]
+
+
+def test_tree_from_graph_on_threads_matches_sequential():
+    """Concurrent fan-in merges share no mutable state in the tree layer."""
+    graphs = []
+    for seed in range(8):
+        grid = random_grid((12, 10, 8), seed)
+        graphs.append((range(grid.n), sos_order(grid).rank_of, list(grid.edges())))
+    want = [tree_from_graph(*g) for g in graphs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(lambda g: tree_from_graph(*g), graphs))
+    for a, b in zip(got, want):
+        assert all(np.array_equal(x, y) for x, y in zip(tree_arrays(a), tree_arrays(b)))
