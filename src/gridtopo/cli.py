@@ -2,8 +2,10 @@
 
 ``gridtopo run`` ingests a raw volume or generates a synthetic one,
 runs the serial or simulated-distributed pipeline, and writes the
-branch table CSV and metrics JSON.  ``gridtopo advise`` prints the
-threshold estimates from the memory and communication criteria.
+branch table CSV and metrics JSON, or with ``--lambda-sweep`` the
+communication curve.  ``gridtopo advise`` prints the threshold
+estimates from the memory and communication criteria.  ``main`` parses
+the arguments once, and the ``run`` functions read that namespace.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal
 consistency error.
@@ -15,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import measure, tree
@@ -30,47 +31,29 @@ from .grid import (
     synthetic_random,
 )
 
+# ``--oracle-check`` compares the census at no more than about this many gaps.
+_ORACLE_GAPS = 64
 
-@dataclass
-class RunConfig:
-    """Everything one pipeline invocation needs."""
 
-    dims: tuple[int, int, int]
-    input_path: str | None = None
-    synthetic: str | None = None
-    seed: int = 0
-    dtype: str = "f32"
-    endian: str = "little"
-    mode: str = "serial"
-    blocks: tuple[int, int, int] = (1, 1, 1)
-    lam: int = 0
-    top_branches: int | None = None
-    threshold: float | None = None
-    branches_out: str | None = None
-    metrics_out: str | None = None
-    sweep_out: str | None = None
-    lambda_sweep: list[int] = field(default_factory=list)
-    oracle_check: bool = False
-    rank_exec: str = "sequential"
-
-    def validate(self) -> None:
-        if (self.input_path is None) == (self.synthetic is None):
-            raise UsageError("exactly one of --input and --synthetic is required")
-        if self.lam < 0:
-            raise UsageError("--lambda must be non-negative")
-        if self.top_branches is not None and self.top_branches < 1:
-            raise UsageError("--top-branches must be at least 1")
-        if self.threshold is not None and not 0 <= self.threshold < math.inf:
-            # NaN fails every comparison and would select only the trunk.
-            raise UsageError("--threshold must be a finite non-negative number")
-        if self.top_branches is not None and self.threshold is not None:
-            raise UsageError("--top-branches and --threshold are mutually exclusive")
-        if any(b < 1 for b in self.blocks):
-            raise UsageError("--blocks entries must be positive")
-        if self.oracle_check and self.mode == "distributed" and self.lam > 0:
-            # Pre-simplification removes small branches, so the tree no
-            # longer matches the level-set census of the full grid.
-            raise UsageError("--oracle-check needs --lambda 0 in distributed mode")
+def validate(args: argparse.Namespace) -> None:
+    """Reject ``run`` arguments that parse but do not make a run."""
+    if (args.input is None) == (args.synthetic is None):
+        raise UsageError("exactly one of --input and --synthetic is required")
+    if args.lam < 0:
+        raise UsageError("--lambda must be non-negative")
+    if args.top_branches is not None and args.top_branches < 1:
+        raise UsageError("--top-branches must be at least 1")
+    if args.threshold is not None and not 0 <= args.threshold < math.inf:
+        # NaN fails every comparison and would select only the trunk.
+        raise UsageError("--threshold must be a finite non-negative number")
+    if args.top_branches is not None and args.threshold is not None:
+        raise UsageError("--top-branches and --threshold are mutually exclusive")
+    if any(b < 1 for b in args.blocks):
+        raise UsageError("--blocks entries must be positive")
+    if args.oracle_check and args.mode == "distributed" and args.lam > 0:
+        # Pre-simplification removes small branches, so the tree no
+        # longer matches the level-set census of the full grid.
+        raise UsageError("--oracle-check needs --lambda 0 in distributed mode")
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
@@ -87,24 +70,22 @@ def _parse_triple(text: str, flag: str) -> tuple[int, int, int]:
     return (x, y, z)
 
 
-def load_grid(config: RunConfig) -> ScalarGrid:
-    if config.input_path is not None:
-        width = {"f32": 32, "f64": 64}[config.dtype]
-        return load_raw(config.input_path, config.dims, width, config.endian)
-    if config.synthetic == "random":
-        return synthetic_random(config.dims, config.seed)
-    if config.synthetic == "gaussians":
-        return synthetic_gaussians(config.dims, config.seed)
-    if config.synthetic == "ramp":
-        return synthetic_ramp(config.dims)
-    raise UsageError(f"unknown synthetic generator {config.synthetic!r}")
+def load_grid(args: argparse.Namespace) -> ScalarGrid:
+    if args.input is not None:
+        width = {"f32": 32, "f64": 64}[args.dtype]
+        return load_raw(args.input, args.dims, width, args.endian)
+    if args.synthetic == "random":
+        return synthetic_random(args.dims, args.seed)
+    if args.synthetic == "gaussians":
+        return synthetic_gaussians(args.dims, args.seed)
+    return synthetic_ramp(args.dims)
 
 
-def _oracle_check(grid: ScalarGrid, order, ct, max_gaps: int = 64) -> None:
+def _oracle_check(grid: ScalarGrid, order, ct) -> None:
     from .oracle import count_contours
 
     n = grid.n
-    gaps = range(n - 1) if n - 1 <= max_gaps else range(0, n - 1, (n - 1) // max_gaps)
+    gaps = range(n - 1) if n - 1 <= _ORACLE_GAPS else range(0, n - 1, (n - 1) // _ORACLE_GAPS)
     for gap in gaps:
         expected = count_contours(grid, order, gap)
         got = ct.straddling_arcs(gap)
@@ -114,100 +95,72 @@ def _oracle_check(grid: ScalarGrid, order, ct, max_gaps: int = 64) -> None:
             )
 
 
-def run_pipeline(config: RunConfig) -> dict:
-    """Execute one configured run; returns the metrics document."""
-    config.validate()
-    grid = load_grid(config)
+def run_pipeline(args: argparse.Namespace) -> dict:
+    """Execute one ``run`` on ``args`` as ``main`` prepares them; returns the metrics."""
+    grid = load_grid(args)
     order = sos_order(grid)
-    values = grid.values.tolist()
-    b = config.top_branches
-    if b is None and config.threshold is None:
-        b = 100
+    if args.mode == "serial":
+        ct = tree.contour_tree(grid, order)
+        bd = measure.branch_decomposition(ct, measure.hypersweep(ct, measure.superarc_counts(ct)))
+        selected, lambda_b = measure.select_top_branches(
+            bd, ct.ranks, b=args.top_branches, threshold=args.threshold
+        )
+        warnings, extra = [], {}
+    else:
+        result = pipeline.run_distributed(
+            grid, order, args.blocks, lam=args.lam, b=args.top_branches,
+            threshold=args.threshold, mode=args.rank_exec,
+        )
+        ct, bd, selected = result.augmented_tree, result.bd, result.selected
+        lambda_b, warnings = result.lambda_b, list(result.warnings)
+        extra = {
+            "lambda_valid": result.lambda_valid,
+            "attachment_points_total": len(result.records),
+            "attachment_points_retained": len(result.retained),
+            "commlog": result.commlog.to_dict(),
+        }
 
-    metrics: dict = {
+    metrics = {
         "config": {
-            "dims": list(config.dims),
-            "mode": config.mode,
-            "blocks": list(config.blocks),
-            "lambda": config.lam,
-            "top_branches": b,
-            "threshold": config.threshold,
-            "seed": config.seed,
-            "synthetic": config.synthetic,
+            "dims": list(args.dims),
+            "mode": args.mode,
+            "blocks": list(args.blocks),
+            "lambda": args.lam,
+            "top_branches": args.top_branches,
+            "threshold": args.threshold,
+            "seed": args.seed,
+            "synthetic": args.synthetic,
         },
         "n": grid.n,
+        "supernodes": len(ct.supernodes),
+        "superarcs": len(ct.arc_inner),
+        "branches": len(bd.branches),
+        "selected": len(selected),
+        "lambda_b": lambda_b,
+        "warnings": warnings,
+        **extra,
     }
-
-    if config.mode == "serial":
-        ct = tree.contour_tree(grid, order)
-        ann = measure.hypersweep(ct, measure.superarc_counts(ct))
-        bd = measure.branch_decomposition(ct, ann)
-        selected, lambda_b = measure.select_top_branches(
-            bd, ct.ranks, b=b, threshold=config.threshold
-        )
-        root = ct.root
-        metrics.update(
-            {
-                "supernodes": len(ct.supernodes),
-                "superarcs": len(ct.arc_inner),
-                "branches": len(bd.branches),
-                "selected": len(selected),
-                "lambda_b": lambda_b,
-                "warnings": [],
-            }
-        )
-        if config.oracle_check:
-            _oracle_check(grid, order, ct)
-    elif config.mode == "distributed":
-        result = pipeline.run_distributed(
-            grid,
-            order,
-            config.blocks,
-            lam=config.lam,
-            b=b,
-            threshold=config.threshold,
-            mode=config.rank_exec,
-        )
-        selected = result.selected
-        root = result.augmented_tree.root
-        metrics.update(
-            {
-                "supernodes": len(result.augmented_tree.supernodes),
-                "superarcs": len(result.augmented_tree.arc_inner),
-                "branches": len(result.bd.branches),
-                "selected": len(selected),
-                "lambda_b": result.lambda_b,
-                "lambda_valid": result.lambda_valid,
-                "attachment_points_total": len(result.records),
-                "attachment_points_retained": len(result.retained),
-                "warnings": list(result.warnings),
-            }
-        )
-        metrics["commlog"] = result.commlog.to_dict()
-        if config.oracle_check:
-            _oracle_check(grid, order, result.augmented_tree)
-    else:
-        raise UsageError(f"unknown mode {config.mode!r}")
-
-    if config.branches_out:
-        with open(config.branches_out, "w", newline="") as fh:
-            measure.write_branch_csv(selected, values, fh, root)
-    if config.metrics_out:
-        with open(config.metrics_out, "w") as fh:
+    if args.oracle_check:
+        _oracle_check(grid, order, ct)
+    if args.branches_out:
+        with open(args.branches_out, "w", newline="") as fh:
+            measure.write_branch_csv(selected, grid.values, fh, ct.root)
+    if args.metrics_out:
+        with open(args.metrics_out, "w") as fh:
             json.dump(metrics, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return metrics
 
 
-def run_lambda_sweep(config: RunConfig) -> str:
-    """Run the distributed pipeline per threshold; returns sweep CSV text."""
-    grid = load_grid(config)
+def run_lambda_sweep(args: argparse.Namespace) -> str:
+    """Run the distributed pipeline per ``--lambda-sweep`` value; returns sweep CSV text."""
+    grid = load_grid(args)
     order = sos_order(grid)
-    b = config.top_branches or 100
     rows = ["lambda,max_attachment_points,max_bestupdown,max_branchinfo"]
-    for lam in config.lambda_sweep:
+    for lam in args.lambda_sweep:
         result = pipeline.run_distributed(
-            grid, order, config.blocks, lam=lam, b=b, mode=config.rank_exec
+            grid, order, args.blocks, lam=lam, b=args.top_branches,
+            threshold=args.threshold, mode=args.rank_exec,
         )
         log = result.commlog
         rows.append(
@@ -281,45 +234,30 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(report, indent=2, sort_keys=True))
             return 0
 
-        config = RunConfig(
-            dims=_parse_triple(args.dims, "--dims"),
-            input_path=args.input,
-            synthetic=args.synthetic,
-            seed=args.seed,
-            dtype=args.dtype,
-            endian=args.endian,
-            mode=args.mode,
-            blocks=_parse_triple(args.blocks, "--blocks"),
-            lam=args.lam,
-            top_branches=args.top_branches,
-            threshold=args.threshold,
-            branches_out=args.branches_out,
-            metrics_out=args.metrics_out,
-            sweep_out=args.sweep_out,
-            oracle_check=args.oracle_check,
-            rank_exec=args.rank_exec,
-        )
+        args.dims = _parse_triple(args.dims, "--dims")
+        args.blocks = _parse_triple(args.blocks, "--blocks")
+        if args.lambda_sweep:
+            args.lambda_sweep = _parse_ints(args.lambda_sweep, "--lambda-sweep")
+        validate(args)
+        if args.top_branches is None and args.threshold is None:
+            args.top_branches = 100
         try:
             if args.lambda_sweep:
-                config.lambda_sweep = _parse_ints(args.lambda_sweep, "--lambda-sweep")
-                config.validate()
-                text = run_lambda_sweep(config)
-                if config.sweep_out:
-                    Path(config.sweep_out).write_text(text)
+                text = run_lambda_sweep(args)
+                if args.sweep_out:
+                    Path(args.sweep_out).write_text(text)
                 else:
                     sys.stdout.write(text)
                 return 0
-            metrics = run_pipeline(config)
+            metrics = run_pipeline(args)
         except MemoryError:
             raise UsageError(
-                f"out of memory for a grid of {math.prod(config.dims)} vertices"
+                f"out of memory for a grid of {math.prod(args.dims)} vertices"
             ) from None
-        for warning in metrics.get("warnings", []):
+        for warning in metrics["warnings"]:
             print(f"warning: {warning}", file=sys.stderr)
         summary = {
-            k: metrics[k]
-            for k in ("n", "supernodes", "superarcs", "branches", "selected")
-            if k in metrics
+            k: metrics[k] for k in ("n", "supernodes", "superarcs", "branches", "selected")
         }
         print(json.dumps(summary, sort_keys=True))
         return 0

@@ -63,8 +63,8 @@ from ..errors import DataError, UsageError
 from ..grid import ScalarGrid, VertexOrder, sos_order
 from ..measure import Branch, BranchDecomposition, VolumeAnnotation
 from ..sweep import _chain_ends
-from ..tree import _EMPTY, ContourTree, _from_edges, _Positions, augment, contour_tree
-from ..tree import relabel, tree_from_graph
+from ..tree import _EMPTY, ContourTree, _from_edges, _Positions, _reroot, augment
+from ..tree import contour_tree, relabel, tree_from_graph
 
 # --- decomposition ---------------------------------------------------------
 
@@ -271,31 +271,26 @@ def _region(
     """Split ``ct`` into the boundary's Steiner tree and the records hanging off it.
 
     The Steiner tree is the smallest subtree connecting every boundary
-    vertex (the root when there is none): the marked vertices, those
-    whose subtree holds some but not all marks, and those where marks
-    meet from two child subtrees.  Every other vertex lies in a record,
-    under the record's head next to its attachment.  ``values`` follow
-    the ids of ``ct`` in ascending order.  ``mass``, the mass of earlier
-    records attached at ``mass_verts`` (ids may repeat), moves into the
-    measure of a new record that swallows its vertex.
+    vertex (the root when there is none).  Rooted at one of them, it is
+    those vertices and all their ancestors.  Every other vertex lies in
+    a record, under the record's head next to its attachment.  ``values``
+    follow the ids of ``ct`` in ascending order.  ``mass``, the mass of
+    earlier records attached at ``mass_verts`` (ids may repeat), moves
+    into the measure of a new record that swallows its vertex.
     """
     n, up, ids = ct.n, ct.up, ct.ids
-    root = int(ct.superstructure.vertex[ct.superstructure.root])
     where = _Positions(ids)
-    marks = np.zeros(n, dtype=np.int64)
-    marks[where.of(boundary) if boundary.size else root] = 1
-    below = measure._subtree_sums(up, root, marks)
-    child = np.flatnonzero(up >= 0)
-    busy = np.bincount(up[child[below[child] > 0]], minlength=n)
-    kept = (marks > 0) | ((0 < below) & (below < below[root])) | (busy >= 2)
-
-    # Record edges point from child to parent toward the attachment.  The
-    # record above the top holds the root, so the path from the top up to
-    # the root (the vertices left out with marks below them) turns around.
-    toward = up.copy()
-    path = ~kept & (below > 0)
-    step = np.flatnonzero((below > 0) & (up >= 0) & path[up])
-    toward[up[step]] = step
+    st = ct.superstructure
+    marks = where.of(boundary) if boundary.size else st.vertex[[st.root]]
+    # In that rooting every parent leads toward the Steiner tree, so the
+    # parents are also the record edges, from child toward the attachment.
+    toward = _reroot(up, int(marks[0]))
+    kept = np.zeros(n, dtype=bool)
+    kept[marks] = True
+    jump = np.where(toward < 0, np.arange(n), toward)
+    for _ in range(n.bit_length()):
+        kept[jump[kept]] = True
+        jump = jump[jump]
     # A record's head is its one vertex whose edge leads to a kept vertex.
     is_head = ~kept & kept[toward]
     head_of = _chain_ends(np.where(kept | is_head, np.arange(n), toward))

@@ -354,11 +354,15 @@ def select_top_branches(
 
 def write_branch_csv(
     selected: list[Branch],
-    values: Sequence[float] | Mapping[int, float],
+    values: np.ndarray | Sequence[float] | Mapping[int, float],
     stream: io.TextIOBase,
     root: int,
 ) -> None:
-    """Branch table: one row per selected branch, volume-descending order."""
+    """Branch table: one row per selected branch, volume-descending order.
+
+    ``values`` is indexed by vertex id (a grid's ``values`` array serves);
+    each value is written as the ``repr`` of a Python float.
+    """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(
         ["branch_id", "saddle_value", "leaf_id", "leaf_value", "volume", "parent_branch_id"]
@@ -369,9 +373,9 @@ def write_branch_csv(
         writer.writerow(
             [
                 saddle,
-                repr(values[saddle]),
+                repr(float(values[saddle])),
                 br.leaf,
-                repr(values[br.leaf]),
+                repr(float(values[br.leaf])),
                 br.volume,
                 parent,
             ]

@@ -141,15 +141,6 @@ class ContourTree:
         spans = (self.walk, start[st.vertex], start[st.vertex + 1])
         return ArcView(st.inner, self.ids[st.vertex], self.ids, spans)
 
-    def children_index(self) -> dict[int, list[int]]:
-        """Superstructure children: inner end -> outer ends, rank-sorted."""
-        kids: dict[int, list[int]] = {s: [] for s in self.supernodes}
-        for outer, inner in self.arc_inner.items():
-            kids[inner].append(outer)
-        for lst in kids.values():
-            lst.sort(key=lambda v: self.ranks[v])
-        return kids
-
     def arc_degrees(self) -> tuple[dict[int, int], dict[int, int]]:
         """Per supernode, its superarcs leading up (to a higher rank) and down."""
         st = self.superstructure
@@ -540,6 +531,30 @@ def _from_edges(verts, ranks, edges) -> ContourTree:
     return _from_pairs(where, ranks, pairs[:, 0], pairs[:, 1])
 
 
+def _reroot(parent: np.ndarray, root: int) -> np.ndarray:
+    """A copy of the parent array ``parent`` re-rooted at node ``root``.
+
+    Pointer doubling up to the old root checks that every node leads to
+    it (a forest, or a cycle of two or more nodes, raises
+    ``InternalError``) and marks the path from ``root`` up to it on the
+    way; that path turns around.
+    """
+    n = parent.size
+    jump = np.where(parent < 0, np.arange(n), parent)
+    path = np.zeros(n, dtype=bool)
+    path[root] = True
+    for _ in range(n.bit_length()):
+        path[jump[path]] = True
+        jump = jump[jump]
+    if (jump != jump[root]).any():
+        raise InternalError("contour tree is not connected")
+    below = np.flatnonzero(path & (parent >= 0))
+    out = parent.copy()
+    out[parent[below]] = below
+    out[root] = -1
+    return out
+
+
 def _from_pairs(
     where: _Positions, ranks: np.ndarray, child: np.ndarray, par: np.ndarray
 ) -> ContourTree:
@@ -549,23 +564,9 @@ def _from_pairs(
         raise InternalError("contour tree vertex with two parents")
     parent = np.full(n, -1, dtype=np.int64)
     parent[child] = par
-    (top,) = np.flatnonzero(parent < 0)
     rank = ranks[ids]
     root = int(np.argmax(rank))
-
-    # Pointer doubling up to ``top`` checks that the edges form one tree
-    # and marks the path from ``root`` up to ``top`` on the way.
-    jump = np.where(parent < 0, top, parent)
-    path = np.zeros(n, dtype=bool)
-    path[root] = True
-    for _ in range(n.bit_length()):
-        path[jump[path]] = True
-        jump = jump[jump]
-    if (jump != top).any():
-        raise InternalError("contour tree is not connected")
-    below = np.flatnonzero(path & (parent >= 0))
-    parent[parent[below]] = below
-    parent[root] = -1
+    parent = _reroot(parent, root)
 
     lo_is_child = rank[child] < rank[par]
     up_deg = np.bincount(np.where(lo_is_child, child, par), minlength=n)
@@ -629,6 +630,9 @@ def contour_tree(grid: ScalarGrid, order: VertexOrder) -> ContourTree:
 def tree_from_graph(verts, ranks, edges) -> ContourTree:
     """Contour tree of a connected graph on ``verts`` (used by the merge).
 
+    Precondition: the graph's Reeb graph is a tree.  The fan-in glue
+    graphs meet it because they come from simply connected regions.  On
+    other graphs the result is not a contour tree, and it is not checked.
     ``verts`` are distinct vertex ids and ``edges`` an (m, 2) array-like
     of id pairs.  The vertices are numbered in rank order, so each local
     id is its own rank; the tree is built over those ids and mapped back

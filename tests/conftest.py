@@ -52,6 +52,16 @@ def serial_pipeline(grid):
     return order, ct, ann, bd
 
 
+def children_index(ct):
+    """Superstructure children: inner end -> outer ends, rank-sorted."""
+    kids = {s: [] for s in ct.supernodes}
+    for outer, inner in ct.arc_inner.items():
+        kids[inner].append(outer)
+    for lst in kids.values():
+        lst.sort(key=lambda v: ct.ranks[v])
+    return kids
+
+
 def branch_keys(bd):
     """Multiset of (saddle, volume, parent) triples, leaf-independent."""
     return sorted((b.key() for b in bd.branches), key=repr)

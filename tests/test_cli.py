@@ -213,6 +213,52 @@ def test_usage_error_exit_code():
     )
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--dims", "4,4,1"], "exactly one of --input and --synthetic is required"),
+        (
+            ["--input", "vol.raw", "--synthetic", "random", "--dims", "4,4,1"],
+            "exactly one of --input and --synthetic is required",
+        ),
+        (["--synthetic", "random", "--dims", "4,4,1", "--lambda", "-1"],
+         "--lambda must be non-negative"),
+        (["--synthetic", "random", "--dims", "4,4,1", "--top-branches", "0"],
+         "--top-branches must be at least 1"),
+        (["--synthetic", "random", "--dims", "4,4,1", "--threshold", "nan"],
+         "--threshold must be a finite non-negative number"),
+        (
+            ["--synthetic", "random", "--dims", "4,4,1", "--top-branches", "5",
+             "--threshold", "1"],
+            "--top-branches and --threshold are mutually exclusive",
+        ),
+        (["--synthetic", "random", "--dims", "4,4,1", "--blocks", "0,1,1"],
+         "--blocks entries must be positive"),
+        (
+            ["--synthetic", "random", "--dims", "4,4,1", "--mode", "distributed",
+             "--blocks", "2,1,1", "--lambda", "1", "--oracle-check"],
+            "--oracle-check needs --lambda 0 in distributed mode",
+        ),
+    ],
+)
+def test_validate_rules(args, message, capsys):
+    """One row per ``validate`` rule, with a run that breaks only that rule."""
+    for sweep in ([], ["--lambda-sweep", "0,1"]):
+        assert run_cli(["run"] + args + sweep) == 1
+        assert capsys.readouterr().err == f"error (UsageError): {message}\n"
+
+
+def test_default_selects_one_hundred_branches(tmp_path):
+    metrics = tmp_path / "m.json"
+    rc = run_cli(
+        ["run", "--synthetic", "random", "--dims", "16,16,4", "--metrics-out", str(metrics)]
+    )
+    assert rc == 0
+    doc = json.loads(metrics.read_text())
+    assert doc["branches"] > 100
+    assert doc["config"]["top_branches"] == 100 and doc["selected"] == 100
+
+
 def test_lambda_sweep_bad_value_exit_code(capsys):
     rc = run_cli(
         [

@@ -9,7 +9,7 @@ from gridtopo import (
 from gridtopo.errors import UsageError
 from gridtopo.oracle import brute_subtree_volume
 
-from conftest import grid_1d, local_extrema, random_grid, serial_pipeline
+from conftest import children_index, grid_1d, local_extrema, random_grid, serial_pipeline
 
 
 def test_counts_monotone_grid():
@@ -38,7 +38,7 @@ def test_counts_conservation(seed):
 def test_hypersweep_leaf_arc_is_own_count():
     grid = grid_1d([0, 5, 2, 6, 1])
     _, ct, ann, _ = serial_pipeline(grid)
-    kids = ct.children_index()
+    kids = children_index(ct)
     for outer in ct.arc_inner:
         if not kids[outer]:  # leaf arc
             assert ann.outward[outer] == ann.counts[outer]
@@ -186,6 +186,22 @@ def test_branch_csv_format(tmp_path):
     # Volume-descending, trunk first.
     vols = [int(line.split(",")[4]) for line in lines[1:]]
     assert vols == sorted(vols, reverse=True)
+
+
+def test_branch_csv_reads_a_value_array_like_a_dict():
+    import io
+
+    from gridtopo.measure import write_branch_csv
+
+    grid = random_grid((6, 6, 2), 3)
+    _, ct, _, bd = serial_pipeline(grid)
+    selected, _ = select_top_branches(bd, ct.ranks, b=100)
+    texts = []
+    for values in (grid.values, dict(enumerate(grid.values.tolist()))):
+        buf = io.StringIO()
+        write_branch_csv(selected, values, buf, ct.root)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1] and "np." not in texts[0]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -31,7 +31,7 @@ from gridtopo.errors import InternalError
 from gridtopo.measure import Branch, BranchDecomposition, VolumeAnnotation
 from gridtopo.tree import tree_from_graph
 
-from conftest import grid_1d, make_grid, random_grid
+from conftest import children_index, grid_1d, make_grid, random_grid
 
 # --- references --------------------------------------------------------------
 
@@ -215,7 +215,7 @@ def ref_augment(ct):
 
 
 def ref_hypersweep(ct, ann):
-    kids = ct.children_index()
+    kids = children_index(ct)
     outward, closed = {}, {}
     post = []
     stack = [ct.root]
@@ -245,7 +245,7 @@ def away_volume(ct, ann, arc_outer, at):
 
 def ref_branch_decomposition(ct, ann):
     ranks = ct.ranks
-    kids = ct.children_index()
+    kids = children_index(ct)
     if len(ct.supernodes) == 1:
         return BranchDecomposition([Branch(arcs=(), leaf=ct.root, volume=ct.n, is_trunk=True)])
     best = {}

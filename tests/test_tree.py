@@ -12,7 +12,7 @@ from gridtopo import tree as gtree
 from gridtopo.oracle import level_set_census
 from gridtopo.tree import tree_from_graph
 
-from conftest import grid_1d, local_extrema, make_grid, random_grid
+from conftest import children_index, grid_1d, local_extrema, make_grid, random_grid
 from test_reference_equivalence import check_combine, ref_vertex_combine
 
 
@@ -146,7 +146,7 @@ def test_leaves_are_extrema(seed):
     grid = random_grid((6, 6, 1), seed)
     order = sos_order(grid)
     ct = contour_tree(grid, order)
-    kids = ct.children_index()
+    kids = children_index(ct)
     degree = {s: len(kids[s]) + (0 if s == ct.root else 1) for s in ct.supernodes}
     leaves = sorted(s for s, d in degree.items() if d == 1)
     maxima, minima = local_extrema(grid, order)
@@ -528,3 +528,35 @@ def test_tree_from_graph_on_threads_matches_sequential():
         got = list(pool.map(lambda g: tree_from_graph(*g), graphs))
     for a, b in zip(got, want):
         assert all(np.array_equal(x, y) for x, y in zip(tree_arrays(a), tree_arrays(b)))
+
+
+def undirected_edges(parent):
+    child = np.flatnonzero(parent >= 0)
+    return {frozenset(e) for e in zip(child.tolist(), parent[child].tolist())}
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), width=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_reroot_at_every_vertex_keeps_the_edges(n, width, seed):
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(n)
+    parent = np.full(n, -1, dtype=np.int64)
+    for i in range(1, n):
+        parent[label[i]] = label[rng.integers(max(0, i - width), i)]
+    before = parent.copy()
+    for root in range(n):
+        out = gtree._reroot(parent, root)
+        assert np.flatnonzero(out < 0).tolist() == [root]
+        assert undirected_edges(out) == undirected_edges(parent)
+        assert (gtree._chain_ends(np.where(out < 0, np.arange(n), out)) == root).all()
+    assert np.array_equal(parent, before)
+
+
+@pytest.mark.parametrize(
+    "parent", [[-1, 0, -1, 2], [-1, 2, 3, 1], [1, 0, 1], [1, 2, 0]]
+)
+def test_reroot_rejects_a_parent_array_that_is_not_one_tree(parent):
+    from gridtopo.errors import InternalError
+
+    with pytest.raises(InternalError, match="not connected"):
+        gtree._reroot(np.array(parent, dtype=np.int64), 0)
