@@ -54,6 +54,13 @@ def validate(args: argparse.Namespace) -> None:
         # Pre-simplification removes small branches, so the tree no
         # longer matches the level-set census of the full grid.
         raise UsageError("--oracle-check needs --lambda 0 in distributed mode")
+    single_run = args.oracle_check or args.branches_out or args.metrics_out or args.lam
+    if args.lambda_sweep and single_run:
+        raise UsageError(
+            "--lambda-sweep cannot take --oracle-check, --branches-out, --metrics-out or --lambda"
+        )
+    if args.sweep_out and not args.lambda_sweep:
+        raise UsageError("--sweep-out needs --lambda-sweep")
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
@@ -197,7 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--mode", choices=["serial", "distributed"], default="serial")
     run.add_argument("--lambda-sweep", default=None,
-                     help="comma-separated thresholds; runs distributed once per value")
+                     help="comma-separated thresholds; runs distributed once per value "
+                          "whatever --mode says, and writes only the sweep CSV")
     run.add_argument("--rank-exec", choices=["sequential", "concurrent"],
                      default="sequential")
 

@@ -6,8 +6,7 @@ from .pipeline import (
     Decomposition,
     DistributedResult,
     Extent,
-    HierTree,
-    Record,
+    Records,
     RegionState,
     Transport,
     decompose,
@@ -24,8 +23,7 @@ __all__ = [
     "Decomposition",
     "DistributedResult",
     "Extent",
-    "HierTree",
-    "Record",
+    "Records",
     "RegionState",
     "Transport",
     "decompose",

@@ -17,8 +17,8 @@ All ranks live in one process.  The phases:
    kept tree as numpy arrays, from the local phase to the augmented tree:
    sorted ids, ``(child, parent)`` edge rows, aligned values, and the
    carried mass as aligned id and amount arrays (``RegionState``).
-4. **Fan-out.**  Rank 0 sends the base tree to every rank; each rank
-   keeps the records it cut, keyed to the base superarc they attach to.
+4. **Fan-out.**  Rank 0 sends the base tree to every rank.  The records
+   stay one ``Records`` table of int64 arrays, each rank's rows its own.
 5. **Augmentation.**  Records whose measure exceeds the threshold lambda
    are put back into the base tree.  The others stay folded into the
    volumes as mass at their attachment point.
@@ -38,18 +38,18 @@ message entries are attributed as follows.
 - ``branch decomposition/bestupdown_recv``: the best up and best down
   arc of every critical vertex (two entries) are computed by the vertex's
   holder and sent to every other rank.  ``branchinfo_recv``: likewise
-  one outer-end entry per extremum.  A record vertex is held by the rank
-  that cut the record, a base-tree vertex by the block that owns it.
-  Critical status is taken in the full (lambda = 0) tree: a vertex with
-  a pruned subtree hanging at it stays critical.  Each counter is then
-  a sum over the retained vertices of fixed per-vertex amounts, so it
-  never rises as lambda grows.
+  one outer-end entry per extremum.  A retained record's vertex is held
+  by the rank that cut it, any other vertex by its lowest owning block;
+  the counters are ``bincount``s over the holders.  Critical status is
+  taken in the full (lambda = 0) tree: a vertex with a pruned subtree
+  hanging at it stays critical.  Each counter is then a sum over the
+  retained vertices of fixed per-vertex amounts, so it never rises as
+  lambda grows.
 - ``local phase/vertices``: the block's vertex count, a work proxy.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 from collections.abc import Sequence
@@ -126,12 +126,12 @@ class Decomposition:
         sx, sy, _ = self.splits
         return block % sx, (block // sx) % sy, block // (sx * sy)
 
-    def owner_of(self, vid: int) -> int:
-        """The lowest block id whose box contains ``vid``."""
+    def owner_of(self, vid):
+        """The lowest block id whose box contains ``vid``, an id or an array of ids."""
         nx, ny, _ = self.dims
         sx, sy, _ = self.splits
         coords = (vid % nx, (vid // nx) % ny, vid // (nx * ny))
-        bx, by, bz = (bisect.bisect_left(c, x, 1) - 1 for c, x in zip(self.cuts, coords))
+        bx, by, bz = (np.searchsorted(c[1:], x) for c, x in zip(self.cuts, coords))
         return bx + sx * (by + sy * bz)
 
 
@@ -224,23 +224,47 @@ def _map_ranks(fn, items, mode: str) -> list:
 # --- local phase and pruning -------------------------------------------------
 
 
-@dataclass
-class Record:
-    """A subtree cut off a region's contour tree at vertex ``attach``.
+@dataclass(frozen=True, eq=False, repr=False)
+class Records:
+    """Subtrees cut off contour trees as int64 arrays, record ``i`` in row ``i``.
 
-    ``verts`` are its ids in ascending order, ``edges`` its tree edges as
-    ``(child, parent)`` pairs rooted at ``attach``: each of ``verts`` is a
-    child exactly once.  The first one is the hanging edge ``(head,
-    attach)``, ``head`` being its vertex next to ``attach``.  ``measure``
-    counts its vertices plus the mass of earlier records attached inside
-    it.  ``rank`` is the rank that cut it.
+    Record ``i`` hangs at vertex ``attach[i]`` by the edge from its vertex
+    ``head[i]``.  ``measure[i]`` counts its vertices plus the mass of
+    earlier records attached inside it; ``rank[i]`` is the rank that cut
+    it.  Its vertices are ``verts[start[i]:start[i + 1]]``, ascending, and
+    their ``parent`` rows lead toward ``attach[i]``: the ``(verts, parent)``
+    rows are its tree edges, ``(head, attach)`` among them.
     """
 
-    attach: int
-    verts: list[int]
-    edges: list[tuple[int, int]]
-    measure: int
-    rank: int
+    attach: np.ndarray
+    head: np.ndarray
+    measure: np.ndarray
+    rank: np.ndarray
+    start: np.ndarray
+    verts: np.ndarray
+    parent: np.ndarray
+
+    def __len__(self) -> int:
+        return self.attach.size
+
+    def take(self, mask: np.ndarray) -> Records:
+        """The records where the boolean ``mask`` holds, in order."""
+        sizes = np.diff(self.start)
+        rows = np.repeat(mask, sizes)
+        return Records(
+            self.attach[mask], self.head[mask], self.measure[mask], self.rank[mask],
+            np.r_[0, np.cumsum(sizes[mask])], self.verts[rows], self.parent[rows],
+        )
+
+    @staticmethod
+    def concat(parts: Sequence[Records]) -> Records:
+        """One table of the records of ``parts``, in order."""
+        cols = {
+            name: np.concatenate([getattr(p, name) for p in parts])
+            for name in ("attach", "head", "measure", "rank", "verts", "parent")
+        }
+        sizes = np.concatenate([np.diff(p.start) for p in parts])
+        return Records(start=np.r_[0, np.cumsum(sizes)], **cols)
 
 
 @dataclass(eq=False)
@@ -262,7 +286,7 @@ class RegionState:
     kept_edges: np.ndarray = field(repr=False)
     mass_verts: np.ndarray = field(repr=False)
     mass: np.ndarray = field(repr=False)
-    records: list[Record] = field(repr=False)
+    records: Records = field(repr=False)
 
 
 def _region(
@@ -297,24 +321,21 @@ def _region(
 
     carried = np.zeros(n, dtype=np.int64)
     np.add.at(carried, where.of(mass_verts), mass)
+    # Records go by least vertex id: sort on (the record's least id, id).
     hanging = np.flatnonzero(~kept)
-    hanging = hanging[np.lexsort((ids[hanging], head_of[hanging]))]
-    heads, first = np.unique(head_of[hanging], return_index=True)
-    attach = toward[heads]
+    least = ids.copy()  # read only at heads, and a head is in its own record
+    np.minimum.at(least, head_of[hanging], ids[hanging])
+    hanging = hanging[np.lexsort((ids[hanging], least[head_of[hanging]]))]
+    _, first = np.unique(least[head_of[hanging]], return_index=True)
+    heads = head_of[hanging[first]]
     weight = np.add.reduceat(1 + carried[hanging], first)
     new_mass = np.where(kept, carried, 0)
-    np.add.at(new_mass, attach, weight)
-
-    verts, parents = ids[hanging].tolist(), ids[toward[hanging]].tolist()
-    bounds = np.append(first, hanging.size).tolist()
-    head_ids, attach_ids, weight = ids[heads].tolist(), ids[attach].tolist(), weight.tolist()
-    records = []
-    for g in np.argsort(ids[hanging[first]]).tolist():  # by least vertex id
-        lo, hi, at = bounds[g], bounds[g + 1], attach_ids[g]
-        edges = [(head_ids[g], at)] + [
-            (u, p) for u, p in zip(verts[lo:hi], parents[lo:hi]) if p != at
-        ]
-        records.append(Record(at, verts[lo:hi], edges, weight[g], rank))
+    np.add.at(new_mass, toward[heads], weight)
+    records = Records(
+        attach=ids[toward[heads]], head=ids[heads], measure=weight,
+        rank=np.full(heads.size, rank, dtype=np.int64), start=np.append(first, hanging.size),
+        verts=ids[hanging], parent=ids[toward[hanging]],
+    )
     by_id = where.table[where.table >= 0]
     keep, held = by_id[kept[by_id]], by_id[new_mass[by_id] > 0]
     inside = np.flatnonzero(kept & (up >= 0) & kept[up])
@@ -373,7 +394,7 @@ def fan_in(
     transport: Transport,
     log: CommLog | None = None,
     mode: str = "sequential",
-) -> tuple[ContourTree, list[Record]]:
+) -> tuple[ContourTree, Records]:
     """Binary reduction of the regions along x, then y, then z.
 
     Returns the base tree (the whole domain's kept tree) and every record
@@ -381,7 +402,7 @@ def fan_in(
     order.
     """
     ranks = order.rank_of
-    records = [rec for s in states for rec in s.records]
+    records = [s.records for s in states]
     regions: list[RegionState | None] = list(states)
     for axis, splits in enumerate(decomp.splits):
         step = math.prod(decomp.splits[:axis])
@@ -402,123 +423,96 @@ def fan_in(
                     log.add("fan-in", "tree_verts_recv", leader, len(partner.kept_verts))
                 regions[partner.rank] = None
                 regions[leader] = region
-                records.extend(region.records)
+                records.append(region.records)
             stride *= 2
     top = regions[0]
     # A tree is its own contour tree: no sweep, only its edges and ranks.
-    return augment(_from_edges(top.kept_verts, ranks, top.kept_edges)), records
-
-
-@dataclass
-class HierTree:
-    """One rank's view after fan-out: the shared base tree and its own records.
-
-    ``record_targets[i]`` is the base superarc record ``i`` attaches to,
-    or None when it attaches inside another record.
-    """
-
-    rank: int
-    shared: ContourTree = field(repr=False)
-    record_targets: dict[int, int | None] = field(repr=False)
+    return augment(_from_edges(top.kept_verts, ranks, top.kept_edges)), Records.concat(records)
 
 
 def fan_out(
-    base: ContourTree,
-    records: list[Record],
-    states: list[RegionState],
-    transport: Transport,
-    log: CommLog | None = None,
-) -> list[HierTree]:
-    """Send the base tree from rank 0 to all ranks; each keeps its own records."""
+    base: ContourTree, states: list[RegionState], transport: Transport, log: CommLog | None = None
+) -> list[ContourTree]:
+    """Send the base tree from rank 0 to all ranks; returns each rank's copy."""
+    shared = [base]
     for s in states[1:]:
         transport.send(0, s.rank, base)
-    hier = []
-    for s in states:
-        shared = base
-        if s.rank != 0:
-            [(_, [shared])] = transport.recv_all(s.rank)
-            if log is not None:
-                log.add("fan-out", "tree_verts_recv", s.rank, shared.n)
-        targets = {
-            i: shared.superparent.get(rec.attach)
-            for i, rec in enumerate(records)
-            if rec.rank == s.rank
-        }
-        hier.append(HierTree(rank=s.rank, shared=shared, record_targets=targets))
-    return hier
+        [(_, [tree])] = transport.recv_all(s.rank)
+        if log is not None:
+            log.add("fan-out", "tree_verts_recv", s.rank, tree.n)
+        shared.append(tree)
+    return shared
 
 
-def list_attachment_points(records: list[Record], lam: int) -> list[Record]:
+def list_attachment_points(records: Records, lam: int) -> Records:
     """The records whose measure exceeds the threshold, in record order."""
     if lam < 0:
         raise UsageError(f"lambda must be non-negative, got {lam}")
-    return [r for r in records if r.measure > lam]
+    return records.take(records.measure > lam)
 
 
-def _augment(base: ContourTree, retained: list[Record]) -> ContourTree:
-    """The base tree with the retained records put back at their attachments."""
+def _augment(base: ContourTree, retained: Records) -> ContourTree:
+    """The base tree with the retained records' edges put back at their attachments."""
     if not retained:
         return base
     child = np.flatnonzero(base.up >= 0)
     base_edges = np.column_stack((base.ids[child], base.ids[base.up[child]]))
-    verts = np.sort(np.concatenate([base.ids, *(rec.verts for rec in retained)]))
-    edges = np.concatenate([base_edges, *(rec.edges for rec in retained)])
+    verts = np.sort(np.concatenate((base.ids, retained.verts)))
+    edges = np.concatenate((base_edges, np.column_stack((retained.verts, retained.parent))))
     return augment(_from_edges(verts, base.ranks, edges))
 
 
-def _volumes(ct: ContourTree, n: int, pruned: list[Record]) -> VolumeAnnotation:
+def _positions(ct: ContourTree, n: int) -> np.ndarray:
+    """The position in ``ct`` of each vertex id below ``n``; -1 where it is absent."""
+    where = np.full(n, -1, dtype=np.int64)
+    where[ct.ids] = np.arange(ct.n)
+    return where
+
+
+def _volumes(ct: ContourTree, n: int, pruned: Records) -> VolumeAnnotation:
     """Hypersweep of ``ct`` with pruned records folded in at their attachments.
 
-    Only records attached to a vertex of ``ct`` are folded; the others are
-    already inside the measure of the record they attach to.
+    A measure counts on its attachment's superarc (``ct.outer``) and
+    hangs at the attachment if that is a supernode.  Only records
+    attached to a vertex of ``ct`` are folded; the others are already
+    inside the measure of the record they attach to.
     """
-    counts = dict(measure.superarc_counts(ct).counts)
-    at_node: dict[int, int] = {}
-    for rec in pruned:
-        s = ct.superparent.get(rec.attach)
-        if s is None:
-            continue
-        if s == rec.attach:  # a supernode: the mass hangs at it
-            at_node[s] = at_node.get(s, 0) + rec.measure
-        counts[s] = counts.get(s, 0) + rec.measure
-    return measure.hypersweep(ct, VolumeAnnotation(n=n, counts=counts, at_node=at_node))
+    at = _positions(ct, n)[pruned.attach]
+    at, amount = at[at >= 0], pruned.measure[at >= 0]
+    arc = ct.outer[at]
+    mass, node = np.zeros((2, ct.n), dtype=np.int64)
+    np.add.at(mass, arc, amount)
+    np.add.at(node, at[arc == at], amount[arc == at])
+    st = ct.superstructure
+    outer = st.vertex[st.inner >= 0]
+    mass[outer] += 1 + ct.walk_start[outer + 1] - ct.walk_start[outer]  # as superarc_counts
+    counted, hangs = np.flatnonzero(mass), np.flatnonzero(node)
+    return measure.hypersweep(ct, VolumeAnnotation(
+        n=n,
+        counts=dict(zip(ct.ids[counted].tolist(), mass[counted].tolist())),
+        at_node=dict(zip(ct.ids[hangs].tolist(), node[hangs].tolist())),
+    ))
 
 
 def _log_branch_entries(
-    aug: ContourTree,
-    retained: list[Record],
-    pruned: list[Record],
-    decomp: Decomposition,
-    log: CommLog,
+    aug: ContourTree, retained: Records, pruned: Records, decomp: Decomposition, log: CommLog
 ) -> None:
     """Best up/down and branch outer-end entries per rank (see the module notes)."""
-    holder: dict[int, int] = {}
-    for rec in retained:
-        holder.update(dict.fromkeys(rec.verts, rec.rank))
-    ranks = aug.ranks
-    up, down = aug.arc_degrees()
-    for rec in pruned:
-        a = rec.attach
-        if a not in aug.superparent:
-            continue
-        head = rec.edges[0][0]
-        up.setdefault(a, 1)  # a regular vertex has one arc each way
-        down.setdefault(a, 1)
-        if ranks[head] > ranks[a]:
-            up[a] += 1
-        else:
-            down[a] += 1
-    critical = [0] * decomp.num_blocks
-    extrema = [0] * decomp.num_blocks
-    for v, u in up.items():
-        d = down[v]
-        h = holder[v] if v in holder else decomp.owner_of(v)
-        critical[h] += (u, d) != (1, 1)
-        extrema[h] += u + d <= 1
-    total_critical, total_extrema = sum(critical), sum(extrema)
+    where = _positions(aug, math.prod(decomp.dims))
+    up, down = np.ones((2, aug.n), dtype=np.int64)  # a regular vertex has one arc each way
+    up[aug.superstructure.vertex], down[aug.superstructure.vertex] = aug.arc_degrees()
+    # A pruned record still counts as an arc at an attachment in ``aug``.
+    at = where[pruned.attach]
+    rises = aug.ranks[pruned.head] > aug.ranks[pruned.attach]
+    np.add.at(up, at[(at >= 0) & rises], 1)
+    np.add.at(down, at[(at >= 0) & ~rises], 1)
+    holder = decomp.owner_of(aug.ids)
+    holder[where[retained.verts]] = np.repeat(retained.rank, np.diff(retained.start))
+    critical = np.bincount(holder[(up != 1) | (down != 1)], minlength=decomp.num_blocks).tolist()
+    extrema = np.bincount(holder[up + down <= 1], minlength=decomp.num_blocks).tolist()
     for r in range(decomp.num_blocks):
-        log.add("branch decomposition", "bestupdown_recv", r, 2 * (total_critical - critical[r]))
-        log.add("branch decomposition", "branchinfo_recv", r, total_extrema - extrema[r])
+        log.add("branch decomposition", "bestupdown_recv", r, 2 * (sum(critical) - critical[r]))
+        log.add("branch decomposition", "branchinfo_recv", r, sum(extrema) - extrema[r])
 
 
 def _heavy_branches(bd: BranchDecomposition, lam: int) -> list[Branch]:
@@ -552,8 +546,8 @@ class DistributedResult:
     """
 
     base_tree: ContourTree = field(repr=False)
-    records: list[Record] = field(repr=False)
-    retained: list[Record] = field(repr=False)
+    records: Records = field(repr=False)
+    retained: Records = field(repr=False)
     augmented_tree: ContourTree = field(repr=False)
     pre_volumes: VolumeAnnotation = field(repr=False)
     post_volumes: VolumeAnnotation = field(repr=False)
@@ -596,14 +590,14 @@ def run_distributed(
     for s in states:
         log.add("local phase", "vertices", s.rank, s.num_vertices)
     base, records = fan_in(states, decomp, order, transport, log, mode)
-    hier = fan_out(base, records, states, transport, log)
+    fan_out(base, states, transport, log)
     pre_volumes = _volumes(base, grid.n, records)
 
     retained = list_attachment_points(records, lam)
-    pruned = [r for r in records if r.measure <= lam]
-    for h in hier:
-        own = sum(records[i].measure > lam for i in h.record_targets)
-        log.add("augmentation", "attachment_points_recv", h.rank, len(retained) - own)
+    pruned = records.take(records.measure <= lam)
+    own = np.bincount(retained.rank, minlength=decomp.num_blocks)
+    for r, recv in enumerate((len(retained) - own).tolist()):
+        log.add("augmentation", "attachment_points_recv", r, recv)
     augmented = _augment(base, retained)
     post_volumes = _volumes(augmented, grid.n, pruned)
     bd = measure.branch_decomposition(augmented, post_volumes)

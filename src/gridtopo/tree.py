@@ -141,8 +141,8 @@ class ContourTree:
         spans = (self.walk, start[st.vertex], start[st.vertex + 1])
         return ArcView(st.inner, self.ids[st.vertex], self.ids, spans)
 
-    def arc_degrees(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Per supernode, its superarcs leading up (to a higher rank) and down."""
+    def arc_degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per supernode position, its superarcs leading up (to a higher rank) and down."""
         st = self.superstructure
         arcs = np.flatnonzero(st.inner >= 0)
         inner = st.inner[arcs]
@@ -150,8 +150,7 @@ class ContourTree:
         k = st.inner.size
         up = np.bincount(np.where(rises, arcs, inner), minlength=k)
         down = np.bincount(np.where(rises, inner, arcs), minlength=k)
-        sn = self.supernodes
-        return dict(zip(sn, up.tolist())), dict(zip(sn, down.tolist()))
+        return up, down
 
     def straddling_arcs(self, gap: int) -> int:
         """Number of superarcs whose endpoint ranks straddle rank gap ``gap``."""

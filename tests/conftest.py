@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,25 @@ def serial_pipeline(grid):
     ann = hypersweep(ct, superarc_counts(ct))
     bd = branch_decomposition(ct, ann)
     return order, ct, ann, bd
+
+
+Rec = namedtuple("Rec", "attach verts edges measure rank")
+
+
+def record_list(records):
+    """``Records`` as ``Rec`` tuples of ints, one per record in order.
+
+    ``verts`` ascend, and ``edges`` are ``(child, parent)`` pairs: the
+    head edge first, then the other rows in ``verts`` order.
+    """
+    out = []
+    for i in range(len(records)):
+        lo, hi = records.start[i], records.start[i + 1]
+        verts, parent = records.verts[lo:hi].tolist(), records.parent[lo:hi].tolist()
+        head, attach = int(records.head[i]), int(records.attach[i])
+        edges = [(head, attach)] + [(v, p) for v, p in zip(verts, parent) if v != head]
+        out.append(Rec(attach, verts, edges, int(records.measure[i]), int(records.rank[i])))
+    return out
 
 
 def children_index(ct):

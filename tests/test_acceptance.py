@@ -22,7 +22,7 @@ from gridtopo.dist.estimate import (
 from gridtopo.measure import write_branch_csv
 from gridtopo.oracle import brute_subtree_volume, level_set_census
 
-from conftest import branch_keys_with_leaves, random_grid, serial_pipeline
+from conftest import branch_keys_with_leaves, random_grid, record_list, serial_pipeline
 
 GIB = 1024**3
 
@@ -156,7 +156,7 @@ def test_criterion_5_communication_monotonicity():
                 assert all(a >= b for a, b in zip(previous, recv)), (dims, seed, lam)
             previous = recv
             max_measure = max(
-                (r.measure for r in result.records), default=0
+                (r.measure for r in record_list(result.records)), default=0
             )
         result = run_distributed(grid, order, splits, lam=max_measure, b=5)
         recv = result.commlog.counts["augmentation"]["attachment_points_recv"]

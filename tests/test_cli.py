@@ -248,6 +248,38 @@ def test_validate_rules(args, message, capsys):
         assert capsys.readouterr().err == f"error (UsageError): {message}\n"
 
 
+SWEEP_ONLY = "--lambda-sweep cannot take --oracle-check, --branches-out, --metrics-out or --lambda"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--lambda-sweep", "0", "--oracle-check"], SWEEP_ONLY),
+        (["--lambda-sweep", "0", "--branches-out", "x.csv"], SWEEP_ONLY),
+        (["--lambda-sweep", "0,10", "--metrics-out", "x.json"], SWEEP_ONLY),
+        (["--lambda-sweep", "0", "--lambda", "5"], SWEEP_ONLY),
+        (["--lambda-sweep", "0", "--mode", "serial", "--oracle-check"], SWEEP_ONLY),
+        (["--sweep-out", "s.csv"], "--sweep-out needs --lambda-sweep"),
+        (["--mode", "distributed", "--sweep-out", "s.csv"], "--sweep-out needs --lambda-sweep"),
+    ],
+)
+def test_validate_rejects_flags_a_sweep_would_ignore(args, message, capsys, tmp_path, monkeypatch):
+    """A flag that only a single run reads is an error with ``--lambda-sweep``, and vice versa."""
+    monkeypatch.chdir(tmp_path)
+    base = ["run", "--synthetic", "random", "--seed", "4", "--dims", "8,8,4", "--blocks", "2,1,1"]
+    assert run_cli(base + args) == 1
+    assert capsys.readouterr() == ("", f"error (UsageError): {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lambda_sweep_with_explicit_zero_lambda_runs(capsys):
+    """``--lambda 0`` is the default, so a sweep accepts it."""
+    args = ["run", "--synthetic", "random", "--dims", "8,8,4", "--blocks", "2,1,1"]
+    assert run_cli(args + ["--lambda-sweep", "0,10", "--lambda", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("lambda,max_attachment_points,") and len(out.splitlines()) == 3
+
+
 def test_default_selects_one_hundred_branches(tmp_path):
     metrics = tmp_path / "m.json"
     rc = run_cli(

@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from gridtopo import contour_tree, sos_order
 from gridtopo.dist import (
+    CommLog,
+    Records,
     Transport,
     decompose,
     fan_in,
@@ -21,6 +24,7 @@ from conftest import (
     grid_1d,
     make_grid,
     random_grid,
+    record_list,
     serial_pipeline,
 )
 
@@ -70,6 +74,29 @@ def test_decompose_coverage_9x9x9():
         assert c == 2**on_planes
     owners = {decomp.owner_of(v) for v in range(grid.n)}
     assert owners == set(range(27))
+    every = np.arange(grid.n)
+    assert decomp.owner_of(every).tolist() == [decomp.owner_of(v) for v in range(grid.n)]
+
+
+@pytest.mark.parametrize(
+    "dims,cuts",
+    [
+        ((10, 7, 5), ((0, 3, 6, 9), (0, 3, 6), (0, 2, 4))),
+        ((11, 8, 6), ((0, 3, 6, 10), (0, 3, 7), (0, 2, 5))),
+    ],
+)
+def test_owner_of_split_3_2_2(dims, cuts):
+    """One array call, the per-id calls and the lowest box holding each id agree."""
+    grid = random_grid(dims, 0)
+    decomp = decompose(grid, (3, 2, 2))
+    assert decomp.cuts == cuts
+    lowest = {}
+    for r, e in enumerate(decomp.extents):
+        for v in e.vids(grid.dims).tolist():
+            lowest.setdefault(v, r)
+    want = [lowest[v] for v in range(grid.n)]
+    assert [decomp.owner_of(v) for v in range(grid.n)] == want
+    assert decomp.owner_of(np.arange(grid.n)).tolist() == want
 
 
 def test_decompose_infeasible():
@@ -86,10 +113,10 @@ def test_local_phase_1d_blocks():
     left = local_phase(grid, order, decomp.extents[0], 0)
     assert sorted(map(tuple, left.kept_edges.tolist())) == [(0, 1), (2, 1)]
     assert decomp.extents[0].boundary(grid.dims, [0, 1, 2]).tolist() == [0, 2]
-    assert left.records == []
+    assert record_list(left.records) == []
     right = local_phase(grid, order, decomp.extents[1], 1)
     assert sorted(map(tuple, right.kept_edges.tolist())) == [(2, 3), (4, 3)]
-    assert right.records == []
+    assert record_list(right.records) == []
 
 
 def test_local_phase_interior_extremum():
@@ -103,7 +130,7 @@ def test_local_phase_interior_extremum():
     decomp = decompose(grid, (1, 1, 1))
     state = local_phase(grid, order, decomp.extents[0], 0)
     assert len(state.records) == 1
-    rec = state.records[0]
+    rec = record_list(state.records)[0]
     assert rec.verts == [12]
     assert len(rec.verts) == 1
 
@@ -113,7 +140,7 @@ def test_local_phase_monotone_slope_empty_forest():
     order = sos_order(grid)
     decomp = decompose(grid, (1, 1, 1))
     state = local_phase(grid, order, decomp.extents[0], 0)
-    assert state.records == []
+    assert record_list(state.records) == []
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -123,7 +150,7 @@ def test_local_phase_partition_invariant(seed):
     decomp = decompose(grid, (2, 1, 1))
     for r in range(decomp.num_blocks):
         state = local_phase(grid, order, decomp.extents[r], r)
-        total = len(state.kept_verts) + sum(len(x.verts) for x in state.records)
+        total = len(state.kept_verts) + sum(len(x.verts) for x in record_list(state.records))
         assert total == state.num_vertices
 
 
@@ -136,7 +163,7 @@ def test_fan_in_two_blocks_equals_serial():
     base, records = fan_in(states, decomp, order, Transport(2))
     serial = contour_tree(grid, order)
     assert base.arc_inner == serial.arc_inner
-    assert records == []
+    assert record_list(records) == []
 
 
 def test_fan_in_single_block_identity():
@@ -146,7 +173,7 @@ def test_fan_in_single_block_identity():
     state = local_phase(grid, order, decomp.extents[0], 0)
     base, records = fan_in([state], decomp, order, Transport(1))
     assert set(base.verts) == set(state.kept_verts.tolist())
-    assert records == state.records
+    assert record_list(records) == record_list(state.records)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -203,19 +230,10 @@ def test_fan_out_shared_identical_and_targets():
     states = [local_phase(grid, order, decomp.extents[r], r) for r in range(4)]
     transport = Transport(4)
     base, records = fan_in(states, decomp, order, transport)
-    hier = fan_out(base, records, states, transport)
-    for h in hier:
-        assert h.shared is base
-    # Superparent encoding: targets of kept attachments are base superarcs.
-    for h in hier:
-        for idx, target in h.record_targets.items():
-            rec = records[idx]
-            if rec.attach in base.superparent:
-                assert target == base.superparent[rec.attach]
-                if rec.attach not in base.arc_inner and rec.attach != base.root:
-                    assert target != rec.attach  # regular point: arc id differs
-            else:
-                assert target is None
+    shared = fan_out(base, states, transport)
+    assert len(shared) == 4
+    for tree in shared:
+        assert tree is base
 
 
 def test_fan_out_single_block_hier_equals_serial_after_augment():
@@ -335,13 +353,41 @@ def test_retained_record_measures_match_serial_subtrees():
     order = sos_order(grid)
     serial = contour_tree(grid, order)
     result = run_distributed(grid, order, (2, 2, 1), lam=0, b=100)
-    for rec in result.records:
+    for rec in record_list(result.records):
         # The hanging component in the serial vertex-level tree has
         # exactly the record's measure, rooted just past the attachment.
         top = next(v for v in rec.verts if {v, rec.attach} in
                    [{a, b} for a, b in rec.edges])
         got = _vertex_level_cut_count(serial, rec.attach, top, top)
         assert got == rec.measure
+
+
+# --- the record table --------------------------------------------------------
+
+
+@pytest.mark.parametrize("pick", ["none", "all", "even", "odd"])
+def test_records_take_and_concat_match_per_record_slices(pick):
+    grid = random_grid((10, 10, 4), 5)
+    records = run_distributed(grid, sos_order(grid), (2, 2, 1), lam=0, b=10).records
+    k = len(records)
+    mask = {
+        "none": np.zeros(k, dtype=bool),
+        "all": np.ones(k, dtype=bool),
+        "even": np.arange(k) % 2 == 0,
+        "odd": np.arange(k) % 2 == 1,
+    }[pick]
+    listed = record_list(records)
+    taken, rest = records.take(mask), records.take(~mask)
+    for table in (taken, rest):
+        assert table.start[0] == 0 and table.start[-1] == table.verts.size == table.parent.size
+        for name in ("attach", "head", "measure", "rank", "start", "verts", "parent"):
+            assert getattr(table, name).dtype == np.int64
+    assert len(taken) == int(mask.sum())
+    assert record_list(taken) == [rec for rec, m in zip(listed, mask) if m]
+    joined = Records.concat([taken, rest])
+    assert record_list(joined) == record_list(taken) + record_list(rest)
+    assert len(joined) == k and joined.start[-1] == records.verts.size
+    assert np.unique(records.verts).size == records.verts.size  # one record per vertex
 
 
 # --- attachment listing and augmentation -----------------------------------
@@ -360,8 +406,8 @@ def test_listing_above_max_is_empty():
     grid = random_grid((10, 10, 1), 2)
     order = sos_order(grid)
     result = run_distributed(grid, order, (2, 2, 1), lam=0, b=100)
-    top = max((r.measure for r in result.records), default=0)
-    assert list_attachment_points(result.records, top) == []
+    top = max((r.measure for r in record_list(result.records)), default=0)
+    assert record_list(list_attachment_points(result.records, top)) == []
 
 
 def test_listing_matches_filter_oracle():
@@ -369,7 +415,7 @@ def test_listing_matches_filter_oracle():
     order = sos_order(grid)
     result = run_distributed(grid, order, (2, 2, 1), lam=0, b=100)
     listed = list_attachment_points(result.records, 5)
-    assert listed == [r for r in result.records if r.measure > 5]
+    assert record_list(listed) == [r for r in record_list(result.records) if r.measure > 5]
 
 
 def test_listing_negative_lambda_rejected():
@@ -392,9 +438,9 @@ def test_augment_above_max_no_exchange():
     grid = random_grid((10, 10, 1), 4)
     order = sos_order(grid)
     probe = run_distributed(grid, order, (2, 2, 1), lam=0, b=100)
-    top = max((r.measure for r in probe.records), default=0)
+    top = max((r.measure for r in record_list(probe.records)), default=0)
     result = run_distributed(grid, order, (2, 2, 1), lam=top, b=100)
-    assert result.retained == []
+    assert record_list(result.retained) == []
     assert result.augmented_tree.arc_inner == result.base_tree.arc_inner
     recv = result.commlog.counts["augmentation"]["attachment_points_recv"]
     assert all(c == 0 for c in recv)
@@ -485,6 +531,84 @@ def test_run_distributed_checks_selection_before_local_phase(b, threshold, monke
     assert calls == []
 
 
+def ref_branch_entries(aug, retained, pruned, decomp, log):
+    """Branch-entry counters by per-vertex dicts over ``record_list`` tuples."""
+    holder = {}
+    for rec in retained:
+        holder.update(dict.fromkeys(rec.verts, rec.rank))
+    ranks = aug.ranks
+    up, down = (dict(zip(aug.supernodes, d.tolist())) for d in aug.arc_degrees())
+    for rec in pruned:
+        a = rec.attach
+        if a not in aug.superparent:
+            continue
+        head = rec.edges[0][0]
+        up.setdefault(a, 1)  # a regular vertex has one arc each way
+        down.setdefault(a, 1)
+        if ranks[head] > ranks[a]:
+            up[a] += 1
+        else:
+            down[a] += 1
+    critical = [0] * decomp.num_blocks
+    extrema = [0] * decomp.num_blocks
+    for v, u in up.items():
+        d = down[v]
+        h = holder[v] if v in holder else decomp.owner_of(v)
+        critical[h] += (u, d) != (1, 1)
+        extrema[h] += u + d <= 1
+    total_critical, total_extrema = sum(critical), sum(extrema)
+    for r in range(decomp.num_blocks):
+        log.add("branch decomposition", "bestupdown_recv", r, 2 * (total_critical - critical[r]))
+        log.add("branch decomposition", "branchinfo_recv", r, total_extrema - extrema[r])
+
+
+BRANCH_ENTRY_RUNS = {
+    "1d": (random_grid((31, 1, 1), 2), (3, 1, 1)),
+    "2d-421": (random_grid((12, 10, 1), 7), (4, 2, 1)),
+    "3d-421": (random_grid((16, 12, 4), 3), (4, 2, 1)),
+    "3d-333": (random_grid((9, 9, 9), 1), (3, 3, 3)),
+    "constant": (make_grid((6, 6, 6), np.zeros(216)), (2, 2, 2)),
+    "tied": (make_grid((8, 6, 4), np.random.default_rng(6).integers(0, 3, 192)), (2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("lam", [0, 1, 10, 100])
+@pytest.mark.parametrize("name", list(BRANCH_ENTRY_RUNS))
+def test_branch_entries_match_reference(name, lam):
+    grid, splits = BRANCH_ENTRY_RUNS[name]
+    result = run_distributed(grid, sos_order(grid), splits, lam=lam, b=10)
+    records = result.records
+    pruned = records.take(records.measure <= lam)
+    log = CommLog(math.prod(splits))
+    ref_branch_entries(
+        result.augmented_tree, record_list(result.retained), record_list(pruned),
+        decompose(grid, splits), log,
+    )
+    want = log.counts["branch decomposition"]
+    got = result.commlog.counts["branch decomposition"]
+    assert list(got) == ["bestupdown_recv", "branchinfo_recv"]
+    assert got == want
+    assert all(type(c) is int for counts in got.values() for c in counts)
+
+
+def test_branch_entry_runs_cover_every_attachment_kind():
+    """The reference runs prune records attached at supernodes, at regular
+    vertices and inside other records, next to retained records."""
+    seen = {"supernode": 0, "regular": 0, "nested": 0, "mixed": 0}
+    for grid, splits in BRANCH_ENTRY_RUNS.values():
+        for lam in (1, 10):
+            result = run_distributed(grid, sos_order(grid), splits, lam=lam, b=10)
+            aug = result.augmented_tree
+            verts, supernodes = set(aug.verts), set(aug.supernodes)
+            for rec in record_list(result.records):
+                if rec.measure <= lam:
+                    kind = "nested" if rec.attach not in verts else (
+                        "supernode" if rec.attach in supernodes else "regular")
+                    seen[kind] += 1
+            seen["mixed"] += 0 < len(result.retained) < len(result.records)
+    assert min(seen.values()) > 0, seen
+
+
 # --- comm log, transport, determinism ---------------------------------------
 
 
@@ -552,7 +676,7 @@ def test_record_edges_point_toward_attachment(grid, splits):
     """Each record vertex is a child exactly once, its parent in the record or the attachment."""
     result = run_distributed(grid, sos_order(grid), splits, lam=0, b=10)
     assert result.records
-    for rec in result.records:
+    for rec in record_list(result.records):
         children = [c for c, _ in rec.edges]
         assert sorted(children) == rec.verts
         allowed = set(rec.verts) | {rec.attach}

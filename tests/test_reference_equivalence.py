@@ -31,7 +31,7 @@ from gridtopo.errors import InternalError
 from gridtopo.measure import Branch, BranchDecomposition, VolumeAnnotation
 from gridtopo.tree import tree_from_graph
 
-from conftest import children_index, grid_1d, make_grid, random_grid
+from conftest import Rec, children_index, grid_1d, make_grid, random_grid, record_list
 
 # --- references --------------------------------------------------------------
 
@@ -274,7 +274,7 @@ def ref_branch_decomposition(ct, ann):
         groups.setdefault(ds.find(token[("s", s)]), {"s": [], "a": []})["s"].append(s)
     for a in arcs:
         groups.setdefault(ds.find(token[("a", a)]), {"s": [], "a": []})["a"].append(a)
-    up_deg, down_deg = ct.arc_degrees()
+    up_deg, down_deg = (dict(zip(ct.supernodes, d.tolist())) for d in ct.arc_degrees())
     ordered = sorted(groups.values(), key=lambda m: min(m["a"] + m["s"]))
     group_of = {s: gi for gi, m in enumerate(ordered) for s in m["s"]}
     branches = []
@@ -378,7 +378,7 @@ def ref_region(rank, extent, ct, values, boundary, mass_verts, mass):
             if (p := turned.get(u, parent.get(u))) is not None and p != attach
         ]
         weight = len(verts) + sum(mass_at.get(u, 0) for u in verts)
-        records.append(pipeline.Record(attach, sorted(verts), edges, weight, rank))
+        records.append(Rec(attach, sorted(verts), edges, weight, rank))
         new_mass[attach] = new_mass.get(attach, 0) + weight
     records.sort(key=lambda r: r.verts[0])
     kept_ids, held = sorted(kept_set), sorted(new_mass)
@@ -582,8 +582,9 @@ def test_distributed_annotation_matches_reference(lam):
     assert_same_measures(ct, VolumeAnnotation(n=ann.n, counts=ann.counts, at_node=ann.at_node))
     # The augmented tree's own build input: base edges plus retained records.
     base = result.base_tree
-    verts = sorted(base.verts + [v for rec in result.retained for v in rec.verts])
-    edges = list(base.parent.items()) + [e for rec in result.retained for e in rec.edges]
+    retained = record_list(result.retained)
+    verts = sorted(base.verts + [v for rec in retained for v in rec.verts])
+    edges = list(base.parent.items()) + [e for rec in retained for e in rec.edges]
     check_tree_input(verts, order.rank_of, edges)
 
 
@@ -625,7 +626,7 @@ def assert_same_region(got, want):
     assert got.mass.tolist() == want.mass.tolist()
     assert (got.rank, got.extent, got.num_vertices) == (want.rank, want.extent, want.num_vertices)
     assert len(got.records) == len(want.records)
-    for g, w in zip(got.records, want.records):
+    for g, w in zip(record_list(got.records), want.records):
         assert (g.attach, g.verts, g.measure, g.rank) == (w.attach, w.verts, w.measure, w.rank)
         assert g.edges[0] == w.edges[0]
         assert set(g.edges) == set(w.edges) and len(g.edges) == len(w.edges)

@@ -53,7 +53,8 @@ def test_single_vertex_grid():
 
 def test_arc_degrees_zigzag():
     grid = grid_1d([0, 5, 4, 3, 6, 1])
-    up, down = contour_tree(grid, sos_order(grid)).arc_degrees()
+    ct = contour_tree(grid, sos_order(grid))
+    up, down = (dict(zip(ct.supernodes, d.tolist())) for d in ct.arc_degrees())
     assert up == {0: 1, 1: 0, 3: 2, 4: 0, 5: 1}
     assert down == {0: 0, 1: 2, 3: 0, 4: 2, 5: 0}
 
@@ -68,7 +69,7 @@ def test_arc_degrees_count_each_arc_at_both_ends(seed):
         lo, hi = sorted((outer, inner), key=ct.ranks.__getitem__)
         want_up[lo] += 1
         want_down[hi] += 1
-    up, down = ct.arc_degrees()
+    up, down = (dict(zip(ct.supernodes, d.tolist())) for d in ct.arc_degrees())
     assert (up, down) == (want_up, want_down)
     assert list(up) == list(down) == ct.supernodes
 
