@@ -54,7 +54,7 @@ import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -483,15 +483,8 @@ def _volumes(ct: ContourTree, n: int, pruned: Records) -> VolumeAnnotation:
     mass, node = np.zeros((2, ct.n), dtype=np.int64)
     np.add.at(mass, arc, amount)
     np.add.at(node, at[arc == at], amount[arc == at])
-    st = ct.superstructure
-    outer = st.vertex[st.inner >= 0]
-    mass[outer] += 1 + ct.walk_start[outer + 1] - ct.walk_start[outer]  # as superarc_counts
-    counted, hangs = np.flatnonzero(mass), np.flatnonzero(node)
-    return measure.hypersweep(ct, VolumeAnnotation(
-        n=n,
-        counts=dict(zip(ct.ids[counted].tolist(), mass[counted].tolist())),
-        at_node=dict(zip(ct.ids[hangs].tolist(), node[hangs].tolist())),
-    ))
+    sn, own = ct.superstructure.vertex, measure.superarc_counts(ct)
+    return measure.hypersweep(ct, replace(own, n=n, count=own.count + mass[sn], hang=node[sn]))
 
 
 def _log_branch_entries(
@@ -515,13 +508,13 @@ def _log_branch_entries(
         log.add("branch decomposition", "branchinfo_recv", r, sum(extrema) - extrema[r])
 
 
-def _heavy_branches(bd: BranchDecomposition, lam: int) -> list[Branch]:
-    """The trunk and the branches heavier than lambda.
+def _heavy_branches(bd: BranchDecomposition, lam: int) -> np.ndarray:
+    """Mask over ``bd``'s rows: the trunk and the branches heavier than lambda.
 
     A branch of volume at most lambda may be an artefact of
     pre-simplification.
     """
-    return [br for br in bd.branches if br.is_trunk or br.volume > lam]
+    return bd.is_trunk | (bd.volume > lam)
 
 
 def select_top_branches_distributed(
@@ -531,9 +524,9 @@ def select_top_branches_distributed(
     lam: int,
     threshold: float | None = None,
 ) -> tuple[list[Branch], int]:
-    """``measure.select_top_branches`` over ``_heavy_branches(bd, lam)``."""
+    """``measure.select_top_branches`` among ``_heavy_branches(bd, lam)``."""
     return measure.select_top_branches(
-        BranchDecomposition(branches=_heavy_branches(bd, lam)), ranks, b=b, threshold=threshold
+        bd, ranks, b=b, threshold=threshold, among=_heavy_branches(bd, lam)
     )
 
 
@@ -609,7 +602,7 @@ def run_distributed(
     # Pre-simplification removes only branches of volume at most lam.  The
     # selection is exact unless it would have contained one of them: when
     # lam >= lambda_b, or when pruning left fewer branches than asked for.
-    cut = bool(pruned) or len(_heavy_branches(bd, lam)) < len(bd.branches)
+    cut = bool(pruned) or np.count_nonzero(_heavy_branches(bd, lam)) < len(bd.branches)
     short = len(selected) < b if b is not None else threshold < lam
     lambda_valid = lam < lambda_b and not (cut and short)
     warnings = []

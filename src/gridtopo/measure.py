@@ -6,54 +6,90 @@ partition the vertex set exactly.  Subtree volumes are physical-cut
 counts: the outward volume of an arc is the number of vertices strictly
 on its outer side when the tree is severed at the inner end.
 
-``hypersweep`` and ``branch_decomposition`` read the tree through its
-shared array view, ``ContourTree.superstructure``, and run as numpy
-passes over supernode positions: subtree sums over an Euler tour ranked
-by pointer jumping, best up/down arcs by max/min reductions over arc
-incidences, and branches labelled by pointer jumping along chains of
-mutually-best arcs.  Python loops only build the output dicts and
-``Branch`` objects.
+Volumes and branches are int64 arrays, as the tree is.  A
+``VolumeAnnotation`` holds one array per quantity over the supernode
+positions of ``ContourTree.superstructure``; a ``BranchDecomposition``
+holds one row per branch.  ``hypersweep`` and ``branch_decomposition``
+run as numpy passes over those positions: subtree sums over an Euler
+tour ranked by pointer jumping, best up/down arcs by max/min reductions
+over arc incidences, and branches labelled by pointer jumping along
+chains of mutually-best arcs.  ``select_top_branches`` orders the rows
+with one ``lexsort``.  Id-keyed mappings (``VolumeAnnotation.counts``
+and its kin, ``sweep.ArcView``) and ``Branch`` objects are built only
+when read: a run builds a ``Branch`` for each selected row and nothing
+per supernode.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InternalError, UsageError
+from .sweep import ArcView
 from .tree import ContourTree, _chain_ends, _pair_key
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VolumeAnnotation:
-    """Per-superarc counts and directional subtree volumes.
+    """Per-superarc counts and directional subtree volumes over supernode positions.
 
-    ``outward[o]`` is the vertex count of the subtree hanging at outer
-    end ``o`` including the regular vertices of o's own arc; the
-    complement ``n - outward[o]`` is the inward volume.  ``closed[s]``
-    is the closed rooted subtree volume of supernode ``s`` (itself plus
-    all child-arc outward volumes, excluding its own arc's regulars).
+    Each array is int64 and indexed like ``ContourTree.superstructure``:
+    ``ids[i]`` is supernode i's id and ``root`` the root's position.
+    ``count[i]`` counts arc i (the one with outer end i).  ``hang[i]`` is
+    vertex mass hanging directly at supernode i without tree structure
+    (pre-simplified subtrees); it is part of ``count[i]``, but belongs
+    inside the closed volume of i so that cut volumes stay exact.  The
+    root indexes no arc: mass hanging at the root is its ``count`` and
+    its ``hang``, so ``count.sum() + 1 == n`` still holds.  Mass hanging
+    at a regular vertex is only part of ``count`` of the arc it lies on.
 
-    ``at_node[s]`` is vertex mass hanging directly at supernode ``s``
-    without tree structure (pre-simplified subtrees); it is part of
-    ``counts`` of the arc ``s`` indexes, but belongs inside ``closed[s]``
-    so that cut volumes stay exact.  The root indexes no arc: mass
-    hanging at the root is counted under the root's own key in both
-    ``counts`` and ``at_node``, so ``sum(counts) + 1 == n`` still holds.
-    Mass hanging at a regular vertex has no ``at_node`` entry; it is
-    part of ``counts`` of the arc the vertex lies on.
+    ``hypersweep`` fills the volumes.  ``out_volume[i]`` is the vertex
+    count of the subtree hanging at outer end i including the regular
+    vertices of i's own arc; the complement ``n - out_volume[i]`` is the
+    inward volume.  ``closed_volume[i]`` is the closed rooted subtree
+    volume of supernode i (itself plus all child-arc outward volumes,
+    excluding its own arc's regulars).
+
+    ``counts``, ``outward``, ``closed`` and ``at_node`` are the same
+    quantities as read-only mappings keyed by supernode id: ``counts``
+    over the nonzero counts, ``outward`` over the arcs, ``closed`` over
+    every supernode and ``at_node`` over the nonzero hanging mass.
     """
 
     n: int
-    counts: dict[int, int] = field(repr=False)
-    outward: dict[int, int] = field(default_factory=dict, repr=False)
-    closed: dict[int, int] = field(default_factory=dict, repr=False)
-    at_node: dict[int, int] = field(default_factory=dict, repr=False)
+    ids: np.ndarray = field(repr=False)
+    root: int
+    count: np.ndarray = field(repr=False)
+    hang: np.ndarray = field(repr=False)
+    out_volume: np.ndarray | None = field(default=None, repr=False)
+    closed_volume: np.ndarray | None = field(default=None, repr=False)
+
+    def _view(self, values: np.ndarray | None, live) -> ArcView:
+        if values is None:
+            return ArcView(np.empty(0, dtype=np.int64))
+        return ArcView(np.where(live, values, -1), self.ids)
+
+    @cached_property
+    def counts(self) -> ArcView:
+        return self._view(self.count, self.count > 0)
+
+    @cached_property
+    def at_node(self) -> ArcView:
+        return self._view(self.hang, self.hang > 0)
+
+    @cached_property
+    def outward(self) -> ArcView:
+        return self._view(self.out_volume, np.arange(self.ids.size) != self.root)
+
+    @cached_property
+    def closed(self) -> ArcView:
+        return self._view(self.closed_volume, True)
 
     def inward(self, outer: int) -> int:
         return self.n - self.outward[outer]
@@ -63,16 +99,10 @@ def superarc_counts(ct: ContourTree) -> VolumeAnnotation:
     """Count vertices per superarc (regulars plus the outer-end supernode)."""
     if not ct.is_augmented:
         raise UsageError("tree must be augmented before counting")
-    outer = ct.superstructure.vertex[ct.superstructure.inner >= 0]
-    counts = 1 + ct.walk_start[outer + 1] - ct.walk_start[outer]
-    return VolumeAnnotation(n=ct.n, counts=dict(zip(ct.ids[outer].tolist(), counts.tolist())))
-
-
-def _per_supernode(values: Mapping[int, int], supernodes: list[int]) -> np.ndarray:
-    """``values`` as an array over supernode positions; absent keys are 0."""
-    return np.fromiter(
-        map(values.get, supernodes, itertools.repeat(0)), np.int64, len(supernodes)
-    )
+    st = ct.superstructure
+    count = 1 + ct.walk_start[st.vertex + 1] - ct.walk_start[st.vertex]
+    count[st.root] = 0
+    return VolumeAnnotation(ct.n, ct.ids[st.vertex], st.root, count, np.zeros_like(count))
 
 
 def _subtree_sums(parent: np.ndarray, root: int, weight: np.ndarray) -> np.ndarray:
@@ -86,7 +116,7 @@ def _subtree_sums(parent: np.ndarray, root: int, weight: np.ndarray) -> np.ndarr
     """
     k = parent.size
     kids = np.flatnonzero(parent >= 0)
-    kids = kids[np.argsort(parent[kids], kind="stable")]
+    kids = kids[np.argsort(parent[kids])]  # any child order gives the same sums
     up = parent[kids]
     first = np.ones(kids.size, dtype=bool)
     first[1:] = up[1:] != up[:-1]
@@ -98,8 +128,8 @@ def _subtree_sums(parent: np.ndarray, root: int, weight: np.ndarray) -> np.ndarr
     # Leaving the root ends the tour.  ``left`` counts steps to that end.
     left = (succ != np.arange(2 * k)).astype(np.int64)
     for _ in range((2 * k).bit_length()):
-        left += left[succ]
-        succ = succ[succ]
+        left += np.take(left, succ)
+        succ = np.take(succ, succ)
     if (succ != k + root).any():
         raise InternalError("parent pointers do not form one tree")
     at = 2 * k - 1 - left
@@ -119,24 +149,13 @@ def hypersweep(ct: ContourTree, ann: VolumeAnnotation) -> VolumeAnnotation:
     conservation is checked against ``ann.n``.
     """
     st = ct.superstructure
-    sn = ct.supernodes
-    counts = _per_supernode(ann.counts, sn)
-    counts[st.root] = 0  # the root indexes no arc
-    at_node = _per_supernode(ann.at_node, sn)
-    outward = _subtree_sums(st.inner, st.root, counts)
-    closed = outward - counts + 1 + at_node
+    out = _subtree_sums(st.inner, st.root, ann.count)
+    closed = out - ann.count + 1 + ann.hang
     if closed[st.root] != ann.n:
         raise InternalError(
             f"volume conservation failed: {closed[st.root]} != {ann.n}"
         )
-    arcs = np.flatnonzero(st.inner >= 0)
-    return VolumeAnnotation(
-        n=ann.n,
-        counts=ann.counts,
-        outward=dict(zip(map(sn.__getitem__, arcs.tolist()), outward[arcs].tolist())),
-        closed=dict(zip(sn, closed.tolist())),
-        at_node=ann.at_node,
-    )
+    return replace(ann, out_volume=out, closed_volume=closed)
 
 
 @dataclass
@@ -163,27 +182,77 @@ class Branch:
         return (self.saddle, self.volume, self.parent_saddle)
 
 
-@dataclass
+class _Branches(Sequence):
+    """A decomposition's rows as ``Branch`` objects, each built on first access."""
+
+    __slots__ = ("_bd", "_built")
+
+    def __init__(self, bd: BranchDecomposition):
+        self._bd, self._built = bd, [None] * bd.volume.size
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, row: int) -> Branch:
+        row = range(len(self))[row]  # a negative row counts from the end
+        if self._built[row] is None:
+            self._built[row] = self._bd._branch(row)
+        return self._built[row]
+
+
+@dataclass(frozen=True, eq=False)
 class BranchDecomposition:
-    branches: list[Branch] = field(repr=False)
+    """Branches as int64 arrays with one row per branch, in output order.
+
+    ``volume``; ``leaf`` and ``saddle`` as vertex ids (the trunk's saddle
+    is -1); ``parent``, the row of the branch it attaches to (-1 for the
+    trunk).  Row r's arcs, by outer-end id ascending, are
+    ``arcs[start[r]:start[r + 1]]``.  ``branches`` reads the rows as
+    ``Branch`` objects, built on first access and kept.
+    """
+
+    volume: np.ndarray = field(repr=False)
+    leaf: np.ndarray = field(repr=False)
+    saddle: np.ndarray = field(repr=False)
+    parent: np.ndarray = field(repr=False)
+    start: np.ndarray = field(repr=False)
+    arcs: np.ndarray = field(repr=False)
+
+    @property
+    def is_trunk(self) -> np.ndarray:
+        return self.parent < 0
+
+    @cached_property
+    def branches(self) -> _Branches:
+        return _Branches(self)
+
+    def _branch(self, row: int) -> Branch:
+        p, s = self.parent.item(row), self.saddle.item(row)
+        return Branch(
+            arcs=tuple(self.arcs[self.start[row] : self.start[row + 1]].tolist()),
+            leaf=self.leaf.item(row),
+            volume=self.volume.item(row),
+            saddle=None if s < 0 else s,
+            parent_saddle=None if p < 0 or self.parent[p] < 0 else self.saddle.item(p),
+            parent_index=None if p < 0 else p,
+            is_trunk=p < 0,
+        )
 
     @property
     def trunk(self) -> Branch:
-        for b in self.branches:
-            if b.is_trunk:
-                return b
-        raise InternalError("no trunk present")
+        return self.branches[int(np.argmin(self.parent))]
 
-    def sorted_branches(self, ranks: Sequence[int]) -> list[Branch]:
-        """Branches by descending volume, then ascending saddle rank (the trunk's is -1).
+    def order(self, ranks: Sequence[int]) -> np.ndarray:
+        """Rows by descending volume, then ascending saddle rank (the trunk's is -1).
 
         One stable ``lexsort`` over the rank table, so equal keys keep their order.
         """
-        branches = self.branches
-        saddle = np.array([-1 if b.saddle is None else b.saddle for b in branches], dtype=np.int64)
-        saddle_rank = np.where(saddle >= 0, np.asarray(ranks)[saddle], -1)
-        volume = np.array([b.volume for b in branches])
-        return [branches[i] for i in np.lexsort((saddle_rank, -volume)).tolist()]
+        saddle_rank = np.where(self.saddle >= 0, np.asarray(ranks)[self.saddle], -1)
+        return np.lexsort((saddle_rank, -self.volume))
+
+    def sorted_branches(self, ranks: Sequence[int]) -> list[Branch]:
+        """Every branch in ``order``."""
+        return [self.branches[r] for r in self.order(ranks).tolist()]
 
 
 def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomposition:
@@ -196,20 +265,21 @@ def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomp
     trunk.  Branches are listed by their least member id (supernode or
     arc outer end), a supernode member first on a tie.
     """
-    if not ann.outward and ct.n > 1:
+    if ann.out_volume is None and ct.n > 1:
         raise UsageError("hypersweep volumes required")
-    sn = ct.supernodes
-    if len(sn) == 1:
-        only = Branch(arcs=(), leaf=ct.root, volume=ct.n, is_trunk=True)
-        return BranchDecomposition(branches=[only])
-
     st = ct.superstructure
-    k, rank = len(sn), st.rank
+    sn = ct.ids[st.vertex]
+    k, rank = sn.size, st.rank
+    if k == 1:
+        one = np.array([-1], dtype=np.int64)
+        return BranchDecomposition(
+            volume=np.array([ct.n]), leaf=sn, saddle=one, parent=one,
+            start=np.zeros(2, dtype=np.int64), arcs=one[:0],
+        )
+
     arcs = np.flatnonzero(st.inner >= 0)  # arc i is the one with outer end i
     inner = st.inner[arcs]
-    outward = _per_supernode(ann.outward, sn)
-    closed = _per_supernode(ann.closed, sn)
-
+    outward, closed = ann.out_volume, ann.closed_volume
     # Each arc is incident to both of its ends; ``far`` is the volume
     # beyond it as seen from that end.
     rises = rank[inner] > rank[arcs]
@@ -299,26 +369,14 @@ def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomp
     if (parent == np.arange(g)).any():
         raise InternalError("branch attached to itself")
 
-    ids = sn.__getitem__
-    members = list(map(ids, arcs[np.argsort(arc_group, kind="stable")].tolist()))
-    bounds = np.cumsum(n_arcs).tolist()
-    saddle_ids = [None if s < 0 else sn[s] for s in saddle.tolist()]
-    (trunk_index,) = np.flatnonzero(trunk).tolist()
-    branches = [
-        Branch(
-            arcs=tuple(members[b - c : b]),
-            leaf=sn[lf],
-            volume=vol,
-            saddle=sd,
-            parent_saddle=None if p in (-1, trunk_index) else saddle_ids[p],
-            parent_index=None if p < 0 else p,
-            is_trunk=p < 0,
-        )
-        for c, b, lf, vol, sd, p in zip(
-            n_arcs.tolist(), bounds, leaf.tolist(), volume.tolist(), saddle_ids, parent.tolist()
-        )
-    ]
-    return BranchDecomposition(branches=branches)
+    return BranchDecomposition(
+        volume=volume,
+        leaf=sn[leaf],
+        saddle=np.where(saddle >= 0, sn[saddle], -1),
+        parent=parent,
+        start=np.r_[0, np.cumsum(n_arcs)],
+        arcs=sn[arcs[np.argsort(arc_group, kind="stable")]],
+    )
 
 
 def check_selection(b: int | None, threshold: float | None) -> None:
@@ -334,21 +392,27 @@ def select_top_branches(
     ranks: Sequence[int],
     b: int | None = None,
     threshold: float | None = None,
+    among: np.ndarray | None = None,
 ) -> tuple[list[Branch], int]:
     """Pick the top-b branches by volume, or all above a volume threshold.
 
     Returns the selection and the volume of the smallest retained
     branch.  The trunk sorts first (it carries the full domain volume)
-    and counts toward ``b``.
+    and counts toward ``b``.  ``among``, a boolean mask over ``bd``'s
+    rows, limits the candidates; only the selected rows become
+    ``Branch`` objects.
     """
     check_selection(b, threshold)
-    ordered = bd.sorted_branches(ranks)
+    rows = bd.order(ranks)
+    if among is not None:
+        rows = rows[among[rows]]
     if b is not None:
-        selected = ordered[:b]
+        picked = rows[:b]
     else:
-        selected = [x for x in ordered if x.volume > threshold]
-        if not selected:
-            selected = ordered[:1]
+        picked = rows[bd.volume[rows] > threshold]
+        if not picked.size:
+            picked = rows[:1]
+    selected = [bd.branches[r] for r in picked.tolist()]
     return selected, selected[-1].volume
 
 

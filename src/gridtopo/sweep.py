@@ -156,7 +156,7 @@ def _chain_ends(hop: np.ndarray) -> np.ndarray:
     """
     end = hop
     for _ in range(hop.size.bit_length() + 1):
-        far = end[end]
+        far = np.take(end, end)
         if np.array_equal(far, end):
             if (hop[end] != end).any():
                 break

@@ -431,13 +431,18 @@ def _lift(st: Superstructure, ju: np.ndarray, sd: np.ndarray, rank: np.ndarray) 
     """Outer end of the superarc where the path from ``ju`` to ``sd`` crosses ``rank``.
 
     ``ju`` and ``sd`` are supernode positions ranked above and below each
-    entry of ``rank``, and ranks along the path fall below it once.  Binary
-    lifting over tables of the least and greatest rank among each
-    supernode's 2**l nearest ancestors climbs from ``ju`` while ancestors
-    rank above and from ``sd`` while they rank below; the deeper of the
-    two stops is the crossing arc's outer end.  The tables are int32 with
-    one row per bit of the tree's depth.
+    entry of ``rank``, and ranks along the path fall below it once.  When
+    they are the two ends of one superarc, that arc is the crossing.
+    Every other entry is lifted: binary lifting over tables of the least
+    and greatest rank among each supernode's 2**l nearest ancestors climbs
+    from ``ju`` while ancestors rank above and from ``sd`` while they rank
+    below; the deeper of the two stops is the crossing arc's outer end.
+    The tables are int32 with one row per bit of the tree's depth.
     """
+    found = np.where(st.inner[ju] == sd, ju, np.where(st.inner[sd] == ju, sd, -1))
+    far = np.flatnonzero(found < 0)
+    if not far.size:
+        return found
     dt = np.int32 if int(st.rank.max()) <= np.iinfo(np.int32).max else np.int64
     has = st.inner >= 0
     # The root is its own parent, so a climb past it stays there.
@@ -454,11 +459,12 @@ def _lift(st: Superstructure, ju: np.ndarray, sd: np.ndarray, rank: np.ndarray) 
         anc.append(a[a])
         lo.append(np.minimum(lo[-1], lo[-1][a]))
         hi.append(np.maximum(hi[-1], hi[-1][a]))
-    x, y = ju.astype(dt), sd.astype(dt)
+    x, y, r = ju[far].astype(dt), sd[far].astype(dt), rank[far]
     for lv in reversed(range(levels)):
-        x = np.where(lo[lv][x] > rank, anc[lv][x], x)
-        y = np.where(hi[lv][y] < rank, anc[lv][y], y)
-    return np.where(depth[x] > depth[y], x, y).astype(np.int64)
+        x = np.where(lo[lv][x] > r, anc[lv][x], x)
+        y = np.where(hi[lv][y] < r, anc[lv][y], y)
+    found[far] = np.where(depth[x] > depth[y], x, y)
+    return found
 
 
 def _walk_order(arc: np.ndarray, rank: np.ndarray, rises: np.ndarray) -> np.ndarray:

@@ -682,3 +682,32 @@ def test_record_edges_point_toward_attachment(grid, splits):
         allowed = set(rec.verts) | {rec.attach}
         assert all(p in allowed for _, p in rec.edges)
         assert rec.edges[0][1] == rec.attach
+
+
+@pytest.mark.parametrize("by_threshold", [False, True])
+def test_heavy_branches_at_lambda_equal_to_a_branch_volume(by_threshold):
+    """The mask keeps the trunk and volumes strictly above lambda, in ``bd``'s rows."""
+    from gridtopo.dist import pipeline
+
+    grid = random_grid((12, 10, 6), 2)
+    order = sos_order(grid)
+    bd = run_distributed(grid, order, (2, 2, 1), lam=0, b=5).bd
+    ranks = order.rank_of
+    volumes = sorted({b.volume for b in bd.branches if not b.is_trunk})
+    lam = volumes[len(volumes) // 2]
+    heavy = pipeline._heavy_branches(bd, lam)
+    assert heavy.dtype == bool and heavy.shape == (len(bd.branches),)
+    old = [b for b in bd.branches if b.is_trunk or b.volume > lam]
+    assert [bd.branches[r] for r in np.flatnonzero(heavy)] == old
+    assert any(b.volume == lam for b in bd.branches) and 1 < len(old) < len(bd.branches)
+    ordered = sorted(old, key=lambda b: (-b.volume, -1 if b.saddle is None else ranks[b.saddle]))
+    threshold = float(volumes[3 * len(volumes) // 4]) if by_threshold else None
+    b = None if by_threshold else len(bd.branches)
+    selected, lam_b = select_top_branches_distributed(bd, ranks, b, lam, threshold)
+    assert selected == [x for x in ordered if not by_threshold or x.volume > threshold]
+    assert len(selected) < len(old) if by_threshold else len(selected) == len(old)
+    assert lam_b == selected[-1].volume > lam
+    for br in selected:
+        if not br.is_trunk:
+            parent = bd.branches[br.parent_index]
+            assert br.parent_saddle == (None if parent.is_trunk else parent.saddle)

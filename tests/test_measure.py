@@ -7,6 +7,7 @@ from gridtopo import (
     superarc_counts,
 )
 from gridtopo.errors import UsageError
+from gridtopo.measure import Branch
 from gridtopo.oracle import brute_subtree_volume
 
 from conftest import children_index, grid_1d, local_extrema, random_grid, serial_pipeline
@@ -212,3 +213,116 @@ def test_determinism(seed):
     assert [(b.key(), b.leaf, b.arcs) for b in bd1.branches] == [
         (b.key(), b.leaf, b.arcs) for b in bd2.branches
     ]
+
+
+def old_sort(branches, ranks):
+    """The Python sort ``select_top_branches`` used before it sorted rows."""
+    return sorted(branches, key=lambda b: (-b.volume, -1 if b.saddle is None else ranks[b.saddle]))
+
+
+def many_branches(seed=0):
+    """A grid with hundreds of branches, its tree and its decomposition."""
+    _, ct, ann, bd = serial_pipeline(random_grid((16, 16, 6), seed))
+    assert len(bd.branches) > 200
+    return ct, ann, bd
+
+
+def test_select_builds_only_the_selected_rows(monkeypatch):
+    from gridtopo import measure
+
+    ct, ann, bd = many_branches()
+    built = []
+    real = measure.Branch
+
+    def counting(**fields):
+        built.append(fields)
+        return real(**fields)
+
+    monkeypatch.setattr(measure, "Branch", counting)
+    assert len(bd.branches) > 200 and not built
+    selected, _ = select_top_branches(bd, ct.ranks, b=5)
+    assert len(selected) == 5 and len(built) <= 5
+    selected, _ = select_top_branches(bd, ct.ranks, threshold=float(selected[-1].volume))
+    assert len(built) <= 5
+    # No id-keyed view of the volumes was built on the way either.
+    assert not {"counts", "outward", "closed", "at_node"} & vars(ann).keys()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_branch_sequence_matches_reference(seed):
+    from test_reference_equivalence import ref_branch_decomposition, ref_hypersweep
+
+    ct, ann, bd = many_branches(seed)
+    ref = ref_branch_decomposition(ct, ref_hypersweep(ct, ann))
+    seq = bd.branches
+    g = len(seq)
+    assert g == len(ref)
+    assert seq[-1] == ref[-1] and seq[-g] == ref[0]
+    assert seq[-1] is seq[g - 1] and seq[0] is seq[-g]
+    with pytest.raises(IndexError):
+        seq[g]
+    with pytest.raises(IndexError):
+        seq[-g - 1]
+    assert list(seq) == ref
+    assert [id(b) for b in seq] == [id(seq[i]) for i in range(g)]
+    assert bd.branches is seq
+    for b in seq:
+        if b.is_trunk:
+            assert b is bd.trunk and b.parent_index is None
+            continue
+        parent = seq[b.parent_index]
+        assert parent is seq[b.parent_index - g]
+        assert parent == ref[b.parent_index]
+        assert b.parent_saddle == (None if parent.is_trunk else parent.saddle)
+    assert [id(b) for b in bd.sorted_branches(ct.ranks)] == [
+        id(b) for b in old_sort(seq, ct.ranks)
+    ]
+
+
+def test_select_b_above_branch_count():
+    ct, _, bd = many_branches()
+    selected, lam_b = select_top_branches(bd, ct.ranks, b=len(bd.branches) + 7)
+    assert selected == old_sort(bd.branches, ct.ranks)
+    assert lam_b == min(b.volume for b in bd.branches)
+
+
+def test_select_threshold_equal_to_a_volume_is_strict():
+    ct, _, bd = many_branches()
+    ordered = old_sort(bd.branches, ct.ranks)
+    volume = ordered[len(ordered) // 10].volume
+    assert volume < ordered[0].volume
+    selected, lam_b = select_top_branches(bd, ct.ranks, threshold=volume)
+    assert selected == [b for b in ordered if b.volume > volume]
+    assert all(b.volume != volume for b in selected) and lam_b > volume
+
+
+def test_select_threshold_above_every_branch_keeps_the_trunk():
+    ct, _, bd = many_branches()
+    selected, lam_b = select_top_branches(bd, ct.ranks, threshold=ct.n)
+    assert selected == [bd.trunk] and lam_b == ct.n
+
+
+def test_single_supernode_decomposition():
+    grid = grid_1d([7])
+    _, ct, ann, bd = serial_pipeline(grid)
+    assert ann.counts == {} and ann.outward == {} and ann.closed == {0: 1}
+    assert list(bd.branches) == [Branch(arcs=(), leaf=0, volume=1, is_trunk=True)]
+    assert select_top_branches(bd, ct.ranks, b=3) == ([bd.trunk], 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_volume_views_match_their_arrays(seed):
+    ct, ann, _ = many_branches(seed)
+    st = ct.superstructure
+    sn = ct.supernodes
+    arcs = [s for i, s in enumerate(sn) if i != st.root]
+    assert list(ann.counts) == arcs and list(ann.outward) == arcs and list(ann.closed) == sn
+    assert ann.at_node == {} and len(ann.at_node) == 0
+    for i, s in enumerate(sn):
+        assert ann.closed[s] == ann.closed_volume[i]
+        if i != st.root:
+            assert ann.counts[s] == ann.count[i] and ann.outward[s] == ann.out_volume[i]
+            assert ann.inward(s) == ct.n - ann.out_volume[i]
+    with pytest.raises(KeyError):
+        ann.outward[ct.root]
+    assert ann.outward == dict(ann.outward) and ann.outward != ann.closed

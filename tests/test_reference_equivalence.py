@@ -14,6 +14,7 @@ regions, down to the order of every arc's regular vertices and of the
 branch and record lists.
 """
 
+import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from gridtopo import measure
 from gridtopo import tree as gtree
 from gridtopo.dist import pipeline, run_distributed
 from gridtopo.errors import InternalError
-from gridtopo.measure import Branch, BranchDecomposition, VolumeAnnotation
+from gridtopo.measure import Branch
 from gridtopo.tree import tree_from_graph
 
 from conftest import Rec, children_index, grid_1d, make_grid, random_grid, record_list
@@ -159,6 +160,15 @@ class RefTree:
         return len(self.verts)
 
 
+@dataclass
+class RefVolumes:
+    """The reference hypersweep's volumes as plain dicts keyed by supernode id."""
+
+    n: int
+    outward: dict
+    closed: dict
+
+
 def ref_from_edges(verts, ranks, edges):
     adj = {v: [] for v in verts}
     for a, b in edges:
@@ -231,9 +241,7 @@ def ref_hypersweep(ct, ann):
         if s != ct.root:
             outward[s] = sub + ann.counts[s] - 1 - ann.at_node.get(s, 0)
     assert closed[ct.root] == ann.n
-    return VolumeAnnotation(
-        n=ann.n, counts=ann.counts, outward=outward, closed=closed, at_node=ann.at_node
-    )
+    return RefVolumes(n=ann.n, outward=outward, closed=closed)
 
 
 def away_volume(ct, ann, arc_outer, at):
@@ -247,7 +255,7 @@ def ref_branch_decomposition(ct, ann):
     ranks = ct.ranks
     kids = children_index(ct)
     if len(ct.supernodes) == 1:
-        return BranchDecomposition([Branch(arcs=(), leaf=ct.root, volume=ct.n, is_trunk=True)])
+        return [Branch(arcs=(), leaf=ct.root, volume=ct.n, is_trunk=True)]
     best = {}
     for s in ct.supernodes:
         candidates = []
@@ -304,7 +312,7 @@ def ref_branch_decomposition(ct, ann):
             p = group_of[b.saddle]
             b.parent_index = p
             b.parent_saddle = None if branches[p].is_trunk else branches[p].saddle
-    return BranchDecomposition(branches)
+    return branches
 
 
 def ref_relabel(ct, gid, ranks):
@@ -432,8 +440,8 @@ def assert_same_measures(ct, ann):
     want = ref_hypersweep(ct, ann)
     assert got.outward == want.outward
     assert got.closed == want.closed
-    assert measure.branch_decomposition(ct, got).branches == (
-        ref_branch_decomposition(ct, want).branches
+    assert list(measure.branch_decomposition(ct, got).branches) == (
+        ref_branch_decomposition(ct, want)
     )
 
 
@@ -579,7 +587,7 @@ def test_distributed_annotation_matches_reference(lam):
     ann = result.post_volumes
     assert ann.at_node, "expected pruned mass hanging at supernodes"
     ct = result.augmented_tree
-    assert_same_measures(ct, VolumeAnnotation(n=ann.n, counts=ann.counts, at_node=ann.at_node))
+    assert_same_measures(ct, dataclasses.replace(ann, out_volume=None, closed_volume=None))
     # The augmented tree's own build input: base edges plus retained records.
     base = result.base_tree
     retained = record_list(result.retained)

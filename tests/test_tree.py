@@ -561,3 +561,114 @@ def test_reroot_rejects_a_parent_array_that_is_not_one_tree(parent):
 
     with pytest.raises(InternalError, match="not connected"):
         gtree._reroot(np.array(parent, dtype=np.int64), 0)
+
+
+def ref_lift(st_, ju, sd, rank):
+    """``tree._lift`` without its adjacent-ends shortcut: every entry is lifted."""
+    dt = np.int32 if int(st_.rank.max()) <= np.iinfo(np.int32).max else np.int64
+    has = st_.inner >= 0
+    step = np.where(has, st_.inner, st_.root).astype(dt)
+    depth = has.astype(dt)
+    hop = step
+    while (hop != st_.root).any():
+        depth += depth[hop]
+        hop = hop[hop]
+    levels = int(depth.max()).bit_length()
+    anc, lo, hi = [step], [st_.rank[step].astype(dt)], [st_.rank[step].astype(dt)]
+    for _ in range(1, levels):
+        a = anc[-1]
+        anc.append(a[a])
+        lo.append(np.minimum(lo[-1], lo[-1][a]))
+        hi.append(np.maximum(hi[-1], hi[-1][a]))
+    x, y = ju.astype(dt), sd.astype(dt)
+    for lv in reversed(range(levels)):
+        x = np.where(lo[lv][x] > rank, anc[lv][x], x)
+        y = np.where(hi[lv][y] < rank, anc[lv][y], y)
+    return np.where(depth[x] > depth[y], x, y).astype(np.int64)
+
+
+def lift_queries(inner, rank, rng):
+    """Every (ju, sd, rank, crossing arc's outer end, kind) a random tree admits.
+
+    Ranks are even, so an odd query rank lies strictly between two of
+    them.  A pair admits one query per place where every rank before it
+    on the path is above every rank after it.  ``kind`` is "up" when sd
+    is ju's inner end, "down" when ju is sd's, "ju ancestor" or "sd ancestor" when
+    that end is a non-adjacent ancestor of the other, "other" otherwise.
+    """
+
+    def ancestors(v):
+        out = [v]
+        while inner[out[-1]] >= 0:
+            out.append(int(inner[out[-1]]))
+        return out
+
+    out = []
+    k = inner.size
+    for x in range(k):
+        ax = ancestors(x)
+        for y in range(k):
+            if x == y:
+                continue
+            ay = ancestors(y)
+            lca = next(v for v in ax if v in ay)
+            path = ax[: ax.index(lca) + 1] + ay[: ay.index(lca)][::-1]
+            if inner[x] == y:
+                kind = "up"
+            elif inner[y] == x:
+                kind = "down"
+            elif lca == x:
+                kind = "ju ancestor"
+            elif lca == y:
+                kind = "sd ancestor"
+            else:
+                kind = "other"
+            for j in range(len(path) - 1):
+                above, below = rank[path[: j + 1]].min(), rank[path[j + 1 :]].max()
+                if above > below:
+                    r = int(rng.integers(below // 2, above // 2)) * 2 + 1
+                    a, b = path[j], path[j + 1]
+                    out.append((x, y, r, a if inner[a] == b else b, kind))
+    return out
+
+
+def lift_case(seed):
+    """A random rooted tree of 2 to 25 supernodes and every query it admits."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 26))
+    perm = rng.permutation(k)
+    inner = np.full(k, -1, dtype=np.int64)
+    for i in range(1, k):
+        inner[perm[i]] = perm[int(rng.integers(0, i))]
+    rank = 2 * rng.permutation(k).astype(np.int64)
+    st_ = gtree.Superstructure(np.arange(k), inner, rank, int(perm[0]))
+    ju, sd, r, want, kinds = (np.array(col) for col in zip(*lift_queries(inner, rank, rng)))
+    return st_, ju, sd, r, want, kinds
+
+
+LIFT_SEEDS = range(30)
+
+
+@pytest.mark.parametrize("seed", LIFT_SEEDS)
+def test_lift_matches_unshortened_lift_and_path_walk(seed):
+    st_, ju, sd, r, want, kinds = lift_case(seed)
+    got = gtree._lift(st_, ju, sd, r)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+    assert got.tolist() == ref_lift(st_, ju, sd, r).tolist()
+    # Adjacent ends alone take the shortcut and lift nothing; a lone
+    # entry of each other kind is lifted.
+    adjacent = np.isin(kinds, ["up", "down"])
+    if adjacent.any():
+        got = gtree._lift(st_, ju[adjacent], sd[adjacent], r[adjacent])
+        assert got.tolist() == want[adjacent].tolist()
+    for kind in ("ju ancestor", "sd ancestor", "other"):
+        one = np.flatnonzero(kinds == kind)[:1]
+        assert gtree._lift(st_, ju[one], sd[one], r[one]).tolist() == want[one].tolist()
+
+
+def test_lift_queries_cover_every_kind():
+    kinds = set()
+    for seed in LIFT_SEEDS:
+        kinds |= set(lift_case(seed)[-1].tolist())
+    assert kinds == {"up", "down", "ju ancestor", "sd ancestor", "other"}
