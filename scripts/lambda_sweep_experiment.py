@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from gridtopo import ScalarGrid, sos_order
-from gridtopo.dist import run_distributed
+from gridtopo.dist import run_lambda_sweep
 from gridtopo.grid import synthetic_gaussians
 
 
@@ -42,8 +42,8 @@ def main() -> int:
 
     print("lambda,max_attachment_points,max_bestupdown,max_branchinfo,"
           "branches,lambda_b,lambda_valid")
-    for lam in lambdas:
-        result = run_distributed(grid, order, blocks, lam=lam, b=args.top_branches)
+    results = run_lambda_sweep(grid, order, blocks, lambdas, b=args.top_branches)
+    for lam, result in zip(lambdas, results):
         log = result.commlog
         print(
             f"{lam},"

@@ -54,18 +54,20 @@ def validate(args: argparse.Namespace) -> None:
         # Pre-simplification removes small branches, so the tree no
         # longer matches the level-set census of the full grid.
         raise UsageError("--oracle-check needs --lambda 0 in distributed mode")
+    if args.lambda_sweep == []:
+        raise UsageError("--lambda-sweep needs at least one value")
     single_run = args.oracle_check or args.branches_out or args.metrics_out or args.lam
-    if args.lambda_sweep and single_run:
+    if args.lambda_sweep is not None and single_run:
         raise UsageError(
             "--lambda-sweep cannot take --oracle-check, --branches-out, --metrics-out or --lambda"
         )
-    if args.sweep_out and not args.lambda_sweep:
+    if args.sweep_out and args.lambda_sweep is None:
         raise UsageError("--sweep-out needs --lambda-sweep")
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",")]
+        return [int(p) for p in text.split(",")] if text else []
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from exc
 
@@ -160,15 +162,15 @@ def run_pipeline(args: argparse.Namespace) -> dict:
 
 
 def run_lambda_sweep(args: argparse.Namespace) -> str:
-    """Run the distributed pipeline per ``--lambda-sweep`` value; returns sweep CSV text."""
+    """Run the distributed pipeline over every ``--lambda-sweep`` value; returns sweep CSV text."""
     grid = load_grid(args)
     order = sos_order(grid)
     rows = ["lambda,max_attachment_points,max_bestupdown,max_branchinfo"]
-    for lam in args.lambda_sweep:
-        result = pipeline.run_distributed(
-            grid, order, args.blocks, lam=lam, b=args.top_branches,
-            threshold=args.threshold, mode=args.rank_exec,
-        )
+    results = pipeline.run_lambda_sweep(
+        grid, order, args.blocks, args.lambda_sweep, b=args.top_branches,
+        threshold=args.threshold, mode=args.rank_exec,
+    )
+    for lam, result in zip(args.lambda_sweep, results):
         log = result.commlog
         rows.append(
             f"{lam},"
@@ -204,8 +206,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--mode", choices=["serial", "distributed"], default="serial")
     run.add_argument("--lambda-sweep", default=None,
-                     help="comma-separated thresholds; runs distributed once per value "
-                          "whatever --mode says, and writes only the sweep CSV")
+                     help="comma-separated thresholds; runs distributed whatever --mode "
+                          "says, fanning in once and finishing once per value, and "
+                          "writes only the sweep CSV")
     run.add_argument("--rank-exec", choices=["sequential", "concurrent"],
                      default="sequential")
 
@@ -244,13 +247,13 @@ def main(argv: list[str] | None = None) -> int:
 
         args.dims = _parse_triple(args.dims, "--dims")
         args.blocks = _parse_triple(args.blocks, "--blocks")
-        if args.lambda_sweep:
+        if args.lambda_sweep is not None:
             args.lambda_sweep = _parse_ints(args.lambda_sweep, "--lambda-sweep")
         validate(args)
         if args.top_branches is None and args.threshold is None:
             args.top_branches = 100
         try:
-            if args.lambda_sweep:
+            if args.lambda_sweep is not None:
                 text = run_lambda_sweep(args)
                 if args.sweep_out:
                     Path(args.sweep_out).write_text(text)

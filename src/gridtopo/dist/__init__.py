@@ -8,13 +8,12 @@ from .pipeline import (
     Extent,
     Records,
     RegionState,
-    Transport,
     decompose,
     fan_in,
-    fan_out,
     list_attachment_points,
     local_phase,
     run_distributed,
+    run_lambda_sweep,
     select_top_branches_distributed,
 )
 
@@ -25,14 +24,13 @@ __all__ = [
     "Extent",
     "Records",
     "RegionState",
-    "Transport",
     "decompose",
     "estimate",
     "fan_in",
-    "fan_out",
     "list_attachment_points",
     "local_phase",
     "pipeline",
     "run_distributed",
+    "run_lambda_sweep",
     "select_top_branches_distributed",
 ]

@@ -17,14 +17,21 @@ All ranks live in one process.  The phases:
    kept tree as numpy arrays, from the local phase to the augmented tree:
    sorted ids, ``(child, parent)`` edge rows, aligned values, and the
    carried mass as aligned id and amount arrays (``RegionState``).
-4. **Fan-out.**  Rank 0 sends the base tree to every rank.  The records
-   stay one ``Records`` table of int64 arrays, each rank's rows its own.
+4. **Fan-out.**  Rank 0 sends the base tree to every other rank; the
+   ranks share the one tree, so only the comm log records the message.
+   The records stay one ``Records`` table of int64 arrays, each rank's
+   rows its own.
 5. **Augmentation.**  Records whose measure exceeds the threshold lambda
    are put back into the base tree.  The others stay folded into the
    volumes as mass at their attachment point.
 6. **Volumes and branches.**  ``measure.hypersweep`` runs before
    augmentation on the base tree and after it on the augmented tree;
    ``measure.branch_decomposition`` then builds the branches.
+
+Lambda enters only the finish: phases 5 and 6 after the pre-augmentation
+volumes.  ``run_lambda_sweep`` therefore runs phases 1-4 and those
+volumes once per grid and the finish once per lambda; ``run_distributed``
+is its one-lambda case.
 
 Communication log (``CommLog``): one entry per rank per counter.  The
 message entries are attributed as follows.
@@ -50,9 +57,10 @@ message entries are attributed as follows.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -162,22 +170,7 @@ def decompose(grid: ScalarGrid, splits: tuple[int, int, int]) -> Decomposition:
     return Decomposition(dims=grid.dims, splits=splits, cuts=cuts, extents=extents)
 
 
-# --- transport and communication log ----------------------------------------
-
-
-class Transport:
-    """Ordered point-to-point channels between simulated ranks."""
-
-    def __init__(self, num_ranks: int):
-        self._inbox: list[dict[int, list]] = [{} for _ in range(num_ranks)]
-
-    def send(self, src: int, dst: int, payload) -> None:
-        self._inbox[dst].setdefault(src, []).append(payload)
-
-    def recv_all(self, dst: int) -> list[tuple[int, list]]:
-        """Drain ``dst``'s inbox: ``(src, payloads in send order)``, by source rank."""
-        inbox, self._inbox[dst] = self._inbox[dst], {}
-        return sorted(inbox.items())
+# --- communication log -----------------------------------------------------
 
 
 class CommLog:
@@ -391,7 +384,6 @@ def fan_in(
     states: list[RegionState],
     decomp: Decomposition,
     order: VertexOrder,
-    transport: Transport,
     log: CommLog | None = None,
     mode: str = "sequential",
 ) -> tuple[ContourTree, Records]:
@@ -412,9 +404,7 @@ def fan_in(
             for leader, region in enumerate(regions):
                 c = decomp.block_coords(leader)[axis]
                 if region is not None and c % (2 * stride) == 0 and c + stride < splits:
-                    transport.send(leader + stride * step, leader, regions[leader + stride * step])
-                    [(_, [partner])] = transport.recv_all(leader)
-                    jobs.append((leader, partner))
+                    jobs.append((leader, regions[leader + stride * step]))
             merged = _map_ranks(
                 lambda job: _merge(regions[job[0]], job[1], ranks, decomp.dims), jobs, mode
             )
@@ -428,20 +418,6 @@ def fan_in(
     top = regions[0]
     # A tree is its own contour tree: no sweep, only its edges and ranks.
     return augment(_from_edges(top.kept_verts, ranks, top.kept_edges)), Records.concat(records)
-
-
-def fan_out(
-    base: ContourTree, states: list[RegionState], transport: Transport, log: CommLog | None = None
-) -> list[ContourTree]:
-    """Send the base tree from rank 0 to all ranks; returns each rank's copy."""
-    shared = [base]
-    for s in states[1:]:
-        transport.send(0, s.rank, base)
-        [(_, [tree])] = transport.recv_all(s.rank)
-        if log is not None:
-            log.add("fan-out", "tree_verts_recv", s.rank, tree.n)
-        shared.append(tree)
-    return shared
 
 
 def list_attachment_points(records: Records, lam: int) -> Records:
@@ -552,6 +528,90 @@ class DistributedResult:
     commlog: CommLog = field(repr=False)
 
 
+def run_lambda_sweep(
+    grid: ScalarGrid,
+    order: VertexOrder,
+    blocks: tuple[int, int, int],
+    lams: Sequence[int],
+    b: int | None = None,
+    threshold: float | None = None,
+    mode: str = "sequential",
+) -> Iterator[DistributedResult]:
+    """Run every phase over ``blocks`` splits; yield one result per threshold in ``lams``.
+
+    Decompose, local phase, fan-in, fan-out and the pre-volumes do not
+    read lambda, so they run once.  Per lambda only the finish runs, on
+    its own copy of the comm log so far, so each result is what a run
+    with that lambda alone gives.  ``mode`` is ``"sequential"`` or
+    ``"concurrent"`` (ranks on a thread pool of at most
+    ``min(ranks, cpu_count)`` workers); both give identical results.
+    ``mode``, every lambda and the selection are checked before any
+    phase runs.
+    """
+    if mode not in ("sequential", "concurrent"):
+        raise UsageError(f"rank execution must be 'sequential' or 'concurrent', not {mode!r}")
+    for lam in lams:
+        if lam < 0:
+            raise UsageError(f"lambda must be non-negative, got {lam}")
+    measure.check_selection(b, threshold)
+    decomp = decompose(grid, blocks)
+    shared_log = CommLog(decomp.num_blocks)
+    states = _map_ranks(
+        lambda r: local_phase(grid, order, decomp.extents[r], r),
+        range(decomp.num_blocks),
+        mode,
+    )
+    for s in states:
+        shared_log.add("local phase", "vertices", s.rank, s.num_vertices)
+    base, records = fan_in(states, decomp, order, shared_log, mode)
+    # Rank 0 sends the base tree to every other rank.
+    for r in range(1, decomp.num_blocks):
+        shared_log.add("fan-out", "tree_verts_recv", r, base.n)
+    pre_volumes = _volumes(base, grid.n, records)
+
+    for lam in lams:
+        log = copy.deepcopy(shared_log)
+        retained = list_attachment_points(records, lam)
+        pruned = records.take(records.measure <= lam)
+        own = np.bincount(retained.rank, minlength=decomp.num_blocks)
+        for r, recv in enumerate((len(retained) - own).tolist()):
+            log.add("augmentation", "attachment_points_recv", r, recv)
+        augmented = _augment(base, retained)
+        post_volumes = _volumes(augmented, grid.n, pruned)
+        bd = measure.branch_decomposition(augmented, post_volumes)
+        _log_branch_entries(augmented, retained, pruned, decomp, log)
+
+        selected, lambda_b = select_top_branches_distributed(
+            bd, augmented.ranks, b, lam, threshold
+        )
+        # Pre-simplification removes only branches of volume at most lam.  The
+        # selection is exact unless it would have contained one of them: when
+        # lam >= lambda_b, or when pruning left fewer branches than asked for.
+        cut = bool(pruned) or np.count_nonzero(_heavy_branches(bd, lam)) < len(bd.branches)
+        short = len(selected) < b if b is not None else threshold < lam
+        lambda_valid = lam < lambda_b and not (cut and short)
+        warnings = []
+        if not lambda_valid:
+            warnings.append(
+                f"lambda {lam} is not below Lambda_b: the top branches may include "
+                f"pre-simplified ones of volume at most {lam}"
+            )
+        yield DistributedResult(
+            base_tree=base,
+            records=records,
+            retained=retained,
+            augmented_tree=augmented,
+            pre_volumes=pre_volumes,
+            post_volumes=post_volumes,
+            bd=bd,
+            selected=selected,
+            lambda_b=lambda_b,
+            lambda_valid=lambda_valid,
+            warnings=warnings,
+            commlog=log,
+        )
+
+
 def run_distributed(
     grid: ScalarGrid,
     order: VertexOrder,
@@ -561,67 +621,6 @@ def run_distributed(
     threshold: float | None = None,
     mode: str = "sequential",
 ) -> DistributedResult:
-    """Run every phase over ``blocks`` splits with pre-simplification threshold ``lam``.
-
-    ``mode`` is ``"sequential"`` or ``"concurrent"`` (ranks on a thread
-    pool of at most ``min(ranks, cpu_count)`` workers); both give
-    identical results.
-    """
-    if mode not in ("sequential", "concurrent"):
-        raise UsageError(f"rank execution must be 'sequential' or 'concurrent', not {mode!r}")
-    if lam < 0:
-        raise UsageError(f"lambda must be non-negative, got {lam}")
-    measure.check_selection(b, threshold)
-    decomp = decompose(grid, blocks)
-    log = CommLog(decomp.num_blocks)
-    transport = Transport(decomp.num_blocks)
-    states = _map_ranks(
-        lambda r: local_phase(grid, order, decomp.extents[r], r),
-        range(decomp.num_blocks),
-        mode,
-    )
-    for s in states:
-        log.add("local phase", "vertices", s.rank, s.num_vertices)
-    base, records = fan_in(states, decomp, order, transport, log, mode)
-    fan_out(base, states, transport, log)
-    pre_volumes = _volumes(base, grid.n, records)
-
-    retained = list_attachment_points(records, lam)
-    pruned = records.take(records.measure <= lam)
-    own = np.bincount(retained.rank, minlength=decomp.num_blocks)
-    for r, recv in enumerate((len(retained) - own).tolist()):
-        log.add("augmentation", "attachment_points_recv", r, recv)
-    augmented = _augment(base, retained)
-    post_volumes = _volumes(augmented, grid.n, pruned)
-    bd = measure.branch_decomposition(augmented, post_volumes)
-    _log_branch_entries(augmented, retained, pruned, decomp, log)
-
-    selected, lambda_b = select_top_branches_distributed(
-        bd, augmented.ranks, b, lam, threshold
-    )
-    # Pre-simplification removes only branches of volume at most lam.  The
-    # selection is exact unless it would have contained one of them: when
-    # lam >= lambda_b, or when pruning left fewer branches than asked for.
-    cut = bool(pruned) or np.count_nonzero(_heavy_branches(bd, lam)) < len(bd.branches)
-    short = len(selected) < b if b is not None else threshold < lam
-    lambda_valid = lam < lambda_b and not (cut and short)
-    warnings = []
-    if not lambda_valid:
-        warnings.append(
-            f"lambda {lam} is not below Lambda_b: the top branches may include "
-            f"pre-simplified ones of volume at most {lam}"
-        )
-    return DistributedResult(
-        base_tree=base,
-        records=records,
-        retained=retained,
-        augmented_tree=augmented,
-        pre_volumes=pre_volumes,
-        post_volumes=post_volumes,
-        bd=bd,
-        selected=selected,
-        lambda_b=lambda_b,
-        lambda_valid=lambda_valid,
-        warnings=warnings,
-        commlog=log,
-    )
+    """``run_lambda_sweep`` with the one pre-simplification threshold ``lam``."""
+    (result,) = run_lambda_sweep(grid, order, blocks, [lam], b, threshold, mode)
+    return result

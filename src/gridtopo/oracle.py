@@ -51,6 +51,27 @@ class _EdgeSet:
             self.parent[rb] = ra
 
 
+def _join_crossed(ds: _EdgeSet, simplex, rank, gap: int, n: int) -> None:
+    """Add the edges of ``simplex`` whose endpoint ranks straddle ``gap`` to ``ds``, joined.
+
+    Crossed edges that share a simplex lie on one contour.  An edge
+    ``(u, v)`` with ``u < v`` has the id ``u * n + v``.
+    """
+    cross_edges = []
+    k = len(simplex)
+    for i in range(k):
+        for j in range(i + 1, k):
+            u, v = simplex[i], simplex[j]
+            a, b = rank[u], rank[v]
+            if min(a, b) <= gap < max(a, b):
+                key = (u, v) if u < v else (v, u)
+                eid = key[0] * n + key[1]
+                ds.add(eid)
+                cross_edges.append(eid)
+    for i in range(1, len(cross_edges)):
+        ds.union(cross_edges[0], cross_edges[i])
+
+
 def count_contours(grid: ScalarGrid, order: VertexOrder, gap: int) -> int:
     """Number of contours crossing the given rank gap.
 
@@ -61,26 +82,9 @@ def count_contours(grid: ScalarGrid, order: VertexOrder, gap: int) -> int:
     """
     if not 0 <= gap < grid.n - 1:
         raise UsageError(f"gap index {gap} out of range [0, {grid.n - 1})")
-    rank = order.rank_of
-
-    def crossed(u: int, v: int) -> bool:
-        a, b = rank[u], rank[v]
-        return min(a, b) <= gap < max(a, b)
-
     ds = _EdgeSet()
     for simplex in grid.simplices():
-        cross_edges = []
-        k = len(simplex)
-        for i in range(k):
-            for j in range(i + 1, k):
-                u, v = simplex[i], simplex[j]
-                if crossed(u, v):
-                    key = (u, v) if u < v else (v, u)
-                    eid = key[0] * grid.n + key[1]
-                    ds.add(eid)
-                    cross_edges.append(eid)
-        for i in range(1, len(cross_edges)):
-            ds.union(cross_edges[0], cross_edges[i])
+        _join_crossed(ds, simplex, order.rank_of, gap, grid.n)
     roots = {ds.find(e) for e in ds.parent}
     return len(roots)
 
@@ -112,20 +116,7 @@ def level_set_census(grid: ScalarGrid, order: VertexOrder) -> LevelSetCensus:
             active.add(idx)
         ds = _EdgeSet()
         for idx in active:
-            _, _, simplex = simplex_list[idx]
-            k = len(simplex)
-            cross_edges = []
-            for i in range(k):
-                for j in range(i + 1, k):
-                    u, v = simplex[i], simplex[j]
-                    a, b = rank[u], rank[v]
-                    if min(a, b) <= gap < max(a, b):
-                        key = (u, v) if u < v else (v, u)
-                        eid = key[0] * n + key[1]
-                        ds.add(eid)
-                        cross_edges.append(eid)
-            for i in range(1, len(cross_edges)):
-                ds.union(cross_edges[0], cross_edges[i])
+            _join_crossed(ds, simplex_list[idx][2], rank, gap, n)
         counts[gap] = len({ds.find(e) for e in ds.parent})
         for idx in ends.get(gap + 1, ()):
             active.discard(idx)

@@ -244,17 +244,28 @@ def sweep_csr(seq, nbrs, starts, n: int, direction: str) -> MergeTree:
         if ((c >= before) | ((up[c] >= 0) & (up[c] < before))).any():
             raise InternalError("regular vertex outside its candidate's reduced arc")
         order = np.argsort(c, kind="stable")
-        walk, arc = reg[order], c[order]
         # Each chain runs from its candidate to the candidate's reduced parent.
-        breaks = np.flatnonzero(arc[1:] != arc[:-1])
-        last = np.zeros(walk.size, dtype=bool)
-        last[breaks] = last[-1] = True
-        arcs[walk] = np.where(last, above[arc], np.roll(walk, -1))
-        heads = np.r_[0, breaks + 1]
-        arcs[cand[arc[heads]]] = walk[heads]
+        _link_chains(arcs, reg[order], c[order], cand, above)
     arcs.flags.writeable = False
     root = int(seq[-1]) if seq.size else -1
     return MergeTree(direction=direction, n=n, arcs=arcs, root=root)
+
+
+def _link_chains(
+    parent: np.ndarray, walk: np.ndarray, arc: np.ndarray, outer: np.ndarray, inner: np.ndarray
+) -> None:
+    """Link a non-empty ``walk`` grouped by ``arc`` into one chain per arc, in ``parent``.
+
+    Arc ``a``'s chain runs from vertex ``outer[a]`` through its stretch of
+    ``walk`` to ``inner[a]``: ``outer[a]`` points at the stretch's first
+    vertex, each vertex at the next, and the last at ``inner[a]``.
+    """
+    breaks = np.flatnonzero(arc[1:] != arc[:-1])
+    last = np.zeros(walk.size, dtype=bool)
+    last[breaks] = last[-1] = True
+    parent[walk] = np.where(last, inner[arc], np.roll(walk, -1))
+    heads = np.r_[0, breaks + 1]
+    parent[outer[arc[heads]]] = walk[heads]
 
 
 def _climb(step: np.ndarray, x: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -264,10 +275,10 @@ def _climb(step: np.ndarray, x: np.ndarray, bound: np.ndarray) -> np.ndarray:
     exceeds its child's, so binary lifting over ``step``'s powers finds it.
     """
     hops = [step]
-    while not np.array_equal(far := hops[-1][hops[-1]], hops[-1]):
+    while not np.array_equal(far := np.take(hops[-1], hops[-1]), hops[-1]):
         hops.append(far)
     for hop in reversed(hops):
-        to = hop[x]
+        to = np.take(hop, x)
         x = np.where(to < bound, to, x)
     return x
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import InternalError, UsageError
 from .grid import ScalarGrid, VertexOrder
-from .sweep import ArcView, MergeTree, _chain_ends, sweep_csr
+from .sweep import ArcView, MergeTree, _chain_ends, _link_chains, sweep_csr
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -253,7 +253,7 @@ def _assemble(j_arcs: np.ndarray, s_arcs: np.ndarray, rank: np.ndarray):
         raise InternalError("a critical vertex is regular in the contracted tree")
 
     up = np.empty(m, dtype=np.int64)
-    up[crit_ids] = np.where(st.inner >= 0, crit_ids[st.inner], -1)
+    up[crit_ids] = inner = np.where(st.inner >= 0, crit_ids[st.inner], -1)
     regular = walk = np.flatnonzero(~crit)
     arc = _EMPTY
     if regular.size:
@@ -264,14 +264,8 @@ def _assemble(j_arcs: np.ndarray, s_arcs: np.ndarray, rank: np.ndarray):
             raise InternalError("regular vertex outside its superarc's rank range")
         order = _walk_order(outer, rank, hi > lo)
         walk, arc = regular[order], outer[order]
-        # Each arc's walk runs from its outer end inward: the outer end
-        # points at its first vertex, and its last points at the inner end.
-        breaks = np.flatnonzero(arc[1:] != arc[:-1])
-        last = np.zeros(walk.size, dtype=bool)
-        last[breaks] = last[-1] = True
-        up[walk] = np.where(last, crit_ids[st.inner[arc]], np.roll(walk, -1))
-        heads = np.r_[0, breaks + 1]
-        up[crit_ids[arc[heads]]] = walk[heads]
+        # Each arc's walk runs from its outer end inward.
+        _link_chains(up, walk, arc, crit_ids, inner)
     return up, dataclasses.replace(st, vertex=crit_ids), walk, arc
 
 
@@ -450,20 +444,20 @@ def _lift(st: Superstructure, ju: np.ndarray, sd: np.ndarray, rank: np.ndarray) 
     depth = has.astype(dt)
     hop = step
     while (hop != st.root).any():
-        depth += depth[hop]
-        hop = hop[hop]
+        depth += np.take(depth, hop)
+        hop = np.take(hop, hop)
     levels = int(depth.max()).bit_length()
     anc, lo, hi = [step], [st.rank[step].astype(dt)], [st.rank[step].astype(dt)]
     for _ in range(1, levels):
         a = anc[-1]
-        anc.append(a[a])
-        lo.append(np.minimum(lo[-1], lo[-1][a]))
-        hi.append(np.maximum(hi[-1], hi[-1][a]))
+        anc.append(np.take(a, a))
+        lo.append(np.minimum(lo[-1], np.take(lo[-1], a)))
+        hi.append(np.maximum(hi[-1], np.take(hi[-1], a)))
     x, y, r = ju[far].astype(dt), sd[far].astype(dt), rank[far]
     for lv in reversed(range(levels)):
-        x = np.where(lo[lv][x] > r, anc[lv][x], x)
-        y = np.where(hi[lv][y] < r, anc[lv][y], y)
-    found[far] = np.where(depth[x] > depth[y], x, y)
+        x = np.where(np.take(lo[lv], x) > r, np.take(anc[lv], x), x)
+        y = np.where(np.take(hi[lv], y) < r, np.take(anc[lv], y), y)
+    found[far] = np.where(np.take(depth, x) > np.take(depth, y), x, y)
     return found
 
 

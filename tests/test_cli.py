@@ -261,6 +261,7 @@ SWEEP_ONLY = "--lambda-sweep cannot take --oracle-check, --branches-out, --metri
         (["--lambda-sweep", "0", "--mode", "serial", "--oracle-check"], SWEEP_ONLY),
         (["--sweep-out", "s.csv"], "--sweep-out needs --lambda-sweep"),
         (["--mode", "distributed", "--sweep-out", "s.csv"], "--sweep-out needs --lambda-sweep"),
+        (["--lambda-sweep", ""], "--lambda-sweep needs at least one value"),
     ],
 )
 def test_validate_rejects_flags_a_sweep_would_ignore(args, message, capsys, tmp_path, monkeypatch):

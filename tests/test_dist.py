@@ -8,13 +8,12 @@ from gridtopo import contour_tree, sos_order
 from gridtopo.dist import (
     CommLog,
     Records,
-    Transport,
     decompose,
     fan_in,
-    fan_out,
     list_attachment_points,
     local_phase,
     run_distributed,
+    run_lambda_sweep,
     select_top_branches_distributed,
 )
 from gridtopo.errors import DataError, UsageError
@@ -160,7 +159,7 @@ def test_local_phase_partition_invariant(seed):
 def test_fan_in_two_blocks_equals_serial():
     grid, order, decomp = two_block_1d()
     states = [local_phase(grid, order, decomp.extents[r], r) for r in range(2)]
-    base, records = fan_in(states, decomp, order, Transport(2))
+    base, records = fan_in(states, decomp, order)
     serial = contour_tree(grid, order)
     assert base.arc_inner == serial.arc_inner
     assert record_list(records) == []
@@ -171,7 +170,7 @@ def test_fan_in_single_block_identity():
     order = sos_order(grid)
     decomp = decompose(grid, (1, 1, 1))
     state = local_phase(grid, order, decomp.extents[0], 0)
-    base, records = fan_in([state], decomp, order, Transport(1))
+    base, records = fan_in([state], decomp, order)
     assert set(base.verts) == set(state.kept_verts.tolist())
     assert record_list(records) == record_list(state.records)
 
@@ -196,7 +195,7 @@ def test_fan_in_detects_inconsistent_shared_values():
     states = [local_phase(grid, order, decomp.extents[r], r) for r in range(2)]
     corrupt_value(states[1], 2, 99.0)  # corrupt the shared-plane copy
     with pytest.raises(DataError) as err:
-        fan_in(states, decomp, order, Transport(2))
+        fan_in(states, decomp, order)
     assert str(err.value) == (
         "shared vertex 2 has value 2.0 in block region 0 but 99.0 in block region 1"
     )
@@ -214,7 +213,7 @@ def test_fan_in_detects_inconsistent_shared_values_after_first_level():
     states = [local_phase(grid, order, decomp.extents[r], r) for r in range(4)]
     corrupt_value(states[3], 15, 99.0)
     with pytest.raises(DataError) as err:
-        fan_in(states, decomp, order, Transport(4))
+        fan_in(states, decomp, order)
     assert str(err.value) == (
         "shared vertex 15 has value 3.75 in block region 0 but 99.0 in block region 2"
     )
@@ -223,17 +222,17 @@ def test_fan_in_detects_inconsistent_shared_values_after_first_level():
 # --- fan-out ---------------------------------------------------------------
 
 
-def test_fan_out_shared_identical_and_targets():
+@pytest.mark.parametrize("splits", [(2, 2, 1), (4, 2, 1), (1, 1, 1)])
+def test_fan_out_counts_base_tree_on_other_ranks(splits):
+    """Every rank but 0 receives the base tree; one block sends no fan-out message."""
     grid = random_grid((10, 8, 1), 3)
-    order = sos_order(grid)
-    decomp = decompose(grid, (2, 2, 1))
-    states = [local_phase(grid, order, decomp.extents[r], r) for r in range(4)]
-    transport = Transport(4)
-    base, records = fan_in(states, decomp, order, transport)
-    shared = fan_out(base, states, transport)
-    assert len(shared) == 4
-    for tree in shared:
-        assert tree is base
+    result = run_distributed(grid, sos_order(grid), splits, lam=0, b=10)
+    phases = result.commlog.counts
+    k = math.prod(splits)
+    if k == 1:
+        assert "fan-out" not in phases
+    else:
+        assert phases["fan-out"] == {"tree_verts_recv": [0] + [result.base_tree.n] * (k - 1)}
 
 
 def test_fan_out_single_block_hier_equals_serial_after_augment():
@@ -531,6 +530,66 @@ def test_run_distributed_checks_selection_before_local_phase(b, threshold, monke
     assert calls == []
 
 
+def assert_same_run(got, want):
+    """Every output of two distributed results agrees, arrays by value."""
+    assert got.commlog.to_dict() == want.commlog.to_dict()
+    assert got.selected == want.selected
+    assert (got.lambda_b, got.lambda_valid, got.warnings) == (
+        want.lambda_b, want.lambda_valid, want.warnings
+    )
+    assert len(got.retained) == len(want.retained)
+    for name in ("volume", "leaf", "saddle", "parent", "start", "arcs"):
+        assert np.array_equal(getattr(got.bd, name), getattr(want.bd, name)), name
+    for name in ("ids", "count", "hang", "out_volume", "closed_volume"):
+        assert np.array_equal(getattr(got.post_volumes, name), getattr(want.post_volumes, name))
+
+
+SWEEP_LAMS = [0, 1, 3, 10, 40, 10**6]
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["ascending", "shuffled"])
+@pytest.mark.parametrize(
+    "b,threshold", [(5, None), (None, 5.0)], ids=["by-b", "by-threshold"]
+)
+@pytest.mark.parametrize("splits", [(1, 1, 1), (2, 2, 1), (4, 2, 1)])
+def test_lambda_sweep_equals_fresh_runs(splits, b, threshold, shuffled):
+    """One fan-in, finished per lambda, gives each lambda's own run."""
+    grid = random_grid((12, 10, 3), 7)
+    order = sos_order(grid)
+    lams = [10, 0, 10**6, 3, 40, 1] if shuffled else SWEEP_LAMS
+    results = list(run_lambda_sweep(grid, order, splits, lams, b=b, threshold=threshold))
+    assert len(results) == len(lams)
+    for lam, got in zip(lams, results):
+        want = run_distributed(grid, order, splits, lam=lam, b=b, threshold=threshold)
+        assert_same_run(got, want)
+    assert not results[lams.index(10**6)].lambda_valid
+    assert len({len(r.retained) for r in results}) > 2
+
+
+def test_lambda_sweep_later_lambda_leaves_earlier_log():
+    grid = random_grid((10, 10, 3), 11)
+    sweep = run_lambda_sweep(grid, sos_order(grid), (2, 2, 1), [0, 5, 100], b=10)
+    first = next(sweep)
+    before = first.commlog.to_dict()
+    rest = list(sweep)
+    assert first.commlog.to_dict() == before
+    assert all(r.commlog.to_dict() != before for r in rest)
+
+
+@pytest.mark.parametrize(
+    "lams,mode", [([0, 10, 3, -1], "sequential"), ([0], "parallel")], ids=["late-lambda", "mode"]
+)
+def test_lambda_sweep_checks_arguments_before_local_phase(lams, mode, monkeypatch):
+    from gridtopo.dist import pipeline
+
+    calls = []
+    monkeypatch.setattr(pipeline, "local_phase", lambda *args: calls.append(args))
+    grid = random_grid((6, 6, 1), 0)
+    with pytest.raises(UsageError):
+        next(run_lambda_sweep(grid, sos_order(grid), (2, 1, 1), lams, b=5, mode=mode))
+    assert calls == []
+
+
 def ref_branch_entries(aug, retained, pruned, decomp, log):
     """Branch-entry counters by per-vertex dicts over ``record_list`` tuples."""
     holder = {}
@@ -651,15 +710,6 @@ def test_concurrent_equals_sequential():
     assert json.dumps(a.commlog.to_dict(), sort_keys=True) == json.dumps(
         b.commlog.to_dict(), sort_keys=True
     )
-
-
-def test_transport_ordered_per_channel():
-    t = Transport(3)
-    t.send(1, 0, "a")
-    t.send(2, 0, "x")
-    t.send(1, 0, "b")
-    got = t.recv_all(0)
-    assert got == [(1, ["a", "b"]), (2, ["x"])]
 
 
 @pytest.mark.parametrize(
