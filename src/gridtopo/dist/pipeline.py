@@ -475,9 +475,11 @@ def _log_branch_entries(
     rises = aug.ranks[pruned.head] > aug.ranks[pruned.attach]
     np.add.at(up, at[(at >= 0) & rises], 1)
     np.add.at(down, at[(at >= 0) & ~rises], 1)
-    holder = decomp.owner_of(aug.ids)
+    counted = (up != 1) | (down != 1)  # the critical vertices; extrema are among them
+    holder = np.zeros(aug.n, dtype=np.int64)
+    holder[counted] = decomp.owner_of(aug.ids[counted])
     holder[where[retained.verts]] = np.repeat(retained.rank, np.diff(retained.start))
-    critical = np.bincount(holder[(up != 1) | (down != 1)], minlength=decomp.num_blocks).tolist()
+    critical = np.bincount(holder[counted], minlength=decomp.num_blocks).tolist()
     extrema = np.bincount(holder[up + down <= 1], minlength=decomp.num_blocks).tolist()
     for r in range(decomp.num_blocks):
         log.add("branch decomposition", "bestupdown_recv", r, 2 * (sum(critical) - critical[r]))

@@ -87,34 +87,6 @@ class ScalarGrid:
                         if px < nx and py < ny and pz < nz:
                             yield u, px + nx * (py + ny * pz)
 
-    def simplices(self):
-        """Yield maximal simplices of the triangulation as vertex-id tuples.
-
-        1D: segments; 2D: two triangles per cell along the (+1,+1)
-        diagonal; 3D: six tetrahedra per cube around the (+1,+1,+1)
-        diagonal (one per axis permutation).
-        """
-        nx, ny, nz = self.dims
-        axes = [i for i, s in enumerate((nx, ny, nz)) if s > 1]
-        unit = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-
-        def vid(p):
-            return p[0] + nx * (p[1] + ny * p[2])
-
-        for z in range(max(nz - 1, 1) if 2 in axes else 1):
-            for y in range(max(ny - 1, 1) if 1 in axes else 1):
-                for x in range(max(nx - 1, 1) if 0 in axes else 1):
-                    base = (x, y, z)
-                    if len(axes) == 0:
-                        continue
-                    for perm in itertools.permutations(axes):
-                        p = base
-                        simplex = [vid(p)]
-                        for a in perm:
-                            p = tuple(p[i] + unit[a][i] for i in range(3))
-                            simplex.append(vid(p))
-                        yield tuple(simplex)
-
 
 @dataclass(frozen=True)
 class VertexOrder:

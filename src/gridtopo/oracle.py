@@ -1,18 +1,23 @@
-"""Brute-force reference computations, independent of the tree code.
+"""Reference computations, independent of the tree code.
 
-These deliberately share only the grid stencil with the main library:
-contour counting works directly on crossed mesh edges and simplices,
-and subtree volumes come from severing the tree and flood-filling.
+These deliberately share only the grid stencil with the main library.
+The level-set census counts contours straight from the triangulation:
+an edge is crossed at a rank gap when its endpoint ranks straddle it,
+and the crossed edges of one simplex lie on one contour.  The maximal
+simplices are one int64 array; at each gap the crossed edges of the
+simplices whose rank span contains it are joined by hooking and pointer
+jumping.  Subtree volumes come from severing the tree and flood-filling.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UsageError
-from .grid import ScalarGrid, VertexOrder
+from .grid import _POS_OFFSETS, ScalarGrid, VertexOrder
 from .tree import ContourTree
 
 
@@ -26,50 +31,91 @@ class LevelSetCensus:
         return int(self.counts[gap])
 
 
-class _EdgeSet:
-    """Union-find over dynamically registered edge ids."""
+def _simplices(dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal simplices as columns of vertex ids, and the stencil slots of their edges.
 
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def add(self, x: int):
-        if x not in self.parent:
-            self.parent[x] = x
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _join_crossed(ds: _EdgeSet, simplex, rank, gap: int, n: int) -> None:
-    """Add the edges of ``simplex`` whose endpoint ranks straddle ``gap`` to ``ds``, joined.
-
-    Crossed edges that share a simplex lie on one contour.  An edge
-    ``(u, v)`` with ``u < v`` has the id ``u * n + v``.
+    1D: segments; 2D: two triangles per cell along the (+1,+1) diagonal;
+    3D: six tetrahedra per cube around the (+1,+1,+1) diagonal, one per
+    axis permutation.  Column ``s`` walks from a cell's base corner one
+    unit step per axis, in permutation ``p = s % len(permutations)``, so
+    its ids ascend and any two of them differ by a positive stencil
+    offset.  Edge ``e`` joins rows ``lower[e] < upper[e]``, with ``lower,
+    upper = np.triu_indices(k + 1, 1)``; ``slot[e, p]`` is the index of
+    its offset in the stencil.
     """
-    cross_edges = []
-    k = len(simplex)
-    for i in range(k):
-        for j in range(i + 1, k):
-            u, v = simplex[i], simplex[j]
-            a, b = rank[u], rank[v]
-            if min(a, b) <= gap < max(a, b):
-                key = (u, v) if u < v else (v, u)
-                eid = key[0] * n + key[1]
-                ds.add(eid)
-                cross_edges.append(eid)
-    for i in range(1, len(cross_edges)):
-        ds.union(cross_edges[0], cross_edges[i])
+    axes = [a for a, size in enumerate(dims) if size > 1]
+    if not axes:
+        return np.empty((1, 0), dtype=np.int64), np.empty((0, 1), dtype=np.int64)
+    stride = np.array([1, dims[0], dims[0] * dims[1]])
+    base = np.zeros(1, dtype=np.int64)
+    for a in (2, 1, 0):  # x fastest, as the vertex ids
+        cells = np.arange(dims[a] - 1 if a in axes else 1) * stride[a]
+        base = (base[:, None] + cells).ravel()
+    unit = np.eye(3, dtype=np.int64)
+    corners = np.array([
+        np.vstack([np.zeros(3, np.int64), np.cumsum(unit[list(perm)], axis=0)])
+        for perm in itertools.permutations(axes)
+    ])  # (permutations, k + 1, 3)
+    lower, upper = np.triu_indices(len(axes) + 1, 1)
+    slot = np.array([
+        [_POS_OFFSETS.index(tuple(d)) for d in steps]
+        for steps in corners[:, upper] - corners[:, lower]
+    ]).T
+    offsets = np.ascontiguousarray((corners @ stride).T)  # (k + 1, permutations)
+    simplices = offsets[:, None, :] + base[:, None]
+    return simplices.reshape(len(axes) + 1, -1), slot
+
+
+def _contours(names: np.ndarray, crossed: np.ndarray, size: int) -> int:
+    """Components of the crossed edges, two joined when they share a simplex.
+
+    ``names`` holds the edge names, below ``size``, of the simplices that
+    take part, one column each, and ``crossed`` marks the edges that
+    straddle the gap.  Every crossed edge is linked to the first crossed
+    edge of its simplex; roots hook onto the least root they are linked
+    to, then pointer jumping flattens the trees, until no link joins two
+    roots (Shiloach & Vishkin, J. Algorithms 1982).
+    """
+    entry = np.flatnonzero(crossed)
+    first = names[crossed.argmax(axis=0), np.arange(crossed.shape[1])]
+    a, b = names.ravel()[entry], first[entry % crossed.shape[1]]
+    seen = np.zeros(size, dtype=bool)
+    seen[a] = True
+    node = np.cumsum(seen) - 1
+    a, b = node[a], node[b]
+    label = np.arange(node[-1] + 1)
+    while a.size:
+        la, lb = label[a], label[b]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+        apart = np.flatnonzero(label[a] != label[b])
+        a, b = a[apart], b[apart]
+    return int(np.count_nonzero(label == np.arange(label.size)))
+
+
+def _census(grid: ScalarGrid, order: VertexOrder, gaps) -> np.ndarray:
+    """Contour counts at ``gaps``.
+
+    At each gap only the simplices whose rank span contains it take part;
+    their edges whose endpoint ranks straddle the gap are the crossed ones.
+    An edge is named by its lower vertex and its stencil slot.
+    """
+    simplices, slot = _simplices(grid.dims)
+    rank = order.rank_of[simplices]
+    lo, hi = rank.min(axis=0), rank.max(axis=0)
+    lower, upper = np.triu_indices(len(simplices), 1)
+    counts = np.zeros(len(gaps), dtype=np.int64)
+    for t, gap in enumerate(gaps):
+        live = np.flatnonzero((lo <= gap) & (gap < hi))
+        below = np.take(rank, live, axis=1) <= gap
+        names = np.take(simplices, live, axis=1)[lower] * len(_POS_OFFSETS)
+        names += np.take(slot, live % slot.shape[1], axis=1)
+        counts[t] = _contours(names, below[lower] != below[upper], grid.n * len(_POS_OFFSETS))
+    return counts
 
 
 def count_contours(grid: ScalarGrid, order: VertexOrder, gap: int) -> int:
@@ -82,45 +128,15 @@ def count_contours(grid: ScalarGrid, order: VertexOrder, gap: int) -> int:
     """
     if not 0 <= gap < grid.n - 1:
         raise UsageError(f"gap index {gap} out of range [0, {grid.n - 1})")
-    ds = _EdgeSet()
-    for simplex in grid.simplices():
-        _join_crossed(ds, simplex, order.rank_of, gap, grid.n)
-    roots = {ds.find(e) for e in ds.parent}
-    return len(roots)
+    return int(_census(grid, order, [gap])[0])
 
 
 def level_set_census(grid: ScalarGrid, order: VertexOrder) -> LevelSetCensus:
-    """Contour counts at every rank gap, computed incrementally.
+    """Contour counts at every rank gap, by the definition of ``count_contours``.
 
-    Same crossed-edge/shared-simplex definition as ``count_contours``
-    but sweeps the gap index once, touching only simplices whose rank
-    span contains the gap.
+    The simplices and their ranks are gathered once for all the gaps.
     """
-    n = grid.n
-    rank = order.rank_of
-    simplex_list = []
-    for simplex in grid.simplices():
-        rs = [int(rank[v]) for v in simplex]
-        simplex_list.append((min(rs), max(rs), simplex))
-    # Activate a simplex while min_rank <= gap < max_rank.
-    starts: dict[int, list[int]] = {}
-    ends: dict[int, list[int]] = {}
-    for idx, (lo, hi, _) in enumerate(simplex_list):
-        starts.setdefault(lo, []).append(idx)
-        ends.setdefault(hi, []).append(idx)
-
-    counts = np.zeros(max(n - 1, 0), dtype=np.int64)
-    active: set[int] = set()
-    for gap in range(n - 1):
-        for idx in starts.get(gap, ()):
-            active.add(idx)
-        ds = _EdgeSet()
-        for idx in active:
-            _join_crossed(ds, simplex_list[idx][2], rank, gap, n)
-        counts[gap] = len({ds.find(e) for e in ds.parent})
-        for idx in ends.get(gap + 1, ()):
-            active.discard(idx)
-    return LevelSetCensus(counts=counts)
+    return LevelSetCensus(counts=_census(grid, order, range(grid.n - 1)))
 
 
 def brute_subtree_volume(ct: ContourTree, arc_outer: int) -> int:

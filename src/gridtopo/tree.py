@@ -656,7 +656,7 @@ def tree_from_graph(verts, ranks, edges) -> ContourTree:
         by = np.argsort(at, kind="stable")
         starts = np.searchsorted(at[by], np.arange(n + 1))
         trees.append(sweep_csr(seq, other[by], starts, n, direction))
-    return relabel(augment(combine(*trees, np.arange(n))), gid, ranks)
+    return relabel(combine(*trees, np.arange(n)), gid, ranks)
 
 
 def relabel(ct: ContourTree, gid, ranks) -> ContourTree:
