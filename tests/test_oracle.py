@@ -301,7 +301,10 @@ def _kernel_grids():
     return grids
 
 
-@pytest.mark.parametrize("grid", _kernel_grids().values(), ids=_kernel_grids().keys())
+KERNEL_GRIDS = _kernel_grids()
+
+
+@pytest.mark.parametrize("grid", KERNEL_GRIDS.values(), ids=KERNEL_GRIDS.keys())
 def test_kernel_matches_reference_every_gap(grid):
     order = sos_order(grid)
     want = ref_level_set_census(grid, order).counts
