@@ -14,7 +14,6 @@ from .pipeline import (
     local_phase,
     run_distributed,
     run_lambda_sweep,
-    select_top_branches_distributed,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "pipeline",
     "run_distributed",
     "run_lambda_sweep",
-    "select_top_branches_distributed",
 ]

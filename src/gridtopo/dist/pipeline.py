@@ -68,10 +68,10 @@ import numpy as np
 
 from .. import measure
 from ..errors import DataError, UsageError
-from ..grid import ScalarGrid, VertexOrder, sos_order
+from ..grid import ScalarGrid, VertexOrder, _coords, sos_order
 from ..measure import Branch, BranchDecomposition, VolumeAnnotation
 from ..sweep import _chain_ends
-from ..tree import _EMPTY, ContourTree, _from_edges, _Positions, _reroot, augment
+from ..tree import _EMPTY, ContourTree, _ancestors, _from_edges, _Positions, _reroot, augment
 from ..tree import contour_tree, relabel, tree_from_graph
 
 # --- decomposition ---------------------------------------------------------
@@ -108,10 +108,8 @@ class Extent:
         outside the box.  They come back as int64 ids in ``vids`` order.
         """
         v = np.asarray(vids, dtype=np.int64)
-        nx, ny, _ = dims
-        coords = (v % nx, (v // nx) % ny, v // (nx * ny))
         on_face = np.zeros(v.size, dtype=bool)
-        for c, d, o, s in zip(coords, dims, self.origin, self.shape):
+        for c, d, o, s in zip(_coords(v, dims), dims, self.origin, self.shape):
             if d > 1:
                 on_face |= (c == o) | (c == o + s - 1)
         return v[on_face]
@@ -136,9 +134,8 @@ class Decomposition:
 
     def owner_of(self, vid):
         """The lowest block id whose box contains ``vid``, an id or an array of ids."""
-        nx, ny, _ = self.dims
         sx, sy, _ = self.splits
-        coords = (vid % nx, (vid // nx) % ny, vid // (nx * ny))
+        coords = _coords(vid, self.dims)
         bx, by, bz = (np.searchsorted(c[1:], x) for c, x in zip(self.cuts, coords))
         return bx + sx * (by + sy * bz)
 
@@ -302,12 +299,7 @@ def _region(
     # In that rooting every parent leads toward the Steiner tree, so the
     # parents are also the record edges, from child toward the attachment.
     toward = _reroot(up, int(marks[0]))
-    kept = np.zeros(n, dtype=bool)
-    kept[marks] = True
-    jump = np.where(toward < 0, np.arange(n), toward)
-    for _ in range(n.bit_length()):
-        kept[jump[kept]] = True
-        jump = jump[jump]
+    kept, _ = _ancestors(toward, marks)
     # A record's head is its one vertex whose edge leads to a kept vertex.
     is_head = ~kept & kept[toward]
     head_of = _chain_ends(np.where(kept | is_head, np.arange(n), toward))
@@ -445,29 +437,34 @@ def _positions(ct: ContourTree, n: int) -> np.ndarray:
     return where
 
 
-def _volumes(ct: ContourTree, n: int, pruned: Records) -> VolumeAnnotation:
+def _volumes(ct: ContourTree, where: np.ndarray, pruned: Records) -> VolumeAnnotation:
     """Hypersweep of ``ct`` with pruned records folded in at their attachments.
 
     A measure counts on its attachment's superarc (``ct.outer``) and
     hangs at the attachment if that is a supernode.  Only records
     attached to a vertex of ``ct`` are folded; the others are already
-    inside the measure of the record they attach to.
+    inside the measure of the record they attach to.  ``where`` is
+    ``_positions(ct, n)`` for the grid's n vertices.
     """
-    at = _positions(ct, n)[pruned.attach]
+    at = where[pruned.attach]
     at, amount = at[at >= 0], pruned.measure[at >= 0]
     arc = ct.outer[at]
     mass, node = np.zeros((2, ct.n), dtype=np.int64)
     np.add.at(mass, arc, amount)
     np.add.at(node, at[arc == at], amount[arc == at])
     sn, own = ct.superstructure.vertex, measure.superarc_counts(ct)
-    return measure.hypersweep(ct, replace(own, n=n, count=own.count + mass[sn], hang=node[sn]))
+    count = own.count + mass[sn]
+    return measure.hypersweep(ct, replace(own, n=where.size, count=count, hang=node[sn]))
 
 
 def _log_branch_entries(
-    aug: ContourTree, retained: Records, pruned: Records, decomp: Decomposition, log: CommLog
+    aug: ContourTree, where: np.ndarray, retained: Records, pruned: Records,
+    decomp: Decomposition, log: CommLog,
 ) -> None:
-    """Best up/down and branch outer-end entries per rank (see the module notes)."""
-    where = _positions(aug, math.prod(decomp.dims))
+    """Best up/down and branch outer-end entries per rank (see the module notes).
+
+    ``where`` is ``_positions(aug, n)`` for the grid's n vertices.
+    """
     up, down = np.ones((2, aug.n), dtype=np.int64)  # a regular vertex has one arc each way
     up[aug.superstructure.vertex], down[aug.superstructure.vertex] = aug.arc_degrees()
     # A pruned record still counts as an arc at an attachment in ``aug``.
@@ -493,19 +490,6 @@ def _heavy_branches(bd: BranchDecomposition, lam: int) -> np.ndarray:
     pre-simplification.
     """
     return bd.is_trunk | (bd.volume > lam)
-
-
-def select_top_branches_distributed(
-    bd: BranchDecomposition,
-    ranks: Sequence[int],
-    b: int | None,
-    lam: int,
-    threshold: float | None = None,
-) -> tuple[list[Branch], int]:
-    """``measure.select_top_branches`` among ``_heavy_branches(bd, lam)``."""
-    return measure.select_top_branches(
-        bd, ranks, b=b, threshold=threshold, among=_heavy_branches(bd, lam)
-    )
 
 
 @dataclass
@@ -569,7 +553,7 @@ def run_lambda_sweep(
     # Rank 0 sends the base tree to every other rank.
     for r in range(1, decomp.num_blocks):
         shared_log.add("fan-out", "tree_verts_recv", r, base.n)
-    pre_volumes = _volumes(base, grid.n, records)
+    pre_volumes = _volumes(base, _positions(base, grid.n), records)
 
     for lam in lams:
         log = copy.deepcopy(shared_log)
@@ -579,17 +563,19 @@ def run_lambda_sweep(
         for r, recv in enumerate((len(retained) - own).tolist()):
             log.add("augmentation", "attachment_points_recv", r, recv)
         augmented = _augment(base, retained)
-        post_volumes = _volumes(augmented, grid.n, pruned)
+        where = _positions(augmented, grid.n)
+        post_volumes = _volumes(augmented, where, pruned)
         bd = measure.branch_decomposition(augmented, post_volumes)
-        _log_branch_entries(augmented, retained, pruned, decomp, log)
+        _log_branch_entries(augmented, where, retained, pruned, decomp, log)
 
-        selected, lambda_b = select_top_branches_distributed(
-            bd, augmented.ranks, b, lam, threshold
+        heavy = _heavy_branches(bd, lam)
+        selected, lambda_b = measure.select_top_branches(
+            bd, augmented.ranks, b=b, threshold=threshold, among=heavy
         )
         # Pre-simplification removes only branches of volume at most lam.  The
         # selection is exact unless it would have contained one of them: when
         # lam >= lambda_b, or when pruning left fewer branches than asked for.
-        cut = bool(pruned) or np.count_nonzero(_heavy_branches(bd, lam)) < len(bd.branches)
+        cut = bool(pruned) or not heavy.all()
         short = len(selected) < b if b is not None else threshold < lam
         lambda_valid = lam < lambda_b and not (cut and short)
         warnings = []

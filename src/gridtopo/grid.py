@@ -25,6 +25,12 @@ _POS_OFFSETS = [
 _ALL_OFFSETS = _POS_OFFSETS + [tuple(-c for c in d) for d in _POS_OFFSETS]
 
 
+def _coords(vid, dims: tuple[int, int, int]):
+    """The (x, y, z) coordinates of a vertex id, or of each id in an int array."""
+    nx, ny, _ = dims
+    return vid % nx, (vid // nx) % ny, vid // (nx * ny)
+
+
 @dataclass(frozen=True)
 class ScalarGrid:
     """A 2D/3D regular grid of finite scalars (nz = 1 for 2D)."""
@@ -56,24 +62,7 @@ class ScalarGrid:
         return x + nx * (y + ny * z)
 
     def coords(self, vid: int) -> tuple[int, int, int]:
-        nx, ny, _ = self.dims
-        x = vid % nx
-        y = (vid // nx) % ny
-        z = vid // (nx * ny)
-        return x, y, z
-
-    def neighbors(self, vid: int) -> list[int]:
-        """Freudenthal stencil neighbors of ``vid``, clipped to the domain."""
-        nx, ny, nz = self.dims
-        if not 0 <= vid < self.n:
-            raise UsageError(f"vertex id {vid} out of range [0, {self.n})")
-        x, y, z = self.coords(vid)
-        out = []
-        for dx, dy, dz in _ALL_OFFSETS:
-            px, py, pz = x + dx, y + dy, z + dz
-            if 0 <= px < nx and 0 <= py < ny and 0 <= pz < nz:
-                out.append(px + nx * (py + ny * pz))
-        return out
+        return _coords(vid, self.dims)
 
     def edges(self):
         """Yield every undirected stencil edge exactly once (u < v)."""

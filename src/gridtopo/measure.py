@@ -348,8 +348,7 @@ def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomp
     terminal = np.full(g, -1, dtype=np.int64)
     terminal[arc_group[hangs]] = arcs[hangs]
 
-    up_deg = np.bincount(node[up], minlength=k)
-    down_deg = np.bincount(node[~up], minlength=k)
+    up_deg, down_deg = ct.arc_degrees()
     ends = np.flatnonzero((up_deg == 0) | (down_deg == 0))
     n_ends = np.bincount(sn_group[ends], minlength=g)
     if (n_ends[trunk] != 2).any():

@@ -36,8 +36,8 @@ returns its tree augmented; only the trees ``_from_edges`` builds take
 vertex id (``VertexOrder.rank_of`` for a grid).  Those int64 arrays are
 the whole state of a tree.  Its ``parent``, ``arc_inner``,
 ``superparent`` and ``arc_regulars`` fields are read-only mapping views
-of them (``sweep.ArcView``), and ``verts`` and ``supernodes`` are lists
-built on first use.  No function keeps state between calls, so trees can
+of them (``sweep.ArcView``), and ``supernodes`` is a list built on
+first use.  No function keeps state between calls, so trees can
 be built on several threads at once.
 """
 
@@ -113,10 +113,6 @@ class ContourTree:
         return self.outer is not None
 
     @cached_property
-    def verts(self) -> list[int]:
-        return self.ids.tolist()
-
-    @cached_property
     def supernodes(self) -> list[int]:
         return self.ids[self.superstructure.vertex].tolist()
 
@@ -158,17 +154,6 @@ class ContourTree:
         arcs = st.inner >= 0
         a, b = st.rank[arcs], st.rank[st.inner[arcs]]
         return int(np.count_nonzero((np.minimum(a, b) <= gap) & (gap < np.maximum(a, b))))
-
-    def dump(self, values: dict[int, float] | None = None) -> str:
-        """Debug text: supernodes (id, value, rank) and superarcs, stable order."""
-        lines = ["supernodes:"]
-        for s in sorted(self.supernodes):
-            val = "" if values is None else f" value={values[s]!r}"
-            lines.append(f"  {s}{val} rank={self.ranks[s]}")
-        lines.append("superarcs:")
-        for outer in sorted(self.arc_inner):
-            lines.append(f"  {outer} -> {self.arc_inner[outer]}")
-        return "\n".join(lines)
 
 
 def combine(join: MergeTree, split: MergeTree, ranks) -> ContourTree:
@@ -530,21 +515,30 @@ def _from_edges(verts, ranks, edges) -> ContourTree:
     return _from_pairs(where, ranks, pairs[:, 0], pairs[:, 1])
 
 
-def _reroot(parent: np.ndarray, root: int) -> np.ndarray:
-    """A copy of the parent array ``parent`` re-rooted at node ``root``.
+def _ancestors(parent: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """A mask of ``seeds`` and their ancestors, and the root each node leads to.
 
-    Pointer doubling up to the old root checks that every node leads to
-    it (a forest, or a cycle of two or more nodes, raises
-    ``InternalError``) and marks the path from ``root`` up to it on the
-    way; that path turns around.
+    Both come from one pointer doubling up the parent array ``parent``
+    (-1 at a root).  A node on a cycle leads to some node of the cycle.
     """
     n = parent.size
     jump = np.where(parent < 0, np.arange(n), parent)
-    path = np.zeros(n, dtype=bool)
-    path[root] = True
+    marked = np.zeros(n, dtype=bool)
+    marked[seeds] = True
     for _ in range(n.bit_length()):
-        path[jump[path]] = True
+        marked[jump[marked]] = True
         jump = jump[jump]
+    return marked, jump
+
+
+def _reroot(parent: np.ndarray, root: int) -> np.ndarray:
+    """A copy of the parent array ``parent`` re-rooted at node ``root``.
+
+    The path from ``root`` up to the old root turns around.  Every node
+    must lead to that root: a forest, or a cycle of two or more nodes,
+    raises ``InternalError``.
+    """
+    path, jump = _ancestors(parent, root)
     if (jump != jump[root]).any():
         raise InternalError("contour tree is not connected")
     below = np.flatnonzero(path & (parent >= 0))

@@ -16,6 +16,8 @@ from gridtopo import (
     superarc_counts,
 )
 from gridtopo import tree as gtree
+from gridtopo.errors import UsageError
+from gridtopo.grid import _ALL_OFFSETS
 
 
 def make_grid(dims, values):
@@ -73,6 +75,32 @@ def record_list(records):
     return out
 
 
+def neighbors(grid, vid):
+    """Freudenthal stencil neighbors of ``vid``, clipped to the domain."""
+    nx, ny, nz = grid.dims
+    if not 0 <= vid < grid.n:
+        raise UsageError(f"vertex id {vid} out of range [0, {grid.n})")
+    x, y, z = grid.coords(vid)
+    out = []
+    for dx, dy, dz in _ALL_OFFSETS:
+        px, py, pz = x + dx, y + dy, z + dz
+        if 0 <= px < nx and 0 <= py < ny and 0 <= pz < nz:
+            out.append(px + nx * (py + ny * pz))
+    return out
+
+
+def dump(ct, values=None):
+    """Debug text: supernodes (id, value, rank) and superarcs, stable order."""
+    lines = ["supernodes:"]
+    for s in sorted(ct.supernodes):
+        val = "" if values is None else f" value={values[s]!r}"
+        lines.append(f"  {s}{val} rank={ct.ranks[s]}")
+    lines.append("superarcs:")
+    for outer in sorted(ct.arc_inner):
+        lines.append(f"  {outer} -> {ct.arc_inner[outer]}")
+    return "\n".join(lines)
+
+
 def children_index(ct):
     """Superstructure children: inner end -> outer ends, rank-sorted."""
     kids = {s: [] for s in ct.supernodes}
@@ -100,7 +128,7 @@ def local_extrema(grid, order):
     rank = order.rank_of
     maxima, minima = [], []
     for v in range(grid.n):
-        nbr_ranks = [rank[u] for u in grid.neighbors(v)]
+        nbr_ranks = [rank[u] for u in neighbors(grid, v)]
         if all(r < rank[v] for r in nbr_ranks):
             maxima.append(v)
         if all(r > rank[v] for r in nbr_ranks):
@@ -132,7 +160,7 @@ def superlevel_components(grid, order, gap):
     members = [v for v in range(grid.n) if rank[v] > gap]
     for v in members:
         dsu.find(v)
-        for u in grid.neighbors(v):
+        for u in neighbors(grid, v):
             if rank[u] > gap:
                 dsu.union(v, u)
     return len({dsu.find(v) for v in members})
@@ -144,7 +172,7 @@ def sublevel_components(grid, order, gap):
     members = [v for v in range(grid.n) if rank[v] <= gap]
     for v in members:
         dsu.find(v)
-        for u in grid.neighbors(v):
+        for u in neighbors(grid, v):
             if rank[u] <= gap:
                 dsu.union(v, u)
     return len({dsu.find(v) for v in members})

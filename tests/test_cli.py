@@ -378,8 +378,8 @@ def test_oracle_check_distributed_lambda_zero_passes():
 def test_oracle_mismatch_is_internal_error(monkeypatch, capsys):
     from gridtopo import oracle
 
-    real = oracle.count_contours
-    monkeypatch.setattr(oracle, "count_contours", lambda *a: real(*a) + 1)
+    real = oracle._census
+    monkeypatch.setattr(oracle, "_census", lambda *a: real(*a) + 1)
     rc = run_cli(
         [
             "run", "--synthetic", "random", "--seed", "2", "--dims", "6,6,1",
@@ -388,6 +388,32 @@ def test_oracle_mismatch_is_internal_error(monkeypatch, capsys):
     )
     assert rc == 3
     assert "error (InternalError): oracle mismatch at gap 0" in capsys.readouterr().err
+
+
+def test_oracle_check_names_the_first_mismatch_at_a_later_gap(monkeypatch, capsys):
+    """One census call covers every sampled gap; the error names the lowest wrong one."""
+    from gridtopo import oracle
+
+    real, calls = oracle._census, []
+
+    def census(grid, order, gaps):
+        counts = real(grid, order, gaps)
+        calls.append((list(gaps), counts.copy()))
+        counts[[3, 5]] += 1
+        return counts
+
+    monkeypatch.setattr(oracle, "_census", census)
+    rc = run_cli(
+        [
+            "run", "--synthetic", "random", "--seed", "2", "--dims", "9,9,9",
+            "--oracle-check",
+        ]
+    )
+    assert rc == 3
+    ((gaps, counts),) = calls
+    assert gaps == list(range(0, 728, 728 // 64))
+    want = f"oracle mismatch at gap {gaps[3]}: tree {counts[3]}, oracle {counts[3] + 1}"
+    assert f"error (InternalError): {want}\n" in capsys.readouterr().err
 
 
 def test_grid_too_large_to_allocate(monkeypatch, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gridtopo import contour_tree, sos_order
+from gridtopo import contour_tree, select_top_branches, sos_order
 from gridtopo.dist import (
     CommLog,
     Records,
@@ -14,7 +14,6 @@ from gridtopo.dist import (
     local_phase,
     run_distributed,
     run_lambda_sweep,
-    select_top_branches_distributed,
 )
 from gridtopo.errors import DataError, UsageError
 
@@ -171,7 +170,7 @@ def test_fan_in_single_block_identity():
     decomp = decompose(grid, (1, 1, 1))
     state = local_phase(grid, order, decomp.extents[0], 0)
     base, records = fan_in([state], decomp, order)
-    assert set(base.verts) == set(state.kept_verts.tolist())
+    assert set(base.ids.tolist()) == set(state.kept_verts.tolist())
     assert record_list(records) == record_list(state.records)
 
 
@@ -274,7 +273,7 @@ def test_pre_hypersweep_single_block_monotone_equals_serial():
 
 def _vertex_level_cut_count(ct, cut_a, cut_b, side):
     """Vertices on ``side``'s component after cutting edge (cut_a, cut_b)."""
-    adj = {v: [] for v in ct.verts}
+    adj = {v: [] for v in ct.ids.tolist()}
     for v, p in ct.parent.items():
         adj[v].append(p)
         adj[p].append(v)
@@ -497,8 +496,6 @@ def test_selection_warns_when_lambda_too_large():
 
 
 def test_selection_equals_serial_below_lambda_b():
-    from gridtopo import select_top_branches
-
     grid = random_grid((12, 12, 1), 17)
     order = sos_order(grid)
     _, ct, _, bd = serial_pipeline(grid)
@@ -511,11 +508,14 @@ def test_selection_equals_serial_below_lambda_b():
 
 
 def test_select_top_branches_distributed_b_zero():
+    from gridtopo.dist import pipeline
+
     grid = random_grid((6, 6, 1), 0)
     order = sos_order(grid)
     result = run_distributed(grid, order, (2, 1, 1), lam=0, b=100)
+    heavy = pipeline._heavy_branches(result.bd, 0)
     with pytest.raises(UsageError):
-        select_top_branches_distributed(result.bd, result.augmented_tree.ranks, 0, 0)
+        select_top_branches(result.bd, result.augmented_tree.ranks, b=0, among=heavy)
 
 
 @pytest.mark.parametrize("b,threshold", [(None, None), (0, None), (-1, 5.0)])
@@ -658,7 +658,7 @@ def test_branch_entry_runs_cover_every_attachment_kind():
         for lam in (1, 10):
             result = run_distributed(grid, sos_order(grid), splits, lam=lam, b=10)
             aug = result.augmented_tree
-            verts, supernodes = set(aug.verts), set(aug.supernodes)
+            verts, supernodes = set(aug.ids.tolist()), set(aug.supernodes)
             for rec in record_list(result.records):
                 if rec.measure <= lam:
                     kind = "nested" if rec.attach not in verts else (
@@ -753,7 +753,7 @@ def test_heavy_branches_at_lambda_equal_to_a_branch_volume(by_threshold):
     ordered = sorted(old, key=lambda b: (-b.volume, -1 if b.saddle is None else ranks[b.saddle]))
     threshold = float(volumes[3 * len(volumes) // 4]) if by_threshold else None
     b = None if by_threshold else len(bd.branches)
-    selected, lam_b = select_top_branches_distributed(bd, ranks, b, lam, threshold)
+    selected, lam_b = select_top_branches(bd, ranks, b=b, threshold=threshold, among=heavy)
     assert selected == [x for x in ordered if not by_threshold or x.volume > threshold]
     assert len(selected) < len(old) if by_threshold else len(selected) == len(old)
     assert lam_b == selected[-1].volume > lam

@@ -246,7 +246,7 @@ def per_vertex_volume(ct, arc_outer):
                 if w not in side:
                     side.add(w)
                     stack.append(w)
-    return sum(ct.superparent[v] in side for v in ct.verts)
+    return sum(ct.superparent[v] in side for v in ct.ids.tolist())
 
 
 def sparse_id_tree():

@@ -18,6 +18,7 @@ import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +33,15 @@ from gridtopo.errors import InternalError
 from gridtopo.measure import Branch
 from gridtopo.tree import tree_from_graph
 
-from conftest import Rec, children_index, grid_1d, make_grid, random_grid, record_list
+from conftest import (
+    Rec,
+    children_index,
+    grid_1d,
+    make_grid,
+    neighbors,
+    random_grid,
+    record_list,
+)
 
 # --- references --------------------------------------------------------------
 
@@ -158,6 +167,10 @@ class RefTree:
     @property
     def n(self):
         return len(self.verts)
+
+    @property
+    def ids(self):
+        return np.asarray(self.verts, dtype=np.int64)
 
 
 @dataclass
@@ -317,7 +330,7 @@ def ref_branch_decomposition(ct, ann):
 
 def ref_relabel(ct, gid, ranks):
     return RefTree(
-        verts=[gid[v] for v in ct.verts],
+        verts=[gid[v] for v in ct.ids.tolist()],
         ranks=ranks,
         parent={gid[v]: gid[p] for v, p in ct.parent.items()},
         root=gid[ct.root],
@@ -330,12 +343,12 @@ def ref_relabel(ct, gid, ranks):
 
 def ref_region(rank, extent, ct, values, boundary, mass_verts, mass):
     """The Steiner tree and hanging records by one preorder walk with per-vertex dicts."""
-    value_of = dict(zip(sorted(ct.verts), values.tolist()))
+    value_of = dict(zip(sorted(ct.ids.tolist()), values.tolist()))
     mass_at = {}
     for v, m in zip(mass_verts.tolist(), mass.tolist()):
         mass_at[v] = mass_at.get(v, 0) + m
     parent = dict(ct.parent)
-    kids = {v: [] for v in ct.verts}
+    kids = {v: [] for v in ct.ids.tolist()}
     for v, p in parent.items():
         kids[p].append(v)
     pre = []
@@ -416,16 +429,17 @@ def assert_same_merge_tree(got, want_arc_to, want_root):
 def check_grid_sweeps(grid):
     """Both grid merge trees against the reference sweep over the full stencil."""
     order = sos_order(grid)
+    nbrs = partial(neighbors, grid)
     assert_same_merge_tree(
-        compute_join_tree(grid, order), *ref_sweep(order.vertex_at[::-1], grid.neighbors, grid.n)
+        compute_join_tree(grid, order), *ref_sweep(order.vertex_at[::-1], nbrs, grid.n)
     )
     assert_same_merge_tree(
-        compute_split_tree(grid, order), *ref_sweep(order.vertex_at, grid.neighbors, grid.n)
+        compute_split_tree(grid, order), *ref_sweep(order.vertex_at, nbrs, grid.n)
     )
 
 
 def assert_same_tree(got, want):
-    assert got.verts == want.verts
+    assert got.ids.tolist() == want.ids.tolist()
     assert got.root == want.root
     assert got.parent == want.parent
     assert got.supernodes == want.supernodes
@@ -591,7 +605,7 @@ def test_distributed_annotation_matches_reference(lam):
     # The augmented tree's own build input: base edges plus retained records.
     base = result.base_tree
     retained = record_list(result.retained)
-    verts = sorted(base.verts + [v for rec in retained for v in rec.verts])
+    verts = sorted(base.ids.tolist() + [v for rec in retained for v in rec.verts])
     edges = list(base.parent.items()) + [e for rec in retained for e in rec.edges]
     check_tree_input(verts, order.rank_of, edges)
 
@@ -641,7 +655,7 @@ def assert_same_region(got, want):
 
 
 def assert_same_relabel(got, want):
-    assert got.verts == want.verts
+    assert got.ids.tolist() == want.ids.tolist()
     assert got.root == want.root
     assert list(got.parent.items()) == list(want.parent.items())
     assert got.supernodes == want.supernodes

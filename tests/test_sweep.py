@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     grid_1d,
     local_extrema,
     make_grid,
+    neighbors,
     random_grid,
     sublevel_components,
     superlevel_components,
@@ -167,7 +169,7 @@ def sweep(seq, neighbors, n, direction):
 def full_stencil_tree(grid, order, direction):
     """The sweep kernel fed every stencil neighbour, the reference input."""
     seq = order.vertex_at[::-1] if direction == "join" else order.vertex_at
-    return sweep(seq, grid.neighbors, grid.n, direction)
+    return sweep(seq, partial(neighbors, grid), grid.n, direction)
 
 
 def tied_grid(dims, seed):
@@ -421,7 +423,7 @@ def test_link_neighbors_are_swept_before(dims, upper):
     rank = order.rank_of
     for v in range(grid.n):
         listed = nbrs[starts[v] : starts[v + 1]]
-        assert set(listed) <= set(grid.neighbors(v))
+        assert set(listed) <= set(neighbors(grid, v))
         assert all((rank[u] > rank[v]) == upper and u != v for u in listed)
 
 
@@ -557,9 +559,10 @@ def test_grid_sweeps_match_reference_on_deep_reduced_trees(field):
     dims = (32, 32, 16)
     grid = synthetic_random(dims, 5) if field == "random" else synthetic_gaussians(dims, 5)
     order = sos_order(grid)
+    nbrs = partial(neighbors, grid)
     assert_same_merge_tree(
-        compute_join_tree(grid, order), *ref_sweep(order.vertex_at[::-1], grid.neighbors, grid.n)
+        compute_join_tree(grid, order), *ref_sweep(order.vertex_at[::-1], nbrs, grid.n)
     )
     assert_same_merge_tree(
-        compute_split_tree(grid, order), *ref_sweep(order.vertex_at, grid.neighbors, grid.n)
+        compute_split_tree(grid, order), *ref_sweep(order.vertex_at, nbrs, grid.n)
     )

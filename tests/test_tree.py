@@ -12,7 +12,7 @@ from gridtopo import tree as gtree
 from gridtopo.oracle import level_set_census
 from gridtopo.tree import tree_from_graph
 
-from conftest import children_index, grid_1d, local_extrema, make_grid, random_grid
+from conftest import children_index, dump, grid_1d, local_extrema, make_grid, random_grid
 from test_reference_equivalence import check_combine, ref_vertex_combine
 
 
@@ -176,13 +176,13 @@ def test_determinism_bit_identical():
     assert a.arc_inner == b.arc_inner
     assert a.superparent == b.superparent
     assert a.supernodes == b.supernodes
-    assert a.dump() == b.dump()
+    assert dump(a) == dump(b)
 
 
 def test_dump_stable_text():
     grid = grid_1d([0, 5, 2, 6, 1])
     ct = contour_tree(grid, sos_order(grid))
-    text = ct.dump(values={v: float(x) for v, x in enumerate([0, 5, 2, 6, 1])})
+    text = dump(ct, values={v: float(x) for v, x in enumerate([0, 5, 2, 6, 1])})
     assert "supernodes:" in text and "superarcs:" in text
     assert text.index("0 value=0.0") < text.index("4 value=1.0")
 
