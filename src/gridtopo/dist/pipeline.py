@@ -71,7 +71,7 @@ from ..errors import DataError, UsageError
 from ..grid import ScalarGrid, VertexOrder, _coords, sos_order
 from ..measure import Branch, BranchDecomposition, VolumeAnnotation
 from ..sweep import _chain_ends
-from ..tree import _EMPTY, ContourTree, _ancestors, _from_edges, _Positions, _reroot, augment
+from ..tree import _EMPTY, ContourTree, _ancestors, _from_edges, _Positions, _reroot
 from ..tree import contour_tree, relabel, tree_from_graph
 
 # --- decomposition ---------------------------------------------------------
@@ -129,8 +129,7 @@ class Decomposition:
         return len(self.extents)
 
     def block_coords(self, block: int) -> tuple[int, int, int]:
-        sx, sy, _ = self.splits
-        return block % sx, (block // sx) % sy, block // (sx * sy)
+        return _coords(block, self.splits)
 
     def owner_of(self, vid):
         """The lowest block id whose box contains ``vid``, an id or an array of ids."""
@@ -376,7 +375,7 @@ def fan_in(
     states: list[RegionState],
     decomp: Decomposition,
     order: VertexOrder,
-    log: CommLog | None = None,
+    log: CommLog,
     mode: str = "sequential",
 ) -> tuple[ContourTree, Records]:
     """Binary reduction of the regions along x, then y, then z.
@@ -401,15 +400,14 @@ def fan_in(
                 lambda job: _merge(regions[job[0]], job[1], ranks, decomp.dims), jobs, mode
             )
             for (leader, partner), region in zip(jobs, merged):
-                if log is not None:
-                    log.add("fan-in", "tree_verts_recv", leader, len(partner.kept_verts))
+                log.add("fan-in", "tree_verts_recv", leader, len(partner.kept_verts))
                 regions[partner.rank] = None
                 regions[leader] = region
                 records.append(region.records)
             stride *= 2
     top = regions[0]
     # A tree is its own contour tree: no sweep, only its edges and ranks.
-    return augment(_from_edges(top.kept_verts, ranks, top.kept_edges)), Records.concat(records)
+    return _from_edges(top.kept_verts, ranks, top.kept_edges), Records.concat(records)
 
 
 def list_attachment_points(records: Records, lam: int) -> Records:
@@ -427,7 +425,7 @@ def _augment(base: ContourTree, retained: Records) -> ContourTree:
     base_edges = np.column_stack((base.ids[child], base.ids[base.up[child]]))
     verts = np.sort(np.concatenate((base.ids, retained.verts)))
     edges = np.concatenate((base_edges, np.column_stack((retained.verts, retained.parent))))
-    return augment(_from_edges(verts, base.ranks, edges))
+    return _from_edges(verts, base.ranks, edges)
 
 
 def _positions(ct: ContourTree, n: int) -> np.ndarray:

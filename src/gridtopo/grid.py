@@ -61,9 +61,6 @@ class ScalarGrid:
         nx, ny, _ = self.dims
         return x + nx * (y + ny * z)
 
-    def coords(self, vid: int) -> tuple[int, int, int]:
-        return _coords(vid, self.dims)
-
     def edges(self):
         """Yield every undirected stencil edge exactly once (u < v)."""
         nx, ny, nz = self.dims
@@ -154,10 +151,8 @@ def synthetic_random(dims: tuple[int, int, int], seed: int) -> ScalarGrid:
     return ScalarGrid(dims=dims, values=rng.random(n))
 
 
-def synthetic_gaussians(
-    dims: tuple[int, int, int], seed: int, blobs: int = 6
-) -> ScalarGrid:
-    """Sum of randomly placed Gaussian bumps, reproducible from the seed."""
+def synthetic_gaussians(dims: tuple[int, int, int], seed: int) -> ScalarGrid:
+    """Sum of six randomly placed Gaussian bumps, reproducible from the seed."""
     rng = np.random.default_rng(seed)
     nx, ny, nz = dims
     zz, yy, xx = np.meshgrid(
@@ -165,7 +160,7 @@ def synthetic_gaussians(
     )
     vals = np.zeros((nz, ny, nx))
     scale = max(nx, ny, nz)
-    for _ in range(blobs):
+    for _ in range(6):
         cx, cy, cz = rng.random(3) * np.array([nx - 1, ny - 1, max(nz - 1, 1)])
         amp = rng.random() + 0.5
         width = (rng.random() * 0.2 + 0.05) * scale

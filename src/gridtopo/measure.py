@@ -97,8 +97,6 @@ class VolumeAnnotation:
 
 def superarc_counts(ct: ContourTree) -> VolumeAnnotation:
     """Count vertices per superarc (regulars plus the outer-end supernode)."""
-    if not ct.is_augmented:
-        raise UsageError("tree must be augmented before counting")
     st = ct.superstructure
     count = 1 + ct.walk_start[st.vertex + 1] - ct.walk_start[st.vertex]
     count[st.root] = 0

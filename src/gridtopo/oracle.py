@@ -146,8 +146,6 @@ def brute_subtree_volume(ct: ContourTree, arc_outer: int) -> int:
     component, plus the component's supernodes; regular vertices of the
     severed arc itself are on the outer side by the counting convention.
     """
-    if not ct.is_augmented:
-        raise UsageError("tree must be augmented")
     if arc_outer not in ct.arc_inner:
         raise UsageError(f"no superarc indexed by {arc_outer}")
     inner = ct.arc_inner[arc_outer]

@@ -26,15 +26,14 @@ least halve.
 Everything but that queue runs as numpy passes over vertex positions
 (the index of a vertex in ``verts``; ids may be sparse and are mapped
 through one lookup table): ``_from_edges`` re-roots an edge list at the
-highest-ranked vertex, counts degrees with ``bincount`` and finds each
-supernode's inner end by pointer jumping up regular chains; ``augment``
-jumps down them to the outer end.  ``combine`` and ``augment`` order
-each superarc's regular vertices with one sort on (superarc, signed
-rank).  ``combine`` has placed every regular vertex by then, so it
-returns its tree augmented; only the trees ``_from_edges`` builds take
-``augment``'s own pass.  Ranks are read from one int64 table indexed by
-vertex id (``VertexOrder.rank_of`` for a grid).  Those int64 arrays are
-the whole state of a tree.  Its ``parent``, ``arc_inner``,
+highest-ranked vertex, counts degrees with ``bincount``, finds each
+supernode's inner end by pointer jumping up regular chains and each
+regular vertex's outer end by jumping down them.  ``combine`` and
+``_from_edges`` order each superarc's regular vertices with one sort on
+(superarc, signed rank), so both return augmented trees: every tree
+holds its vertices' superarcs.  Ranks are read from one int64 table
+indexed by vertex id (``VertexOrder.rank_of`` for a grid).  Those int64
+arrays are the whole state of a tree.  Its ``parent``, ``arc_inner``,
 ``superparent`` and ``arc_regulars`` fields are read-only mapping views
 of them (``sweep.ArcView``), and ``supernodes`` is a list built on
 first use.  No function keeps state between calls, so trees can
@@ -80,24 +79,23 @@ class ContourTree:
 
     The state is int64 arrays over vertex positions: ``ids``, and ``up``,
     the parent in the tree rooted at the highest-ranked vertex (-1 at the
-    root).  Augmentation (by ``combine``, or ``augment`` for trees built
-    from edges) adds ``outer``, the outer end of each vertex's
-    superarc, and that superarc's regular vertices from the outer end
-    ``p`` inward as ``walk[walk_start[p]:walk_start[p + 1]]``.  The
-    mapping fields are read-only views of them keyed by vertex id;
-    ``arc_inner`` maps each non-root supernode to the other, root-facing
-    end of its superarc.  ``ranks`` is the shared int64 rank table
-    indexed by vertex id (for a grid, ``VertexOrder.rank_of``), not a
-    per-tree copy.
+    root).  Every tree is augmented: ``outer`` holds the outer end of
+    each vertex's superarc, and that superarc's regular vertices run
+    from the outer end ``p`` inward as
+    ``walk[walk_start[p]:walk_start[p + 1]]``.  The mapping fields are
+    read-only views of them keyed by vertex id; ``arc_inner`` maps each
+    non-root supernode to the other, root-facing end of its superarc.
+    ``ranks`` is the shared int64 rank table indexed by vertex id (for a
+    grid, ``VertexOrder.rank_of``), not a per-tree copy.
     """
 
     ids: np.ndarray = field(repr=False)
     ranks: np.ndarray = field(repr=False)
     up: np.ndarray = field(repr=False)
     superstructure: Superstructure = field(repr=False)
-    outer: np.ndarray | None = field(default=None, repr=False)
-    walk: np.ndarray | None = field(default=None, repr=False)
-    walk_start: np.ndarray | None = field(default=None, repr=False)
+    outer: np.ndarray = field(repr=False)
+    walk: np.ndarray = field(repr=False)
+    walk_start: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -107,10 +105,6 @@ class ContourTree:
     def root(self) -> int:
         st = self.superstructure
         return self.ids.item(st.vertex[st.root])
-
-    @property
-    def is_augmented(self) -> bool:
-        return self.outer is not None
 
     @cached_property
     def supernodes(self) -> list[int]:
@@ -127,12 +121,10 @@ class ContourTree:
 
     @cached_property
     def superparent(self) -> ArcView:
-        return ArcView(_EMPTY if self.outer is None else self.outer, self.ids, self.ids)
+        return ArcView(self.outer, self.ids, self.ids)
 
     @cached_property
     def arc_regulars(self) -> ArcView:
-        if self.outer is None:
-            return ArcView(_EMPTY)
         st, start = self.superstructure, self.walk_start
         spans = (self.walk, start[st.vertex], start[st.vertex + 1])
         return ArcView(st.inner, self.ids[st.vertex], self.ids, spans)
@@ -233,7 +225,7 @@ def _assemble(j_arcs: np.ndarray, s_arcs: np.ndarray, rank: np.ndarray):
     ju, j_tree = _contract(j_arcs, j_count, j_sum, crit_ids, slot)
     sd, s_tree = _contract(s_arcs, s_count, s_sum, crit_ids, slot)
     child, parent = _transfer(j_tree, s_tree, rank[crit_ids])
-    st = _from_pairs(_Positions(crit_ids), rank, child, parent).superstructure
+    st = _from_pairs(_Positions(crit_ids), rank, child, parent)[1]
     if st.vertex.size != crit_ids.size:
         raise InternalError("a critical vertex is regular in the contracted tree")
 
@@ -495,7 +487,7 @@ def _pair_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
 
 
 def _from_edges(verts, ranks, edges) -> ContourTree:
-    """Build the rooted tree and contracted superstructure from CT edges.
+    """The augmented contour tree with the given edges.
 
     ``verts`` are the vertex ids and ``edges`` an (n - 1, 2) array-like of
     ``(child, parent)`` rows of some rooting of the tree: every vertex but
@@ -503,6 +495,9 @@ def _from_edges(verts, ranks, edges) -> ContourTree:
     highest-ranked vertex by reversing the one path up from it.
     Malformed input (a wrong edge count, two parents, an id outside
     ``verts``, a cycle or a disconnected graph) raises ``InternalError``.
+    A regular vertex has one child, so jumping down child pointers ends
+    at its superarc's outer end; ranks are monotone along a superarc, so
+    one sort on (superarc, signed rank) lists its regulars from there inward.
     """
     verts = np.asarray(verts, dtype=np.int64)
     ranks = np.asarray(ranks, dtype=np.int64)
@@ -512,7 +507,25 @@ def _from_edges(verts, ranks, edges) -> ContourTree:
         raise InternalError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
     where = _Positions(verts)
     pairs = where.of(edges)
-    return _from_pairs(where, ranks, pairs[:, 0], pairs[:, 1])
+    up, st = _from_pairs(where, ranks, pairs[:, 0], pairs[:, 1])
+    is_super = np.zeros(n, dtype=bool)
+    is_super[st.vertex] = True
+    child = np.flatnonzero(up >= 0)
+    down = np.arange(n)
+    down[up[child]] = child  # only read at regular vertices, which have one child
+    outer = _chain_ends(np.where(is_super, np.arange(n), down))
+    if not is_super[outer].all():
+        raise InternalError("augmentation missed vertices")
+
+    regular = np.flatnonzero(~is_super)
+    arc = outer[regular]
+    rank = ranks[verts]
+    # A regular vertex ranks below its parent exactly when its superarc
+    # rises from the outer end to the inner end.
+    rises = rank[regular] < rank[up[regular]]
+    walk = regular[_walk_order(arc, rank[regular], rises)]
+    walk_start = np.r_[0, np.cumsum(np.bincount(arc, minlength=n))]
+    return ContourTree(verts, ranks, up, st, outer=outer, walk=walk, walk_start=walk_start)
 
 
 def _ancestors(parent: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -550,8 +563,8 @@ def _reroot(parent: np.ndarray, root: int) -> np.ndarray:
 
 def _from_pairs(
     where: _Positions, ranks: np.ndarray, child: np.ndarray, par: np.ndarray
-) -> ContourTree:
-    """``_from_edges`` for n - 1 edges given as position arrays over ``where.ids``."""
+) -> tuple[np.ndarray, Superstructure]:
+    """``_from_edges``'s ``up`` and superstructure, for edges as positions in ``where.ids``."""
     ids, n = where.ids, where.ids.size
     if (np.bincount(child, minlength=n) > 1).any():
         raise InternalError("contour tree vertex with two parents")
@@ -574,41 +587,12 @@ def _from_pairs(
     slot[vertex] = np.arange(vertex.size)
     above = parent[vertex]
     inner = np.where(above >= 0, slot[inner[above]], -1)
-    st = Superstructure(vertex=vertex, inner=inner, rank=rank[vertex], root=int(slot[root]))
-    return ContourTree(ids=ids, ranks=ranks, up=parent, superstructure=st)
+    return parent, Superstructure(vertex, inner, rank[vertex], root=int(slot[root]))
 
 
 def augment(ct: ContourTree) -> ContourTree:
-    """The tree with every vertex's superarc and every superarc's regular vertices.
-
-    A tree that is already augmented (``combine`` returns one) comes back
-    unchanged.  Otherwise: a regular vertex has exactly one child, so
-    jumping down child pointers ends at the outer end of its superarc.
-    Along a superarc ranks are monotone, so one sort on (superarc, signed
-    rank) lists each arc's regular vertices from the outer end inward.
-    """
-    if ct.is_augmented:
-        return ct
-    n, up, st = ct.n, ct.up, ct.superstructure
-    is_super = np.zeros(n, dtype=bool)
-    is_super[st.vertex] = True
-    child = np.flatnonzero(up >= 0)
-    down = np.arange(n)
-    down[up[child]] = child  # only read at regular vertices, which have one child
-    outer = _chain_ends(np.where(is_super, np.arange(n), down))
-    if not is_super[outer].all():
-        raise InternalError("augmentation missed vertices")
-
-    # A regular vertex ranks below its parent exactly when its superarc
-    # rises from the outer end to the inner end.
-    arcs = np.flatnonzero(st.inner >= 0)
-    rises = np.zeros(n, dtype=bool)
-    rises[st.vertex[arcs]] = st.rank[st.inner[arcs]] > st.rank[arcs]
-    regular = np.flatnonzero(~is_super)
-    arc = outer[regular]
-    walk = regular[_walk_order(arc, ct.ranks[ct.ids[regular]], rises[arc])]
-    walk_start = np.r_[0, np.cumsum(np.bincount(arc, minlength=n))]
-    return dataclasses.replace(ct, outer=outer, walk=walk, walk_start=walk_start)
+    """``ct`` itself: ``combine`` and ``_from_edges`` build every tree augmented."""
+    return ct
 
 
 def contour_tree(grid: ScalarGrid, order: VertexOrder) -> ContourTree:

@@ -17,7 +17,7 @@ from gridtopo import (
 )
 from gridtopo import tree as gtree
 from gridtopo.errors import UsageError
-from gridtopo.grid import _ALL_OFFSETS
+from gridtopo.grid import _ALL_OFFSETS, _coords
 
 
 def make_grid(dims, values):
@@ -80,7 +80,7 @@ def neighbors(grid, vid):
     nx, ny, nz = grid.dims
     if not 0 <= vid < grid.n:
         raise UsageError(f"vertex id {vid} out of range [0, {grid.n})")
-    x, y, z = grid.coords(vid)
+    x, y, z = _coords(vid, grid.dims)
     out = []
     for dx, dy, dz in _ALL_OFFSETS:
         px, py, pz = x + dx, y + dy, z + dz

@@ -158,7 +158,7 @@ def test_local_phase_partition_invariant(seed):
 def test_fan_in_two_blocks_equals_serial():
     grid, order, decomp = two_block_1d()
     states = [local_phase(grid, order, decomp.extents[r], r) for r in range(2)]
-    base, records = fan_in(states, decomp, order)
+    base, records = fan_in(states, decomp, order, CommLog(decomp.num_blocks))
     serial = contour_tree(grid, order)
     assert base.arc_inner == serial.arc_inner
     assert record_list(records) == []
@@ -169,7 +169,7 @@ def test_fan_in_single_block_identity():
     order = sos_order(grid)
     decomp = decompose(grid, (1, 1, 1))
     state = local_phase(grid, order, decomp.extents[0], 0)
-    base, records = fan_in([state], decomp, order)
+    base, records = fan_in([state], decomp, order, CommLog(1))
     assert set(base.ids.tolist()) == set(state.kept_verts.tolist())
     assert record_list(records) == record_list(state.records)
 
@@ -194,7 +194,7 @@ def test_fan_in_detects_inconsistent_shared_values():
     states = [local_phase(grid, order, decomp.extents[r], r) for r in range(2)]
     corrupt_value(states[1], 2, 99.0)  # corrupt the shared-plane copy
     with pytest.raises(DataError) as err:
-        fan_in(states, decomp, order)
+        fan_in(states, decomp, order, CommLog(decomp.num_blocks))
     assert str(err.value) == (
         "shared vertex 2 has value 2.0 in block region 0 but 99.0 in block region 1"
     )
@@ -212,7 +212,7 @@ def test_fan_in_detects_inconsistent_shared_values_after_first_level():
     states = [local_phase(grid, order, decomp.extents[r], r) for r in range(4)]
     corrupt_value(states[3], 15, 99.0)
     with pytest.raises(DataError) as err:
-        fan_in(states, decomp, order)
+        fan_in(states, decomp, order, CommLog(decomp.num_blocks))
     assert str(err.value) == (
         "shared vertex 15 has value 3.75 in block region 0 but 99.0 in block region 2"
     )

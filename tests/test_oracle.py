@@ -11,6 +11,7 @@ from gridtopo.grid import (
     _POS_OFFSETS,
     ScalarGrid,
     VertexOrder,
+    _coords,
     synthetic_gaussians,
     synthetic_random,
 )
@@ -284,7 +285,7 @@ def test_simplex_array_matches_generator(dims):
     # Every edge's slot is the stencil offset between its two vertices.
     lower, upper = np.triu_indices(len(simplices), 1)
     perm = np.arange(simplices.shape[1]) % slot.shape[1]
-    steps = [grid.coords(int(v)) for v in (simplices[upper] - simplices[lower]).ravel()]
+    steps = [_coords(int(v), grid.dims) for v in (simplices[upper] - simplices[lower]).ravel()]
     assert steps == [_POS_OFFSETS[s] for s in slot[:, perm].ravel()]
 
 

@@ -4,8 +4,8 @@ The references below are the per-vertex dict walks the array passes
 replaced: the merge-tree sweep runs a ``DisjointSet`` over every
 adjacent vertex and skips those not yet processed; ``combine`` runs
 the leaf transfer over every vertex, not only the critical ones;
-``_from_edges`` + ``augment`` build the rooted tree with an
-adjacency DFS and walk each superarc up from its outer end;
+``_from_edges`` builds the rooted, augmented tree with an
+adjacency DFS and walks each superarc up from its outer end;
 ``hypersweep`` accumulates a post-order; ``branch_decomposition`` picks
 best arcs per supernode and groups them with union-find; ``relabel``
 maps every dict entry; the distributed ``_region`` walks a depth-first
@@ -460,7 +460,7 @@ def assert_same_measures(ct, ann):
 
 
 def check_tree_input(verts, ranks, edges):
-    got = gtree.augment(gtree._from_edges(verts, ranks, edges))
+    got = gtree._from_edges(verts, ranks, edges)
     want = ref_augment(ref_from_edges(verts, ranks, edges))
     assert_same_tree(got, want)
     return got
@@ -469,13 +469,12 @@ def check_tree_input(verts, ranks, edges):
 def check_combine(call, ranks):
     """A recorded ``combine`` against the reference tree of the vertex-level edges.
 
-    Compares ``up`` and the superstructure, and after ``augment`` every
-    vertex's superarc and every arc's regular vertices in walk order.
+    Compares ``up``, the superstructure, every vertex's superarc and
+    every arc's regular vertices in walk order.
     """
     join, split = call["join"], call["split"]
     want = ref_from_edges(range(join.n), ranks, ref_vertex_combine(join, split))
-    # ``augment`` keeps ``up`` and the superstructure, so both are compared here too.
-    got = gtree.augment(call["tree"])
+    got = call["tree"]
     assert_same_tree(got, ref_augment(want))
     return got
 

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -304,11 +303,13 @@ def test_array_combine_matches_set_based_edges_on_graphs(edges, n, seed, combine
     check_combine(call, range(n))
 
 
-def assert_combine_augments_like_augment(ct):
-    """``combine``'s own augmentation equals ``augment``'s full pass over its bare tree."""
-    assert ct.is_augmented and gtree.augment(ct) is ct
-    bare = dataclasses.replace(ct, outer=None, walk=None, walk_start=None)
-    full = gtree.augment(bare)
+def assert_combine_augments_like_from_edges(ct):
+    """``combine``'s own augmentation equals ``_from_edges``'s over the tree's own edges."""
+    assert gtree.augment(ct) is ct
+    child = np.flatnonzero(ct.up >= 0)
+    rows = np.column_stack((ct.ids[child], ct.ids[ct.up[child]]))
+    full = gtree._from_edges(ct.ids, ct.ranks, rows)
+    assert gtree.augment(full) is full
     for name in ("outer", "walk", "walk_start"):
         got, want = getattr(ct, name), getattr(full, name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -318,7 +319,7 @@ def assert_combine_augments_like_augment(ct):
 def test_combine_returns_the_tree_augment_builds(grid):
     order = sos_order(grid)
     join, split = compute_join_tree(grid, order), compute_split_tree(grid, order)
-    assert_combine_augments_like_augment(gtree.combine(join, split, order.rank_of))
+    assert_combine_augments_like_from_edges(gtree.combine(join, split, order.rank_of))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -328,7 +329,7 @@ def test_combine_augments_graph_trees_like_augment(seed, combine_calls):
     edges = [(i, int(rng.integers(0, i))) for i in range(1, n)]
     tree_from_graph(range(n), rng.permutation(n).tolist(), edges)
     (call,) = combine_calls
-    assert_combine_augments_like_augment(call["tree"])
+    assert_combine_augments_like_from_edges(call["tree"])
 
 
 def test_tree_from_graph_rejects_endpoint_outside_verts():
