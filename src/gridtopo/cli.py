@@ -14,6 +14,7 @@ consistency error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -41,6 +42,8 @@ def validate(args: argparse.Namespace) -> None:
         raise UsageError("exactly one of --input and --synthetic is required")
     if args.lam < 0:
         raise UsageError("--lambda must be non-negative")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     if args.top_branches is not None and args.top_branches < 1:
         raise UsageError("--top-branches must be at least 1")
     if args.threshold is not None and not 0 <= args.threshold < math.inf:
@@ -63,6 +66,17 @@ def validate(args: argparse.Namespace) -> None:
         )
     if args.sweep_out and args.lambda_sweep is None:
         raise UsageError("--sweep-out needs --lambda-sweep")
+    distributed_only = args.blocks != (1, 1, 1) or args.lam or args.rank_exec != "sequential"
+    if args.mode == "serial" and args.lambda_sweep is None and distributed_only:
+        raise UsageError("--blocks, --lambda and --rank-exec only apply to --mode distributed")
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
@@ -152,12 +166,11 @@ def run_pipeline(args: argparse.Namespace) -> dict:
     if args.oracle_check:
         _oracle_check(grid, order, ct)
     if args.branches_out:
-        with open(args.branches_out, "w", newline="") as fh:
-            measure.write_branch_csv(selected, grid.values, fh, ct.root)
+        fh = io.StringIO()
+        measure.write_branch_csv(selected, grid.values, fh, ct.root)
+        _write(args.branches_out, fh.getvalue())
     if args.metrics_out:
-        with open(args.metrics_out, "w") as fh:
-            json.dump(metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.metrics_out, json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     return metrics
 
 
@@ -256,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.lambda_sweep is not None:
                 text = run_lambda_sweep(args)
                 if args.sweep_out:
-                    Path(args.sweep_out).write_text(text)
+                    _write(args.sweep_out, text)
                 else:
                     sys.stdout.write(text)
                 return 0

@@ -72,7 +72,7 @@ from ..grid import ScalarGrid, VertexOrder, _coords, sos_order
 from ..measure import Branch, BranchDecomposition, VolumeAnnotation
 from ..sweep import _chain_ends
 from ..tree import _EMPTY, ContourTree, _ancestors, _from_edges, _Positions, _reroot
-from ..tree import contour_tree, relabel, tree_from_graph
+from ..tree import contour_tree, tree_from_graph
 
 # --- decomposition ---------------------------------------------------------
 
@@ -285,11 +285,12 @@ def _region(
 
     The Steiner tree is the smallest subtree connecting every boundary
     vertex (the root when there is none).  Rooted at one of them, it is
-    those vertices and all their ancestors.  Every other vertex lies in
-    a record, under the record's head next to its attachment.  ``values``
-    follow the ids of ``ct`` in ascending order.  ``mass``, the mass of
-    earlier records attached at ``mass_verts`` (ids may repeat), moves
-    into the measure of a new record that swallows its vertex.
+    those vertices and all their ancestors.  Every other vertex lies in a
+    record, under the record's head next to its attachment.  ``values``
+    are aligned with ``ct.ids``, which ascend like every tree's, so
+    positions order the kept vertices and records by id.  ``mass``, the
+    mass of earlier records attached at ``mass_verts`` (ids may repeat),
+    moves into the measure of a new record that swallows its vertex.
     """
     n, up, ids = ct.n, ct.up, ct.ids
     where = _Positions(ids)
@@ -305,11 +306,11 @@ def _region(
 
     carried = np.zeros(n, dtype=np.int64)
     np.add.at(carried, where.of(mass_verts), mass)
-    # Records go by least vertex id: sort on (the record's least id, id).
+    # Ids ascend, so positions order records by least id, then by id.
     hanging = np.flatnonzero(~kept)
-    least = ids.copy()  # read only at heads, and a head is in its own record
-    np.minimum.at(least, head_of[hanging], ids[hanging])
-    hanging = hanging[np.lexsort((ids[hanging], least[head_of[hanging]]))]
+    least = np.arange(n)  # read only at heads, and a head is in its own record
+    np.minimum.at(least, head_of[hanging], hanging)
+    hanging = hanging[np.argsort(least[head_of[hanging]], kind="stable")]
     _, first = np.unique(least[head_of[hanging]], return_index=True)
     heads = head_of[hanging[first]]
     weight = np.add.reduceat(1 + carried[hanging], first)
@@ -320,15 +321,14 @@ def _region(
         rank=np.full(heads.size, rank, dtype=np.int64), start=np.append(first, hanging.size),
         verts=ids[hanging], parent=ids[toward[hanging]],
     )
-    by_id = where.table[where.table >= 0]
-    keep, held = by_id[kept[by_id]], by_id[new_mass[by_id] > 0]
+    held = np.flatnonzero(new_mass > 0)
     inside = np.flatnonzero(kept & (up >= 0) & kept[up])
     return RegionState(
         rank=rank,
         extent=extent,
         num_vertices=math.prod(extent.shape),
-        kept_verts=ids[keep],
-        values=values[kept[by_id]],
+        kept_verts=ids[kept],
+        values=values[kept],
         kept_edges=np.column_stack((ids[inside], ids[up[inside]])),
         mass_verts=ids[held],
         mass=new_mass[held],
@@ -345,7 +345,9 @@ def local_phase(grid: ScalarGrid, order: VertexOrder, extent: Extent, rank: int)
     """
     vids = extent.vids(grid.dims)
     sub = ScalarGrid(dims=extent.shape, values=grid.values[vids])
-    ct = relabel(contour_tree(sub, sos_order(sub)), vids, order.rank_of)
+    ct = contour_tree(sub, sos_order(sub))
+    st = replace(ct.superstructure, rank=order.rank_of[vids[ct.superstructure.vertex]])
+    ct = replace(ct, ids=vids, ranks=order.rank_of, superstructure=st)
     boundary = extent.boundary(grid.dims, vids)
     return _region(rank, extent, ct, sub.values, boundary, _EMPTY, _EMPTY)
 

@@ -119,14 +119,14 @@ def load_raw(
     expected = nx * ny * nz * (scalar_width // 8)
     try:
         actual = path.stat().st_size
-    except FileNotFoundError as exc:
-        raise DataError(f"input volume not found: {path}") from exc
-    if actual != expected:
-        raise DataError(
-            f"{path}: expected {expected} bytes for dims {dims} at "
-            f"{scalar_width}-bit, found {actual}"
-        )
-    raw = np.fromfile(path, dtype=_DTYPES[(scalar_width, byte_order)])
+        if actual != expected:
+            raise DataError(
+                f"{path}: expected {expected} bytes for dims {dims} at "
+                f"{scalar_width}-bit, found {actual}"
+            )
+        raw = np.fromfile(path, dtype=_DTYPES[(scalar_width, byte_order)])
+    except OSError as exc:
+        raise DataError(f"cannot read input volume {path}: {exc.strerror}") from exc
     return ScalarGrid(dims=dims, values=raw.astype(np.float64))
 
 

@@ -176,7 +176,7 @@ class Branch:
     is_trunk: bool = False
 
     def key(self) -> tuple[int | None, int, int | None]:
-        """(saddle, volume, parent) identity; stable across leaf relabeling."""
+        """(saddle, volume, parent) identity; stable when the leaf vertex changes."""
         return (self.saddle, self.volume, self.parent_saddle)
 
 

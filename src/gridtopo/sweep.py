@@ -6,10 +6,11 @@ components; the split tree mirrors it upward.  ``sweep_csr`` is the only
 sweep kernel.  It reads CSR arrays: ``nbrs[starts[v]:starts[v + 1]]``
 holds neighbours of ``v`` swept strictly before ``v``, never ``v``
 itself.  Grids build the arrays from their vertex order, and
-``tree.tree_from_graph`` numbers a graph's vertices in rank order and
-lists each edge at one end.  A ``MergeTree`` stores its arcs as one
-int64 array (-1 at the root); ``arc_to`` is a read-only ``ArcView`` of
-it, the one mapping view class, which also serves ``tree.ContourTree``.
+``tree.tree_from_graph`` numbers a graph's vertices in id order, sweeps
+them in rank order and lists each edge at one end.  A ``MergeTree``
+stores its arcs as one int64 array (-1 at the root); ``arc_to`` is a
+read-only ``ArcView`` of it, the one mapping view class, which also
+serves ``tree.ContourTree``.
 
 The kernel prunes the sweep to the vertices that can merge components,
 after parallel peak pruning (Carr, Weber, Sewell & Ahrens, LDAV 2016;

@@ -23,21 +23,22 @@ leave.  A level whose round transfers less than half of its vertices
 goes to the serial queue (``_leaf_transfer``) instead, so levels at
 least halve.
 
-Everything but that queue runs as numpy passes over vertex positions
-(the index of a vertex in ``verts``; ids may be sparse and are mapped
-through one lookup table): ``_from_edges`` re-roots an edge list at the
-highest-ranked vertex, counts degrees with ``bincount``, finds each
-supernode's inner end by pointer jumping up regular chains and each
-regular vertex's outer end by jumping down them.  ``combine`` and
-``_from_edges`` order each superarc's regular vertices with one sort on
-(superarc, signed rank), so both return augmented trees: every tree
-holds its vertices' superarcs.  Ranks are read from one int64 table
-indexed by vertex id (``VertexOrder.rank_of`` for a grid).  Those int64
-arrays are the whole state of a tree.  Its ``parent``, ``arc_inner``,
-``superparent`` and ``arc_regulars`` fields are read-only mapping views
-of them (``sweep.ArcView``), and ``supernodes`` is a list built on
-first use.  No function keeps state between calls, so trees can
-be built on several threads at once.
+Everything but that queue runs as numpy passes over vertex positions.
+Every builder numbers them in ascending id order, so position order is
+id order and no tree is re-sorted; ids may be sparse, and an edge list's
+ids become positions through one lookup table.  ``_from_edges`` re-roots
+an edge list at the highest-ranked vertex, counts degrees with
+``bincount``, finds each supernode's inner end by pointer jumping up
+regular chains and each regular vertex's outer end by jumping down
+them.  ``combine`` and ``_from_edges`` order each superarc's regular
+vertices with one sort on (superarc, signed rank), so both return
+augmented trees: every tree holds its vertices' superarcs.  Ranks are
+read from one int64 table indexed by vertex id (``VertexOrder.rank_of``
+for a grid).  Those int64 arrays are the whole state of a tree.  Its
+``parent``, ``arc_inner``, ``superparent`` and ``arc_regulars`` fields
+are read-only mapping views of them (``sweep.ArcView``), and
+``supernodes`` is a list built on first use.  No function keeps state
+between calls, so trees can be built on several threads at once.
 """
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class Superstructure:
     """A contour tree's superarcs as arrays over supernode positions.
 
-    Position ``i`` is ``ContourTree.supernodes[i]`` (ascending ids), the
-    vertex at position ``vertex[i]``, and arc ``i`` is the superarc whose
-    outer end is supernode ``i``.  ``inner[i]`` is the position of its
-    inner end (-1 at the root), ``rank[i]`` the supernode's rank and
-    ``root`` the root's position.
+    Position ``i`` is ``ContourTree.supernodes[i]``, the vertex at
+    position ``vertex[i]``; ``vertex`` ascends, so the supernode ids do
+    too.  Arc ``i`` is the superarc whose outer end is supernode ``i``.
+    ``inner[i]`` is the position of its inner end (-1 at the root),
+    ``rank[i]`` the supernode's rank and ``root`` the root's position.
     """
 
     vertex: np.ndarray = field(repr=False)
@@ -77,11 +78,11 @@ class Superstructure:
 class ContourTree:
     """Contour tree over an arbitrary vertex subset with global ids.
 
-    The state is int64 arrays over vertex positions: ``ids``, and ``up``,
-    the parent in the tree rooted at the highest-ranked vertex (-1 at the
-    root).  Every tree is augmented: ``outer`` holds the outer end of
-    each vertex's superarc, and that superarc's regular vertices run
-    from the outer end ``p`` inward as
+    The state is int64 arrays over vertex positions: ``ids``, which
+    strictly ascend, and ``up``, the parent in the tree rooted at the
+    highest-ranked vertex (-1 at the root).  Every tree is augmented:
+    ``outer`` holds the outer end of each vertex's superarc, and that
+    superarc's regular vertices run from the outer end ``p`` inward as
     ``walk[walk_start[p]:walk_start[p + 1]]``.  The mapping fields are
     read-only views of them keyed by vertex id; ``arc_inner`` maps each
     non-root supernode to the other, root-facing end of its superarc.
@@ -225,7 +226,7 @@ def _assemble(j_arcs: np.ndarray, s_arcs: np.ndarray, rank: np.ndarray):
     ju, j_tree = _contract(j_arcs, j_count, j_sum, crit_ids, slot)
     sd, s_tree = _contract(s_arcs, s_count, s_sum, crit_ids, slot)
     child, parent = _transfer(j_tree, s_tree, rank[crit_ids])
-    st = _from_pairs(_Positions(crit_ids), rank, child, parent)[1]
+    st = _from_pairs(rank[crit_ids], child, parent)[1]
     if st.vertex.size != crit_ids.size:
         raise InternalError("a critical vertex is regular in the contracted tree")
 
@@ -489,9 +490,10 @@ def _pair_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
 def _from_edges(verts, ranks, edges) -> ContourTree:
     """The augmented contour tree with the given edges.
 
-    ``verts`` are the vertex ids and ``edges`` an (n - 1, 2) array-like of
-    ``(child, parent)`` rows of some rooting of the tree: every vertex but
-    one is a child exactly once.  The tree is re-rooted at the
+    ``verts`` are the vertex ids, in any order (the tree holds them
+    sorted), and ``edges`` an (n - 1, 2) array-like of
+    ``(child, parent)`` rows of some rooting of the tree: every vertex
+    but one is a child exactly once.  The tree is re-rooted at the
     highest-ranked vertex by reversing the one path up from it.
     Malformed input (a wrong edge count, two parents, an id outside
     ``verts``, a cycle or a disconnected graph) raises ``InternalError``.
@@ -499,15 +501,15 @@ def _from_edges(verts, ranks, edges) -> ContourTree:
     at its superarc's outer end; ranks are monotone along a superarc, so
     one sort on (superarc, signed rank) lists its regulars from there inward.
     """
-    verts = np.asarray(verts, dtype=np.int64)
+    verts = np.sort(np.asarray(verts, dtype=np.int64))
     ranks = np.asarray(ranks, dtype=np.int64)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     n = verts.size
     if n == 0 or len(edges) != n - 1:
         raise InternalError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
-    where = _Positions(verts)
-    pairs = where.of(edges)
-    up, st = _from_pairs(where, ranks, pairs[:, 0], pairs[:, 1])
+    pairs = _Positions(verts).of(edges)
+    rank = ranks[verts]
+    up, st = _from_pairs(rank, pairs[:, 0], pairs[:, 1])
     is_super = np.zeros(n, dtype=bool)
     is_super[st.vertex] = True
     child = np.flatnonzero(up >= 0)
@@ -519,7 +521,6 @@ def _from_edges(verts, ranks, edges) -> ContourTree:
 
     regular = np.flatnonzero(~is_super)
     arc = outer[regular]
-    rank = ranks[verts]
     # A regular vertex ranks below its parent exactly when its superarc
     # rises from the outer end to the inner end.
     rises = rank[regular] < rank[up[regular]]
@@ -562,15 +563,14 @@ def _reroot(parent: np.ndarray, root: int) -> np.ndarray:
 
 
 def _from_pairs(
-    where: _Positions, ranks: np.ndarray, child: np.ndarray, par: np.ndarray
+    rank: np.ndarray, child: np.ndarray, par: np.ndarray
 ) -> tuple[np.ndarray, Superstructure]:
-    """``_from_edges``'s ``up`` and superstructure, for edges as positions in ``where.ids``."""
-    ids, n = where.ids, where.ids.size
+    """``_from_edges``'s ``up`` and superstructure, for edges between positions ranked ``rank``."""
+    n = rank.size
     if (np.bincount(child, minlength=n) > 1).any():
         raise InternalError("contour tree vertex with two parents")
     parent = np.full(n, -1, dtype=np.int64)
     parent[child] = par
-    rank = ranks[ids]
     root = int(np.argmax(rank))
     parent = _reroot(parent, root)
 
@@ -581,10 +581,8 @@ def _from_pairs(
     # The root has no higher neighbour, so every upward chain of regular
     # vertices ends at a supernode.
     inner = _chain_ends(np.where(is_super, np.arange(n), parent))
-    by_id = where.table[where.table >= 0]
-    vertex = by_id[is_super[by_id]]
-    slot = np.full(n, -1, dtype=np.int64)
-    slot[vertex] = np.arange(vertex.size)
+    vertex = np.flatnonzero(is_super)
+    slot = np.cumsum(is_super) - 1  # read only at supernodes
     above = parent[vertex]
     inner = np.where(above >= 0, slot[inner[above]], -1)
     return parent, Superstructure(vertex, inner, rank[vertex], root=int(slot[root]))
@@ -611,44 +609,27 @@ def tree_from_graph(verts, ranks, edges) -> ContourTree:
     graphs meet it because they come from simply connected regions.  On
     other graphs the result is not a contour tree, and it is not checked.
     ``verts`` are distinct vertex ids and ``edges`` an (m, 2) array-like
-    of id pairs.  The vertices are numbered in rank order, so each local
-    id is its own rank; the tree is built over those ids and mapped back
-    with ``relabel``.  Self-loops are dropped, repeated edges are
-    harmless, and an endpoint outside ``verts`` raises ``InternalError``.
+    of id pairs.  The tree is built over the vertices' positions in
+    ascending id order, so its ``ids`` ascend like every other tree's.
+    Self-loops are dropped, repeated edges are harmless, and an endpoint
+    outside ``verts`` raises ``InternalError``.
     """
-    verts = np.asarray(verts, dtype=np.int64)
+    gid = np.sort(np.asarray(verts, dtype=np.int64))
     ranks = np.asarray(ranks, dtype=np.int64)
-    gid = verts[np.argsort(ranks[verts], kind="stable")]
+    rank = ranks[gid]
     n = gid.size
-    pairs = _Positions(gid).of(np.asarray(edges, dtype=np.int64).reshape(-1, 2))
-    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-    keep = lo != hi
-    lo, hi = lo[keep], hi[keep]
+    a, b = _Positions(gid).of(np.asarray(edges, dtype=np.int64).reshape(-1, 2)).T
+    a_low, keep = rank[a] < rank[b], a != b
+    lo, hi = np.where(a_low, a, b)[keep], np.where(a_low, b, a)[keep]
+    rising = np.argsort(rank)
     # The join sweep visits a vertex after all higher-ranked ones and the
     # split sweep after all lower-ranked ones: list each edge at one end.
     trees = []
     for at, other, seq, direction in (
-        (lo, hi, np.arange(n - 1, -1, -1), "join"),
-        (hi, lo, np.arange(n), "split"),
+        (lo, hi, rising[::-1], "join"),
+        (hi, lo, rising, "split"),
     ):
         by = np.argsort(at, kind="stable")
         starts = np.searchsorted(at[by], np.arange(n + 1))
         trees.append(sweep_csr(seq, other[by], starts, n, direction))
-    return relabel(combine(*trees, np.arange(n)), gid, ranks)
-
-
-def relabel(ct: ContourTree, gid, ranks) -> ContourTree:
-    """The same tree with local vertex ids replaced by ``gid[local]``, ranked by ``ranks``.
-
-    Positions stay: one gather of ids, and one sort of the supernodes by them.
-    """
-    ids = np.asarray(gid, dtype=np.int64)[ct.ids]
-    ranks = np.asarray(ranks, dtype=np.int64)
-    st = ct.superstructure
-    order = np.argsort(ids[st.vertex])
-    place = np.argsort(order)
-    vertex, inner = st.vertex[order], st.inner[order]
-    inner = np.where(inner >= 0, place[inner], -1)
-    rank = ranks[ids[vertex]]
-    st = Superstructure(vertex=vertex, inner=inner, rank=rank, root=int(place[st.root]))
-    return dataclasses.replace(ct, ids=ids, ranks=ranks, superstructure=st)
+    return dataclasses.replace(combine(*trees, rank), ids=gid, ranks=ranks)

@@ -36,13 +36,14 @@ def random_grid(dims, seed):
 
 @pytest.fixture
 def combine_calls(monkeypatch):
-    """Record each ``tree.combine``'s merge trees and the tree it returns."""
+    """Record each ``tree.combine``'s merge trees, ranks and the tree it returns."""
     calls = []
     real = gtree.combine
 
     def recording(join, split, ranks):
-        calls.append({"join": join, "split": split, "tree": real(join, split, ranks)})
-        return calls[-1]["tree"]
+        tree = real(join, split, ranks)
+        calls.append({"join": join, "split": split, "ranks": ranks, "tree": tree})
+        return tree
 
     monkeypatch.setattr(gtree, "combine", recording)
     return calls

@@ -239,6 +239,8 @@ def test_usage_error_exit_code():
              "--blocks", "2,1,1", "--lambda", "1", "--oracle-check"],
             "--oracle-check needs --lambda 0 in distributed mode",
         ),
+        (["--synthetic", "random", "--dims", "4,4,1", "--seed", "-1"],
+         "--seed must be non-negative"),
     ],
 )
 def test_validate_rules(args, message, capsys):
@@ -246,6 +248,21 @@ def test_validate_rules(args, message, capsys):
     for sweep in ([], ["--lambda-sweep", "0,1"]):
         assert run_cli(["run"] + args + sweep) == 1
         assert capsys.readouterr().err == f"error (UsageError): {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flag", [["--blocks", "2,2,1"], ["--lambda", "5"], ["--rank-exec", "concurrent"]]
+)
+def test_serial_mode_rejects_distributed_only_flags(flag, capsys):
+    """Serial runs would ignore these flags, so they are an error unless a sweep reads them."""
+    base = ["run", "--synthetic", "random", "--dims", "4,4,1"]
+    message = "--blocks, --lambda and --rank-exec only apply to --mode distributed"
+    for mode in ([], ["--mode", "serial"]):
+        assert run_cli(base + mode + flag) == 1
+        assert capsys.readouterr() == ("", f"error (UsageError): {message}\n")
+    assert run_cli(base + ["--mode", "distributed"] + flag) == 0
+    if flag[0] != "--lambda":
+        assert run_cli(base + flag + ["--lambda-sweep", "0"]) == 0
 
 
 SWEEP_ONLY = "--lambda-sweep cannot take --oracle-check, --branches-out, --metrics-out or --lambda"
@@ -308,6 +325,37 @@ def test_data_error_exit_code(tmp_path):
     path.write_bytes(b"\x00" * 10)
     rc = run_cli(["run", "--input", str(path), "--dims", "4,4,1"])
     assert rc == 2
+
+
+def test_unreadable_input_is_data_error(tmp_path, capsys):
+    """A directory whose size matches ``--dims`` passes the size check but cannot be read."""
+    folder = tmp_path / "volume"
+    folder.mkdir()
+    size = folder.stat().st_size
+    if size == 0 or size % 4:
+        pytest.skip(f"directories here report {size} bytes, no f32 volume's size")
+    assert run_cli(["run", "--input", str(folder), "--dims", f"{size // 4},1,1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error (DataError): cannot read input volume {folder}: Is a directory\n"
+
+
+@pytest.mark.parametrize(
+    "flag,target,extra",
+    [
+        ("--metrics-out", "missing/m.json", []),
+        ("--branches-out", "folder", []),
+        ("--sweep-out", "missing/s.csv", ["--blocks", "2,1,1", "--lambda-sweep", "0"]),
+    ],
+    ids=["metrics-in-missing-dir", "branches-at-dir", "sweep-in-missing-dir"],
+)
+def test_unwritable_output_is_usage_error(flag, target, extra, tmp_path, capsys):
+    (tmp_path / "folder").mkdir()
+    path = tmp_path / target
+    args = ["run", "--synthetic", "random", "--dims", "8,8,1", flag, str(path)] + extra
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (UsageError): cannot write {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_infeasible_blocks_exit_code():

@@ -7,11 +7,10 @@ the leaf transfer over every vertex, not only the critical ones;
 ``_from_edges`` builds the rooted, augmented tree with an
 adjacency DFS and walks each superarc up from its outer end;
 ``hypersweep`` accumulates a post-order; ``branch_decomposition`` picks
-best arcs per supernode and groups them with union-find; ``relabel``
-maps every dict entry; the distributed ``_region`` walks a depth-first
-preorder.  The array code must give equal trees, volumes, branches and
-regions, down to the order of every arc's regular vertices and of the
-branch and record lists.
+best arcs per supernode and groups them with union-find; the
+distributed ``_region`` walks a depth-first preorder.  The array code
+must give equal trees, volumes, branches and regions, down to the order
+of every arc's regular vertices and of the branch and record lists.
 """
 
 import dataclasses
@@ -328,19 +327,6 @@ def ref_branch_decomposition(ct, ann):
     return branches
 
 
-def ref_relabel(ct, gid, ranks):
-    return RefTree(
-        verts=[gid[v] for v in ct.ids.tolist()],
-        ranks=ranks,
-        parent={gid[v]: gid[p] for v, p in ct.parent.items()},
-        root=gid[ct.root],
-        supernodes=sorted(gid[s] for s in ct.supernodes),
-        arc_inner={gid[o]: gid[i] for o, i in ct.arc_inner.items()},
-        superparent={gid[v]: gid[s] for v, s in ct.superparent.items()},
-        arc_regulars={gid[o]: [gid[v] for v in r] for o, r in ct.arc_regulars.items()},
-    )
-
-
 def ref_region(rank, extent, ct, values, boundary, mass_verts, mass):
     """The Steiner tree and hanging records by one preorder walk with per-vertex dicts."""
     value_of = dict(zip(sorted(ct.ids.tolist()), values.tolist()))
@@ -546,21 +532,21 @@ GRAPHS = {
 def test_graph_sweeps_match_reference(name, seed, combine_calls):
     """The merge trees ``tree_from_graph`` builds, and their combine, against the references.
 
-    The reference numbers the vertices in rank order and lists every
-    adjacent vertex, as the merge did before.
+    The reference sweeps the graph's own ids in rank order and lists
+    every adjacent vertex, as the merge did before.
     """
     edges, n = GRAPHS[name]
     ranks = np.random.default_rng(seed).permutation(n).tolist()
     tree_from_graph(range(n), ranks, edges)
     (call,) = combine_calls
-    local = {v: i for i, v in enumerate(sorted(range(n), key=ranks.__getitem__))}
     adjacency = [[] for _ in range(n)]
     for u, v in edges:
-        adjacency[local[u]].append(local[v])
-        adjacency[local[v]].append(local[u])
-    assert_same_merge_tree(call["join"], *ref_sweep(range(n - 1, -1, -1), adjacency.__getitem__, n))
-    assert_same_merge_tree(call["split"], *ref_sweep(range(n), adjacency.__getitem__, n))
-    check_combine(call, range(n))
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    rising = sorted(range(n), key=ranks.__getitem__)
+    assert_same_merge_tree(call["join"], *ref_sweep(rising[::-1], adjacency.__getitem__, n))
+    assert_same_merge_tree(call["split"], *ref_sweep(rising, adjacency.__getitem__, n))
+    check_combine(call, call["ranks"])
 
 
 @pytest.mark.parametrize(
@@ -573,8 +559,8 @@ def test_graph_matches_reference(edges, n, seed, combine_calls):
     ranks = np.random.default_rng(seed).permutation(n).tolist()
     ct = tree_from_graph(range(n), ranks, edges)
     (call,) = combine_calls
-    # The merge combines over local ids numbered in rank order.
-    check_combine(call, range(n))
+    # The merge combines over the graph's own ids, which ascend.
+    check_combine(call, call["ranks"])
     assert_same_measures(ct, measure.superarc_counts(ct))
 
 
@@ -633,7 +619,7 @@ def test_random_small_grid_sweeps_match_reference(dims, levels, seed):
     check_grid_sweeps(make_grid(dims, values))
 
 
-# --- distributed regions and relabelling -------------------------------------
+# --- distributed regions -----------------------------------------------------
 
 
 def assert_same_region(got, want):
@@ -653,17 +639,6 @@ def assert_same_region(got, want):
         assert set(g.edges) == set(w.edges) and len(g.edges) == len(w.edges)
 
 
-def assert_same_relabel(got, want):
-    assert got.ids.tolist() == want.ids.tolist()
-    assert got.root == want.root
-    assert list(got.parent.items()) == list(want.parent.items())
-    assert got.supernodes == want.supernodes
-    assert got.arc_inner == want.arc_inner
-    assert list(got.arc_inner) == sorted(want.arc_inner)
-    assert list(got.superparent.items()) == list(want.superparent.items())
-    assert got.arc_regulars == want.arc_regulars
-
-
 REGION_RUNS = {
     "1d-blocks": (random_grid((31, 1, 1), 2), (3, 1, 1)),
     "2d-8-blocks": (random_grid((12, 10, 1), 7), (4, 2, 1)),
@@ -677,12 +652,23 @@ REGION_RUNS = {
 
 @pytest.mark.parametrize("name", list(REGION_RUNS))
 def test_regions_and_relabels_match_reference(name, monkeypatch):
-    """Every region split and relabel of a run, local phase and each fan-in level."""
+    """Every region split of a run, local phase and each fan-in level.
+
+    Each tree handed to a split needs no relabelling: its ids ascend, its
+    supernodes hold global ranks, and it equals the reference tree over
+    its own edges.
+    """
     grid, splits = REGION_RUNS[name]
-    real_region, real_relabel = pipeline._region, gtree.relabel
-    seen = {"regions": 0, "with_mass": 0, "shared_mass": 0, "relabels": 0}
+    real_region = pipeline._region
+    seen = {"regions": 0, "with_mass": 0, "shared_mass": 0}
 
     def checked_region(rank, extent, ct, values, boundary, mass_verts, mass):
+        assert (np.diff(ct.ids) > 0).all()
+        st = ct.superstructure
+        assert np.array_equal(st.rank, ct.ranks[ct.ids[st.vertex]])
+        child = np.flatnonzero(ct.up >= 0)
+        edges = zip(ct.ids[child].tolist(), ct.ids[ct.up[child]].tolist())
+        assert_same_tree(ct, ref_augment(ref_from_edges(ct.ids.tolist(), ct.ranks, list(edges))))
         got = real_region(rank, extent, ct, values, boundary, mass_verts, mass)
         want = ref_region(rank, extent, ct, values, boundary, mass_verts, mass)
         assert_same_region(got, want)
@@ -692,19 +678,10 @@ def test_regions_and_relabels_match_reference(name, monkeypatch):
         seen["shared_mass"] += np.unique(mass_verts).size < mass_verts.size
         return got
 
-    def checked_relabel(ct, gid, ranks):
-        got = real_relabel(ct, gid, ranks)
-        assert_same_relabel(got, ref_relabel(ct, np.asarray(gid).tolist(), ranks))
-        seen["relabels"] += 1
-        return got
-
     monkeypatch.setattr(pipeline, "_region", checked_region)
-    monkeypatch.setattr(pipeline, "relabel", checked_relabel)
-    monkeypatch.setattr(gtree, "relabel", checked_relabel)
     run_distributed(grid, sos_order(grid), splits, lam=0, b=10)
-    blocks = math.prod(splits)
-    # One region per block, then one per merge; every block and merge relabels.
-    assert seen["regions"] == seen["relabels"] == 2 * blocks - 1
+    # One region per block, then one per merge.
+    assert seen["regions"] == 2 * math.prod(splits) - 1
     # A 1D block's contour tree is its own path and a constant field is a
     # ramp in vertex order: neither cuts records, so no mass is carried.
     if name not in ("1d-blocks", "constant"):

@@ -300,7 +300,7 @@ def test_array_combine_matches_set_based_edges_on_graphs(edges, n, seed, combine
     edges = ref_vertex_combine(call["join"], call["split"])
     assert len(edges) == n - 1
     assert edges == set_based_leaf_transfer(call["join"], call["split"])
-    check_combine(call, range(n))
+    check_combine(call, call["ranks"])
 
 
 def assert_combine_augments_like_from_edges(ct):
@@ -330,6 +330,27 @@ def test_combine_augments_graph_trees_like_augment(seed, combine_calls):
     tree_from_graph(range(n), rng.permutation(n).tolist(), edges)
     (call,) = combine_calls
     assert_combine_augments_like_from_edges(call["tree"])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_builder_returns_ascending_ids(seed):
+    """``combine``, ``_from_edges`` and ``tree_from_graph`` all hold their ids in ascending order.
+
+    The edge-list builders get the vertices shuffled and random ranks.
+    """
+    rng = np.random.default_rng(seed)
+    grid = random_grid((5, 4, 3), seed)
+    order = sos_order(grid)
+    join, split = compute_join_tree(grid, order), compute_split_tree(grid, order)
+    assert np.array_equal(gtree.combine(join, split, order.rank_of).ids, np.arange(grid.n))
+    verts = rng.choice(1000, size=40, replace=False)
+    ranks = rng.permutation(1000)
+    edges = [(verts[i], verts[rng.integers(0, i)]) for i in range(1, verts.size)]
+    for ct in (
+        gtree._from_edges(rng.permutation(verts), ranks, edges),
+        tree_from_graph(rng.permutation(verts), ranks, edges),
+    ):
+        assert (np.diff(ct.ids) > 0).all() and np.array_equal(ct.ids, np.sort(verts))
 
 
 def test_tree_from_graph_rejects_endpoint_outside_verts():
@@ -440,7 +461,7 @@ def assert_rounds_match_references(call, n):
     edges = ref_vertex_combine(call["join"], call["split"])
     assert len(edges) == n - 1
     assert edges == set_based_leaf_transfer(call["join"], call["split"])
-    check_combine(call, range(n))
+    check_combine(call, call["ranks"])
 
 
 @pytest.mark.parametrize("n", [12, 51, 300])
