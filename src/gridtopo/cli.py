@@ -14,9 +14,11 @@ consistency error.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -69,6 +71,20 @@ def validate(args: argparse.Namespace) -> None:
     distributed_only = args.blocks != (1, 1, 1) or args.lam or args.rank_exec != "sequential"
     if args.mode == "serial" and args.lambda_sweep is None and distributed_only:
         raise UsageError("--blocks, --lambda and --rank-exec only apply to --mode distributed")
+
+
+def _check_writable(path: str) -> None:
+    """Fail before any work when ``path``'s directory cannot take the file."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+    elif Path(path).is_dir():
+        code = errno.EISDIR
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _write(path: str, text: str) -> None:
@@ -263,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.lambda_sweep is not None:
             args.lambda_sweep = _parse_ints(args.lambda_sweep, "--lambda-sweep")
         validate(args)
+        for path in (args.branches_out, args.metrics_out, args.sweep_out):
+            if path:
+                _check_writable(path)
         if args.top_branches is None and args.threshold is None:
             args.top_branches = 100
         try:

@@ -87,12 +87,33 @@ class VertexOrder:
 
 
 def sos_order(grid: ScalarGrid) -> VertexOrder:
-    """Total order under simulation of simplicity (ties broken by id)."""
+    """Total order under simulation of simplicity (ties broken by id).
+
+    One unstable sort by value, then ``_ties_by_id`` puts each run of
+    equal values back in id order.
+    """
     n = grid.n
-    vertex_at = np.lexsort((np.arange(n), grid.values)).astype(np.int64)
+    vertex_at = np.argsort(grid.values)
+    _ties_by_id(vertex_at, grid.values[vertex_at])
     rank_of = np.empty(n, dtype=np.int64)
     rank_of[vertex_at] = np.arange(n)
     return VertexOrder(rank_of=rank_of, vertex_at=vertex_at)
+
+
+def _ties_by_id(vertex_at: np.ndarray, ordered: np.ndarray) -> None:
+    """Sort ``vertex_at`` by id within each run of equal ``ordered`` values, in place.
+
+    ±0.0 are equal.  One sort of ``run * n + id`` over the tied positions
+    alone, whose remainders mod n are the ids.  Runs are counted from 1
+    and number at most n / 2, so the keys stay below n**2 and within
+    int64 up to 3e9 vertices.  A helper, so that its temporaries are
+    freed before ``sos_order`` builds the rank table.
+    """
+    n = vertex_at.size
+    tied = ordered[1:] == ordered[:-1]
+    in_run = np.r_[tied, False] | np.r_[False, tied]
+    run = np.cumsum(~np.r_[False, tied][in_run])
+    vertex_at[in_run] = np.sort(run * n + vertex_at[in_run]) % n
 
 
 _DTYPES = {

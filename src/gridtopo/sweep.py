@@ -151,12 +151,16 @@ class MergeTree:
 def _chain_ends(hop: np.ndarray) -> np.ndarray:
     """Pointer jumping to the fixpoint: each entry's chain end (``hop[e] == e``).
 
-    Rounds are capped at log2 of the length, so a cycle raises instead of
-    looping.  A cycle whose length is a power of two jumps onto itself, so
-    the ends found are checked against ``hop`` too.
+    Each round jumps twice and then checks for the fixpoint once.  Rounds
+    are capped at bit_length(size) // 2 + 1, at least log2(size) + 1
+    jumps: enough for the longest chain, size - 1 steps, to reach its end
+    and for the check to see it.  So a cycle raises instead of looping.
+    A cycle whose length is a power of two jumps onto itself, so the ends
+    found are checked against ``hop`` too.
     """
     end = hop
-    for _ in range(hop.size.bit_length() + 1):
+    for _ in range(hop.size.bit_length() // 2 + 1):
+        end = np.take(end, end)
         far = np.take(end, end)
         if np.array_equal(far, end):
             if (hop[end] != end).any():
@@ -207,9 +211,34 @@ def sweep_csr(seq, nbrs, starts, n: int, direction: str) -> MergeTree:
     width = count[cand]
     red_starts = np.r_[0, np.cumsum(width)]
     entry = np.repeat(starts[cand] - red_starts[:-1], width) + np.arange(red_starts[-1])
-    red_nbrs = slot[peak[nbrs[entry]]].tolist()
-    red_starts = red_starts.tolist()
+    up = _reduced_arcs(slot[peak[nbrs[entry]]].tolist(), red_starts.tolist())
 
+    above = np.where(up >= 0, cand[up], -1)
+    arcs[cand] = above
+    reg = seq[swept_regular]
+    if reg.size:
+        # The number of candidates swept before each regular vertex.
+        before = np.cumsum(~swept_regular)[swept_regular]
+        c = _climb(np.where(up >= 0, up, np.arange(k)), slot[peak[reg]], before)
+        if ((c >= before) | ((up[c] >= 0) & (up[c] < before))).any():
+            raise InternalError("regular vertex outside its candidate's reduced arc")
+        order = np.argsort(c, kind="stable")
+        # Each chain runs from its candidate to the candidate's reduced parent.
+        _link_chains(arcs, reg[order], c[order], cand, above)
+    arcs.flags.writeable = False
+    root = int(seq[-1]) if seq.size else -1
+    return MergeTree(direction=direction, n=n, arcs=arcs, root=root)
+
+
+def _reduced_arcs(red_nbrs: list, red_starts: list) -> np.ndarray:
+    """Find and union over the candidate slots 0..k-1, in sweep order: the reduced tree.
+
+    ``red_nbrs[red_starts[s]:red_starts[s + 1]]`` lists the slots of the
+    peaks of slot s's entries.  Returns each slot's reduced arc, the slot
+    it attaches to, or -1 at the root.  Its own function so that the
+    per-slot Python lists are freed as soon as it returns.
+    """
+    k = len(red_starts) - 1
     parent = list(range(k))
     size = [1] * k
     # Per component root, the slot the next arc must attach from: the
@@ -233,23 +262,7 @@ def sweep_csr(seq, nbrs, starts, n: int, direction: str) -> MergeTree:
             parent[r] = root
             size[root] += size[r]
         extreme[root] = v
-    up = np.array(up, dtype=np.int64)
-
-    above = np.where(up >= 0, cand[up], -1)
-    arcs[cand] = above
-    reg = seq[swept_regular]
-    if reg.size:
-        # The number of candidates swept before each regular vertex.
-        before = np.cumsum(~swept_regular)[swept_regular]
-        c = _climb(np.where(up >= 0, up, np.arange(k)), slot[peak[reg]], before)
-        if ((c >= before) | ((up[c] >= 0) & (up[c] < before))).any():
-            raise InternalError("regular vertex outside its candidate's reduced arc")
-        order = np.argsort(c, kind="stable")
-        # Each chain runs from its candidate to the candidate's reduced parent.
-        _link_chains(arcs, reg[order], c[order], cand, above)
-    arcs.flags.writeable = False
-    root = int(seq[-1]) if seq.size else -1
-    return MergeTree(direction=direction, n=n, arcs=arcs, root=root)
+    return np.array(up, dtype=np.int64)
 
 
 def _link_chains(
@@ -262,9 +275,9 @@ def _link_chains(
     vertex, each vertex at the next, and the last at ``inner[a]``.
     """
     breaks = np.flatnonzero(arc[1:] != arc[:-1])
-    last = np.zeros(walk.size, dtype=bool)
-    last[breaks] = last[-1] = True
-    parent[walk] = np.where(last, inner[arc], np.roll(walk, -1))
+    parent[walk[:-1]] = walk[1:]
+    last = np.r_[breaks, walk.size - 1]
+    parent[walk[last]] = inner[arc[last]]
     heads = np.r_[0, breaks + 1]
     parent[outer[arc[heads]]] = walk[heads]
 
@@ -320,6 +333,14 @@ def link_representatives() -> np.ndarray:
     return table
 
 
+@cache
+def link_representative_counts() -> np.ndarray:
+    """The number of representatives in each row of ``link_representatives`` (uint8)."""
+    counts = link_representatives().sum(axis=1, dtype=np.uint8)
+    counts.flags.writeable = False
+    return counts
+
+
 def _link_neighbors(
     grid: ScalarGrid, order: VertexOrder, upper: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -335,8 +356,10 @@ def _link_neighbors(
         nbr = padded[1 + dz : 1 + dz + nz, 1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
         mask |= (nbr > key).astype(np.uint16) << slot
         deltas.append(dx + nx * (dy + ny * dz))
-    verts, slots = np.nonzero(link_representatives()[mask.ravel()])
-    starts = np.searchsorted(verts, np.arange(grid.n + 1))
+    mask = mask.ravel()
+    # Row-major flat positions of the representatives name (vertex, slot).
+    verts, slots = np.divmod(np.flatnonzero(link_representatives()[mask]), len(_ALL_OFFSETS))
+    starts = np.r_[0, np.cumsum(link_representative_counts()[mask], dtype=np.int64)]
     return verts + np.array(deltas)[slots], starts
 
 

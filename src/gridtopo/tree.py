@@ -630,6 +630,6 @@ def tree_from_graph(verts, ranks, edges) -> ContourTree:
         (hi, lo, rising, "split"),
     ):
         by = np.argsort(at, kind="stable")
-        starts = np.searchsorted(at[by], np.arange(n + 1))
+        starts = np.r_[0, np.cumsum(np.bincount(at, minlength=n))]
         trees.append(sweep_csr(seq, other[by], starts, n, direction))
     return dataclasses.replace(combine(*trees, rank), ids=gid, ranks=ranks)

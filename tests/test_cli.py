@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gridtopo.cli import main
+from gridtopo.errors import UsageError
 from gridtopo.grid import ScalarGrid, save_raw, synthetic_gaussians
 
 
@@ -340,22 +341,42 @@ def test_unreadable_input_is_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag,target,extra",
+    "flag,target,extra,reason",
     [
-        ("--metrics-out", "missing/m.json", []),
-        ("--branches-out", "folder", []),
-        ("--sweep-out", "missing/s.csv", ["--blocks", "2,1,1", "--lambda-sweep", "0"]),
+        ("--metrics-out", "missing/m.json", [], "No such file or directory"),
+        ("--branches-out", "folder", [], "Is a directory"),
+        ("--metrics-out", "file/m.json", [], "Not a directory"),
+        (
+            "--sweep-out", "missing/s.csv", ["--blocks", "2,1,1", "--lambda-sweep", "0"],
+            "No such file or directory",
+        ),
     ],
-    ids=["metrics-in-missing-dir", "branches-at-dir", "sweep-in-missing-dir"],
+    ids=["metrics-in-missing-dir", "branches-at-dir", "metrics-under-file", "sweep-in-missing-dir"],
 )
-def test_unwritable_output_is_usage_error(flag, target, extra, tmp_path, capsys):
+def test_unwritable_output_is_usage_error(
+    flag, target, extra, reason, tmp_path, capsys, monkeypatch
+):
+    """Each output path is checked before the grid is loaded."""
+    from gridtopo import cli
+
+    loads = []
+    monkeypatch.setattr(cli, "load_grid", loads.append)
     (tmp_path / "folder").mkdir()
+    (tmp_path / "file").touch()
     path = tmp_path / target
     args = ["run", "--synthetic", "random", "--dims", "8,8,1", flag, str(path)] + extra
     assert run_cli(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error (UsageError): cannot write {path}: ")
-    assert err.count("\n") == 1
+    assert loads == []
+    assert capsys.readouterr().err == f"error (UsageError): cannot write {path}: {reason}\n"
+
+
+def test_write_turns_os_errors_into_usage_errors(tmp_path):
+    from gridtopo import cli
+
+    path = tmp_path / "missing" / "m.json"
+    with pytest.raises(UsageError) as err:
+        cli._write(str(path), "{}")
+    assert str(err.value) == f"cannot write {path}: No such file or directory"
 
 
 def test_infeasible_blocks_exit_code():

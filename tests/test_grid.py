@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gridtopo import ScalarGrid, load_raw, save_raw, sos_order
 from gridtopo.errors import DataError, UsageError
+from gridtopo.grid import synthetic_gaussians
 
 from conftest import make_grid, neighbors, random_grid
 
@@ -76,6 +77,56 @@ def test_sos_matches_stable_sort_oracle():
     order = sos_order(grid)
     expected = sorted(range(1000), key=lambda v: (values[v], v))
     assert order.vertex_at.tolist() == expected
+
+
+def lexsort_order(values):
+    """The reference (value, id) order: a stable two-key sort."""
+    return np.lexsort((np.arange(values.size), values))
+
+
+def smooth_f32_big_values():
+    """The f32 big-endian Gaussian input of the smooth-3d benchmark at seed 1."""
+    values = synthetic_gaussians((64, 64, 32), 1).values.astype(">f4").astype(float)
+    assert np.count_nonzero(np.diff(np.sort(values)) == 0) == 165
+    return values
+
+
+@pytest.mark.parametrize(
+    "dims,values",
+    [
+        ((4, 3, 2), lambda n: np.full(n, 2.5)),
+        ((5, 4, 3), lambda n: np.arange(n) * 7 % 3 - 1.0),
+        ((6, 5, 1), lambda n: np.where(np.arange(n) % 3 == 0, -0.0, 0.0)),
+        ((7, 1, 1), lambda n: np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0])),
+        ((64, 64, 32), lambda n: smooth_f32_big_values()),
+        ((1, 1, 1), lambda n: np.zeros(n)),
+        ((9, 1, 1), lambda n: np.array([3.0, 1, 3, 2, 1, 3, 0, 2, 1])),
+        ((1, 1, 9), lambda n: np.full(n, -4.0)),
+    ],
+    ids=["constant", "three-values", "signed-zeros", "signed-zeros-1d", "smooth-3d-f32-big",
+         "1x1x1", "1d-ties", "1d-z-constant"],
+)
+def test_sos_matches_lexsort(dims, values):
+    grid = make_grid(dims, values(dims[0] * dims[1] * dims[2]))
+    order = sos_order(grid)
+    want = lexsort_order(grid.values)
+    assert np.array_equal(order.vertex_at, want)
+    assert np.array_equal(order.rank_of[want], np.arange(grid.n))
+
+
+@given(
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4)),
+    seed=st.integers(0, 2**16),
+    levels=st.integers(1, 4),
+)
+@settings(max_examples=100, deadline=None)
+def test_sos_matches_lexsort_on_tied_grids(dims, seed, levels):
+    n = dims[0] * dims[1] * dims[2]
+    rng = np.random.default_rng(seed)
+    # Random signs make both zeros, which tie with each other.
+    values = np.copysign(rng.integers(-levels, levels, size=n) * 0.5, rng.random(n) - 0.5)
+    order = sos_order(make_grid(dims, values))
+    assert np.array_equal(order.vertex_at, lexsort_order(values))
 
 
 def test_neighbors_2d_interior_has_six():

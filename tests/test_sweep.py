@@ -427,6 +427,44 @@ def test_link_neighbors_are_swept_before(dims, upper):
         assert all((rank[u] > rank[v]) == upper and u != v for u in listed)
 
 
+def ref_link_neighbors(grid, order, upper):
+    """The grid CSR by a 2-D ``nonzero`` over the representative rows and ``searchsorted``."""
+    nx, ny, nz = grid.dims
+    key = (order.rank_of if upper else grid.n - 1 - order.rank_of).reshape(nz, ny, nx)
+    padded = np.pad(key, 1, constant_values=-1)
+    mask = np.zeros(key.shape, dtype=np.uint16)
+    deltas = []
+    for slot, (dx, dy, dz) in enumerate(_ALL_OFFSETS):
+        nbr = padded[1 + dz : 1 + dz + nz, 1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
+        mask |= (nbr > key).astype(np.uint16) << slot
+        deltas.append(dx + nx * (dy + ny * dz))
+    verts, slots = np.nonzero(link_representatives()[mask.ravel()])
+    starts = np.searchsorted(verts, np.arange(grid.n + 1))
+    return verts + np.array(deltas)[slots], starts
+
+
+@pytest.mark.parametrize("dims", REDUCED_INPUT_DIMS)
+@pytest.mark.parametrize("field", ["tied", "random"])
+def test_link_neighbors_match_reference(dims, field):
+    from gridtopo.sweep import _link_neighbors
+
+    grid = tied_grid(dims, 1) if field == "tied" else random_grid(dims, 1)
+    order = sos_order(grid)
+    for upper in (True, False):
+        nbrs, starts = _link_neighbors(grid, order, upper)
+        want_nbrs, want_starts = ref_link_neighbors(grid, order, upper)
+        assert np.array_equal(nbrs, want_nbrs) and nbrs.dtype == want_nbrs.dtype
+        assert np.array_equal(starts, want_starts) and starts.dtype == want_starts.dtype
+
+
+def test_link_representative_counts_are_row_sums():
+    from gridtopo.sweep import link_representative_counts
+
+    counts = link_representative_counts()
+    assert counts.dtype == np.uint8 and not counts.flags.writeable
+    assert np.array_equal(counts, link_representatives().sum(axis=1))
+
+
 def test_merge_trees_compare_by_value():
     grid = grid_1d([0, 5, 2, 6, 1])
     order = sos_order(grid)
@@ -511,7 +549,7 @@ def test_kernel_rejects_entries_not_swept_before(seq, lists):
         sweep_csr(seq, *csr(lists), len(lists), "join")
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 8, 16, 17])
 def test_chain_ends_reject_cycles(length):
     # A path 0 <- 1 <- 2 beside a cycle over the next ``length`` entries.
     cycle = 3 + np.arange(length)
@@ -521,6 +559,20 @@ def test_chain_ends_reject_cycles(length):
         return
     with pytest.raises(InternalError):
         _chain_ends(hop)
+
+
+@pytest.mark.parametrize(
+    "length",
+    sorted({1, 2, 3} | {2**k + d for k in range(2, 13) for d in (-1, 0, 1)}),
+)
+def test_chain_ends_reach_the_end_of_a_path(length):
+    # Entry i hops to i - 1, and entry 0 ends the path: the farthest entry is
+    # length - 1 hops away, the most any chain of this size can need.
+    hop = np.maximum(np.arange(length) - 1, 0)
+    assert (_chain_ends(hop) == 0).all()
+    # The same path with its end last and the hops reversed.
+    hop = np.minimum(np.arange(length) + 1, length - 1)
+    assert (_chain_ends(hop) == length - 1).all()
 
 
 @st.composite
