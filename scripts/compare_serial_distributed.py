@@ -2,9 +2,9 @@
 """Check the simulated pipeline against the serial one on random volumes.
 
 For each seed: run serially, then across every feasible block split at
-threshold zero, and compare tree structure, subtree volumes, and the
-full branch decomposition.  Any mismatch prints the offending
-configuration and exits nonzero.
+threshold zero, and compare the augmented tree's arrays, the subtree
+volume arrays, and the full branch decomposition.  Any mismatch prints
+the offending configuration and exits nonzero.
 
 Usage:
     python scripts/compare_serial_distributed.py [--dims 12,10,6] [--seeds 5]
@@ -12,6 +12,8 @@ Usage:
 
 import argparse
 import sys
+
+import numpy as np
 
 from gridtopo import (
     branch_decomposition,
@@ -23,7 +25,18 @@ from gridtopo import (
 from gridtopo.grid import synthetic_random
 from gridtopo.dist import run_distributed
 
-SPLITS = [(2, 1, 1), (2, 2, 1), (2, 2, 2), (4, 2, 1)]
+SPLITS = [(2, 1, 1), (2, 2, 1), (2, 2, 2), (4, 2, 1), (3, 2, 2), (5, 1, 1)]
+
+
+def arrays(ct, ann):
+    """Every array of a tree's state and of its volumes, by name."""
+    st = ct.superstructure
+    return {
+        "ids": ct.ids, "up": ct.up, "outer": ct.outer, "walk": ct.walk,
+        "walk_start": ct.walk_start, "vertex": st.vertex, "inner": st.inner,
+        "rank": st.rank, "root": st.root, "out_volume": ann.out_volume,
+        "closed_volume": ann.closed_volume,
+    }
 
 
 def main() -> int:
@@ -40,14 +53,15 @@ def main() -> int:
         ct = contour_tree(grid, order)
         ann = hypersweep(ct, superarc_counts(ct))
         bd = branch_decomposition(ct, ann)
+        serial = arrays(ct, ann)
         serial_keys = sorted(((b.key(), b.leaf) for b in bd.branches), key=repr)
         for splits in SPLITS:
             if any(s > 1 and d < s + 1 for d, s in zip(dims, splits)):
                 continue
             result = run_distributed(grid, order, splits, lam=0, b=100)
+            got = arrays(result.augmented_tree, result.post_volumes)
             ok = (
-                result.augmented_tree.arc_inner == ct.arc_inner
-                and result.post_volumes.outward == ann.outward
+                all(np.array_equal(got[name], want) for name, want in serial.items())
                 and sorted(((b.key(), b.leaf) for b in result.bd.branches), key=repr)
                 == serial_keys
             )

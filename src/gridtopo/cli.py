@@ -172,7 +172,7 @@ def run_pipeline(args: argparse.Namespace) -> dict:
         },
         "n": grid.n,
         "supernodes": len(ct.supernodes),
-        "superarcs": len(ct.arc_inner),
+        "superarcs": ct.superstructure.vertex.size - 1,
         "branches": len(bd.branches),
         "selected": len(selected),
         "lambda_b": lambda_b,

@@ -14,10 +14,8 @@ run as numpy passes over those positions: subtree sums over an Euler
 tour ranked by pointer jumping, best up/down arcs by max/min reductions
 over arc incidences, and branches labelled by pointer jumping along
 chains of mutually-best arcs.  ``select_top_branches`` orders the rows
-with one ``lexsort``.  Id-keyed mappings (``VolumeAnnotation.counts``
-and its kin, ``sweep.ArcView``) and ``Branch`` objects are built only
-when read: a run builds a ``Branch`` for each selected row and nothing
-per supernode.
+with one ``lexsort``.  ``Branch`` objects are built only when read: a
+run builds one for each selected row and nothing per supernode.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalError, UsageError
-from .sweep import ArcView
 from .tree import ContourTree, _chain_ends, _pair_key
 
 
@@ -55,11 +52,6 @@ class VolumeAnnotation:
     inward volume.  ``closed_volume[i]`` is the closed rooted subtree
     volume of supernode i (itself plus all child-arc outward volumes,
     excluding its own arc's regulars).
-
-    ``counts``, ``outward``, ``closed`` and ``at_node`` are the same
-    quantities as read-only mappings keyed by supernode id: ``counts``
-    over the nonzero counts, ``outward`` over the arcs, ``closed`` over
-    every supernode and ``at_node`` over the nonzero hanging mass.
     """
 
     n: int
@@ -69,30 +61,6 @@ class VolumeAnnotation:
     hang: np.ndarray = field(repr=False)
     out_volume: np.ndarray | None = field(default=None, repr=False)
     closed_volume: np.ndarray | None = field(default=None, repr=False)
-
-    def _view(self, values: np.ndarray | None, live) -> ArcView:
-        if values is None:
-            return ArcView(np.empty(0, dtype=np.int64))
-        return ArcView(np.where(live, values, -1), self.ids)
-
-    @cached_property
-    def counts(self) -> ArcView:
-        return self._view(self.count, self.count > 0)
-
-    @cached_property
-    def at_node(self) -> ArcView:
-        return self._view(self.hang, self.hang > 0)
-
-    @cached_property
-    def outward(self) -> ArcView:
-        return self._view(self.out_volume, np.arange(self.ids.size) != self.root)
-
-    @cached_property
-    def closed(self) -> ArcView:
-        return self._view(self.closed_volume, True)
-
-    def inward(self, outer: int) -> int:
-        return self.n - self.outward[outer]
 
 
 def superarc_counts(ct: ContourTree) -> VolumeAnnotation:
@@ -236,10 +204,6 @@ class BranchDecomposition:
             is_trunk=p < 0,
         )
 
-    @property
-    def trunk(self) -> Branch:
-        return self.branches[int(np.argmin(self.parent))]
-
     def order(self, ranks: Sequence[int]) -> np.ndarray:
         """Rows by descending volume, then ascending saddle rank (the trunk's is -1).
 
@@ -247,10 +211,6 @@ class BranchDecomposition:
         """
         saddle_rank = np.where(self.saddle >= 0, np.asarray(ranks)[self.saddle], -1)
         return np.lexsort((saddle_rank, -self.volume))
-
-    def sorted_branches(self, ranks: Sequence[int]) -> list[Branch]:
-        """Every branch in ``order``."""
-        return [self.branches[r] for r in self.order(ranks).tolist()]
 
 
 def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomposition:

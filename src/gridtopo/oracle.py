@@ -142,21 +142,24 @@ def level_set_census(grid: ScalarGrid, order: VertexOrder) -> LevelSetCensus:
 def brute_subtree_volume(ct: ContourTree, arc_outer: int) -> int:
     """Outward volume of a superarc by severing it and flood-filling.
 
-    Counts the vertices whose superparent lies in the severed outer
-    component, plus the component's supernodes; regular vertices of the
-    severed arc itself are on the outer side by the counting convention.
+    Floods the superstructure from ``arc_outer`` without crossing its
+    own arc, then counts the vertices whose superarc's outer end
+    (``ct.outer``) lies in the flooded component; regular vertices of
+    the severed arc itself are on the outer side by the counting
+    convention.
     """
-    if arc_outer not in ct.arc_inner:
+    st = ct.superstructure
+    cut = ct.supernodes.index(arc_outer) if arc_outer in ct.supernodes else -1
+    if cut < 0 or st.inner[cut] < 0:
         raise UsageError(f"no superarc indexed by {arc_outer}")
-    inner = ct.arc_inner[arc_outer]
-    adj: dict[int, list[int]] = {s: [] for s in ct.supernodes}
-    for o, i in ct.arc_inner.items():
-        if o == arc_outer and i == inner:
-            continue
-        adj[o].append(i)
-        adj[i].append(o)
-    component = {arc_outer}
-    stack = [arc_outer]
+    inner = st.inner.tolist()
+    adj: list[list[int]] = [[] for _ in inner]
+    for o, i in enumerate(inner):
+        if i >= 0 and o != cut:
+            adj[o].append(i)
+            adj[i].append(o)
+    component = {cut}
+    stack = [cut]
     while stack:
         v = stack.pop()
         for w in adj[v]:
@@ -164,5 +167,5 @@ def brute_subtree_volume(ct: ContourTree, arc_outer: int) -> int:
                 component.add(w)
                 stack.append(w)
     inside = np.zeros(ct.n, dtype=bool)
-    inside[ct.superstructure.vertex] = [s in component for s in ct.supernodes]
+    inside[st.vertex[list(component)]] = True
     return int(np.count_nonzero(inside[ct.outer]))

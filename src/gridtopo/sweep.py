@@ -8,9 +8,8 @@ holds neighbours of ``v`` swept strictly before ``v``, never ``v``
 itself.  Grids build the arrays from their vertex order, and
 ``tree.tree_from_graph`` numbers a graph's vertices in id order, sweeps
 them in rank order and lists each edge at one end.  A ``MergeTree``
-stores its arcs as one int64 array (-1 at the root); ``arc_to`` is a
-read-only ``ArcView`` of it, the one mapping view class, which also
-serves ``tree.ContourTree``.
+stores its arcs as one int64 array (-1 at the root), and callers read
+that array directly.
 
 The kernel prunes the sweep to the vertices that can merge components,
 after parallel peak pruning (Carr, Weber, Sewell & Ahrens, LDAV 2016;
@@ -47,8 +46,6 @@ saddles are candidates.
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -58,56 +55,13 @@ from .errors import InternalError, UsageError
 from .grid import _ALL_OFFSETS, ScalarGrid, VertexOrder
 
 
-class ArcView(Mapping):
-    """Read-only ``{keys[i]: ids[to[i]]}`` over the slots ``i`` with ``to[i] >= 0``.
-
-    ``keys`` and ``ids`` name slots and targets by id; None names slot or
-    target ``i`` by ``i``.  With ``spans = (walk, first, stop)``, slot
-    ``i`` maps to the list ``ids[walk[first[i]:stop[i]]]`` instead.  One
-    lookup reads memoryviews, which give plain ints several times faster
-    than numpy scalar indexing, through a table from key ids to slots.
-    """
-
-    __slots__ = ("_to", "_keys", "_ids", "_spans", "_at", "_slot_of", "_name")
-
-    def __init__(self, to: np.ndarray, keys=None, ids=None, spans=None):
-        self._to, self._keys, self._ids, self._spans = to, keys, ids, spans
-        self._at, self._slot_of = memoryview(to), None
-        self._name = None if ids is None else memoryview(ids)
-        if keys is not None:
-            table = np.full(int(keys.max(initial=-1)) + 1, -1, dtype=np.int64)
-            table[keys] = np.arange(keys.size)
-            self._slot_of = memoryview(table)
-
-    def __getitem__(self, key):
-        try:
-            i = operator.index(key)
-            if i >= 0 and self._slot_of is not None:
-                i = self._slot_of[i]
-            if i >= 0 and (to := self._at[i]) >= 0:
-                if self._spans is None:
-                    return to if self._name is None else self._name[to]
-                walk, first, stop = self._spans
-                return self._ids[walk[first[i] : stop[i]]].tolist()
-        except (TypeError, IndexError):
-            pass
-        raise KeyError(key)
-
-    def __iter__(self) -> Iterator[int]:
-        live = np.flatnonzero(self._to >= 0)
-        return iter((live if self._keys is None else self._keys[live]).tolist())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._to >= 0))
-
-
 @dataclass(eq=False)
 class MergeTree:
     """Fully augmented merge tree over vertices 0..n-1, one arc per vertex but the root.
 
     ``arcs[v]`` is the vertex v connects to in sweep direction: a
     lower-ranked vertex for join trees, higher for split trees; -1 at
-    the root.  ``arc_to`` is the same as a read-only mapping.
+    the root.  Trees compare by identity; compare ``arcs`` for equality.
     """
 
     direction: str  # "join" or "split"
@@ -115,37 +69,9 @@ class MergeTree:
     arcs: np.ndarray = field(repr=False)
     root: int = -1
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MergeTree):
-            return NotImplemented
-        same = (self.direction, self.n, self.root) == (other.direction, other.n, other.root)
-        return same and np.array_equal(self.arcs, other.arcs)
-
-    @property
-    def arc_to(self) -> ArcView:
-        return ArcView(self.arcs)
-
-    def _counts(self) -> np.ndarray:
-        return np.bincount(self.arcs[self.arcs >= 0], minlength=self.n)
-
-    def child_counts(self) -> list[int]:
-        return self._counts().tolist()
-
     def leaves(self) -> list[int]:
-        return np.flatnonzero(self._counts() == 0).tolist()
-
-    def superarcs(self) -> set[tuple[int, int]]:
-        """Arcs of the contracted tree, as (from, to) pairs in sweep direction.
-
-        Supernodes are vertices whose child count differs from one,
-        plus the root; chains of single-child vertices contract away.
-        """
-        arcs = self.arcs
-        has_arc = arcs >= 0
-        ends = (self._counts() != 1) | ~has_arc
-        end_of = _chain_ends(np.where(ends, np.arange(self.n), arcs))
-        supers = np.flatnonzero(ends & has_arc)
-        return set(zip(supers.tolist(), end_of[arcs[supers]].tolist()))
+        counts = np.bincount(self.arcs[self.arcs >= 0], minlength=self.n)
+        return np.flatnonzero(counts == 0).tolist()
 
 
 def _chain_ends(hop: np.ndarray) -> np.ndarray:

@@ -34,17 +34,19 @@ them.  ``combine`` and ``_from_edges`` order each superarc's regular
 vertices with one sort on (superarc, signed rank), so both return
 augmented trees: every tree holds its vertices' superarcs.  Ranks are
 read from one int64 table indexed by vertex id (``VertexOrder.rank_of``
-for a grid).  Those int64 arrays are the whole state of a tree.  Its
-``parent``, ``arc_inner``, ``superparent`` and ``arc_regulars`` fields
-are read-only mapping views of them (``sweep.ArcView``), and
-``supernodes`` is a list built on first use.  No function keeps state
-between calls, so trees can be built on several threads at once.
+for a grid).  Those int64 arrays are the whole state of a tree, and
+callers read them directly.  ``arc_inner`` and ``arc_regulars`` are
+read-only mappings over them keyed by supernode id, and ``supernodes``
+is a list built on first use.  No function keeps state between calls,
+so trees can be built on several threads at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,9 +54,46 @@ import numpy as np
 
 from .errors import InternalError, UsageError
 from .grid import ScalarGrid, VertexOrder
-from .sweep import ArcView, MergeTree, _chain_ends, _link_chains, sweep_csr
+from .sweep import MergeTree, _chain_ends, _link_chains, sweep_csr
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+class _ArcView(Mapping):
+    """Read-only ``{keys[i]: ids[to[i]]}`` over the slots ``i`` with ``to[i] >= 0``.
+
+    With ``spans = (walk, first, stop)``, slot ``i`` maps to the list
+    ``ids[walk[first[i]:stop[i]]]`` instead.  One lookup reads
+    memoryviews, which give plain ints several times faster than numpy
+    scalar indexing, through a table from key ids to slots.
+    """
+
+    __slots__ = ("_to", "_keys", "_ids", "_spans", "_at", "_slot_of", "_name")
+
+    def __init__(self, to: np.ndarray, keys: np.ndarray, ids: np.ndarray, spans=None):
+        self._to, self._keys, self._ids, self._spans = to, keys, ids, spans
+        self._at, self._name = memoryview(to), memoryview(ids)
+        table = np.full(int(keys.max(initial=-1)) + 1, -1, dtype=np.int64)
+        table[keys] = np.arange(keys.size)
+        self._slot_of = memoryview(table)
+
+    def __getitem__(self, key):
+        try:
+            i = operator.index(key)
+            if i >= 0 and (i := self._slot_of[i]) >= 0 and (to := self._at[i]) >= 0:
+                if self._spans is None:
+                    return self._name[to]
+                walk, first, stop = self._spans
+                return self._ids[walk[first[i] : stop[i]]].tolist()
+        except (TypeError, IndexError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(self._keys[self._to >= 0].tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._to >= 0))
 
 
 @dataclass(frozen=True)
@@ -83,9 +122,11 @@ class ContourTree:
     highest-ranked vertex (-1 at the root).  Every tree is augmented:
     ``outer`` holds the outer end of each vertex's superarc, and that
     superarc's regular vertices run from the outer end ``p`` inward as
-    ``walk[walk_start[p]:walk_start[p + 1]]``.  The mapping fields are
-    read-only views of them keyed by vertex id; ``arc_inner`` maps each
-    non-root supernode to the other, root-facing end of its superarc.
+    ``walk[walk_start[p]:walk_start[p + 1]]``.  Two read-only mappings
+    keyed by supernode id are built on first use: ``arc_inner`` maps
+    each non-root supernode to the other, root-facing end of its
+    superarc, and ``arc_regulars`` to that superarc's regular vertices
+    in walk order.
     ``ranks`` is the shared int64 rank table indexed by vertex id (for a
     grid, ``VertexOrder.rank_of``), not a per-tree copy.
     """
@@ -112,23 +153,15 @@ class ContourTree:
         return self.ids[self.superstructure.vertex].tolist()
 
     @cached_property
-    def parent(self) -> ArcView:
-        return ArcView(self.up, self.ids, self.ids)
-
-    @cached_property
-    def arc_inner(self) -> ArcView:
+    def arc_inner(self) -> _ArcView:
         sn = self.ids[self.superstructure.vertex]
-        return ArcView(self.superstructure.inner, sn, sn)
+        return _ArcView(self.superstructure.inner, sn, sn)
 
     @cached_property
-    def superparent(self) -> ArcView:
-        return ArcView(self.outer, self.ids, self.ids)
-
-    @cached_property
-    def arc_regulars(self) -> ArcView:
+    def arc_regulars(self) -> _ArcView:
         st, start = self.superstructure, self.walk_start
         spans = (self.walk, start[st.vertex], start[st.vertex + 1])
-        return ArcView(st.inner, self.ids[st.vertex], self.ids, spans)
+        return _ArcView(st.inner, self.ids[st.vertex], self.ids, spans)
 
     def arc_degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """Per supernode position, its superarcs leading up (to a higher rank) and down."""
@@ -225,6 +258,8 @@ def _assemble(j_arcs: np.ndarray, s_arcs: np.ndarray, rank: np.ndarray):
     slot[crit_ids] = np.arange(crit_ids.size)
     ju, j_tree = _contract(j_arcs, j_count, j_sum, crit_ids, slot)
     sd, s_tree = _contract(s_arcs, s_count, s_sum, crit_ids, slot)
+    # Free the per-vertex child state before the lifting tables are built.
+    del j_count, j_sum, s_count, s_sum, slot
     child, parent = _transfer(j_tree, s_tree, rank[crit_ids])
     st = _from_pairs(rank[crit_ids], child, parent)[1]
     if st.vertex.size != crit_ids.size:

@@ -18,6 +18,7 @@ from gridtopo import (
 from gridtopo import tree as gtree
 from gridtopo.errors import UsageError
 from gridtopo.grid import _ALL_OFFSETS, _coords
+from gridtopo.sweep import _chain_ends
 
 
 def make_grid(dims, values):
@@ -100,6 +101,91 @@ def dump(ct, values=None):
     for outer in sorted(ct.arc_inner):
         lines.append(f"  {outer} -> {ct.arc_inner[outer]}")
     return "\n".join(lines)
+
+
+def parent_map(ct):
+    """A contour tree's ``{id: parent id}`` over every vertex but the root."""
+    child = np.flatnonzero(ct.up >= 0)
+    return dict(zip(ct.ids[child].tolist(), ct.ids[ct.up[child]].tolist()))
+
+
+def superparent(ct):
+    """``{id: id of the outer end of its superarc}``; a supernode maps to itself."""
+    return dict(zip(ct.ids.tolist(), ct.ids[ct.outer].tolist()))
+
+
+def tree_arrays(ct):
+    """Every array of a contour tree's state as lists, for whole-tree equality."""
+    st = ct.superstructure
+    return {
+        "ids": ct.ids.tolist(), "up": ct.up.tolist(), "outer": ct.outer.tolist(),
+        "walk": ct.walk.tolist(), "walk_start": ct.walk_start.tolist(),
+        "vertex": st.vertex.tolist(), "inner": st.inner.tolist(),
+        "rank": st.rank.tolist(), "root": st.root,
+    }
+
+
+def arc_to(tree):
+    """A merge tree's ``{vertex: vertex its arc leads to}`` over every vertex but the root."""
+    src = np.flatnonzero(tree.arcs >= 0)
+    return dict(zip(src.tolist(), tree.arcs[src].tolist()))
+
+
+def child_counts(tree):
+    """A merge tree's child count per vertex, as a list."""
+    return np.bincount(tree.arcs[tree.arcs >= 0], minlength=tree.n).tolist()
+
+
+def superarcs(tree):
+    """Arcs of a merge tree's contracted tree, as (from, to) pairs in sweep direction.
+
+    Supernodes are vertices whose child count differs from one, plus the
+    root; chains of single-child vertices contract away.
+    """
+    arcs = tree.arcs
+    has_arc = arcs >= 0
+    ends = (np.array(child_counts(tree)) != 1) | ~has_arc
+    end_of = _chain_ends(np.where(ends, np.arange(tree.n), arcs))
+    supers = np.flatnonzero(ends & has_arc)
+    return set(zip(supers.tolist(), end_of[arcs[supers]].tolist()))
+
+
+def _by_supernode(ann, values, live):
+    """``{supernode id: value}`` over the supernode positions where ``live`` holds."""
+    if values is None:
+        return {}
+    live = np.broadcast_to(live, values.shape)
+    return dict(zip(ann.ids[live].tolist(), values[live].tolist()))
+
+
+def counts(ann):
+    """``{outer end id: vertex count}`` over the superarcs with a nonzero count."""
+    return _by_supernode(ann, ann.count, ann.count > 0)
+
+
+def at_node(ann):
+    """``{supernode id: mass hanging there}`` over the nonzero hanging mass."""
+    return _by_supernode(ann, ann.hang, ann.hang > 0)
+
+
+def outward(ann):
+    """``{outer end id: outward volume}`` over the arcs; empty before ``hypersweep``."""
+    return _by_supernode(ann, ann.out_volume, np.arange(ann.ids.size) != ann.root)
+
+
+def closed(ann):
+    """``{supernode id: closed volume}`` over every supernode; empty before ``hypersweep``."""
+    return _by_supernode(ann, ann.closed_volume, True)
+
+
+def trunk(bd):
+    """The decomposition's one parentless branch."""
+    return bd.branches[int(np.argmin(bd.parent))]
+
+
+def sorted_branches(bd, ranks):
+    """Every branch of ``bd``, in ``bd.order(ranks)``."""
+    return [bd.branches[r] for r in bd.order(ranks).tolist()]
 
 
 def children_index(ct):

@@ -22,7 +22,15 @@ from gridtopo.dist.estimate import (
 from gridtopo.measure import write_branch_csv
 from gridtopo.oracle import brute_subtree_volume, level_set_census
 
-from conftest import branch_keys_with_leaves, random_grid, record_list, serial_pipeline
+from conftest import (
+    branch_keys_with_leaves,
+    counts,
+    outward,
+    random_grid,
+    record_list,
+    serial_pipeline,
+    superparent,
+)
 
 GIB = 1024**3
 
@@ -87,15 +95,15 @@ def test_criterion_2_conservation():
         grid = random_grid(dims, seed)
         order = sos_order(grid)
         _, ct, ann, _ = serial_pipeline(grid)
-        assert sum(ann.counts.values()) + 1 == grid.n
+        assert sum(counts(ann).values()) + 1 == grid.n
         checked += 1
         for splits in SPLITS:
             if not _feasible(dims, splits):
                 continue
             for lam in (0, 2, 10**6):
                 result = run_distributed(grid, order, splits, lam=lam, b=5)
-                assert sum(result.pre_volumes.counts.values()) + 1 == grid.n
-                assert sum(result.post_volumes.counts.values()) + 1 == grid.n
+                assert sum(counts(result.pre_volumes).values()) + 1 == grid.n
+                assert sum(counts(result.post_volumes).values()) + 1 == grid.n
                 checked += 1
     _criterion(2, f"superarc counts + 1 == n on {checked} runs "
                   "(serial and distributed, all thresholds), exact")
@@ -112,8 +120,8 @@ def test_criterion_3_distributed_equals_serial():
                 continue
             result = run_distributed(grid, order, splits, lam=0, b=5)
             assert result.augmented_tree.arc_inner == ct.arc_inner, (dims, splits)
-            assert result.augmented_tree.superparent == ct.superparent
-            assert result.post_volumes.outward == ann.outward
+            assert superparent(result.augmented_tree) == superparent(ct)
+            assert outward(result.post_volumes) == outward(ann)
             assert branch_keys_with_leaves(result.bd) == branch_keys_with_leaves(bd)
             compared += 1
     _criterion(3, f"shared tree, volumes, and full branch decomposition match "
@@ -208,8 +216,9 @@ def test_criterion_8_hypersweep_oracle():
         for dims in ((6, 6, 1), (4, 4, 4)):
             grid = random_grid(dims, 500 + i)
             _, ct, ann, _ = serial_pipeline(grid)
+            volume = outward(ann)
             for outer in ct.arc_inner:
-                assert ann.outward[outer] == brute_subtree_volume(ct, outer)
+                assert volume[outer] == brute_subtree_volume(ct, outer)
                 total_arcs += 1
     _criterion(8, f"every outward subtree volume equals the cut-and-flood "
                   f"oracle on 50 grids ({total_arcs} superarcs), exact")

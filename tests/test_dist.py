@@ -18,12 +18,17 @@ from gridtopo.dist import (
 from gridtopo.errors import DataError, UsageError
 
 from conftest import (
+    at_node,
     branch_keys,
+    counts,
     grid_1d,
     make_grid,
+    outward,
+    parent_map,
     random_grid,
     record_list,
     serial_pipeline,
+    superparent,
 )
 
 
@@ -240,7 +245,7 @@ def test_fan_out_single_block_hier_equals_serial_after_augment():
     result = run_distributed(grid, order, (1, 1, 1), lam=0, b=100)
     serial = contour_tree(grid, order)
     assert result.augmented_tree.arc_inner == serial.arc_inner
-    assert result.augmented_tree.superparent == serial.superparent
+    assert superparent(result.augmented_tree) == superparent(serial)
 
 
 def test_ownership_partitions_vertices():
@@ -258,8 +263,8 @@ def test_ownership_partitions_vertices():
 def test_pre_hypersweep_two_block_1d():
     grid, order, _ = two_block_1d()
     result = run_distributed(grid, order, (2, 1, 1), lam=0, b=100)
-    assert result.pre_volumes.counts == {0: 1, 1: 1, 2: 1, 4: 1}
-    assert sum(result.pre_volumes.counts.values()) + 1 == 5
+    assert counts(result.pre_volumes) == {0: 1, 1: 1, 2: 1, 4: 1}
+    assert sum(counts(result.pre_volumes).values()) + 1 == 5
 
 
 def test_pre_hypersweep_single_block_monotone_equals_serial():
@@ -267,14 +272,14 @@ def test_pre_hypersweep_single_block_monotone_equals_serial():
     order = sos_order(grid)
     _, ct, ann, _ = serial_pipeline(grid)
     result = run_distributed(grid, order, (1, 1, 1), lam=0, b=100)
-    assert result.pre_volumes.counts == ann.counts
-    assert result.pre_volumes.outward == ann.outward
+    assert counts(result.pre_volumes) == counts(ann)
+    assert outward(result.pre_volumes) == outward(ann)
 
 
 def _vertex_level_cut_count(ct, cut_a, cut_b, side):
     """Vertices on ``side``'s component after cutting edge (cut_a, cut_b)."""
     adj = {v: [] for v in ct.ids.tolist()}
-    for v, p in ct.parent.items():
+    for v, p in parent_map(ct).items():
         adj[v].append(p)
         adj[p].append(v)
     seen = {side}
@@ -293,7 +298,7 @@ def _vertex_level_cut_count(ct, cut_a, cut_b, side):
 def _serial_cut_oracle(serial_ct, outer, inner):
     """Outer-side vertex count for a base superarc, from the serial tree."""
     # Path from outer to inner in the serial vertex-level tree.
-    parents = serial_ct.parent
+    parents = parent_map(serial_ct)
     up_o = [outer]
     seen = {outer}
     v = outer
@@ -322,9 +327,10 @@ def test_pre_hypersweep_volumes_match_serial_cuts(dims, splits):
     serial = contour_tree(grid, order)
     result = run_distributed(grid, order, splits, lam=0, b=100)
     base = result.base_tree
+    volume = outward(result.pre_volumes)
     for outer, inner in base.arc_inner.items():
         expected = _serial_cut_oracle(serial, outer, inner)
-        assert result.pre_volumes.outward[outer] == expected, (outer, inner)
+        assert volume[outer] == expected, (outer, inner)
 
 
 def test_post_hypersweep_conservation_all_lambdas():
@@ -332,18 +338,14 @@ def test_post_hypersweep_conservation_all_lambdas():
     order = sos_order(grid)
     for lam in (0, 1, 3, 10, 10**5):
         result = run_distributed(grid, order, (2, 2, 1), lam=lam, b=100)
-        counts = result.post_volumes.counts
-        at_node = result.post_volumes.at_node
-        assert sum(counts.values()) + 1 == grid.n
-        # at_node mass is part of counts, never extra.
-        for s, m in at_node.items():
-            assert counts[s] >= m
+        ann = result.post_volumes
+        count, hang, volume = counts(ann), at_node(ann), outward(ann)
+        assert sum(count.values()) + 1 == grid.n
+        # Mass hanging at a supernode is part of its count, never extra.
+        for s, m in hang.items():
+            assert count[s] >= m
         for outer in result.augmented_tree.arc_inner:
-            assert (
-                result.post_volumes.outward[outer]
-                + result.post_volumes.inward(outer)
-                == grid.n
-            )
+            assert volume[outer] + (ann.n - volume[outer]) == grid.n
 
 
 def test_retained_record_measures_match_serial_subtrees():
@@ -597,9 +599,10 @@ def ref_branch_entries(aug, retained, pruned, decomp, log):
         holder.update(dict.fromkeys(rec.verts, rec.rank))
     ranks = aug.ranks
     up, down = (dict(zip(aug.supernodes, d.tolist())) for d in aug.arc_degrees())
+    in_aug = set(aug.ids.tolist())
     for rec in pruned:
         a = rec.attach
-        if a not in aug.superparent:
+        if a not in in_aug:
             continue
         head = rec.edges[0][0]
         up.setdefault(a, 1)  # a regular vertex has one arc each way
@@ -705,7 +708,7 @@ def test_concurrent_equals_sequential():
     a = run_distributed(grid, order, (2, 2, 1), lam=2, b=5, mode="sequential")
     b = run_distributed(grid, order, (2, 2, 1), lam=2, b=5, mode="concurrent")
     assert a.augmented_tree.arc_inner == b.augmented_tree.arc_inner
-    assert a.post_volumes.outward == b.post_volumes.outward
+    assert outward(a.post_volumes) == outward(b.post_volumes)
     assert branch_keys(a.bd) == branch_keys(b.bd)
     assert json.dumps(a.commlog.to_dict(), sort_keys=True) == json.dumps(
         b.commlog.to_dict(), sort_keys=True

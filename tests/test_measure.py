@@ -10,22 +10,34 @@ from gridtopo.errors import UsageError
 from gridtopo.measure import Branch
 from gridtopo.oracle import brute_subtree_volume
 
-from conftest import children_index, grid_1d, local_extrema, random_grid, serial_pipeline
+from conftest import (
+    at_node,
+    children_index,
+    closed,
+    counts,
+    grid_1d,
+    local_extrema,
+    outward,
+    random_grid,
+    serial_pipeline,
+    sorted_branches,
+    trunk,
+)
 
 
 def test_counts_monotone_grid():
     grid = grid_1d([1, 2, 3, 4])
     ct = contour_tree(grid, sos_order(grid))
     ann = superarc_counts(ct)
-    assert ann.counts == {0: 3}  # vertices 0,1,2; root 3 uncounted
+    assert counts(ann) == {0: 3}  # vertices 0,1,2; root 3 uncounted
 
 
 def test_counts_zigzag_each_arc_one():
     grid = grid_1d([0, 5, 2, 6, 1])
     ct = contour_tree(grid, sos_order(grid))
     ann = superarc_counts(ct)
-    assert ann.counts == {0: 1, 1: 1, 2: 1, 4: 1}
-    assert sum(ann.counts.values()) + 1 == 5
+    assert counts(ann) == {0: 1, 1: 1, 2: 1, 4: 1}
+    assert sum(counts(ann).values()) + 1 == 5
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -33,7 +45,7 @@ def test_counts_conservation(seed):
     grid = random_grid((8, 8, 4), seed)
     ct = contour_tree(grid, sos_order(grid))
     ann = superarc_counts(ct)
-    assert sum(ann.counts.values()) + 1 == 256
+    assert sum(counts(ann).values()) + 1 == 256
 
 
 def test_hypersweep_leaf_arc_is_own_count():
@@ -42,7 +54,7 @@ def test_hypersweep_leaf_arc_is_own_count():
     kids = children_index(ct)
     for outer in ct.arc_inner:
         if not kids[outer]:  # leaf arc
-            assert ann.outward[outer] == ann.counts[outer]
+            assert outward(ann)[outer] == counts(ann)[outer]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -50,15 +62,16 @@ def test_hypersweep_complement_identity(seed):
     grid = random_grid((6, 5, 1), seed)
     _, ct, ann, _ = serial_pipeline(grid)
     for outer in ct.arc_inner:
-        assert ann.outward[outer] + ann.inward(outer) == grid.n
+        assert outward(ann)[outer] + (ann.n - outward(ann)[outer]) == grid.n
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_hypersweep_matches_cut_and_flood(seed):
     grid = random_grid((7, 7, 1), seed)
     _, ct, ann, _ = serial_pipeline(grid)
+    volume = outward(ann)
     for outer in ct.arc_inner:
-        assert ann.outward[outer] == brute_subtree_volume(ct, outer)
+        assert volume[outer] == brute_subtree_volume(ct, outer)
 
 
 def test_branches_monotone_grid_single_trunk():
@@ -81,8 +94,7 @@ def test_branches_zigzag_frozen():
     assert keys == sorted(
         [(None, 5, None), (2, 2, None), (1, 1, 2), (3, 1, None)], key=repr
     )
-    trunk = bd.trunk
-    assert trunk.arcs == (2,)
+    assert trunk(bd).arcs == (2,)
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -152,7 +164,7 @@ def test_sorted_branches_match_full_sort_oracle(seed):
         key=lambda b: (-b.volume, -1 if b.saddle is None else ct.ranks[b.saddle]),
     )
     assert len({b.volume for b in bd.branches}) < len(bd.branches)
-    assert [id(b) for b in bd.sorted_branches(ct.ranks)] == [id(b) for b in oracle]
+    assert [id(b) for b in sorted_branches(bd, ct.ranks)] == [id(b) for b in oracle]
 
 
 def test_select_threshold():
@@ -160,7 +172,7 @@ def test_select_threshold():
     _, ct, ann, bd = serial_pipeline(grid)
     selected, _ = select_top_branches(bd, ct.ranks, threshold=5)
     assert all(b.volume > 5 for b in selected)
-    assert bd.trunk in selected
+    assert trunk(bd) in selected
 
 
 def test_select_b_zero_rejected():
@@ -268,13 +280,13 @@ def test_branch_sequence_matches_reference(seed):
     assert bd.branches is seq
     for b in seq:
         if b.is_trunk:
-            assert b is bd.trunk and b.parent_index is None
+            assert b is trunk(bd) and b.parent_index is None
             continue
         parent = seq[b.parent_index]
         assert parent is seq[b.parent_index - g]
         assert parent == ref[b.parent_index]
         assert b.parent_saddle == (None if parent.is_trunk else parent.saddle)
-    assert [id(b) for b in bd.sorted_branches(ct.ranks)] == [
+    assert [id(b) for b in sorted_branches(bd, ct.ranks)] == [
         id(b) for b in old_sort(seq, ct.ranks)
     ]
 
@@ -299,15 +311,15 @@ def test_select_threshold_equal_to_a_volume_is_strict():
 def test_select_threshold_above_every_branch_keeps_the_trunk():
     ct, _, bd = many_branches()
     selected, lam_b = select_top_branches(bd, ct.ranks, threshold=ct.n)
-    assert selected == [bd.trunk] and lam_b == ct.n
+    assert selected == [trunk(bd)] and lam_b == ct.n
 
 
 def test_single_supernode_decomposition():
     grid = grid_1d([7])
     _, ct, ann, bd = serial_pipeline(grid)
-    assert ann.counts == {} and ann.outward == {} and ann.closed == {0: 1}
+    assert counts(ann) == {} and outward(ann) == {} and closed(ann) == {0: 1}
     assert list(bd.branches) == [Branch(arcs=(), leaf=0, volume=1, is_trunk=True)]
-    assert select_top_branches(bd, ct.ranks, b=3) == ([bd.trunk], 1)
+    assert select_top_branches(bd, ct.ranks, b=3) == ([trunk(bd)], 1)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -316,13 +328,13 @@ def test_volume_views_match_their_arrays(seed):
     st = ct.superstructure
     sn = ct.supernodes
     arcs = [s for i, s in enumerate(sn) if i != st.root]
-    assert list(ann.counts) == arcs and list(ann.outward) == arcs and list(ann.closed) == sn
-    assert ann.at_node == {} and len(ann.at_node) == 0
+    assert list(counts(ann)) == arcs and list(outward(ann)) == arcs and list(closed(ann)) == sn
+    assert at_node(ann) == {} and len(at_node(ann)) == 0
     for i, s in enumerate(sn):
-        assert ann.closed[s] == ann.closed_volume[i]
+        assert closed(ann)[s] == ann.closed_volume[i]
         if i != st.root:
-            assert ann.counts[s] == ann.count[i] and ann.outward[s] == ann.out_volume[i]
-            assert ann.inward(s) == ct.n - ann.out_volume[i]
+            assert counts(ann)[s] == ann.count[i] and outward(ann)[s] == ann.out_volume[i]
+            assert ann.n - outward(ann)[s] == ct.n - ann.out_volume[i]
     with pytest.raises(KeyError):
-        ann.outward[ct.root]
-    assert ann.outward == dict(ann.outward) and ann.outward != ann.closed
+        outward(ann)[ct.root]
+    assert outward(ann) == dict(outward(ann)) and outward(ann) != closed(ann)

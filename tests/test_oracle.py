@@ -24,7 +24,7 @@ from gridtopo.oracle import (
 )
 from gridtopo.tree import tree_from_graph
 
-from conftest import grid_1d, make_grid, random_grid
+from conftest import grid_1d, make_grid, random_grid, superparent
 
 
 # --- the reference census ---------------------------------------------------
@@ -247,7 +247,8 @@ def per_vertex_volume(ct, arc_outer):
                 if w not in side:
                     side.add(w)
                     stack.append(w)
-    return sum(ct.superparent[v] in side for v in ct.ids.tolist())
+    outer_of = superparent(ct)
+    return sum(outer_of[v] in side for v in ct.ids.tolist())
 
 
 def sparse_id_tree():

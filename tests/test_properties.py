@@ -1,13 +1,23 @@
 """Hypothesis-driven invariants over arbitrary small grids."""
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtopo import contour_tree, sos_order
-from gridtopo.dist import run_distributed
+from gridtopo import contour_tree, select_top_branches, sos_order
+from gridtopo.dist import run_distributed, run_lambda_sweep
 from gridtopo.oracle import level_set_census
 
-from conftest import local_extrema, make_grid, serial_pipeline
+from conftest import (
+    branch_keys_with_leaves,
+    counts,
+    local_extrema,
+    make_grid,
+    serial_pipeline,
+    tree_arrays,
+)
+from test_dist import assert_same_run
 
 dims_2d = st.tuples(st.integers(2, 6), st.integers(2, 6), st.just(1))
 dims_3d = st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4))
@@ -37,7 +47,7 @@ def test_census_equivalence_property(grid):
 @settings(max_examples=60, deadline=None)
 def test_conservation_and_partition_property(grid):
     _, ct, ann, bd = serial_pipeline(grid)
-    assert sum(ann.counts.values()) + 1 == grid.n
+    assert sum(counts(ann).values()) + 1 == grid.n
     assert sorted(a for b in bd.branches for a in b.arcs) == sorted(ct.arc_inner)
     trunks = [b for b in bd.branches if b.is_trunk]
     assert len(trunks) == 1
@@ -59,8 +69,57 @@ def test_branch_count_property(grid):
 def test_distributed_conservation_property(grid, lam):
     order = sos_order(grid)
     result = run_distributed(grid, order, (2, 1, 1), lam=lam, b=5)
-    assert sum(result.post_volumes.counts.values()) + 1 == grid.n
+    assert sum(counts(result.post_volumes).values()) + 1 == grid.n
     serial_keys = None
     if lam == 0:
         serial = contour_tree(grid, order)
         assert result.augmented_tree.arc_inner == serial.arc_inner
+
+
+@st.composite
+def split_grids(draw):
+    """A grid of 1 to 3 axes of 2-7 vertices with values 0..k (k in 1..8), and a split.
+
+    Every feasible split of each axis is drawn, uneven ones included.
+    """
+    axes = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(2, 7)) if a < axes else 1 for a in range(3))
+    n = math.prod(dims)
+    k = draw(st.integers(1, 8))
+    values = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
+    splits = tuple(draw(st.integers(1, d - 1)) if d > 1 else 1 for d in dims)
+    return make_grid(dims, values), splits
+
+
+@given(case=split_grids(), extra=st.lists(st.integers(0, 400), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_distributed_matches_serial_property(case, extra):
+    """Every feasible split and up to 5 thresholds against the serial pipeline."""
+    grid, splits = case
+    lams = sorted({0, *extra})
+    order, ct, ann, bd = serial_pipeline(grid)
+    top, lambda_b = select_top_branches(bd, ct.ranks, b=5)
+    runs = {
+        mode: list(run_lambda_sweep(grid, order, splits, lams, b=5, mode=mode))
+        for mode in ("sequential", "concurrent")
+    }
+    first = runs["sequential"][0]
+    for name in ("ids", "up", "outer", "walk"):
+        assert getattr(first.augmented_tree, name).tolist() == getattr(ct, name).tolist(), name
+    assert first.post_volumes.out_volume.tolist() == ann.out_volume.tolist()
+    assert branch_keys_with_leaves(first.bd) == branch_keys_with_leaves(bd)
+    previous = None
+    for lam, result in zip(lams, runs["sequential"]):
+        assert result.post_volumes.count.sum() + 1 == grid.n
+        if lam < lambda_b:
+            assert [b.key() for b in result.selected] == [b.key() for b in top], lam
+        counters = result.commlog.counts
+        if previous is not None:
+            for phase, per_counter in counters.items():
+                for counter, per_rank in per_counter.items():
+                    before = previous[phase][counter]
+                    assert all(a <= b for a, b in zip(per_rank, before)), (lam, counter)
+        previous = counters
+    for seq, con in zip(runs["sequential"], runs["concurrent"]):
+        assert_same_run(con, seq)
+        assert tree_arrays(con.augmented_tree) == tree_arrays(seq.augmented_tree)

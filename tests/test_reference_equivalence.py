@@ -34,12 +34,20 @@ from gridtopo.tree import tree_from_graph
 
 from conftest import (
     Rec,
+    arc_to,
+    at_node,
     children_index,
+    closed,
+    counts,
     grid_1d,
     make_grid,
     neighbors,
+    outward,
+    parent_map,
     random_grid,
     record_list,
+    superparent,
+    tree_arrays,
 )
 
 # --- references --------------------------------------------------------------
@@ -76,7 +84,7 @@ def ref_sweep(seq, neighbors, n):
     """Merge-tree arcs ``{v: to}`` and root of a union-find sweep in order ``seq``."""
     ds = DisjointSet(n)
     extreme = list(range(n))
-    arc_to = {}
+    arcs = {}
     processed = bytearray(n)
     v = -1
     for v in seq:
@@ -88,13 +96,13 @@ def ref_sweep(seq, neighbors, n):
                 if r not in roots:
                     roots.append(r)
         for r in roots:
-            arc_to[extreme[r]] = v
+            arcs[extreme[r]] = v
         root = v
         for r in roots:
             root = ds.union(root, r)
         extreme[root] = v
         processed[v] = True
-    return arc_to, v
+    return arcs, v
 
 
 def ref_vertex_combine(join, split):
@@ -152,7 +160,7 @@ def ref_vertex_combine(join, split):
 
 @dataclass
 class RefTree:
-    """The reference tree: the fields ``ContourTree`` serves, as plain dicts and lists."""
+    """The reference tree as plain dicts and lists, named like the test helpers."""
 
     verts: list
     ranks: object
@@ -222,23 +230,24 @@ def ref_from_edges(verts, ranks, edges):
 
 def ref_augment(ct):
     superset = set(ct.supernodes)
-    superparent = {s: s for s in ct.supernodes}
+    outer_of = {s: s for s in ct.supernodes}
     arc_regulars = {s: [] for s in ct.arc_inner}
     for s in ct.arc_inner:
         cur = ct.parent[s]
         while cur not in superset:
-            superparent[cur] = s
+            outer_of[cur] = s
             arc_regulars[s].append(cur)
             cur = ct.parent[cur]
-    assert len(superparent) == ct.n
-    ct.superparent = superparent
+    assert len(outer_of) == ct.n
+    ct.superparent = outer_of
     ct.arc_regulars = arc_regulars
     return ct
 
 
 def ref_hypersweep(ct, ann):
     kids = children_index(ct)
-    outward, closed = {}, {}
+    hang, count = at_node(ann), counts(ann)
+    out, shut = {}, {}
     post = []
     stack = [ct.root]
     while stack:
@@ -246,14 +255,14 @@ def ref_hypersweep(ct, ann):
         post.append(s)
         stack.extend(kids[s])
     for s in reversed(post):
-        sub = 1 + ann.at_node.get(s, 0)
+        sub = 1 + hang.get(s, 0)
         for c in kids[s]:
-            sub += outward[c]
-        closed[s] = sub
+            sub += out[c]
+        shut[s] = sub
         if s != ct.root:
-            outward[s] = sub + ann.counts[s] - 1 - ann.at_node.get(s, 0)
-    assert closed[ct.root] == ann.n
-    return RefVolumes(n=ann.n, outward=outward, closed=closed)
+            out[s] = sub + count[s] - 1 - hang.get(s, 0)
+    assert shut[ct.root] == ann.n
+    return RefVolumes(n=ann.n, outward=out, closed=shut)
 
 
 def away_volume(ct, ann, arc_outer, at):
@@ -333,7 +342,7 @@ def ref_region(rank, extent, ct, values, boundary, mass_verts, mass):
     mass_at = {}
     for v, m in zip(mass_verts.tolist(), mass.tolist()):
         mass_at[v] = mass_at.get(v, 0) + m
-    parent = dict(ct.parent)
+    parent = parent_map(ct)
     kids = {v: [] for v in ct.ids.tolist()}
     for v, p in parent.items():
         kids[p].append(v)
@@ -408,7 +417,7 @@ def ref_region(rank, extent, ct, values, boundary, mass_verts, mass):
 
 
 def assert_same_merge_tree(got, want_arc_to, want_root):
-    assert sorted(got.arc_to.items()) == sorted(want_arc_to.items())
+    assert sorted(arc_to(got).items()) == sorted(want_arc_to.items())
     assert got.root == want_root
 
 
@@ -425,12 +434,13 @@ def check_grid_sweeps(grid):
 
 
 def assert_same_tree(got, want):
+    """A tree against a ``RefTree``."""
     assert got.ids.tolist() == want.ids.tolist()
     assert got.root == want.root
-    assert got.parent == want.parent
+    assert parent_map(got) == want.parent
     assert got.supernodes == want.supernodes
     assert list(got.arc_inner.items()) == list(want.arc_inner.items())
-    assert got.superparent == want.superparent
+    assert superparent(got) == want.superparent
     assert list(got.arc_regulars.items()) == list(want.arc_regulars.items())
 
 
@@ -438,8 +448,8 @@ def assert_same_measures(ct, ann):
     """Both hypersweeps and both decompositions agree on ``ct`` and ``ann``."""
     got = measure.hypersweep(ct, ann)
     want = ref_hypersweep(ct, ann)
-    assert got.outward == want.outward
-    assert got.closed == want.closed
+    assert outward(got) == want.outward
+    assert closed(got) == want.closed
     assert list(measure.branch_decomposition(ct, got).branches) == (
         ref_branch_decomposition(ct, want)
     )
@@ -475,7 +485,7 @@ def check_grid(grid):
     join, split = compute_join_tree(grid, order), compute_split_tree(grid, order)
     call = {"join": join, "split": split, "tree": gtree.combine(join, split, order.rank_of)}
     ct = check_combine(call, order.rank_of)
-    assert_same_tree(contour_tree(grid, order), ct)
+    assert tree_arrays(contour_tree(grid, order)) == tree_arrays(ct)
     assert_same_measures(ct, measure.superarc_counts(ct))
 
 
@@ -584,14 +594,14 @@ def test_distributed_annotation_matches_reference(lam):
     order = sos_order(grid)
     result = run_distributed(grid, order, (2, 2, 1), lam=lam, b=10)
     ann = result.post_volumes
-    assert ann.at_node, "expected pruned mass hanging at supernodes"
+    assert at_node(ann), "expected pruned mass hanging at supernodes"
     ct = result.augmented_tree
     assert_same_measures(ct, dataclasses.replace(ann, out_volume=None, closed_volume=None))
     # The augmented tree's own build input: base edges plus retained records.
     base = result.base_tree
     retained = record_list(result.retained)
     verts = sorted(base.ids.tolist() + [v for rec in retained for v in rec.verts])
-    edges = list(base.parent.items()) + [e for rec in retained for e in rec.edges]
+    edges = list(parent_map(base).items()) + [e for rec in retained for e in rec.edges]
     check_tree_input(verts, order.rank_of, edges)
 
 

@@ -1,5 +1,6 @@
 import itertools
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -13,13 +14,18 @@ from gridtopo.sweep import _chain_ends, link_representatives, sweep_csr
 from gridtopo.tree import tree_from_graph
 
 from conftest import (
+    arc_to,
+    child_counts,
     grid_1d,
     local_extrema,
     make_grid,
     neighbors,
+    parent_map,
     random_grid,
     sublevel_components,
+    superarcs,
     superlevel_components,
+    superparent,
 )
 from test_reference_equivalence import assert_same_merge_tree, ref_sweep
 
@@ -28,26 +34,26 @@ def test_join_tree_zigzag():
     grid = grid_1d([0, 5, 2, 6, 1])
     order = sos_order(grid)
     join = compute_join_tree(grid, order)
-    assert join.superarcs() == {(3, 2), (1, 2), (2, 0)}
+    assert superarcs(join) == {(3, 2), (1, 2), (2, 0)}
     # Vertex 4 is regular: one child, one parent in the augmented tree.
-    assert join.child_counts()[4] == 1
-    assert join.arc_to[4] == 0
+    assert child_counts(join)[4] == 1
+    assert arc_to(join)[4] == 0
 
 
 def test_split_tree_zigzag():
     grid = grid_1d([0, 5, 2, 6, 1])
     order = sos_order(grid)
     split = compute_split_tree(grid, order)
-    assert split.superarcs() == {(0, 1), (2, 1), (4, 3), (1, 3)}
+    assert superarcs(split) == {(0, 1), (2, 1), (4, 3), (1, 3)}
 
 
 def test_monotone_single_superarc():
     grid = grid_1d([1, 2, 3, 4])
     order = sos_order(grid)
     join = compute_join_tree(grid, order)
-    assert join.superarcs() == {(3, 0)}
+    assert superarcs(join) == {(3, 0)}
     split = compute_split_tree(grid, order)
-    assert split.superarcs() == {(0, 3)}
+    assert superarcs(split) == {(0, 3)}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -78,7 +84,7 @@ def test_negation_duality(seed):
     neg = grid_from_negation(grid)
     neg_order = sos_order(neg)
     join_neg = compute_join_tree(neg, neg_order)
-    assert split.superarcs() == join_neg.superarcs()
+    assert superarcs(split) == superarcs(join_neg)
 
 
 def grid_from_negation(grid):
@@ -97,14 +103,15 @@ def test_tree_property(dims, seed):
     order = sos_order(grid)
     for build in (compute_join_tree, compute_split_tree):
         tree = build(grid, order)
-        assert len(tree.arc_to) == grid.n - 1
-        # Connectivity: walking arc_to from any vertex reaches the root.
+        arcs = arc_to(tree)
+        assert len(arcs) == grid.n - 1
+        # Connectivity: walking the arcs from any vertex reaches the root.
         for v in range(grid.n):
             seen = set()
-            while v in tree.arc_to:
+            while v in arcs:
                 assert v not in seen
                 seen.add(v)
-                v = tree.arc_to[v]
+                v = arcs[v]
             assert v == tree.root
 
 
@@ -114,9 +121,9 @@ def test_arc_monotonicity(seed):
     order = sos_order(grid)
     rank = order.rank_of
     join = compute_join_tree(grid, order)
-    assert all(rank[dst] < rank[src] for src, dst in join.arc_to.items())
+    assert all(rank[dst] < rank[src] for src, dst in arc_to(join).items())
     split = compute_split_tree(grid, order)
-    assert all(rank[dst] > rank[src] for src, dst in split.arc_to.items())
+    assert all(rank[dst] > rank[src] for src, dst in arc_to(split).items())
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -129,7 +136,7 @@ def test_join_arcs_count_superlevel_components(seed):
     for gap in range(grid.n - 1):
         straddle = sum(
             1
-            for src, dst in join.arc_to.items()
+            for src, dst in arc_to(join).items()
             if rank[dst] <= gap < rank[src]
         )
         assert straddle == superlevel_components(grid, order, gap)
@@ -144,7 +151,7 @@ def test_split_arcs_count_sublevel_components(seed):
     for gap in range(grid.n - 1):
         straddle = sum(
             1
-            for src, dst in split.arc_to.items()
+            for src, dst in arc_to(split).items()
             if rank[src] <= gap < rank[dst]
         )
         assert straddle == sublevel_components(grid, order, gap)
@@ -207,7 +214,7 @@ def test_link_sweep_matches_full_stencil_sweep(dims, field):
         for build, direction in ((compute_join_tree, "join"), (compute_split_tree, "split")):
             got = build(grid, order)
             want = full_stencil_tree(grid, order, direction)
-            assert got.arc_to == want.arc_to
+            assert arc_to(got) == arc_to(want)
             assert got.root == want.root
 
 
@@ -276,27 +283,27 @@ def test_link_representatives_match_propagation():
     assert np.array_equal(table, propagated_link_representatives())
 
 
-# --- the array-backed ``arc_to`` view -----------------------------------------
+# --- merge-tree queries and the contour tree's id-keyed mappings --------------
 
 
-def dict_child_counts(arc_to, n):
+def dict_child_counts(arcs, n):
     counts = [0] * n
-    for dst in arc_to.values():
+    for dst in arcs.values():
         counts[dst] += 1
     return counts
 
 
-def dict_superarcs(arc_to, n, root):
+def dict_superarcs(arcs, n, root):
     """The contracted arcs, walked over a plain dict of arcs."""
-    counts = dict_child_counts(arc_to, n)
+    counts = dict_child_counts(arcs, n)
     supers = {v for v in range(n) if counts[v] != 1 or v == root}
-    arcs = set()
+    out = set()
     for s in supers - {root}:
-        cur = arc_to[s]
+        cur = arcs[s]
         while cur not in supers:
-            cur = arc_to[cur]
-        arcs.add((s, cur))
-    return arcs
+            cur = arcs[cur]
+        out.add((s, cur))
+    return out
 
 
 ZIGZAG_GRIDS = [
@@ -312,47 +319,54 @@ ZIGZAG_GRIDS = [
 @pytest.mark.parametrize("build", [compute_join_tree, compute_split_tree])
 def test_tree_queries_match_dict_implementation(grid, build):
     tree = build(grid, sos_order(grid))
-    arcs = dict(tree.arc_to)
+    arcs = arc_to(tree)
     counts = dict_child_counts(arcs, grid.n)
-    assert tree.child_counts() == counts
+    assert child_counts(tree) == counts
     assert tree.leaves() == [v for v in range(grid.n) if counts[v] == 0]
-    assert tree.superarcs() == dict_superarcs(arcs, grid.n, tree.root)
+    assert superarcs(tree) == dict_superarcs(arcs, grid.n, tree.root)
+
+
+# A zigzag path rooted at its maximum, vertex 0: every vertex is a supernode.
+ROOTED_AT_0 = [6, 0, 5, 1, 4]
 
 
 def test_arc_view_reads_like_a_dict():
-    grid = grid_1d([0, 5, 2, 6, 1])
-    join = compute_join_tree(grid, sos_order(grid))
-    plain = {1: 2, 2: 4, 3: 2, 4: 0}
-    assert join.arc_to == plain and plain == join.arc_to
-    assert join.arc_to != {**plain, 4: 2}
-    assert dict(join.arc_to) == plain
-    assert sorted(join.arc_to.items()) == sorted(plain.items())
-    assert len(join.arc_to) == 4
-    assert 4 in join.arc_to and join.root not in join.arc_to
-    assert join.arc_to[np.int64(3)] == 2
+    grid = grid_1d(ROOTED_AT_0)
+    ct = contour_tree(grid, sos_order(grid))
+    plain = {1: 0, 2: 1, 3: 2, 4: 3}
+    assert ct.arc_inner == plain and plain == ct.arc_inner
+    assert ct.arc_inner != {**plain, 4: 2}
+    assert dict(ct.arc_inner) == plain
+    assert sorted(ct.arc_inner.items()) == sorted(plain.items())
+    assert len(ct.arc_inner) == 4
+    assert 4 in ct.arc_inner and ct.root not in ct.arc_inner
+    assert ct.arc_inner[np.int64(3)] == 2
 
 
 @pytest.mark.parametrize("key", [0, -1, -5, 5, 99, "1", 1.5, None])
 def test_arc_view_missing_keys(key):
-    grid = grid_1d([0, 5, 2, 6, 1])
-    join = compute_join_tree(grid, sos_order(grid))
-    assert join.root == 0
-    with pytest.raises(KeyError):
-        join.arc_to[key]
-    assert key not in join.arc_to
-    assert join.arc_to.get(key) is None
+    grid = grid_1d(ROOTED_AT_0)
+    ct = contour_tree(grid, sos_order(grid))
+    assert ct.root == 0
+    for view in (ct.arc_inner, ct.arc_regulars):
+        with pytest.raises(KeyError):
+            view[key]
+        assert key not in view
+        assert view.get(key) is None
 
 
 def test_arc_view_is_read_only():
-    grid = grid_1d([0, 5, 2, 6, 1])
-    join = compute_join_tree(grid, sos_order(grid))
-    with pytest.raises(TypeError):
-        join.arc_to[1] = 0
-    with pytest.raises(TypeError):
-        del join.arc_to[1]
+    grid = grid_1d(ROOTED_AT_0)
+    order = sos_order(grid)
+    ct = contour_tree(grid, order)
+    for view in (ct.arc_inner, ct.arc_regulars):
+        with pytest.raises(TypeError):
+            view[1] = 0
+        with pytest.raises(TypeError):
+            del view[1]
     with pytest.raises(ValueError):
-        join.arcs[1] = 0
-    assert join.arc_to[1] == 2
+        compute_join_tree(grid, order).arcs[1] = 0
+    assert ct.arc_inner[1] == 0
 
 
 # Values 0, 5, 4, 3, 6, 1 on a path: vertex 2 is the one regular vertex,
@@ -363,6 +377,16 @@ VIEW_FIELDS = {
     "arc_inner": {0: 1, 1: 3, 3: 4, 5: 4},
     "superparent": {0: 0, 1: 1, 2: 1, 3: 3, 4: 4, 5: 5},
     "arc_regulars": {0: [], 1: [2], 3: [], 5: []},
+}
+
+
+# ``parent`` and ``superparent`` are dicts built from the arrays; the
+# ``arc_`` entries are the tree's own read-only mappings.
+VIEWS = {
+    "parent": parent_map,
+    "arc_inner": attrgetter("arc_inner"),
+    "superparent": superparent,
+    "arc_regulars": attrgetter("arc_regulars"),
 }
 
 
@@ -382,7 +406,7 @@ def view_tree(sparse):
 @pytest.mark.parametrize("name", list(VIEW_FIELDS))
 def test_contour_tree_views_read_like_dicts(name, sparse):
     gid, ct = view_tree(sparse)
-    view = getattr(ct, name)
+    view = VIEWS[name](ct)
     want = {
         gid[k]: [gid[x] for x in v] if isinstance(v, list) else gid[v]
         for k, v in VIEW_FIELDS[name].items()
@@ -404,10 +428,11 @@ def test_contour_tree_views_read_like_dicts(name, sparse):
         with pytest.raises(KeyError):
             view[key]
         assert key not in view and view.get(key) is None
-    with pytest.raises(TypeError):
-        view[gid[0]] = 1
-    with pytest.raises(TypeError):
-        del view[gid[0]]
+    if name.startswith("arc_"):
+        with pytest.raises(TypeError):
+            view[gid[0]] = 1
+        with pytest.raises(TypeError):
+            del view[gid[0]]
     assert view == want
 
 
@@ -465,15 +490,20 @@ def test_link_representative_counts_are_row_sums():
     assert np.array_equal(counts, link_representatives().sum(axis=1))
 
 
+def tree_value(tree):
+    """A merge tree's direction, size, root and arcs: what makes two trees equal."""
+    return tree.direction, tree.n, tree.root, tree.arcs.tolist()
+
+
 def test_merge_trees_compare_by_value():
     grid = grid_1d([0, 5, 2, 6, 1])
     order = sos_order(grid)
     join = compute_join_tree(grid, order)
-    assert join == compute_join_tree(grid, order)
-    assert join != compute_split_tree(grid, order)
+    assert tree_value(join) == tree_value(compute_join_tree(grid, order))
+    assert tree_value(join) != tree_value(compute_split_tree(grid, order))
     other = grid_1d([5, 0, 2, 6, 1])
-    assert join != compute_join_tree(other, sos_order(other))
-    assert join != dict(join.arc_to)
+    assert tree_value(join) != tree_value(compute_join_tree(other, sos_order(other)))
+    assert join != arc_to(join)
 
 
 # --- the peak-pruned kernel against the reference sweep -----------------------

@@ -11,7 +11,17 @@ from gridtopo import tree as gtree
 from gridtopo.oracle import level_set_census
 from gridtopo.tree import tree_from_graph
 
-from conftest import children_index, dump, grid_1d, local_extrema, make_grid, random_grid
+from conftest import (
+    arc_to,
+    children_index,
+    dump,
+    grid_1d,
+    local_extrema,
+    make_grid,
+    parent_map,
+    random_grid,
+    superparent,
+)
 from test_reference_equivalence import check_combine, ref_vertex_combine
 
 
@@ -47,7 +57,7 @@ def test_single_vertex_grid():
     ct = contour_tree(grid, sos_order(grid))
     assert ct.supernodes == [0]
     assert ct.arc_inner == {}
-    assert ct.superparent == {0: 0}
+    assert superparent(ct) == {0: 0}
 
 
 def test_arc_degrees_zigzag():
@@ -104,21 +114,21 @@ def test_tree_from_graph_matches_grid_tree(grid):
     got = tree_from_graph(range(grid.n), order.rank_of, list(grid.edges()))
     assert got.supernodes == expected.supernodes
     assert got.arc_inner == expected.arc_inner
-    assert got.superparent == expected.superparent
+    assert superparent(got) == superparent(expected)
     assert got.root == expected.root
 
 
 def test_augment_monotone():
     grid = grid_1d([1, 2, 3, 4])
     ct = contour_tree(grid, sos_order(grid))
-    assert ct.superparent == {0: 0, 1: 0, 2: 0, 3: 3}
+    assert superparent(ct) == {0: 0, 1: 0, 2: 0, 3: 3}
     assert ct.arc_regulars[0] == [2, 1] or sorted(ct.arc_regulars[0]) == [1, 2]
 
 
 def test_augment_zigzag_all_supernodes():
     grid = grid_1d([0, 5, 2, 6, 1])
     ct = contour_tree(grid, sos_order(grid))
-    assert ct.superparent == {v: v for v in range(5)}
+    assert superparent(ct) == {v: v for v in range(5)}
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -173,7 +183,7 @@ def test_determinism_bit_identical():
     a = contour_tree(grid, sos_order(grid))
     b = contour_tree(grid, sos_order(grid))
     assert a.arc_inner == b.arc_inner
-    assert a.superparent == b.superparent
+    assert superparent(a) == superparent(b)
     assert a.supernodes == b.supernodes
     assert dump(a) == dump(b)
 
@@ -204,7 +214,7 @@ def test_combine_rejects_mismatched_vertex_sets():
 def set_based_leaf_transfer(join, split):
     """Reference leaf transfer on dicts of parents and sets of children."""
     verts = list(range(join.n))
-    j_parent, s_parent = dict(join.arc_to), dict(split.arc_to)
+    j_parent, s_parent = arc_to(join), arc_to(split)
     j_children = {v: set() for v in verts}
     s_children = {v: set() for v in verts}
     for src, dst in j_parent.items():
@@ -376,10 +386,10 @@ def test_tree_from_graph_ignores_self_loops_and_repeats(ranks, edges, noisy):
     n = len(ranks)
     want = tree_from_graph(range(n), ranks, edges)
     got = tree_from_graph(range(n), ranks, noisy)
-    assert (got.root, got.parent, got.supernodes, got.arc_inner) == (
-        want.root, want.parent, want.supernodes, want.arc_inner
+    assert (got.root, parent_map(got), got.supernodes, got.arc_inner) == (
+        want.root, parent_map(want), want.supernodes, want.arc_inner
     )
-    assert got.superparent == want.superparent
+    assert superparent(got) == superparent(want)
     assert got.arc_regulars == want.arc_regulars
 
 
@@ -507,7 +517,7 @@ def test_rounds_match_references_on_random_tree_graphs(n, width, seed, combine_c
     (call,) = combine_calls
     assert_rounds_match_references(call, n)
     # A tree graph is its own contour tree.
-    assert {frozenset(e) for e in ct.parent.items()} == {frozenset(e) for e in edges}
+    assert {frozenset(e) for e in parent_map(ct).items()} == {frozenset(e) for e in edges}
 
 
 def test_long_zigzag_path_is_its_own_contour_tree():
