@@ -49,8 +49,7 @@ def main() -> int:
     failures = 0
     for seed in range(args.seeds):
         grid = synthetic_random(dims, seed)
-        order = sos_order(grid)
-        ct = contour_tree(grid, order)
+        ct = contour_tree(grid, sos_order(grid))
         ann = hypersweep(ct, superarc_counts(ct))
         bd = branch_decomposition(ct, ann)
         serial = arrays(ct, ann)
@@ -58,7 +57,7 @@ def main() -> int:
         for splits in SPLITS:
             if any(s > 1 and d < s + 1 for d, s in zip(dims, splits)):
                 continue
-            result = run_distributed(grid, order, splits, lam=0, b=100)
+            result = run_distributed(grid, splits, lam=0, b=100)
             got = arrays(result.augmented_tree, result.post_volumes)
             ok = (
                 all(np.array_equal(got[name], want) for name, want in serial.items())

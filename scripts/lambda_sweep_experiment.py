@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from gridtopo import ScalarGrid, sos_order
+from gridtopo import ScalarGrid
 from gridtopo.dist import run_lambda_sweep
 from gridtopo.grid import synthetic_gaussians
 
@@ -38,11 +38,10 @@ def main() -> int:
     base = synthetic_gaussians(dims, args.seed)
     rng = np.random.default_rng(args.seed + 1)
     grid = ScalarGrid(dims=dims, values=base.values + args.noise * rng.random(base.n))
-    order = sos_order(grid)
 
     print("lambda,max_attachment_points,max_bestupdown,max_branchinfo,"
           "branches,lambda_b,lambda_valid")
-    results = run_lambda_sweep(grid, order, blocks, lambdas, b=args.top_branches)
+    results = run_lambda_sweep(grid, blocks, lambdas, b=args.top_branches)
     for lam, result in zip(lambdas, results):
         log = result.commlog
         print(

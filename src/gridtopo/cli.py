@@ -137,7 +137,8 @@ def _oracle_check(grid: ScalarGrid, order, ct) -> None:
 def run_pipeline(args: argparse.Namespace) -> dict:
     """Execute one ``run`` on ``args`` as ``main`` prepares them; returns the metrics."""
     grid = load_grid(args)
-    order = sos_order(grid)
+    # Only the serial tree and the census read the whole grid's order.
+    order = sos_order(grid) if args.mode == "serial" or args.oracle_check else None
     if args.mode == "serial":
         ct = tree.contour_tree(grid, order)
         bd = measure.branch_decomposition(ct, measure.hypersweep(ct, measure.superarc_counts(ct)))
@@ -147,7 +148,7 @@ def run_pipeline(args: argparse.Namespace) -> dict:
         warnings, extra = [], {}
     else:
         result = pipeline.run_distributed(
-            grid, order, args.blocks, lam=args.lam, b=args.top_branches,
+            grid, args.blocks, lam=args.lam, b=args.top_branches,
             threshold=args.threshold, mode=args.rank_exec,
         )
         ct, bd, selected = result.augmented_tree, result.bd, result.selected
@@ -193,10 +194,9 @@ def run_pipeline(args: argparse.Namespace) -> dict:
 def run_lambda_sweep(args: argparse.Namespace) -> str:
     """Run the distributed pipeline over every ``--lambda-sweep`` value; returns sweep CSV text."""
     grid = load_grid(args)
-    order = sos_order(grid)
     rows = ["lambda,max_attachment_points,max_bestupdown,max_branchinfo"]
     results = pipeline.run_lambda_sweep(
-        grid, order, args.blocks, args.lambda_sweep, b=args.top_branches,
+        grid, args.blocks, args.lambda_sweep, b=args.top_branches,
         threshold=args.threshold, mode=args.rank_exec,
     )
     for lam, result in zip(args.lambda_sweep, results):

@@ -17,10 +17,11 @@ All ranks live in one process.  The phases:
    kept tree as numpy arrays, from the local phase to the augmented tree:
    sorted ids, ``(child, parent)`` edge rows, aligned values, and the
    carried mass as aligned id and amount arrays (``RegionState``).
-4. **Fan-out.**  Rank 0 sends the base tree to every other rank; the
-   ranks share the one tree, so only the comm log records the message.
-   The records stay one ``Records`` table of int64 arrays, each rank's
-   rows its own.
+   Every tree ranks its own vertices from those values by (value, id).
+4. **Fan-out.**  Rank 0 sends the base tree and its values to every
+   other rank; the ranks share the one tree, so only the comm log records
+   the message.  The records stay one ``Records`` table, each rank's rows
+   its own, with their vertices' ``values`` and each record's ``rises``.
 5. **Augmentation.**  Records whose measure exceeds the threshold lambda
    are put back into the base tree.  The others stay folded into the
    volumes as mass at their attachment point.
@@ -68,7 +69,7 @@ import numpy as np
 
 from .. import measure
 from ..errors import DataError, UsageError
-from ..grid import ScalarGrid, VertexOrder, _coords, sos_order
+from ..grid import ScalarGrid, _coords, sos_order
 from ..measure import Branch, BranchDecomposition, VolumeAnnotation
 from ..sweep import _chain_ends
 from ..tree import _EMPTY, ContourTree, _ancestors, _from_edges, _Positions, _reroot
@@ -215,22 +216,25 @@ def _map_ranks(fn, items, mode: str) -> list:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Records:
-    """Subtrees cut off contour trees as int64 arrays, record ``i`` in row ``i``.
+    """Subtrees cut off contour trees as arrays, record ``i`` in row ``i``.
 
     Record ``i`` hangs at vertex ``attach[i]`` by the edge from its vertex
-    ``head[i]``.  ``measure[i]`` counts its vertices plus the mass of
+    ``head[i]``; ``rises[i]`` holds if the head ranks above it in the tree
+    that cut it.  ``measure[i]`` counts its vertices plus the mass of
     earlier records attached inside it; ``rank[i]`` is the rank that cut
-    it.  Its vertices are ``verts[start[i]:start[i + 1]]``, ascending, and
-    their ``parent`` rows lead toward ``attach[i]``: the ``(verts, parent)``
-    rows are its tree edges, ``(head, attach)`` among them.
+    it.  Its vertices are ``verts[start[i]:start[i + 1]]``, ascending, with
+    their ``values``, and their ``parent`` rows lead toward ``attach[i]``:
+    the ``(verts, parent)`` rows are its tree edges, ``(head, attach)`` among them.
     """
 
     attach: np.ndarray
     head: np.ndarray
+    rises: np.ndarray
     measure: np.ndarray
     rank: np.ndarray
     start: np.ndarray
     verts: np.ndarray
+    values: np.ndarray
     parent: np.ndarray
 
     def __len__(self) -> int:
@@ -241,8 +245,9 @@ class Records:
         sizes = np.diff(self.start)
         rows = np.repeat(mask, sizes)
         return Records(
-            self.attach[mask], self.head[mask], self.measure[mask], self.rank[mask],
-            np.r_[0, np.cumsum(sizes[mask])], self.verts[rows], self.parent[rows],
+            self.attach[mask], self.head[mask], self.rises[mask], self.measure[mask],
+            self.rank[mask], np.r_[0, np.cumsum(sizes[mask])], self.verts[rows],
+            self.values[rows], self.parent[rows],
         )
 
     @staticmethod
@@ -250,7 +255,7 @@ class Records:
         """One table of the records of ``parts``, in order."""
         cols = {
             name: np.concatenate([getattr(p, name) for p in parts])
-            for name in ("attach", "head", "measure", "rank", "verts", "parent")
+            for name in ("attach", "head", "rises", "measure", "rank", "verts", "values", "parent")
         }
         sizes = np.concatenate([np.diff(p.start) for p in parts])
         return Records(start=np.r_[0, np.cumsum(sizes)], **cols)
@@ -317,9 +322,10 @@ def _region(
     new_mass = np.where(kept, carried, 0)
     np.add.at(new_mass, toward[heads], weight)
     records = Records(
-        attach=ids[toward[heads]], head=ids[heads], measure=weight,
+        attach=ids[toward[heads]], head=ids[heads],
+        rises=ct.ranks[heads] > ct.ranks[toward[heads]], measure=weight,
         rank=np.full(heads.size, rank, dtype=np.int64), start=np.append(first, hanging.size),
-        verts=ids[hanging], parent=ids[toward[hanging]],
+        verts=ids[hanging], values=values[hanging], parent=ids[toward[hanging]],
     )
     held = np.flatnonzero(new_mass > 0)
     inside = np.flatnonzero(kept & (up >= 0) & kept[up])
@@ -336,23 +342,21 @@ def _region(
     )
 
 
-def local_phase(grid: ScalarGrid, order: VertexOrder, extent: Extent, rank: int) -> RegionState:
+def local_phase(grid: ScalarGrid, extent: Extent, rank: int) -> RegionState:
     """Contour tree of one block, split into its boundary tree and records.
 
-    The block is a sub-grid of its own.  Its (value, local id) order is
-    the global order restricted to the block, because row-major ids of a
-    box keep their relative order; the tree carries global ids and ranks.
+    The block is a sub-grid of its own, read from its slice of the grid's
+    values.  Row-major ids of a box keep their relative order, so the tree
+    keeps the block's own (value, id) ranks and takes the global ids.
     """
     vids = extent.vids(grid.dims)
     sub = ScalarGrid(dims=extent.shape, values=grid.values[vids])
-    ct = contour_tree(sub, sos_order(sub))
-    st = replace(ct.superstructure, rank=order.rank_of[vids[ct.superstructure.vertex]])
-    ct = replace(ct, ids=vids, ranks=order.rank_of, superstructure=st)
+    ct = replace(contour_tree(sub, sos_order(sub)), ids=vids)
     boundary = extent.boundary(grid.dims, vids)
     return _region(rank, extent, ct, sub.values, boundary, _EMPTY, _EMPTY)
 
 
-def _merge(a: RegionState, b: RegionState, ranks: np.ndarray, dims) -> RegionState:
+def _merge(a: RegionState, b: RegionState, dims) -> RegionState:
     """Glue two regions' kept trees and prune against the merged boundary."""
     shared, ia, ib = np.intersect1d(
         a.kept_verts, b.kept_verts, assume_unique=True, return_indices=True
@@ -365,8 +369,8 @@ def _merge(a: RegionState, b: RegionState, ranks: np.ndarray, dims) -> RegionSta
             f"region {a.rank} but {b.values[ib[i]].item()!r} in block region {b.rank}"
         )
     verts, first = np.unique(np.concatenate((a.kept_verts, b.kept_verts)), return_index=True)
-    ct = tree_from_graph(verts, ranks, np.concatenate((a.kept_edges, b.kept_edges)))
     values = np.concatenate((a.values, b.values))[first]
+    ct = tree_from_graph(verts, values, np.concatenate((a.kept_edges, b.kept_edges)))
     mass_verts = np.concatenate((a.mass_verts, b.mass_verts))
     mass = np.concatenate((a.mass, b.mass))
     extent = a.extent.union(b.extent)
@@ -374,19 +378,14 @@ def _merge(a: RegionState, b: RegionState, ranks: np.ndarray, dims) -> RegionSta
 
 
 def fan_in(
-    states: list[RegionState],
-    decomp: Decomposition,
-    order: VertexOrder,
-    log: CommLog,
-    mode: str = "sequential",
-) -> tuple[ContourTree, Records]:
+    states: list[RegionState], decomp: Decomposition, log: CommLog, mode: str = "sequential"
+) -> tuple[ContourTree, np.ndarray, Records]:
     """Binary reduction of the regions along x, then y, then z.
 
-    Returns the base tree (the whole domain's kept tree) and every record
-    cut on the way: the local ones by rank, then each level's in leader
-    order.
+    Returns the base tree (the whole domain's kept tree), its values
+    aligned with its ids, and every record cut on the way: the local ones
+    by rank, then each level's in leader order.
     """
-    ranks = order.rank_of
     records = [s.records for s in states]
     regions: list[RegionState | None] = list(states)
     for axis, splits in enumerate(decomp.splits):
@@ -399,7 +398,7 @@ def fan_in(
                 if region is not None and c % (2 * stride) == 0 and c + stride < splits:
                     jobs.append((leader, regions[leader + stride * step]))
             merged = _map_ranks(
-                lambda job: _merge(regions[job[0]], job[1], ranks, decomp.dims), jobs, mode
+                lambda job: _merge(regions[job[0]], job[1], decomp.dims), jobs, mode
             )
             for (leader, partner), region in zip(jobs, merged):
                 log.add("fan-in", "tree_verts_recv", leader, len(partner.kept_verts))
@@ -408,8 +407,9 @@ def fan_in(
                 records.append(region.records)
             stride *= 2
     top = regions[0]
-    # A tree is its own contour tree: no sweep, only its edges and ranks.
-    return _from_edges(top.kept_verts, ranks, top.kept_edges), Records.concat(records)
+    # A tree is its own contour tree: no sweep, only its edges and values.
+    base = _from_edges(top.kept_verts, top.values, top.kept_edges)
+    return base, top.values, Records.concat(records)
 
 
 def list_attachment_points(records: Records, lam: int) -> Records:
@@ -419,34 +419,26 @@ def list_attachment_points(records: Records, lam: int) -> Records:
     return records.take(records.measure > lam)
 
 
-def _augment(base: ContourTree, retained: Records) -> ContourTree:
-    """The base tree with the retained records' edges put back at their attachments."""
+def _augment(base: ContourTree, values: np.ndarray, retained: Records) -> ContourTree:
+    """The base tree, whose ``values`` align with its ids, with the retained records put back."""
     if not retained:
         return base
     child = np.flatnonzero(base.up >= 0)
     base_edges = np.column_stack((base.ids[child], base.ids[base.up[child]]))
-    verts = np.sort(np.concatenate((base.ids, retained.verts)))
     edges = np.concatenate((base_edges, np.column_stack((retained.verts, retained.parent))))
-    return _from_edges(verts, base.ranks, edges)
+    return _from_edges(np.r_[base.ids, retained.verts], np.r_[values, retained.values], edges)
 
 
-def _positions(ct: ContourTree, n: int) -> np.ndarray:
-    """The position in ``ct`` of each vertex id below ``n``; -1 where it is absent."""
-    where = np.full(n, -1, dtype=np.int64)
-    where[ct.ids] = np.arange(ct.n)
-    return where
-
-
-def _volumes(ct: ContourTree, where: np.ndarray, pruned: Records) -> VolumeAnnotation:
+def _volumes(ct: ContourTree, where: _Positions, pruned: Records, n: int) -> VolumeAnnotation:
     """Hypersweep of ``ct`` with pruned records folded in at their attachments.
 
     A measure counts on its attachment's superarc (``ct.outer``) and
     hangs at the attachment if that is a supernode.  Only records
     attached to a vertex of ``ct`` are folded; the others are already
     inside the measure of the record they attach to.  ``where`` is
-    ``_positions(ct, n)`` for the grid's n vertices.
+    ``_Positions(ct.ids)`` and ``n`` the grid's vertex count.
     """
-    at = where[pruned.attach]
+    at = where.find(pruned.attach)
     at, amount = at[at >= 0], pruned.measure[at >= 0]
     arc = ct.outer[at]
     mass, node = np.zeros((2, ct.n), dtype=np.int64)
@@ -454,28 +446,27 @@ def _volumes(ct: ContourTree, where: np.ndarray, pruned: Records) -> VolumeAnnot
     np.add.at(node, at[arc == at], amount[arc == at])
     sn, own = ct.superstructure.vertex, measure.superarc_counts(ct)
     count = own.count + mass[sn]
-    return measure.hypersweep(ct, replace(own, n=where.size, count=count, hang=node[sn]))
+    return measure.hypersweep(ct, replace(own, n=n, count=count, hang=node[sn]))
 
 
 def _log_branch_entries(
-    aug: ContourTree, where: np.ndarray, retained: Records, pruned: Records,
+    aug: ContourTree, where: _Positions, retained: Records, pruned: Records,
     decomp: Decomposition, log: CommLog,
 ) -> None:
     """Best up/down and branch outer-end entries per rank (see the module notes).
 
-    ``where`` is ``_positions(aug, n)`` for the grid's n vertices.
+    ``where`` is ``_Positions(aug.ids)``.
     """
     up, down = np.ones((2, aug.n), dtype=np.int64)  # a regular vertex has one arc each way
     up[aug.superstructure.vertex], down[aug.superstructure.vertex] = aug.arc_degrees()
     # A pruned record still counts as an arc at an attachment in ``aug``.
-    at = where[pruned.attach]
-    rises = aug.ranks[pruned.head] > aug.ranks[pruned.attach]
-    np.add.at(up, at[(at >= 0) & rises], 1)
-    np.add.at(down, at[(at >= 0) & ~rises], 1)
+    at = where.find(pruned.attach)
+    np.add.at(up, at[(at >= 0) & pruned.rises], 1)
+    np.add.at(down, at[(at >= 0) & ~pruned.rises], 1)
     counted = (up != 1) | (down != 1)  # the critical vertices; extrema are among them
     holder = np.zeros(aug.n, dtype=np.int64)
     holder[counted] = decomp.owner_of(aug.ids[counted])
-    holder[where[retained.verts]] = np.repeat(retained.rank, np.diff(retained.start))
+    holder[where.of(retained.verts)] = np.repeat(retained.rank, np.diff(retained.start))
     critical = np.bincount(holder[counted], minlength=decomp.num_blocks).tolist()
     extrema = np.bincount(holder[up + down <= 1], minlength=decomp.num_blocks).tolist()
     for r in range(decomp.num_blocks):
@@ -516,7 +507,6 @@ class DistributedResult:
 
 def run_lambda_sweep(
     grid: ScalarGrid,
-    order: VertexOrder,
     blocks: tuple[int, int, int],
     lams: Sequence[int],
     b: int | None = None,
@@ -543,17 +533,17 @@ def run_lambda_sweep(
     decomp = decompose(grid, blocks)
     shared_log = CommLog(decomp.num_blocks)
     states = _map_ranks(
-        lambda r: local_phase(grid, order, decomp.extents[r], r),
+        lambda r: local_phase(grid, decomp.extents[r], r),
         range(decomp.num_blocks),
         mode,
     )
     for s in states:
         shared_log.add("local phase", "vertices", s.rank, s.num_vertices)
-    base, records = fan_in(states, decomp, order, shared_log, mode)
+    base, values, records = fan_in(states, decomp, shared_log, mode)
     # Rank 0 sends the base tree to every other rank.
     for r in range(1, decomp.num_blocks):
         shared_log.add("fan-out", "tree_verts_recv", r, base.n)
-    pre_volumes = _volumes(base, _positions(base, grid.n), records)
+    pre_volumes = _volumes(base, _Positions(base.ids), records, grid.n)
 
     for lam in lams:
         log = copy.deepcopy(shared_log)
@@ -562,9 +552,9 @@ def run_lambda_sweep(
         own = np.bincount(retained.rank, minlength=decomp.num_blocks)
         for r, recv in enumerate((len(retained) - own).tolist()):
             log.add("augmentation", "attachment_points_recv", r, recv)
-        augmented = _augment(base, retained)
-        where = _positions(augmented, grid.n)
-        post_volumes = _volumes(augmented, where, pruned)
+        augmented = _augment(base, values, retained)
+        where = _Positions(augmented.ids)
+        post_volumes = _volumes(augmented, where, pruned, grid.n)
         bd = measure.branch_decomposition(augmented, post_volumes)
         _log_branch_entries(augmented, where, retained, pruned, decomp, log)
 
@@ -602,7 +592,6 @@ def run_lambda_sweep(
 
 def run_distributed(
     grid: ScalarGrid,
-    order: VertexOrder,
     blocks: tuple[int, int, int],
     lam: int = 0,
     b: int | None = None,
@@ -610,5 +599,5 @@ def run_distributed(
     mode: str = "sequential",
 ) -> DistributedResult:
     """``run_lambda_sweep`` with the one pre-simplification threshold ``lam``."""
-    (result,) = run_lambda_sweep(grid, order, blocks, [lam], b, threshold, mode)
+    (result,) = run_lambda_sweep(grid, blocks, [lam], b, threshold, mode)
     return result

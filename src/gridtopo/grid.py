@@ -87,14 +87,19 @@ class VertexOrder:
 
 
 def sos_order(grid: ScalarGrid) -> VertexOrder:
-    """Total order under simulation of simplicity (ties broken by id).
+    """Total order under simulation of simplicity (ties broken by id)."""
+    return value_order(grid.values)
+
+
+def value_order(values: np.ndarray) -> VertexOrder:
+    """The (value, position) order of ``values``, which is (value, id) for ids in order.
 
     One unstable sort by value, then ``_ties_by_id`` puts each run of
-    equal values back in id order.
+    equal values back in position order.
     """
-    n = grid.n
-    vertex_at = np.argsort(grid.values)
-    _ties_by_id(vertex_at, grid.values[vertex_at])
+    n = values.size
+    vertex_at = np.argsort(values)
+    _ties_by_id(vertex_at, values[vertex_at])
     rank_of = np.empty(n, dtype=np.int64)
     rank_of[vertex_at] = np.arange(n)
     return VertexOrder(rank_of=rank_of, vertex_at=vertex_at)
@@ -107,7 +112,7 @@ def _ties_by_id(vertex_at: np.ndarray, ordered: np.ndarray) -> None:
     alone, whose remainders mod n are the ids.  Runs are counted from 1
     and number at most n / 2, so the keys stay below n**2 and within
     int64 up to 3e9 vertices.  A helper, so that its temporaries are
-    freed before ``sos_order`` builds the rank table.
+    freed before ``value_order`` builds the rank table.
     """
     n = vertex_at.size
     tied = ordered[1:] == ordered[:-1]

@@ -170,16 +170,17 @@ class _Branches(Sequence):
 class BranchDecomposition:
     """Branches as int64 arrays with one row per branch, in output order.
 
-    ``volume``; ``leaf`` and ``saddle`` as vertex ids (the trunk's saddle
-    is -1); ``parent``, the row of the branch it attaches to (-1 for the
-    trunk).  Row r's arcs, by outer-end id ascending, are
-    ``arcs[start[r]:start[r + 1]]``.  ``branches`` reads the rows as
-    ``Branch`` objects, built on first access and kept.
+    ``volume``; ``leaf`` and ``saddle`` as vertex ids and ``saddle_at`` as a
+    tree position (both -1 for the trunk's saddle); ``parent``, the row of the
+    branch it attaches to (-1 for the trunk).  Row r's arcs, by outer-end id
+    ascending, are ``arcs[start[r]:start[r + 1]]``.  ``branches`` reads the
+    rows as ``Branch`` objects, built on first access and kept.
     """
 
     volume: np.ndarray = field(repr=False)
     leaf: np.ndarray = field(repr=False)
     saddle: np.ndarray = field(repr=False)
+    saddle_at: np.ndarray = field(repr=False)
     parent: np.ndarray = field(repr=False)
     start: np.ndarray = field(repr=False)
     arcs: np.ndarray = field(repr=False)
@@ -207,9 +208,9 @@ class BranchDecomposition:
     def order(self, ranks: Sequence[int]) -> np.ndarray:
         """Rows by descending volume, then ascending saddle rank (the trunk's is -1).
 
-        One stable ``lexsort`` over the rank table, so equal keys keep their order.
+        One stable ``lexsort`` over the tree's ``ranks``, so equal keys keep their order.
         """
-        saddle_rank = np.where(self.saddle >= 0, np.asarray(ranks)[self.saddle], -1)
+        saddle_rank = np.where(self.saddle_at >= 0, np.asarray(ranks)[self.saddle_at], -1)
         return np.lexsort((saddle_rank, -self.volume))
 
 
@@ -231,7 +232,7 @@ def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomp
     if k == 1:
         one = np.array([-1], dtype=np.int64)
         return BranchDecomposition(
-            volume=np.array([ct.n]), leaf=sn, saddle=one, parent=one,
+            volume=np.array([ct.n]), leaf=sn, saddle=one, saddle_at=one, parent=one,
             start=np.zeros(2, dtype=np.int64), arcs=one[:0],
         )
 
@@ -330,6 +331,7 @@ def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomp
         volume=volume,
         leaf=sn[leaf],
         saddle=np.where(saddle >= 0, sn[saddle], -1),
+        saddle_at=np.where(saddle >= 0, st.vertex[saddle], -1),
         parent=parent,
         start=np.r_[0, np.cumsum(n_arcs)],
         arcs=sn[arcs[np.argsort(arc_group, kind="stable")]],

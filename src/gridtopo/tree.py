@@ -32,13 +32,13 @@ an edge list at the highest-ranked vertex, counts degrees with
 regular chains and each regular vertex's outer end by jumping down
 them.  ``combine`` and ``_from_edges`` order each superarc's regular
 vertices with one sort on (superarc, signed rank), so both return
-augmented trees: every tree holds its vertices' superarcs.  Ranks are
-read from one int64 table indexed by vertex id (``VertexOrder.rank_of``
-for a grid).  Those int64 arrays are the whole state of a tree, and
-callers read them directly.  ``arc_inner`` and ``arc_regulars`` are
-read-only mappings over them keyed by supernode id, and ``supernodes``
-is a list built on first use.  No function keeps state between calls,
-so trees can be built on several threads at once.
+augmented trees: every tree holds its vertices' superarcs.  Each tree
+ranks its own vertices by (value, id) in ``ranks``, over positions.
+Those int64 arrays are the whole state of a tree, and callers read
+them directly.  ``arc_inner`` and ``arc_regulars`` are read-only
+mappings over them keyed by supernode id, and ``supernodes`` is a list
+built on first use.  No function keeps state between calls, so trees
+can be built on several threads at once.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalError, UsageError
-from .grid import ScalarGrid, VertexOrder
+from .grid import ScalarGrid, VertexOrder, value_order
 from .sweep import MergeTree, _chain_ends, _link_chains, sweep_csr
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -127,8 +127,8 @@ class ContourTree:
     each non-root supernode to the other, root-facing end of its
     superarc, and ``arc_regulars`` to that superarc's regular vertices
     in walk order.
-    ``ranks`` is the shared int64 rank table indexed by vertex id (for a
-    grid, ``VertexOrder.rank_of``), not a per-tree copy.
+    ``ranks[p]`` ranks position p among the tree's own vertices by (value, id);
+    a grid tree's positions are its ids, so it is ``VertexOrder.rank_of``.
     """
 
     ids: np.ndarray = field(repr=False)
@@ -185,8 +185,8 @@ class ContourTree:
 def combine(join: MergeTree, split: MergeTree, ranks) -> ContourTree:
     """Merge the two trees by leaf transfer on their critical vertices.
 
-    ``ranks`` is the rank table indexed by vertex id, any int sequence;
-    it is converted once to the int64 array the tree keeps.
+    ``ranks[p]`` ranks vertex p, which is also its position (for a grid,
+    ``VertexOrder.rank_of``); any int sequence, converted once to int64.
 
     The critical set C holds every vertex whose join-child or split-child
     count is not 1; both roots are in it, as the minimum has no split
@@ -503,13 +503,29 @@ class _Positions:
         if (self.table[ids] != np.arange(n)).any():
             raise InternalError("vertex ids are not distinct")
 
+    def find(self, ids: np.ndarray) -> np.ndarray:
+        """Positions of ``ids``, -1 for an id not in the table."""
+        inside = (ids >= 0) & (ids < self.table.size)
+        return np.where(inside, self.table[np.where(inside, ids, 0)], -1)
+
     def of(self, ids: np.ndarray) -> np.ndarray:
         """Positions of ``ids``; raises ``InternalError`` for an id not in the table."""
-        inside = (ids >= 0) & (ids < self.table.size)
-        pos = self.table[np.where(inside, ids, 0)]
-        if not inside.all() or (pos < 0).any():
+        pos = self.find(ids)
+        if (pos < 0).any():
             raise InternalError("edge endpoint outside the vertex set")
         return pos
+
+
+def _by_id(verts, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``verts`` in id order (sorted if needed), then ``value_order``'s tables of their values."""
+    verts, values = np.asarray(verts, dtype=np.int64), np.asarray(values)
+    if values.shape != verts.shape:
+        raise UsageError(f"{values.size} values for {verts.size} vertices")
+    if (verts[1:] < verts[:-1]).any():
+        by_id = np.argsort(verts)
+        verts, values = verts[by_id], values[by_id]
+    order = value_order(values)
+    return verts, order.rank_of, order.vertex_at
 
 
 def _pair_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
@@ -522,11 +538,12 @@ def _pair_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
     return major * span + minor
 
 
-def _from_edges(verts, ranks, edges) -> ContourTree:
+def _from_edges(verts, values, edges) -> ContourTree:
     """The augmented contour tree with the given edges.
 
     ``verts`` are the vertex ids, in any order (the tree holds them
-    sorted), and ``edges`` an (n - 1, 2) array-like of
+    sorted), ``values`` their scalars in the same order, which rank them
+    by (value, id), and ``edges`` an (n - 1, 2) array-like of
     ``(child, parent)`` rows of some rooting of the tree: every vertex
     but one is a child exactly once.  The tree is re-rooted at the
     highest-ranked vertex by reversing the one path up from it.
@@ -536,14 +553,13 @@ def _from_edges(verts, ranks, edges) -> ContourTree:
     at its superarc's outer end; ranks are monotone along a superarc, so
     one sort on (superarc, signed rank) lists its regulars from there inward.
     """
-    verts = np.sort(np.asarray(verts, dtype=np.int64))
-    ranks = np.asarray(ranks, dtype=np.int64)
+    verts, rank, _ = _by_id(verts, values)
+    del values  # an unsorted temporary of the caller's goes before the tree is built
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     n = verts.size
     if n == 0 or len(edges) != n - 1:
         raise InternalError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
     pairs = _Positions(verts).of(edges)
-    rank = ranks[verts]
     up, st = _from_pairs(rank, pairs[:, 0], pairs[:, 1])
     is_super = np.zeros(n, dtype=bool)
     is_super[st.vertex] = True
@@ -561,7 +577,7 @@ def _from_edges(verts, ranks, edges) -> ContourTree:
     rises = rank[regular] < rank[up[regular]]
     walk = regular[_walk_order(arc, rank[regular], rises)]
     walk_start = np.r_[0, np.cumsum(np.bincount(arc, minlength=n))]
-    return ContourTree(verts, ranks, up, st, outer=outer, walk=walk, walk_start=walk_start)
+    return ContourTree(verts, rank, up, st, outer=outer, walk=walk, walk_start=walk_start)
 
 
 def _ancestors(parent: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -637,26 +653,24 @@ def contour_tree(grid: ScalarGrid, order: VertexOrder) -> ContourTree:
     return augment(combine(join, split, order.rank_of))
 
 
-def tree_from_graph(verts, ranks, edges) -> ContourTree:
+def tree_from_graph(verts, values, edges) -> ContourTree:
     """Contour tree of a connected graph on ``verts`` (used by the merge).
 
     Precondition: the graph's Reeb graph is a tree.  The fan-in glue
     graphs meet it because they come from simply connected regions.  On
     other graphs the result is not a contour tree, and it is not checked.
-    ``verts`` are distinct vertex ids and ``edges`` an (m, 2) array-like
-    of id pairs.  The tree is built over the vertices' positions in
-    ascending id order, so its ``ids`` ascend like every other tree's.
+    ``verts`` are distinct vertex ids, ``values`` their scalars in the
+    same order, and ``edges`` an (m, 2) array-like of id pairs.  The tree
+    is built over their positions in ascending id order, so its ``ids``
+    ascend like every other tree's, and ranks them by (value, id).
     Self-loops are dropped, repeated edges are harmless, and an endpoint
     outside ``verts`` raises ``InternalError``.
     """
-    gid = np.sort(np.asarray(verts, dtype=np.int64))
-    ranks = np.asarray(ranks, dtype=np.int64)
-    rank = ranks[gid]
+    gid, rank, rising = _by_id(verts, values)
     n = gid.size
     a, b = _Positions(gid).of(np.asarray(edges, dtype=np.int64).reshape(-1, 2)).T
     a_low, keep = rank[a] < rank[b], a != b
     lo, hi = np.where(a_low, a, b)[keep], np.where(a_low, b, a)[keep]
-    rising = np.argsort(rank)
     # The join sweep visits a vertex after all higher-ranked ones and the
     # split sweep after all lower-ranked ones: list each edge at one end.
     trees = []
@@ -667,4 +681,4 @@ def tree_from_graph(verts, ranks, edges) -> ContourTree:
         by = np.argsort(at, kind="stable")
         starts = np.r_[0, np.cumsum(np.bincount(at, minlength=n))]
         trees.append(sweep_csr(seq, other[by], starts, n, direction))
-    return dataclasses.replace(combine(*trees, rank), ids=gid, ranks=ranks)
+    return dataclasses.replace(combine(*trees, rank), ids=gid)

@@ -91,12 +91,18 @@ def neighbors(grid, vid):
     return out
 
 
+def rank_by_id(ct):
+    """A tree's ``{id: rank}``; its ``ranks`` are indexed by position."""
+    return dict(zip(ct.ids.tolist(), ct.ranks.tolist()))
+
+
 def dump(ct, values=None):
     """Debug text: supernodes (id, value, rank) and superarcs, stable order."""
+    rank = rank_by_id(ct)
     lines = ["supernodes:"]
     for s in sorted(ct.supernodes):
         val = "" if values is None else f" value={values[s]!r}"
-        lines.append(f"  {s}{val} rank={ct.ranks[s]}")
+        lines.append(f"  {s}{val} rank={rank[s]}")
     lines.append("superarcs:")
     for outer in sorted(ct.arc_inner):
         lines.append(f"  {outer} -> {ct.arc_inner[outer]}")
@@ -173,6 +179,29 @@ def outward(ann):
     return _by_supernode(ann, ann.out_volume, np.arange(ann.ids.size) != ann.root)
 
 
+def inward_count(ct, ann, outer):
+    """Vertices on the inner side of the arc with outer end ``outer``, apart from ``hypersweep``.
+
+    Floods the superarcs from the arc's inner end without crossing the
+    arc, sums ``ann.count`` over the supernodes reached and adds 1 for
+    the root, whose own vertex no arc counts.
+    """
+    adj = {s: [] for s in ct.supernodes}
+    for a, b in ct.arc_inner.items():
+        if a != outer:
+            adj[a].append(b)
+            adj[b].append(a)
+    seen = {ct.arc_inner[outer]}
+    stack = list(seen)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    count = counts(ann)
+    return sum(count.get(s, 0) for s in seen) + 1
+
+
 def closed(ann):
     """``{supernode id: closed volume}`` over every supernode; empty before ``hypersweep``."""
     return _by_supernode(ann, ann.closed_volume, True)
@@ -190,11 +219,12 @@ def sorted_branches(bd, ranks):
 
 def children_index(ct):
     """Superstructure children: inner end -> outer ends, rank-sorted."""
+    rank = rank_by_id(ct)
     kids = {s: [] for s in ct.supernodes}
     for outer, inner in ct.arc_inner.items():
         kids[inner].append(outer)
     for lst in kids.values():
-        lst.sort(key=lambda v: ct.ranks[v])
+        lst.sort(key=rank.__getitem__)
     return kids
 
 

@@ -93,7 +93,6 @@ def test_criterion_2_conservation():
     checked = 0
     for dims, seed in AC_GRIDS:
         grid = random_grid(dims, seed)
-        order = sos_order(grid)
         _, ct, ann, _ = serial_pipeline(grid)
         assert sum(counts(ann).values()) + 1 == grid.n
         checked += 1
@@ -101,7 +100,7 @@ def test_criterion_2_conservation():
             if not _feasible(dims, splits):
                 continue
             for lam in (0, 2, 10**6):
-                result = run_distributed(grid, order, splits, lam=lam, b=5)
+                result = run_distributed(grid, splits, lam=lam, b=5)
                 assert sum(counts(result.pre_volumes).values()) + 1 == grid.n
                 assert sum(counts(result.post_volumes).values()) + 1 == grid.n
                 checked += 1
@@ -113,12 +112,11 @@ def test_criterion_3_distributed_equals_serial():
     compared = 0
     for dims, seed in AC_GRIDS:
         grid = random_grid(dims, seed)
-        order = sos_order(grid)
         _, ct, ann, bd = serial_pipeline(grid)
         for splits in SPLITS:
             if not _feasible(dims, splits):
                 continue
-            result = run_distributed(grid, order, splits, lam=0, b=5)
+            result = run_distributed(grid, splits, lam=0, b=5)
             assert result.augmented_tree.arc_inner == ct.arc_inner, (dims, splits)
             assert superparent(result.augmented_tree) == superparent(ct)
             assert outward(result.post_volumes) == outward(ann)
@@ -132,14 +130,13 @@ def test_criterion_4_presimplification_safety():
     checked = 0
     for dims, seed in AC_GRIDS:
         grid = random_grid(dims, seed)
-        order = sos_order(grid)
         _, ct, _, bd = serial_pipeline(grid)
         sel, lam_b = select_top_branches(bd, ct.ranks, b=5)
         want = sorted((b.key() for b in sel), key=repr)
         splits = (2, 2, 1) if _feasible(dims, (2, 2, 1)) else (2, 1, 1)
         lambdas = sorted(set(range(min(lam_b, 12))) | {lam_b - 1})
         for lam in lambdas:
-            result = run_distributed(grid, order, splits, lam=lam, b=5)
+            result = run_distributed(grid, splits, lam=lam, b=5)
             got = sorted((b.key() for b in result.selected), key=repr)
             assert got == want, (dims, seed, lam, lam_b)
             checked += 1
@@ -153,12 +150,11 @@ def test_criterion_5_communication_monotonicity():
     grids += [((6, 6, 4), 400 + i) for i in range(10)]
     for dims, seed in grids:
         grid = random_grid(dims, seed)
-        order = sos_order(grid)
         splits = (2, 2, 1)
         previous = None
         max_measure = 0
         for lam in (0, 1, 10, 100, 1000):
-            result = run_distributed(grid, order, splits, lam=lam, b=5)
+            result = run_distributed(grid, splits, lam=lam, b=5)
             recv = result.commlog.counts["augmentation"]["attachment_points_recv"]
             if previous is not None:
                 assert all(a >= b for a, b in zip(previous, recv)), (dims, seed, lam)
@@ -166,7 +162,7 @@ def test_criterion_5_communication_monotonicity():
             max_measure = max(
                 (r.measure for r in record_list(result.records)), default=0
             )
-        result = run_distributed(grid, order, splits, lam=max_measure, b=5)
+        result = run_distributed(grid, splits, lam=max_measure, b=5)
         recv = result.commlog.counts["augmentation"]["attachment_points_recv"]
         assert all(c == 0 for c in recv), (dims, seed)
     _criterion(5, "per-rank received attachment points non-increasing over "
@@ -186,10 +182,10 @@ def test_criterion_6_estimator_regression():
                   "+/- 0.5; bound (1000-100)/10 == 90, exact")
 
 
-def _pipeline_artifacts(grid, order, mode):
+def _pipeline_artifacts(grid, mode):
     import io
 
-    result = run_distributed(grid, order, (2, 2, 1), lam=2, b=5, mode=mode)
+    result = run_distributed(grid, (2, 2, 1), lam=2, b=5, mode=mode)
     values = {v: float(grid.values[v]) for v in range(grid.n)}
     buf = io.StringIO()
     write_branch_csv(result.selected, values, buf, result.augmented_tree.root)
@@ -199,11 +195,10 @@ def _pipeline_artifacts(grid, order, mode):
 
 def test_criterion_7_determinism():
     grid = random_grid((12, 12, 2), 77)
-    order = sos_order(grid)
     runs = [
-        _pipeline_artifacts(grid, order, "sequential"),
-        _pipeline_artifacts(grid, order, "sequential"),
-        _pipeline_artifacts(grid, order, "concurrent"),
+        _pipeline_artifacts(grid, "sequential"),
+        _pipeline_artifacts(grid, "sequential"),
+        _pipeline_artifacts(grid, "concurrent"),
     ]
     assert runs[0] == runs[1] == runs[2]
     _criterion(7, "repeated and concurrent-vs-sequential runs produce "

@@ -444,6 +444,29 @@ def test_oracle_check_distributed_lambda_zero_passes():
     assert rc == 0
 
 
+@pytest.mark.parametrize("oracle_check", [False, True], ids=["plain", "oracle-check"])
+def test_distributed_run_orders_the_whole_grid_only_for_the_oracle(oracle_check, monkeypatch):
+    """Each rank orders its own block; only ``--oracle-check`` orders the whole grid, once."""
+    from gridtopo import cli
+    from gridtopo.dist import decompose, pipeline
+
+    sizes = []
+    for module in (cli, pipeline):
+
+        def recording(grid, real=module.sos_order):
+            sizes.append(grid.n)
+            return real(grid)
+
+        monkeypatch.setattr(module, "sos_order", recording)
+    args = ["run", "--synthetic", "random", "--dims", "8,8,4", "--mode", "distributed",
+            "--blocks", "2,2,1"]
+    assert run_cli(args + ["--oracle-check"] * oracle_check) == 0
+    grid = ScalarGrid(dims=(8, 8, 4), values=np.zeros(256))
+    blocks = [int(np.prod(e.shape)) for e in decompose(grid, (2, 2, 1)).extents]
+    assert blocks == [64, 80, 80, 100]
+    assert sizes == [256] * oracle_check + blocks
+
+
 def test_oracle_mismatch_is_internal_error(monkeypatch, capsys):
     from gridtopo import oracle
 

@@ -22,6 +22,7 @@ from conftest import (
     branch_keys,
     counts,
     grid_1d,
+    inward_count,
     make_grid,
     outward,
     parent_map,
@@ -112,12 +113,12 @@ def test_decompose_infeasible():
 
 
 def test_local_phase_1d_blocks():
-    grid, order, decomp = two_block_1d()
-    left = local_phase(grid, order, decomp.extents[0], 0)
+    grid, _, decomp = two_block_1d()
+    left = local_phase(grid, decomp.extents[0], 0)
     assert sorted(map(tuple, left.kept_edges.tolist())) == [(0, 1), (2, 1)]
     assert decomp.extents[0].boundary(grid.dims, [0, 1, 2]).tolist() == [0, 2]
     assert record_list(left.records) == []
-    right = local_phase(grid, order, decomp.extents[1], 1)
+    right = local_phase(grid, decomp.extents[1], 1)
     assert sorted(map(tuple, right.kept_edges.tolist())) == [(2, 3), (4, 3)]
     assert record_list(right.records) == []
 
@@ -129,9 +130,8 @@ def test_local_phase_interior_extremum():
     values[12] = 9.0  # center (2,2)
     values[:] += np.arange(25) * 1e-3
     grid = make_grid((5, 5, 1), values)
-    order = sos_order(grid)
     decomp = decompose(grid, (1, 1, 1))
-    state = local_phase(grid, order, decomp.extents[0], 0)
+    state = local_phase(grid, decomp.extents[0], 0)
     assert len(state.records) == 1
     rec = record_list(state.records)[0]
     assert rec.verts == [12]
@@ -140,19 +140,17 @@ def test_local_phase_interior_extremum():
 
 def test_local_phase_monotone_slope_empty_forest():
     grid = make_grid((4, 4, 1), np.arange(16))
-    order = sos_order(grid)
     decomp = decompose(grid, (1, 1, 1))
-    state = local_phase(grid, order, decomp.extents[0], 0)
+    state = local_phase(grid, decomp.extents[0], 0)
     assert record_list(state.records) == []
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_local_phase_partition_invariant(seed):
     grid = random_grid((8, 6, 1), seed)
-    order = sos_order(grid)
     decomp = decompose(grid, (2, 1, 1))
     for r in range(decomp.num_blocks):
-        state = local_phase(grid, order, decomp.extents[r], r)
+        state = local_phase(grid, decomp.extents[r], r)
         total = len(state.kept_verts) + sum(len(x.verts) for x in record_list(state.records))
         assert total == state.num_vertices
 
@@ -162,19 +160,19 @@ def test_local_phase_partition_invariant(seed):
 
 def test_fan_in_two_blocks_equals_serial():
     grid, order, decomp = two_block_1d()
-    states = [local_phase(grid, order, decomp.extents[r], r) for r in range(2)]
-    base, records = fan_in(states, decomp, order, CommLog(decomp.num_blocks))
+    states = [local_phase(grid, decomp.extents[r], r) for r in range(2)]
+    base, values, records = fan_in(states, decomp, CommLog(decomp.num_blocks))
     serial = contour_tree(grid, order)
+    assert values.tolist() == grid.values[base.ids].tolist()
     assert base.arc_inner == serial.arc_inner
     assert record_list(records) == []
 
 
 def test_fan_in_single_block_identity():
     grid = grid_1d([0, 5, 2, 6, 1])
-    order = sos_order(grid)
     decomp = decompose(grid, (1, 1, 1))
-    state = local_phase(grid, order, decomp.extents[0], 0)
-    base, records = fan_in([state], decomp, order, CommLog(1))
+    state = local_phase(grid, decomp.extents[0], 0)
+    base, _, records = fan_in([state], decomp, CommLog(1))
     assert set(base.ids.tolist()) == set(state.kept_verts.tolist())
     assert record_list(records) == record_list(state.records)
 
@@ -183,7 +181,7 @@ def test_fan_in_single_block_identity():
 def test_fan_in_census_matches_serial_after_full_augment(seed):
     grid = random_grid((8, 8, 1), seed)
     order = sos_order(grid)
-    result = run_distributed(grid, order, (2, 2, 1), lam=0, b=100)
+    result = run_distributed(grid, (2, 2, 1), lam=0, b=100)
     serial = contour_tree(grid, order)
     for gap in range(0, grid.n - 1, 5):
         assert result.augmented_tree.straddling_arcs(gap) == serial.straddling_arcs(gap)
@@ -195,11 +193,11 @@ def corrupt_value(state, vid, value):
 
 
 def test_fan_in_detects_inconsistent_shared_values():
-    grid, order, decomp = two_block_1d()
-    states = [local_phase(grid, order, decomp.extents[r], r) for r in range(2)]
+    grid, _, decomp = two_block_1d()
+    states = [local_phase(grid, decomp.extents[r], r) for r in range(2)]
     corrupt_value(states[1], 2, 99.0)  # corrupt the shared-plane copy
     with pytest.raises(DataError) as err:
-        fan_in(states, decomp, order, CommLog(decomp.num_blocks))
+        fan_in(states, decomp, CommLog(decomp.num_blocks))
     assert str(err.value) == (
         "shared vertex 2 has value 2.0 in block region 0 but 99.0 in block region 1"
     )
@@ -212,12 +210,11 @@ def test_fan_in_detects_inconsistent_shared_values_after_first_level():
     # and it is not the least vertex they share.
     values = np.arange(36, dtype=np.float64) / 4
     grid = make_grid((6, 6, 1), values)
-    order = sos_order(grid)
     decomp = decompose(grid, (2, 2, 1))
-    states = [local_phase(grid, order, decomp.extents[r], r) for r in range(4)]
+    states = [local_phase(grid, decomp.extents[r], r) for r in range(4)]
     corrupt_value(states[3], 15, 99.0)
     with pytest.raises(DataError) as err:
-        fan_in(states, decomp, order, CommLog(decomp.num_blocks))
+        fan_in(states, decomp, CommLog(decomp.num_blocks))
     assert str(err.value) == (
         "shared vertex 15 has value 3.75 in block region 0 but 99.0 in block region 2"
     )
@@ -230,7 +227,7 @@ def test_fan_in_detects_inconsistent_shared_values_after_first_level():
 def test_fan_out_counts_base_tree_on_other_ranks(splits):
     """Every rank but 0 receives the base tree; one block sends no fan-out message."""
     grid = random_grid((10, 8, 1), 3)
-    result = run_distributed(grid, sos_order(grid), splits, lam=0, b=10)
+    result = run_distributed(grid, splits, lam=0, b=10)
     phases = result.commlog.counts
     k = math.prod(splits)
     if k == 1:
@@ -242,7 +239,7 @@ def test_fan_out_counts_base_tree_on_other_ranks(splits):
 def test_fan_out_single_block_hier_equals_serial_after_augment():
     grid = random_grid((7, 7, 1), 5)
     order = sos_order(grid)
-    result = run_distributed(grid, order, (1, 1, 1), lam=0, b=100)
+    result = run_distributed(grid, (1, 1, 1), lam=0, b=100)
     serial = contour_tree(grid, order)
     assert result.augmented_tree.arc_inner == serial.arc_inner
     assert superparent(result.augmented_tree) == superparent(serial)
@@ -261,17 +258,16 @@ def test_ownership_partitions_vertices():
 
 
 def test_pre_hypersweep_two_block_1d():
-    grid, order, _ = two_block_1d()
-    result = run_distributed(grid, order, (2, 1, 1), lam=0, b=100)
+    grid, _, _ = two_block_1d()
+    result = run_distributed(grid, (2, 1, 1), lam=0, b=100)
     assert counts(result.pre_volumes) == {0: 1, 1: 1, 2: 1, 4: 1}
     assert sum(counts(result.pre_volumes).values()) + 1 == 5
 
 
 def test_pre_hypersweep_single_block_monotone_equals_serial():
     grid = make_grid((6, 4, 1), np.arange(24))
-    order = sos_order(grid)
     _, ct, ann, _ = serial_pipeline(grid)
-    result = run_distributed(grid, order, (1, 1, 1), lam=0, b=100)
+    result = run_distributed(grid, (1, 1, 1), lam=0, b=100)
     assert counts(result.pre_volumes) == counts(ann)
     assert outward(result.pre_volumes) == outward(ann)
 
@@ -325,7 +321,7 @@ def test_pre_hypersweep_volumes_match_serial_cuts(dims, splits):
     grid = random_grid(dims, 7)
     order = sos_order(grid)
     serial = contour_tree(grid, order)
-    result = run_distributed(grid, order, splits, lam=0, b=100)
+    result = run_distributed(grid, splits, lam=0, b=100)
     base = result.base_tree
     volume = outward(result.pre_volumes)
     for outer, inner in base.arc_inner.items():
@@ -335,9 +331,8 @@ def test_pre_hypersweep_volumes_match_serial_cuts(dims, splits):
 
 def test_post_hypersweep_conservation_all_lambdas():
     grid = random_grid((10, 10, 2), 11)
-    order = sos_order(grid)
     for lam in (0, 1, 3, 10, 10**5):
-        result = run_distributed(grid, order, (2, 2, 1), lam=lam, b=100)
+        result = run_distributed(grid, (2, 2, 1), lam=lam, b=100)
         ann = result.post_volumes
         count, hang, volume = counts(ann), at_node(ann), outward(ann)
         assert sum(count.values()) + 1 == grid.n
@@ -345,14 +340,14 @@ def test_post_hypersweep_conservation_all_lambdas():
         for s, m in hang.items():
             assert count[s] >= m
         for outer in result.augmented_tree.arc_inner:
-            assert volume[outer] + (ann.n - volume[outer]) == grid.n
+            assert inward_count(result.augmented_tree, ann, outer) == grid.n - volume[outer]
 
 
 def test_retained_record_measures_match_serial_subtrees():
     grid = random_grid((10, 10, 4), 5)
     order = sos_order(grid)
     serial = contour_tree(grid, order)
-    result = run_distributed(grid, order, (2, 2, 1), lam=0, b=100)
+    result = run_distributed(grid, (2, 2, 1), lam=0, b=100)
     for rec in record_list(result.records):
         # The hanging component in the serial vertex-level tree has
         # exactly the record's measure, rooted just past the attachment.
@@ -368,7 +363,7 @@ def test_retained_record_measures_match_serial_subtrees():
 @pytest.mark.parametrize("pick", ["none", "all", "even", "odd"])
 def test_records_take_and_concat_match_per_record_slices(pick):
     grid = random_grid((10, 10, 4), 5)
-    records = run_distributed(grid, sos_order(grid), (2, 2, 1), lam=0, b=10).records
+    records = run_distributed(grid, (2, 2, 1), lam=0, b=10).records
     k = len(records)
     mask = {
         "none": np.zeros(k, dtype=bool),
@@ -378,13 +373,18 @@ def test_records_take_and_concat_match_per_record_slices(pick):
     }[pick]
     listed = record_list(records)
     taken, rest = records.take(mask), records.take(~mask)
-    for table in (taken, rest):
+    joined = Records.concat([taken, rest])
+    rank_of = sos_order(grid).rank_of
+    for table in (taken, rest, joined):
         assert table.start[0] == 0 and table.start[-1] == table.verts.size == table.parent.size
         for name in ("attach", "head", "measure", "rank", "start", "verts", "parent"):
             assert getattr(table, name).dtype == np.int64
+        # Each vertex keeps its value, and each record whether its head ranks above its attachment.
+        assert table.values.dtype == np.float64 and table.rises.dtype == bool
+        assert np.array_equal(table.values, grid.values[table.verts])
+        assert np.array_equal(table.rises, rank_of[table.head] > rank_of[table.attach])
     assert len(taken) == int(mask.sum())
     assert record_list(taken) == [rec for rec, m in zip(listed, mask) if m]
-    joined = Records.concat([taken, rest])
     assert record_list(joined) == record_list(taken) + record_list(rest)
     assert len(joined) == k and joined.start[-1] == records.verts.size
     assert np.unique(records.verts).size == records.verts.size  # one record per vertex
@@ -395,8 +395,7 @@ def test_records_take_and_concat_match_per_record_slices(pick):
 
 def test_listing_lambda_zero_lists_all():
     grid = random_grid((10, 10, 1), 2)
-    order = sos_order(grid)
-    result = run_distributed(grid, order, (2, 2, 1), lam=0, b=100)
+    result = run_distributed(grid, (2, 2, 1), lam=0, b=100)
     assert len(result.retained) == len(result.records)
     listed = list_attachment_points(result.records, 0)
     assert len(listed) == len(result.records)
@@ -404,16 +403,14 @@ def test_listing_lambda_zero_lists_all():
 
 def test_listing_above_max_is_empty():
     grid = random_grid((10, 10, 1), 2)
-    order = sos_order(grid)
-    result = run_distributed(grid, order, (2, 2, 1), lam=0, b=100)
+    result = run_distributed(grid, (2, 2, 1), lam=0, b=100)
     top = max((r.measure for r in record_list(result.records)), default=0)
     assert record_list(list_attachment_points(result.records, top)) == []
 
 
 def test_listing_matches_filter_oracle():
     grid = random_grid((12, 12, 1), 9)
-    order = sos_order(grid)
-    result = run_distributed(grid, order, (2, 2, 1), lam=0, b=100)
+    result = run_distributed(grid, (2, 2, 1), lam=0, b=100)
     listed = list_attachment_points(result.records, 5)
     assert record_list(listed) == [r for r in record_list(result.records) if r.measure > 5]
 
@@ -429,17 +426,16 @@ def test_augment_lambda_zero_equals_serial(seed, splits):
     grid = random_grid((9, 8, 1), seed)
     order = sos_order(grid)
     serial = contour_tree(grid, order)
-    result = run_distributed(grid, order, splits, lam=0, b=100)
+    result = run_distributed(grid, splits, lam=0, b=100)
     assert result.augmented_tree.arc_inner == serial.arc_inner
     assert sorted(result.augmented_tree.supernodes) == sorted(serial.supernodes)
 
 
 def test_augment_above_max_no_exchange():
     grid = random_grid((10, 10, 1), 4)
-    order = sos_order(grid)
-    probe = run_distributed(grid, order, (2, 2, 1), lam=0, b=100)
+    probe = run_distributed(grid, (2, 2, 1), lam=0, b=100)
     top = max((r.measure for r in record_list(probe.records)), default=0)
-    result = run_distributed(grid, order, (2, 2, 1), lam=top, b=100)
+    result = run_distributed(grid, (2, 2, 1), lam=top, b=100)
     assert record_list(result.retained) == []
     assert result.augmented_tree.arc_inner == result.base_tree.arc_inner
     recv = result.commlog.counts["augmentation"]["attachment_points_recv"]
@@ -449,10 +445,9 @@ def test_augment_above_max_no_exchange():
 @pytest.mark.parametrize("seed", range(20))
 def test_attachment_exchange_monotone_in_lambda(seed):
     grid = random_grid((10, 8, 1), 100 + seed)
-    order = sos_order(grid)
     previous = None
     for lam in (0, 1, 2, 5, 20):
-        result = run_distributed(grid, order, (2, 2, 1), lam=lam, b=100)
+        result = run_distributed(grid, (2, 2, 1), lam=lam, b=100)
         recv = result.commlog.counts["augmentation"]["attachment_points_recv"]
         if previous is not None:
             assert all(a >= b for a, b in zip(previous, recv))
@@ -464,9 +459,8 @@ def test_attachment_exchange_monotone_in_lambda(seed):
 
 def test_single_block_bd_matches_serial_field_for_field():
     grid = random_grid((9, 9, 1), 8)
-    order = sos_order(grid)
     _, ct, ann, bd = serial_pipeline(grid)
-    result = run_distributed(grid, order, (1, 1, 1), lam=0, b=100)
+    result = run_distributed(grid, (1, 1, 1), lam=0, b=100)
     got = [(b.key(), b.leaf, b.arcs, b.is_trunk) for b in result.bd.branches]
     want = [(b.key(), b.leaf, b.arcs, b.is_trunk) for b in bd.branches]
     assert sorted(got, key=repr) == sorted(want, key=repr)
@@ -475,10 +469,9 @@ def test_single_block_bd_matches_serial_field_for_field():
 @pytest.mark.parametrize("seed", range(20))
 def test_bd_above_lambda_matches_serial(seed):
     grid = random_grid((10, 10, 1), 200 + seed)
-    order = sos_order(grid)
     _, _, _, bd = serial_pipeline(grid)
     for lam in (0, 1, 2):
-        result = run_distributed(grid, order, (2, 2, 1), lam=lam, b=100)
+        result = run_distributed(grid, (2, 2, 1), lam=lam, b=100)
         serial_keys = sorted(
             (b.key() for b in bd.branches if b.volume > lam), key=repr
         )
@@ -490,8 +483,7 @@ def test_bd_above_lambda_matches_serial(seed):
 
 def test_selection_warns_when_lambda_too_large():
     grid = random_grid((8, 8, 1), 3)
-    order = sos_order(grid)
-    result = run_distributed(grid, order, (2, 2, 1), lam=10**6, b=5)
+    result = run_distributed(grid, (2, 2, 1), lam=10**6, b=5)
     assert [b.is_trunk for b in result.selected] == [True]
     assert not result.lambda_valid
     assert result.warnings
@@ -499,11 +491,10 @@ def test_selection_warns_when_lambda_too_large():
 
 def test_selection_equals_serial_below_lambda_b():
     grid = random_grid((12, 12, 1), 17)
-    order = sos_order(grid)
     _, ct, _, bd = serial_pipeline(grid)
     sel, lam_b = select_top_branches(bd, ct.ranks, b=5)
     for lam in range(min(lam_b, 6)):
-        result = run_distributed(grid, order, (2, 2, 1), lam=lam, b=5)
+        result = run_distributed(grid, (2, 2, 1), lam=lam, b=5)
         assert sorted((b.key() for b in result.selected), key=repr) == sorted(
             (b.key() for b in sel), key=repr
         )
@@ -513,8 +504,7 @@ def test_select_top_branches_distributed_b_zero():
     from gridtopo.dist import pipeline
 
     grid = random_grid((6, 6, 1), 0)
-    order = sos_order(grid)
-    result = run_distributed(grid, order, (2, 1, 1), lam=0, b=100)
+    result = run_distributed(grid, (2, 1, 1), lam=0, b=100)
     heavy = pipeline._heavy_branches(result.bd, 0)
     with pytest.raises(UsageError):
         select_top_branches(result.bd, result.augmented_tree.ranks, b=0, among=heavy)
@@ -528,7 +518,7 @@ def test_run_distributed_checks_selection_before_local_phase(b, threshold, monke
     monkeypatch.setattr(pipeline, "local_phase", lambda *args: calls.append(args))
     grid = random_grid((6, 6, 1), 0)
     with pytest.raises(UsageError):
-        run_distributed(grid, sos_order(grid), (2, 1, 1), lam=0, b=b, threshold=threshold)
+        run_distributed(grid, (2, 1, 1), lam=0, b=b, threshold=threshold)
     assert calls == []
 
 
@@ -557,12 +547,11 @@ SWEEP_LAMS = [0, 1, 3, 10, 40, 10**6]
 def test_lambda_sweep_equals_fresh_runs(splits, b, threshold, shuffled):
     """One fan-in, finished per lambda, gives each lambda's own run."""
     grid = random_grid((12, 10, 3), 7)
-    order = sos_order(grid)
     lams = [10, 0, 10**6, 3, 40, 1] if shuffled else SWEEP_LAMS
-    results = list(run_lambda_sweep(grid, order, splits, lams, b=b, threshold=threshold))
+    results = list(run_lambda_sweep(grid, splits, lams, b=b, threshold=threshold))
     assert len(results) == len(lams)
     for lam, got in zip(lams, results):
-        want = run_distributed(grid, order, splits, lam=lam, b=b, threshold=threshold)
+        want = run_distributed(grid, splits, lam=lam, b=b, threshold=threshold)
         assert_same_run(got, want)
     assert not results[lams.index(10**6)].lambda_valid
     assert len({len(r.retained) for r in results}) > 2
@@ -570,7 +559,7 @@ def test_lambda_sweep_equals_fresh_runs(splits, b, threshold, shuffled):
 
 def test_lambda_sweep_later_lambda_leaves_earlier_log():
     grid = random_grid((10, 10, 3), 11)
-    sweep = run_lambda_sweep(grid, sos_order(grid), (2, 2, 1), [0, 5, 100], b=10)
+    sweep = run_lambda_sweep(grid, (2, 2, 1), [0, 5, 100], b=10)
     first = next(sweep)
     before = first.commlog.to_dict()
     rest = list(sweep)
@@ -588,16 +577,18 @@ def test_lambda_sweep_checks_arguments_before_local_phase(lams, mode, monkeypatc
     monkeypatch.setattr(pipeline, "local_phase", lambda *args: calls.append(args))
     grid = random_grid((6, 6, 1), 0)
     with pytest.raises(UsageError):
-        next(run_lambda_sweep(grid, sos_order(grid), (2, 1, 1), lams, b=5, mode=mode))
+        next(run_lambda_sweep(grid, (2, 1, 1), lams, b=5, mode=mode))
     assert calls == []
 
 
-def ref_branch_entries(aug, retained, pruned, decomp, log):
-    """Branch-entry counters by per-vertex dicts over ``record_list`` tuples."""
+def ref_branch_entries(aug, ranks, retained, pruned, decomp, log):
+    """Branch-entry counters by per-vertex dicts over ``record_list`` tuples.
+
+    ``ranks`` is the grid's ``rank_of``: a pruned head is not in ``aug``.
+    """
     holder = {}
     for rec in retained:
         holder.update(dict.fromkeys(rec.verts, rec.rank))
-    ranks = aug.ranks
     up, down = (dict(zip(aug.supernodes, d.tolist())) for d in aug.arc_degrees())
     in_aug = set(aug.ids.tolist())
     for rec in pruned:
@@ -638,12 +629,13 @@ BRANCH_ENTRY_RUNS = {
 @pytest.mark.parametrize("name", list(BRANCH_ENTRY_RUNS))
 def test_branch_entries_match_reference(name, lam):
     grid, splits = BRANCH_ENTRY_RUNS[name]
-    result = run_distributed(grid, sos_order(grid), splits, lam=lam, b=10)
+    result = run_distributed(grid, splits, lam=lam, b=10)
     records = result.records
     pruned = records.take(records.measure <= lam)
     log = CommLog(math.prod(splits))
     ref_branch_entries(
-        result.augmented_tree, record_list(result.retained), record_list(pruned),
+        result.augmented_tree, sos_order(grid).rank_of, record_list(result.retained),
+        record_list(pruned),
         decompose(grid, splits), log,
     )
     want = log.counts["branch decomposition"]
@@ -659,7 +651,7 @@ def test_branch_entry_runs_cover_every_attachment_kind():
     seen = {"supernode": 0, "regular": 0, "nested": 0, "mixed": 0}
     for grid, splits in BRANCH_ENTRY_RUNS.values():
         for lam in (1, 10):
-            result = run_distributed(grid, sos_order(grid), splits, lam=lam, b=10)
+            result = run_distributed(grid, splits, lam=lam, b=10)
             aug = result.augmented_tree
             verts, supernodes = set(aug.ids.tolist()), set(aug.supernodes)
             for rec in record_list(result.records):
@@ -676,8 +668,7 @@ def test_branch_entry_runs_cover_every_attachment_kind():
 
 def test_commlog_json_stable_and_bounded():
     grid = random_grid((10, 10, 1), 6)
-    order = sos_order(grid)
-    result = run_distributed(grid, order, (2, 2, 1), lam=1, b=100)
+    result = run_distributed(grid, (2, 2, 1), lam=1, b=100)
     doc = result.commlog.to_dict()
     text = json.dumps(doc, sort_keys=True)
     assert json.loads(text) == doc
@@ -689,10 +680,9 @@ def test_commlog_json_stable_and_bounded():
 
 def test_bestupdown_and_branchinfo_monotone():
     grid = random_grid((12, 12, 1), 21)
-    order = sos_order(grid)
     prev_b = prev_i = None
     for lam in (0, 2, 5, 50):
-        result = run_distributed(grid, order, (2, 2, 1), lam=lam, b=100)
+        result = run_distributed(grid, (2, 2, 1), lam=lam, b=100)
         log = result.commlog
         bu = log.phase_max("branch decomposition", "bestupdown_recv")
         bi = log.phase_max("branch decomposition", "branchinfo_recv")
@@ -704,9 +694,8 @@ def test_bestupdown_and_branchinfo_monotone():
 
 def test_concurrent_equals_sequential():
     grid = random_grid((10, 10, 2), 31)
-    order = sos_order(grid)
-    a = run_distributed(grid, order, (2, 2, 1), lam=2, b=5, mode="sequential")
-    b = run_distributed(grid, order, (2, 2, 1), lam=2, b=5, mode="concurrent")
+    a = run_distributed(grid, (2, 2, 1), lam=2, b=5, mode="sequential")
+    b = run_distributed(grid, (2, 2, 1), lam=2, b=5, mode="concurrent")
     assert a.augmented_tree.arc_inner == b.augmented_tree.arc_inner
     assert outward(a.post_volumes) == outward(b.post_volumes)
     assert branch_keys(a.bd) == branch_keys(b.bd)
@@ -727,7 +716,7 @@ def test_concurrent_equals_sequential():
 )
 def test_record_edges_point_toward_attachment(grid, splits):
     """Each record vertex is a child exactly once, its parent in the record or the attachment."""
-    result = run_distributed(grid, sos_order(grid), splits, lam=0, b=10)
+    result = run_distributed(grid, splits, lam=0, b=10)
     assert result.records
     for rec in record_list(result.records):
         children = [c for c, _ in rec.edges]
@@ -744,7 +733,7 @@ def test_heavy_branches_at_lambda_equal_to_a_branch_volume(by_threshold):
 
     grid = random_grid((12, 10, 6), 2)
     order = sos_order(grid)
-    bd = run_distributed(grid, order, (2, 2, 1), lam=0, b=5).bd
+    bd = run_distributed(grid, (2, 2, 1), lam=0, b=5).bd
     ranks = order.rank_of
     volumes = sorted({b.volume for b in bd.branches if not b.is_trunk})
     lam = volumes[len(volumes) // 2]

@@ -16,6 +16,7 @@ from conftest import (
     closed,
     counts,
     grid_1d,
+    inward_count,
     local_extrema,
     outward,
     random_grid,
@@ -62,7 +63,7 @@ def test_hypersweep_complement_identity(seed):
     grid = random_grid((6, 5, 1), seed)
     _, ct, ann, _ = serial_pipeline(grid)
     for outer in ct.arc_inner:
-        assert outward(ann)[outer] + (ann.n - outward(ann)[outer]) == grid.n
+        assert inward_count(ct, ann, outer) == grid.n - outward(ann)[outer]
 
 
 @pytest.mark.parametrize("seed", range(8))

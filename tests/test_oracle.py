@@ -252,11 +252,12 @@ def per_vertex_volume(ct, arc_outer):
 
 
 def sparse_id_tree():
+    verts = [3, 10, 17, 40, 41, 99, 120]
     ranks = [0] * 121
     for r, v in enumerate([10, 40, 41, 120, 17, 3, 99]):
         ranks[v] = r
     edges = [(3, 10), (10, 17), (10, 40), (40, 41), (41, 99), (41, 120)]
-    return tree_from_graph([3, 10, 17, 40, 41, 99, 120], ranks, edges)
+    return tree_from_graph(verts, [ranks[v] for v in verts], edges)
 
 
 @pytest.mark.parametrize(

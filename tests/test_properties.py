@@ -68,7 +68,7 @@ def test_branch_count_property(grid):
 @settings(max_examples=25, deadline=None)
 def test_distributed_conservation_property(grid, lam):
     order = sos_order(grid)
-    result = run_distributed(grid, order, (2, 1, 1), lam=lam, b=5)
+    result = run_distributed(grid, (2, 1, 1), lam=lam, b=5)
     assert sum(counts(result.post_volumes).values()) + 1 == grid.n
     serial_keys = None
     if lam == 0:
@@ -97,10 +97,10 @@ def test_distributed_matches_serial_property(case, extra):
     """Every feasible split and up to 5 thresholds against the serial pipeline."""
     grid, splits = case
     lams = sorted({0, *extra})
-    order, ct, ann, bd = serial_pipeline(grid)
+    _, ct, ann, bd = serial_pipeline(grid)
     top, lambda_b = select_top_branches(bd, ct.ranks, b=5)
     runs = {
-        mode: list(run_lambda_sweep(grid, order, splits, lams, b=5, mode=mode))
+        mode: list(run_lambda_sweep(grid, splits, lams, b=5, mode=mode))
         for mode in ("sequential", "concurrent")
     }
     first = runs["sequential"][0]

@@ -45,6 +45,7 @@ from conftest import (
     outward,
     parent_map,
     random_grid,
+    rank_by_id,
     record_list,
     superparent,
     tree_arrays,
@@ -273,7 +274,7 @@ def away_volume(ct, ann, arc_outer, at):
 
 
 def ref_branch_decomposition(ct, ann):
-    ranks = ct.ranks
+    ranks = rank_by_id(ct)
     kids = children_index(ct)
     if len(ct.supernodes) == 1:
         return [Branch(arcs=(), leaf=ct.root, volume=ct.n, is_trunk=True)]
@@ -455,8 +456,10 @@ def assert_same_measures(ct, ann):
     )
 
 
-def check_tree_input(verts, ranks, edges):
-    got = gtree._from_edges(verts, ranks, edges)
+def check_tree_input(verts, values, edges):
+    """``_from_edges`` against the reference, ranking ``verts`` by (value, id) in Python."""
+    got = gtree._from_edges(verts, values, edges)
+    ranks = {v: r for r, (_, v) in enumerate(sorted(zip(values, verts)))}
     want = ref_augment(ref_from_edges(verts, ranks, edges))
     assert_same_tree(got, want)
     return got
@@ -583,7 +586,7 @@ def test_sparse_ids_match_reference():
         ranks[v] = r
     edges = [(verts[i], verts[int(rng.integers(0, i))]) for i in range(1, 40)]
     rng.shuffle(edges)
-    ct = check_tree_input(verts, ranks, edges)
+    ct = check_tree_input(verts, [ranks[v] for v in verts], edges)
     assert_same_measures(ct, measure.superarc_counts(ct))
 
 
@@ -591,8 +594,7 @@ def test_sparse_ids_match_reference():
 def test_distributed_annotation_matches_reference(lam):
     """A pre-simplified tree with pruned mass folded in through ``at_node``."""
     grid = random_grid((10, 9, 4), 11)
-    order = sos_order(grid)
-    result = run_distributed(grid, order, (2, 2, 1), lam=lam, b=10)
+    result = run_distributed(grid, (2, 2, 1), lam=lam, b=10)
     ann = result.post_volumes
     assert at_node(ann), "expected pruned mass hanging at supernodes"
     ct = result.augmented_tree
@@ -602,7 +604,7 @@ def test_distributed_annotation_matches_reference(lam):
     retained = record_list(result.retained)
     verts = sorted(base.ids.tolist() + [v for rec in retained for v in rec.verts])
     edges = list(parent_map(base).items()) + [e for rec in retained for e in rec.edges]
-    check_tree_input(verts, order.rank_of, edges)
+    check_tree_input(verts, grid.values[verts].tolist(), edges)
 
 
 @settings(max_examples=40, deadline=None)
@@ -665,23 +667,32 @@ def test_regions_and_relabels_match_reference(name, monkeypatch):
     """Every region split of a run, local phase and each fan-in level.
 
     Each tree handed to a split needs no relabelling: its ids ascend, its
-    supernodes hold global ranks, and it equals the reference tree over
-    its own edges.
+    own ranks order them as the grid's order does, its supernodes hold
+    those ranks, and it equals the reference tree over its own edges.
+    The records carry their vertices' values and whether each head
+    ranks above its attachment in the grid's order.
     """
     grid, splits = REGION_RUNS[name]
+    rank_of = sos_order(grid).rank_of
     real_region = pipeline._region
     seen = {"regions": 0, "with_mass": 0, "shared_mass": 0}
 
     def checked_region(rank, extent, ct, values, boundary, mass_verts, mass):
         assert (np.diff(ct.ids) > 0).all()
         st = ct.superstructure
-        assert np.array_equal(st.rank, ct.ranks[ct.ids[st.vertex]])
+        assert np.array_equal(st.rank, ct.ranks[st.vertex])
+        # Listed by global rank, the vertices take local ranks 0, 1, 2, ...
+        assert np.array_equal(ct.ranks[np.argsort(rank_of[ct.ids])], np.arange(ct.n))
         child = np.flatnonzero(ct.up >= 0)
         edges = zip(ct.ids[child].tolist(), ct.ids[ct.up[child]].tolist())
-        assert_same_tree(ct, ref_augment(ref_from_edges(ct.ids.tolist(), ct.ranks, list(edges))))
+        ranks = rank_by_id(ct)
+        assert_same_tree(ct, ref_augment(ref_from_edges(ct.ids.tolist(), ranks, list(edges))))
         got = real_region(rank, extent, ct, values, boundary, mass_verts, mass)
         want = ref_region(rank, extent, ct, values, boundary, mass_verts, mass)
         assert_same_region(got, want)
+        recs = got.records
+        assert np.array_equal(recs.values, grid.values[recs.verts])
+        assert np.array_equal(recs.rises, rank_of[recs.head] > rank_of[recs.attach])
         seen["regions"] += 1
         seen["with_mass"] += bool(mass.size)
         # A merge whose two regions both carry mass at one vertex.
@@ -689,7 +700,7 @@ def test_regions_and_relabels_match_reference(name, monkeypatch):
         return got
 
     monkeypatch.setattr(pipeline, "_region", checked_region)
-    run_distributed(grid, sos_order(grid), splits, lam=0, b=10)
+    run_distributed(grid, splits, lam=0, b=10)
     # One region per block, then one per merge.
     assert seen["regions"] == 2 * math.prod(splits) - 1
     # A 1D block's contour tree is its own path and a constant field is a
@@ -724,6 +735,5 @@ def test_regions_and_relabels_match_reference(name, monkeypatch):
     ],
 )
 def test_from_edges_rejects_malformed(verts, edges):
-    ranks = list(range(max(max(verts) + 1, 1)))
     with pytest.raises(InternalError):
-        gtree._from_edges(verts, ranks, edges)
+        gtree._from_edges(verts, verts, edges)

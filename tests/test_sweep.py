@@ -399,7 +399,8 @@ def view_tree(sparse):
     ranks = [0] * 18
     for v, r in zip(gid, [0, 4, 3, 2, 5, 1]):
         ranks[v] = r
-    return gid, tree_from_graph(gid[::-1], ranks, list(zip(gid, gid[1:])))
+    verts = gid[::-1]
+    return gid, tree_from_graph(verts, [ranks[v] for v in verts], list(zip(gid, gid[1:])))
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense-ids", "sparse-ids"])

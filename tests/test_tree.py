@@ -111,7 +111,7 @@ def test_tree_from_graph_matches_grid_tree(grid):
     """The graph entry point over the stencil edges builds the grid's tree."""
     order = sos_order(grid)
     expected = contour_tree(grid, order)
-    got = tree_from_graph(range(grid.n), order.rank_of, list(grid.edges()))
+    got = tree_from_graph(range(grid.n), grid.values, list(grid.edges()))
     assert got.supernodes == expected.supernodes
     assert got.arc_inner == expected.arc_inner
     assert superparent(got) == superparent(expected)
@@ -356,11 +356,36 @@ def test_every_builder_returns_ascending_ids(seed):
     verts = rng.choice(1000, size=40, replace=False)
     ranks = rng.permutation(1000)
     edges = [(verts[i], verts[rng.integers(0, i)]) for i in range(1, verts.size)]
-    for ct in (
-        gtree._from_edges(rng.permutation(verts), ranks, edges),
-        tree_from_graph(rng.permutation(verts), ranks, edges),
-    ):
+    for build in (gtree._from_edges, tree_from_graph):
+        shuffled = rng.permutation(verts)
+        ct = build(shuffled, ranks[shuffled], edges)
         assert (np.diff(ct.ids) > 0).all() and np.array_equal(ct.ids, np.sort(verts))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_builders_rank_by_value_then_id(seed):
+    """Tied values, -0.0 and 0.0 among them, rank like a test-local (value, id) lexsort.
+
+    Each builder gets sparse ids in random order, or a grid's stencil
+    graph, with those values, and then the same ids with the lexsort's
+    ranks as values: the two trees are equal.
+    """
+    rng = np.random.default_rng(seed)
+    verts = rng.choice(500, size=60, replace=False)
+    values = rng.choice([-1.5, -0.0, 0.0, 2.0], size=60)
+    assert np.signbit(values[values == 0]).any() and not np.signbit(values[values == 0]).all()
+    tree = [(verts[i], verts[rng.integers(0, i)]) for i in range(1, 60)]
+    grid = make_grid((5, 4, 3), rng.choice([-0.0, 0.0, 1.0], size=60))
+    for build, ids, vals, edges in (
+        (gtree._from_edges, verts, values, tree),
+        (tree_from_graph, verts, values, tree),
+        (tree_from_graph, np.arange(60), grid.values, list(grid.edges())),
+    ):
+        want_ranks = np.empty(60, dtype=np.int64)
+        want_ranks[np.lexsort((ids, vals))] = np.arange(60)
+        got, want = build(ids, vals, edges), build(ids, want_ranks, edges)
+        assert all(np.array_equal(x, y) for x, y in zip(tree_arrays(got), tree_arrays(want)))
+        assert np.array_equal(got.ranks, want_ranks[np.argsort(ids)])
 
 
 def test_tree_from_graph_rejects_endpoint_outside_verts():
@@ -555,7 +580,7 @@ def test_tree_from_graph_on_threads_matches_sequential():
     graphs = []
     for seed in range(8):
         grid = random_grid((12, 10, 8), seed)
-        graphs.append((range(grid.n), sos_order(grid).rank_of, list(grid.edges())))
+        graphs.append((range(grid.n), grid.values, list(grid.edges())))
     want = [tree_from_graph(*g) for g in graphs]
     with ThreadPoolExecutor(max_workers=2) as pool:
         got = list(pool.map(lambda g: tree_from_graph(*g), graphs))
