@@ -119,10 +119,13 @@ def lambda_advisor_report(
     """Both criteria and the smallest lambda that satisfies them.
 
     ``lambda_cap`` is the volume of the smallest feature that must stay
-    exact; the recommendation is feasible when it lies below it.
+    exact, so it cannot be negative; the recommendation is feasible when
+    it lies below it.
     """
     if lambda_cap is not None:
         _check_finite("lambda cap", lambda_cap)
+        if lambda_cap < 0:
+            raise UsageError("lambda cap must be non-negative")
     memory_min = estimate_lambda_min_memory(n, ranks, mem_per_rank, bytes_per_ap, base_mem)
     floor = communication_lambda_floor(n, c)
     recommended = max(memory_min, floor)

@@ -19,29 +19,36 @@ regular vertex has exactly one, its ascent pointer.  Pointer jumping
 along ascent pointers takes every vertex to its peak, the candidate
 where its chain ends.  Find and union then run over the candidates
 only, each listed neighbour replaced by its peak, and build the reduced
-tree of arcs between candidates.  Each regular vertex is placed by
-binary lifting up the reduced tree from its peak, and one stable sort
-links the regular vertices into chains between a candidate and its
-reduced parent.  This is exact.  Components merge only at candidates: a
-regular vertex joins the one component of its single neighbour.  The
-ascent chain from a vertex u to its peak runs over vertices swept
-before u, so by the time any later vertex lists u, u and its peak share
-a component, and the reduced sweep sees the same merges.  A regular
-vertex w extends the component of its peak; that component's last
-swept candidate is the farthest ancestor of the peak in the reduced
-tree swept before w, and w follows it and the regular vertices placed
-there before w.
+tree of arcs between candidates.  That is one Python loop over a flat
+list of (candidate slot, peak slot) entries in sweep order, with union
+by size and path compression (Tarjan, JACM 1975), so it costs per
+entry: a candidate without entries is never visited.  Each regular
+vertex is placed by binary lifting up the reduced tree from its peak,
+and one stable sort links the regular vertices into chains between a
+candidate and its reduced parent.  This is exact.  Components merge
+only at candidates: a regular vertex joins the one component of its
+single neighbour.  The ascent chain from a vertex u to its peak runs
+over vertices swept before u, so by the time any later vertex lists u,
+u and its peak share a component, and the reduced sweep sees the same
+merges.  A regular vertex w extends the component of its peak; that
+component's last swept candidate is the farthest ancestor of the peak
+in the reduced tree swept before w, and w follows it and the regular
+vertices placed there before w.
 
 A grid sweep lists one neighbour per connected component of a vertex's
 upper link (join) or lower link (split), not the whole stencil: two link
 neighbours are linked when their offset difference is itself a stencil
-offset.  This is exact.  A link path between two upper neighbours runs
-over stencil edges whose endpoints all rank above the vertex, so by the
-time the vertex is swept its whole upper-link component is already one
-union-find component; one representative finds the same root as any
-other member, and the merge trees do not change.  It also makes most
-grid vertices regular: on smooth fields only the extrema and the
-saddles are candidates.
+offset.  Each vertex's 14-bit mask of upper (or lower) stencil slots
+indexes tables cached per process: the number of link components, and
+for a vertex with one component, the lowest slot, which represents it.
+Only vertices with two or more components, a minority even on noise,
+expand their row of ``link_representatives``.  This is exact.  A link
+path between two upper neighbours runs over stencil edges whose
+endpoints all rank above the vertex, so by the time the vertex is swept
+its whole upper-link component is already one union-find component; one
+representative finds the same root as any other member, and the merge
+trees do not change.  It also makes most grid vertices regular: on
+smooth fields only the extrema and the saddles are candidates.
 """
 
 from __future__ import annotations
@@ -110,13 +117,17 @@ def sweep_csr(seq, nbrs, starts, n: int, direction: str) -> MergeTree:
     candidate where the chain ends.  The chain runs over vertices swept
     earlier, so a vertex and its peak share a component by the time any
     later vertex lists it.  The find/union loop therefore runs on the
-    candidates alone, each entry replaced by its peak, and builds the
-    reduced tree: the arcs between candidates, in sweep order.  A regular
-    vertex w extends the component of its peak, whose last swept
-    candidate c is the farthest ancestor of the peak in the reduced tree
-    swept before w; binary lifting finds it.  One stable sort by c lists
-    each candidate's regular vertices in sweep order, and the merge tree
-    runs from c through them to c's reduced parent.
+    candidates alone, over one flat list of (candidate slot, peak slot)
+    entries in sweep order, and builds the reduced tree: the arcs between
+    candidates.  A regular vertex w extends the component of its peak,
+    whose last swept candidate c is the farthest ancestor of the peak in
+    the reduced tree swept before w; binary lifting finds it.  The sweep
+    positions of the regular vertices and of the candidates come from one
+    ``flatnonzero`` each, and the candidates swept before the regular
+    vertex at position p number p less its own index among the regular
+    ones.  One stable sort by c lists each candidate's regular vertices in
+    sweep order, and the merge tree runs from c through them to c's
+    reduced parent.
     """
     seq = np.asarray(seq, dtype=np.int64)
     nbrs = np.asarray(nbrs, dtype=np.int64)
@@ -125,26 +136,37 @@ def sweep_csr(seq, nbrs, starts, n: int, direction: str) -> MergeTree:
     count = np.diff(starts)
     regular = count == 1
     hop = np.arange(n)
-    hop[regular] = nbrs[starts[:-1][regular]]
+    at = np.flatnonzero(regular)
+    hop[at] = nbrs[starts[at]]
+    del at
     peak = _chain_ends(hop)
+    del hop
 
     # Candidates in sweep order; slot s is the s-th one swept.
     swept_regular = regular[seq]
-    cand = seq[~swept_regular]
+    del regular
+    cand = seq[np.flatnonzero(~swept_regular)]
     k = cand.size
     slot = np.full(n, -1, dtype=np.int64)
     slot[cand] = np.arange(k)
     width = count[cand]
-    red_starts = np.r_[0, np.cumsum(width)]
-    entry = np.repeat(starts[cand] - red_starts[:-1], width) + np.arange(red_starts[-1])
-    up = _reduced_arcs(slot[peak[nbrs[entry]]].tolist(), red_starts.tolist())
+    del count
+    # One entry per listed neighbour of a candidate: its owner's slot and
+    # the slot of the neighbour's peak, owners in sweep order.
+    owner = np.repeat(np.arange(k), width)
+    entry = np.repeat(starts[cand] - np.cumsum(width) + width, width) + np.arange(owner.size)
+    found = slot[peak[nbrs[entry]]]
+    del entry, width
+    up = _reduced_arcs(owner, found, k)
+    del owner, found
 
     above = np.where(up >= 0, cand[up], -1)
     arcs[cand] = above
-    reg = seq[swept_regular]
-    if reg.size:
+    at_reg = np.flatnonzero(swept_regular)
+    if at_reg.size:
+        reg = seq[at_reg]
         # The number of candidates swept before each regular vertex.
-        before = np.cumsum(~swept_regular)[swept_regular]
+        before = at_reg - np.arange(at_reg.size)
         c = _climb(np.where(up >= 0, up, np.arange(k)), slot[peak[reg]], before)
         if ((c >= before) | ((up[c] >= 0) & (up[c] < before))).any():
             raise InternalError("regular vertex outside its candidate's reduced arc")
@@ -156,38 +178,49 @@ def sweep_csr(seq, nbrs, starts, n: int, direction: str) -> MergeTree:
     return MergeTree(direction=direction, n=n, arcs=arcs, root=root)
 
 
-def _reduced_arcs(red_nbrs: list, red_starts: list) -> np.ndarray:
+def _reduced_arcs(owner: np.ndarray, found: np.ndarray, k: int) -> np.ndarray:
     """Find and union over the candidate slots 0..k-1, in sweep order: the reduced tree.
 
-    ``red_nbrs[red_starts[s]:red_starts[s + 1]]`` lists the slots of the
-    peaks of slot s's entries.  Returns each slot's reduced arc, the slot
-    it attaches to, or -1 at the root.  Its own function so that the
-    per-slot Python lists are freed as soon as it returns.
+    Entry i says that slot ``owner[i]`` lists a vertex whose peak is slot
+    ``found[i]``; owners never decrease, and every entry must name an
+    earlier slot (``InternalError`` otherwise).  Returns each slot's
+    reduced arc, the slot it attaches to, or -1 at the root.  One loop
+    runs over the entries, so a slot without entries costs nothing.  A
+    slot's first entry hangs the slot, still a singleton, under the root
+    that entry finds, as union by size would; each later entry in another
+    component unions it by size.  The per-entry Python lists are freed
+    when it returns.
     """
-    k = len(red_starts) - 1
+    if ((found < 0) | (found >= owner)).any():
+        raise InternalError("a candidate lists a neighbour whose peak is not an earlier slot")
     parent = list(range(k))
     size = [1] * k
     # Per component root, the slot the next arc must attach from: the
     # last candidate swept into the component.
     extreme = list(range(k))
     up = [-1] * k
-    for v in range(k):
-        root = v
-        for u in red_nbrs[red_starts[v] : red_starts[v + 1]]:
-            r = parent[u]
-            if parent[r] != r:
-                while parent[r] != r:
-                    r = parent[r]
-                while parent[u] != r:
-                    parent[u], u = r, parent[u]
-            if r == root:
-                continue
+    v = root = -1
+    for w, u in zip(owner.tolist(), found.tolist()):
+        r = parent[u]
+        if parent[r] != r:
+            while parent[r] != r:
+                r = parent[r]
+            while parent[u] != r:
+                parent[u], u = r, parent[u]
+        if w != v:
+            v = w
+            up[extreme[r]] = v
+            parent[v] = r
+            size[r] += 1
+            extreme[r] = v
+            root = r
+        elif r != root:
             up[extreme[r]] = v
             if size[root] < size[r]:
                 root, r = r, root
             parent[r] = root
             size[root] += size[r]
-        extreme[root] = v
+            extreme[root] = v
     return np.array(up, dtype=np.int64)
 
 
@@ -267,14 +300,40 @@ def link_representative_counts() -> np.ndarray:
     return counts
 
 
+@cache
+def link_first_representative() -> np.ndarray:
+    """The lowest representative slot of each row of ``link_representatives`` (uint8).
+
+    The lowest slot set in a mask always represents its component, so
+    this is the mask's lowest set slot; 0 for the empty mask, which has
+    none.
+    """
+    first = link_representatives().argmax(axis=1).astype(np.uint8)
+    first.flags.writeable = False
+    return first
+
+
+def index_dtype(top: int) -> type[np.signedinteger]:
+    """``np.int32`` when every integer from -1 to ``top`` fits in it, else ``np.int64``."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
+
+
 def _link_neighbors(
     grid: ScalarGrid, order: VertexOrder, upper: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays (``nbrs``, ``starts``): one upper (or lower) neighbour per link component."""
+    """CSR arrays (``nbrs``, ``starts``): one upper (or lower) neighbour per link component.
+
+    Each vertex's 14-bit mask of neighbours ranked on the sweep's processed
+    side is built from rank keys, int32 when ``index_dtype`` allows.  A
+    vertex with one representative reads its slot from
+    ``link_first_representative``; only vertices with two or more expand
+    their ``link_representatives`` rows.  Both are int64 arrays.
+    """
     nx, ny, nz = grid.dims
+    n = grid.n
     # Rank the sweep's processed side high; slots outside the domain rank -1.
-    key = order.rank_of if upper else grid.n - 1 - order.rank_of
-    key = key.reshape(nz, ny, nx)
+    key = order.rank_of.astype(index_dtype(n - 1), copy=False)
+    key = (key if upper else n - 1 - key).reshape(nz, ny, nx)
     padded = np.pad(key, 1, constant_values=-1)
     mask = np.zeros(key.shape, dtype=np.uint16)
     deltas = []
@@ -282,11 +341,24 @@ def _link_neighbors(
         nbr = padded[1 + dz : 1 + dz + nz, 1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
         mask |= (nbr > key).astype(np.uint16) << slot
         deltas.append(dx + nx * (dy + ny * dz))
+    del key, padded
     mask = mask.ravel()
-    # Row-major flat positions of the representatives name (vertex, slot).
-    verts, slots = np.divmod(np.flatnonzero(link_representatives()[mask]), len(_ALL_OFFSETS))
-    starts = np.r_[0, np.cumsum(link_representative_counts()[mask], dtype=np.int64)]
-    return verts + np.array(deltas)[slots], starts
+    deltas = np.array(deltas, dtype=np.int64)
+    count = link_representative_counts()[mask]
+    starts = np.r_[0, np.cumsum(count, dtype=np.int64)]
+    nbrs = np.empty(starts[-1], dtype=np.int64)
+    single = np.flatnonzero(count == 1)
+    nbrs[starts[single]] = single + deltas[link_first_representative()[mask[single]]]
+    multi = np.flatnonzero(count > 1)
+    # Row-major flat positions of the representatives name (row, slot);
+    # they fill every position a single representative left, in order.
+    rows, slots = np.divmod(
+        np.flatnonzero(link_representatives()[mask[multi]]), len(_ALL_OFFSETS)
+    )
+    fill = np.ones(nbrs.size, dtype=bool)
+    fill[starts[single]] = False
+    nbrs[fill] = multi[rows] + deltas[slots]
+    return nbrs, starts
 
 
 def compute_join_tree(grid: ScalarGrid, order: VertexOrder) -> MergeTree:

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import InternalError, UsageError
 from .grid import ScalarGrid, VertexOrder, value_order
-from .sweep import MergeTree, _chain_ends, _link_chains, sweep_csr
+from .sweep import MergeTree, _chain_ends, _link_chains, index_dtype, sweep_csr
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -444,13 +444,14 @@ def _lift(st: Superstructure, ju: np.ndarray, sd: np.ndarray, rank: np.ndarray) 
     and greatest rank among each supernode's 2**l nearest ancestors climbs
     from ``ju`` while ancestors rank above and from ``sd`` while they rank
     below; the deeper of the two stops is the crossing arc's outer end.
-    The tables are int32 with one row per bit of the tree's depth.
+    The tables are int32 when ``index_dtype`` allows, with one row per
+    bit of the tree's depth.
     """
     found = np.where(st.inner[ju] == sd, ju, np.where(st.inner[sd] == ju, sd, -1))
     far = np.flatnonzero(found < 0)
     if not far.size:
         return found
-    dt = np.int32 if int(st.rank.max()) <= np.iinfo(np.int32).max else np.int64
+    dt = index_dtype(int(st.rank.max()))
     has = st.inner >= 0
     # The root is its own parent, so a climb past it stays there.
     step = np.where(has, st.inner, st.root).astype(dt)

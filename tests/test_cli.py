@@ -542,6 +542,7 @@ def test_threshold_must_be_finite_non_negative(value, capsys):
         ("--constant", "1e308"),
         ("--lambda-cap", "nan"),
         ("--lambda-cap", "inf"),
+        ("--lambda-cap", "-3"),
     ],
 )
 def test_advise_non_finite_or_overflowing_input(flag, value, capsys):

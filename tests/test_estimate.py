@@ -139,7 +139,7 @@ def test_comm_floor_rejects_n_beyond_float_range():
         communication_lambda_floor(10**400, 1.0)
 
 
-@pytest.mark.parametrize("cap", [float("nan"), float("inf")])
+@pytest.mark.parametrize("cap", [float("nan"), float("inf"), -3])
 def test_advisor_report_rejects_non_finite_cap(cap):
     with pytest.raises(UsageError):
         lambda_advisor_report(10**6, 8, 1e12, 200.0, 1e6, lambda_cap=cap)

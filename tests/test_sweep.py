@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gridtopo import compute_join_tree, compute_split_tree, contour_tree, sos_order
 from gridtopo.errors import InternalError
 from gridtopo.grid import _ALL_OFFSETS
-from gridtopo.sweep import _chain_ends, link_representatives, sweep_csr
+from gridtopo.sweep import _chain_ends, _reduced_arcs, link_representatives, sweep_csr
 from gridtopo.tree import tree_from_graph
 
 from conftest import (
@@ -470,17 +470,25 @@ def ref_link_neighbors(grid, order, upper):
 
 
 @pytest.mark.parametrize("dims", REDUCED_INPUT_DIMS)
-@pytest.mark.parametrize("field", ["tied", "random"])
+@pytest.mark.parametrize("field", ["tied", "random", "synthetic_ramp"])
 def test_link_neighbors_match_reference(dims, field):
+    from gridtopo.grid import synthetic_ramp
     from gridtopo.sweep import _link_neighbors
 
-    grid = tied_grid(dims, 1) if field == "tied" else random_grid(dims, 1)
+    if field == "synthetic_ramp":
+        grid = synthetic_ramp(dims)
+    else:
+        grid = tied_grid(dims, 1) if field == "tied" else random_grid(dims, 1)
     order = sos_order(grid)
     for upper in (True, False):
         nbrs, starts = _link_neighbors(grid, order, upper)
         want_nbrs, want_starts = ref_link_neighbors(grid, order, upper)
         assert np.array_equal(nbrs, want_nbrs) and nbrs.dtype == want_nbrs.dtype
         assert np.array_equal(starts, want_starts) and starts.dtype == want_starts.dtype
+        if field == "synthetic_ramp":
+            # Every vertex but the sweep's first, the extreme, has one link
+            # component: the all-regular path, with no row expanded.
+            assert np.count_nonzero(np.diff(starts) != 1) == 1
 
 
 def test_link_representative_counts_are_row_sums():
@@ -489,6 +497,29 @@ def test_link_representative_counts_are_row_sums():
     counts = link_representative_counts()
     assert counts.dtype == np.uint8 and not counts.flags.writeable
     assert np.array_equal(counts, link_representatives().sum(axis=1))
+
+
+def test_link_first_representative_is_the_lowest_representative():
+    from gridtopo.sweep import link_first_representative
+
+    first = link_first_representative()
+    assert first.dtype == np.uint8 and not first.flags.writeable
+    assert first.shape == (1 << len(_ALL_OFFSETS),)
+    rows = link_representatives()
+    for mask in range(1, 1 << len(_ALL_OFFSETS)):
+        lowest = (mask & -mask).bit_length() - 1
+        assert first[mask] == np.flatnonzero(rows[mask])[0] == lowest
+    assert not rows[0].any()
+
+
+@pytest.mark.parametrize(
+    "top,dtype", [(0, np.int32), (2**31 - 1, np.int32), (2**31, np.int64), (2**40, np.int64)]
+)
+def test_index_dtype_holds_every_value_up_to_top(top, dtype):
+    from gridtopo.sweep import index_dtype
+
+    assert index_dtype(top) is dtype
+    assert np.array([-1, top], dtype=index_dtype(top))[1] == top
 
 
 def tree_value(tree):
@@ -578,6 +609,81 @@ def test_kernel_empty_graph():
 def test_kernel_rejects_entries_not_swept_before(seq, lists):
     with pytest.raises(InternalError):
         sweep_csr(seq, *csr(lists), len(lists), "join")
+
+
+def ref_reduced_arcs(red_nbrs, red_starts):
+    """Find and union one candidate slot at a time, over its slice of peak slots."""
+    k = len(red_starts) - 1
+    parent = list(range(k))
+    size = [1] * k
+    extreme = list(range(k))
+    up = [-1] * k
+    for v in range(k):
+        root = v
+        for u in red_nbrs[red_starts[v] : red_starts[v + 1]]:
+            r = parent[u]
+            if parent[r] != r:
+                while parent[r] != r:
+                    r = parent[r]
+                while parent[u] != r:
+                    parent[u], u = r, parent[u]
+            if r == root:
+                continue
+            up[extreme[r]] = v
+            if size[root] < size[r]:
+                root, r = r, root
+            parent[r] = root
+            size[root] += size[r]
+        extreme[root] = v
+    return np.array(up, dtype=np.int64)
+
+
+def flat_entries(lists):
+    """``_reduced_arcs``' (owner, found) arrays of per-slot lists of peak slots."""
+    owner = np.repeat(np.arange(len(lists)), [len(x) for x in lists])
+    return owner, np.array(list(itertools.chain.from_iterable(lists)), dtype=np.int64)
+
+
+@st.composite
+def reduced_inputs(draw):
+    """Per candidate slot, 0-4 entries naming earlier slots, with repeats.
+
+    A slot either draws its entries at random or echoes an earlier slot:
+    that slot and some of its own entries, which all lie in one component
+    once that slot is swept.
+    """
+    k = draw(st.integers(min_value=1, max_value=40))
+    lists = []
+    for s in range(k):
+        if s and draw(st.booleans()):
+            t = draw(st.integers(0, s - 1))
+            echo = [t] + lists[t]
+            lists.append(draw(st.lists(st.sampled_from(echo), max_size=4)))
+        elif s:
+            lists.append(draw(st.lists(st.integers(0, s - 1), max_size=4)))
+        else:
+            lists.append([])
+    return lists
+
+
+@settings(max_examples=400, deadline=None)
+@given(reduced_inputs())
+def test_reduced_arcs_match_per_candidate_loop(lists):
+    want = ref_reduced_arcs(
+        list(itertools.chain.from_iterable(lists)),
+        list(itertools.accumulate(map(len, lists), initial=0)),
+    )
+    got = _reduced_arcs(*flat_entries(lists), len(lists))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "lists", [[[], [1]], [[], [0, 1]], [[], [2], []], [[], [0], [0, 2]], [[], [-1]]],
+    ids=["own-slot", "own-slot-after-earlier", "later-slot", "own-slot-last", "no-slot"],
+)
+def test_reduced_arcs_reject_entries_not_before_their_slot(lists):
+    with pytest.raises(InternalError):
+        _reduced_arcs(*flat_entries(lists), len(lists))
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 8, 16, 17])
