@@ -53,8 +53,11 @@ def validate(args: argparse.Namespace) -> None:
         raise UsageError("--threshold must be a finite non-negative number")
     if args.top_branches is not None and args.threshold is not None:
         raise UsageError("--top-branches and --threshold are mutually exclusive")
-    if any(b < 1 for b in args.blocks):
-        raise UsageError("--blocks entries must be positive")
+    for flag, triple in (("--dims", args.dims), ("--blocks", args.blocks)):
+        if any(x < 1 for x in triple):
+            raise UsageError(f"{flag} entries must be positive")
+    if math.prod(args.dims) > sys.maxsize:  # the largest array size, np.iinfo(np.intp).max
+        raise UsageError(f"--dims give more than {sys.maxsize} vertices")
     if args.oracle_check and args.mode == "distributed" and args.lam > 0:
         # Pre-simplification removes small branches, so the tree no
         # longer matches the level-set census of the full grid.

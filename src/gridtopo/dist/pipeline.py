@@ -14,9 +14,11 @@ All ranks live in one process.  The phases:
    vertex keeps superlevel and sublevel connectivity, so the glued tree
    is exact (Morozov & Weber, "Distributed contour trees", 2012).  The
    last kept tree is the shared *base tree*.  A region's message is its
-   kept tree as numpy arrays, from the local phase to the augmented tree:
-   sorted ids, ``(child, parent)`` edge rows, aligned values, and the
-   carried mass as aligned id and amount arrays (``RegionState``).
+   kept tree as numpy arrays (``RegionState``): sorted ids, aligned
+   values, ``(child, parent)`` edge rows and carried mass, both by
+   position in those ids.  A merge builds its tree over positions in the
+   union of the two id lists, so a region's ids are only labels and no
+   table spans the grid's id range before the finish.
    Every tree ranks its own vertices from those values by (value, id).
 4. **Fan-out.**  Rank 0 sends the base tree and its values to every
    other rank; the ranks share the one tree, so only the comm log records
@@ -103,17 +105,17 @@ class Extent:
         return Extent(lo, tuple(h - l for h, l in zip(hi, lo)))
 
     def boundary(self, dims: tuple[int, int, int], vids) -> np.ndarray:
-        """The ``vids`` lying on a face of the box along an axis of more than one vertex.
+        """A mask over ``vids``: those on a face of the box along an axis of more than one vertex.
 
         These are the vertices on a domain face or shared with a block
-        outside the box.  They come back as int64 ids in ``vids`` order.
+        outside the box.
         """
         v = np.asarray(vids, dtype=np.int64)
         on_face = np.zeros(v.size, dtype=bool)
         for c, d, o, s in zip(_coords(v, dims), dims, self.origin, self.shape):
             if d > 1:
                 on_face |= (c == o) | (c == o + s - 1)
-        return v[on_face]
+        return on_face
 
 
 @dataclass(frozen=True)
@@ -267,9 +269,10 @@ class RegionState:
 
     Its kept tree, the region's fan-in message, is int64 arrays:
     ``kept_verts`` (ascending ids) and ``kept_edges`` (an (m, 2) array of
-    ``(child, parent)`` rows), with float64 ``values`` aligned with
-    ``kept_verts``.  ``mass[i]`` is the mass of earlier records attached
-    at ``mass_verts[i]`` (ascending ids, only vertices that hold mass).
+    ``(child, parent)`` rows of positions in ``kept_verts``), with float64
+    ``values`` aligned with ``kept_verts``.  ``mass[i]`` is the mass of
+    earlier records attached at position ``mass_at[i]`` (ascending, only
+    vertices that hold mass).
     """
 
     rank: int
@@ -278,13 +281,13 @@ class RegionState:
     kept_verts: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     kept_edges: np.ndarray = field(repr=False)
-    mass_verts: np.ndarray = field(repr=False)
+    mass_at: np.ndarray = field(repr=False)
     mass: np.ndarray = field(repr=False)
     records: Records = field(repr=False)
 
 
 def _region(
-    rank: int, extent: Extent, ct: ContourTree, values, boundary, mass_verts, mass
+    rank: int, extent: Extent, ct: ContourTree, values, boundary, mass_at, mass
 ) -> RegionState:
     """Split ``ct`` into the boundary's Steiner tree and the records hanging off it.
 
@@ -292,15 +295,15 @@ def _region(
     vertex (the root when there is none).  Rooted at one of them, it is
     those vertices and all their ancestors.  Every other vertex lies in a
     record, under the record's head next to its attachment.  ``values``
-    are aligned with ``ct.ids``, which ascend like every tree's, so
-    positions order the kept vertices and records by id.  ``mass``, the
-    mass of earlier records attached at ``mass_verts`` (ids may repeat),
-    moves into the measure of a new record that swallows its vertex.
+    and the mask ``boundary`` are aligned with ``ct.ids``, which ascend
+    like every tree's, so positions order the kept vertices and records
+    by id.  ``mass``, the mass of earlier records attached at positions
+    ``mass_at`` (which may repeat), moves into the measure of a new record
+    that swallows its vertex.
     """
     n, up, ids = ct.n, ct.up, ct.ids
-    where = _Positions(ids)
     st = ct.superstructure
-    marks = where.of(boundary) if boundary.size else st.vertex[[st.root]]
+    marks = np.flatnonzero(boundary) if boundary.any() else st.vertex[[st.root]]
     # In that rooting every parent leads toward the Steiner tree, so the
     # parents are also the record edges, from child toward the attachment.
     toward = _reroot(up, int(marks[0]))
@@ -310,7 +313,7 @@ def _region(
     head_of = _chain_ends(np.where(kept | is_head, np.arange(n), toward))
 
     carried = np.zeros(n, dtype=np.int64)
-    np.add.at(carried, where.of(mass_verts), mass)
+    np.add.at(carried, mass_at, mass)
     # Ids ascend, so positions order records by least id, then by id.
     hanging = np.flatnonzero(~kept)
     least = np.arange(n)  # read only at heads, and a head is in its own record
@@ -327,6 +330,7 @@ def _region(
         rank=np.full(heads.size, rank, dtype=np.int64), start=np.append(first, hanging.size),
         verts=ids[hanging], values=values[hanging], parent=ids[toward[hanging]],
     )
+    slot = np.cumsum(kept) - 1  # a kept vertex's position among the kept ones
     held = np.flatnonzero(new_mass > 0)
     inside = np.flatnonzero(kept & (up >= 0) & kept[up])
     return RegionState(
@@ -335,8 +339,8 @@ def _region(
         num_vertices=math.prod(extent.shape),
         kept_verts=ids[kept],
         values=values[kept],
-        kept_edges=np.column_stack((ids[inside], ids[up[inside]])),
-        mass_verts=ids[held],
+        kept_edges=np.column_stack((slot[inside], slot[up[inside]])),
+        mass_at=slot[held],
         mass=new_mass[held],
         records=records,
     )
@@ -357,24 +361,32 @@ def local_phase(grid: ScalarGrid, extent: Extent, rank: int) -> RegionState:
 
 
 def _merge(a: RegionState, b: RegionState, dims) -> RegionState:
-    """Glue two regions' kept trees and prune against the merged boundary."""
-    shared, ia, ib = np.intersect1d(
-        a.kept_verts, b.kept_verts, assume_unique=True, return_indices=True
-    )
-    clash = np.flatnonzero(a.values[ia] != b.values[ib])
+    """Glue two regions' kept trees and prune against the merged boundary.
+
+    One stable ``unique`` over a's ids, then b's, gives the union and
+    ``at``, the union position of each listed copy.  a's copy of a shared
+    vertex comes first, so a disagreeing value shows at b's copy, lowest id
+    first.  b's edge and mass positions, offset by a's size, index the same
+    list, so ``at`` maps both into the union.  The glued tree is built over
+    union positions and then takes the ids as labels.
+    """
+    ids, given = np.r_[a.kept_verts, b.kept_verts], np.r_[a.values, b.values]
+    verts, first, at = np.unique(ids, return_index=True, return_inverse=True)
+    values = given[first]
+    clash = np.flatnonzero(given != values[at])
     if clash.size:
         i = clash[0]
         raise DataError(
-            f"shared vertex {shared[i]} has value {a.values[ia[i]].item()!r} in block "
-            f"region {a.rank} but {b.values[ib[i]].item()!r} in block region {b.rank}"
+            f"shared vertex {ids[i]} has value {values[at[i]].item()!r} in block "
+            f"region {a.rank} but {given[i].item()!r} in block region {b.rank}"
         )
-    verts, first = np.unique(np.concatenate((a.kept_verts, b.kept_verts)), return_index=True)
-    values = np.concatenate((a.values, b.values))[first]
-    ct = tree_from_graph(verts, values, np.concatenate((a.kept_edges, b.kept_edges)))
-    mass_verts = np.concatenate((a.mass_verts, b.mass_verts))
-    mass = np.concatenate((a.mass, b.mass))
+    m = a.kept_verts.size
+    edges = at[np.r_[a.kept_edges, b.kept_edges + m]]
+    mass_at, mass = at[np.r_[a.mass_at, b.mass_at + m]], np.r_[a.mass, b.mass]
+    del ids, given, first, at  # before the glued tree's build, the merge's peak
+    ct = replace(tree_from_graph(np.arange(verts.size), values, edges), ids=verts)
     extent = a.extent.union(b.extent)
-    return _region(a.rank, extent, ct, values, extent.boundary(dims, verts), mass_verts, mass)
+    return _region(a.rank, extent, ct, values, extent.boundary(dims, verts), mass_at, mass)
 
 
 def fan_in(
@@ -408,8 +420,8 @@ def fan_in(
             stride *= 2
     top = regions[0]
     # A tree is its own contour tree: no sweep, only its edges and values.
-    base = _from_edges(top.kept_verts, top.values, top.kept_edges)
-    return base, top.values, Records.concat(records)
+    base = _from_edges(np.arange(top.kept_verts.size), top.values, top.kept_edges)
+    return replace(base, ids=top.kept_verts), top.values, Records.concat(records)
 
 
 def list_attachment_points(records: Records, lam: int) -> Records:

@@ -490,8 +490,8 @@ def _walk_order(arc: np.ndarray, rank: np.ndarray, rises: np.ndarray) -> np.ndar
 class _Positions:
     """Vertex ids -> positions in ``ids`` through one table over ``0..max(id)``.
 
-    The same gather serves dense grid ids and the sparse global ids of
-    distributed trees, whose largest id is below the grid's vertex count.
+    The table suits ids that fill their range: positions, a grid's ids,
+    or the distributed finish's trees, which span the grid.
     """
 
     def __init__(self, ids: np.ndarray):

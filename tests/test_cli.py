@@ -242,6 +242,16 @@ def test_usage_error_exit_code():
         ),
         (["--synthetic", "random", "--dims", "4,4,1", "--seed", "-1"],
          "--seed must be non-negative"),
+        (["--synthetic", "random", "--dims=-1,2,2"], "--dims entries must be positive"),
+        (["--synthetic", "gaussians", "--dims=-2,-2,1"], "--dims entries must be positive"),
+        (["--input", "vol.raw", "--dims=-2,-2,1"], "--dims entries must be positive"),
+        (["--synthetic", "ramp", "--dims", "4,0,1"], "--dims entries must be positive"),
+        (["--synthetic", "random", "--dims", "10000000,10000000,1000000"],
+         f"--dims give more than {np.iinfo(np.intp).max} vertices"),
+        (["--synthetic", "gaussians", "--dims", "10000000,10000000,1000000"],
+         f"--dims give more than {np.iinfo(np.intp).max} vertices"),
+        (["--input", "vol.raw", "--dims", "10000000,10000000,1000000"],
+         f"--dims give more than {np.iinfo(np.intp).max} vertices"),
     ],
 )
 def test_validate_rules(args, message, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gridtopo import contour_tree, select_top_branches, sos_order
+from gridtopo import contour_tree, select_top_branches, sos_order, tree
 from gridtopo.dist import (
     CommLog,
     Records,
@@ -12,6 +12,7 @@ from gridtopo.dist import (
     fan_in,
     list_attachment_points,
     local_phase,
+    pipeline,
     run_distributed,
     run_lambda_sweep,
 )
@@ -115,11 +116,11 @@ def test_decompose_infeasible():
 def test_local_phase_1d_blocks():
     grid, _, decomp = two_block_1d()
     left = local_phase(grid, decomp.extents[0], 0)
-    assert sorted(map(tuple, left.kept_edges.tolist())) == [(0, 1), (2, 1)]
-    assert decomp.extents[0].boundary(grid.dims, [0, 1, 2]).tolist() == [0, 2]
+    assert sorted(map(tuple, left.kept_verts[left.kept_edges].tolist())) == [(0, 1), (2, 1)]
+    assert np.flatnonzero(decomp.extents[0].boundary(grid.dims, [0, 1, 2])).tolist() == [0, 2]
     assert record_list(left.records) == []
     right = local_phase(grid, decomp.extents[1], 1)
-    assert sorted(map(tuple, right.kept_edges.tolist())) == [(2, 3), (4, 3)]
+    assert sorted(map(tuple, right.kept_verts[right.kept_edges].tolist())) == [(2, 3), (4, 3)]
     assert record_list(right.records) == []
 
 
@@ -218,6 +219,46 @@ def test_fan_in_detects_inconsistent_shared_values_after_first_level():
     assert str(err.value) == (
         "shared vertex 15 has value 3.75 in block region 0 but 99.0 in block region 2"
     )
+
+
+def test_fan_in_names_the_lowest_clashing_vertex():
+    # 6x6 cut at x = 2: blocks 0 and 1 share ids 2, 8, 14, 20, 26 and 32.
+    # With two of block 1's copies corrupt, the error names the lower id,
+    # with block 0's value first.
+    values = np.arange(36, dtype=np.float64) / 4
+    grid = make_grid((6, 6, 1), values)
+    decomp = decompose(grid, (2, 1, 1))
+    states = [local_phase(grid, decomp.extents[r], r) for r in range(2)]
+    corrupt_value(states[1], 26, 98.0)
+    corrupt_value(states[1], 8, 99.0)
+    with pytest.raises(DataError) as err:
+        fan_in(states, decomp, CommLog(decomp.num_blocks))
+    assert str(err.value) == (
+        "shared vertex 8 has value 2.0 in block region 0 but 99.0 in block region 1"
+    )
+
+
+def test_local_phase_and_fan_in_tables_stay_within_their_ids(monkeypatch):
+    """Every id -> position table has no more entries than the ids it indexes.
+
+    A region's message names its vertices by position, so no table over
+    the grid's id range is built before the finish.
+    """
+    sizes = []
+
+    class Recording(tree._Positions):
+        def __init__(self, ids):
+            super().__init__(ids)
+            sizes.append((self.table.size, ids.size))
+
+    monkeypatch.setattr(tree, "_Positions", Recording)
+    monkeypatch.setattr(pipeline, "_Positions", Recording)
+    grid = random_grid((10, 8, 6), 3)
+    decomp = decompose(grid, (2, 2, 2))
+    states = [local_phase(grid, decomp.extents[r], r) for r in range(decomp.num_blocks)]
+    fan_in(states, decomp, CommLog(decomp.num_blocks))
+    assert sizes
+    assert all(table <= ids for table, ids in sizes), sizes
 
 
 # --- fan-out ---------------------------------------------------------------

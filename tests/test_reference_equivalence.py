@@ -338,7 +338,11 @@ def ref_branch_decomposition(ct, ann):
 
 
 def ref_region(rank, extent, ct, values, boundary, mass_verts, mass):
-    """The Steiner tree and hanging records by one preorder walk with per-vertex dicts."""
+    """The Steiner tree and hanging records by one preorder walk with per-vertex dicts.
+
+    It reads and returns ids: ``boundary`` and ``mass_verts`` are ids, and
+    so are the ``kept_edges`` and ``mass_at`` of the state it returns.
+    """
     value_of = dict(zip(sorted(ct.ids.tolist()), values.tolist()))
     mass_at = {}
     for v, m in zip(mass_verts.tolist(), mass.tolist()):
@@ -408,7 +412,7 @@ def ref_region(rank, extent, ct, values, boundary, mass_verts, mass):
         kept_edges=np.array(
             [(v, parent[v]) for v in kept if v != top], dtype=np.int64
         ).reshape(-1, 2),
-        mass_verts=np.array(held, dtype=np.int64),
+        mass_at=np.array(held, dtype=np.int64),
         mass=np.array([new_mass[v] for v in held], dtype=np.int64),
         records=records,
     )
@@ -635,13 +639,15 @@ def test_random_small_grid_sweeps_match_reference(dims, levels, seed):
 
 
 def assert_same_region(got, want):
-    for name in ("kept_verts", "values", "kept_edges", "mass_verts", "mass"):
+    """``got``'s edges and mass hold positions in its ``kept_verts``; ``want``'s hold ids."""
+    for name in ("kept_verts", "values", "kept_edges", "mass_at", "mass"):
         assert getattr(got, name).dtype == getattr(want, name).dtype
     assert got.kept_verts.tolist() == want.kept_verts.tolist()
     assert got.values.tolist() == want.values.tolist()
-    assert set(map(tuple, got.kept_edges.tolist())) == set(map(tuple, want.kept_edges.tolist()))
-    assert got.kept_edges.shape == want.kept_edges.shape
-    assert got.mass_verts.tolist() == want.mass_verts.tolist()
+    got_edges = got.kept_verts[got.kept_edges]
+    assert set(map(tuple, got_edges.tolist())) == set(map(tuple, want.kept_edges.tolist()))
+    assert got_edges.shape == want.kept_edges.shape
+    assert got.kept_verts[got.mass_at].tolist() == want.mass_at.tolist()
     assert got.mass.tolist() == want.mass.tolist()
     assert (got.rank, got.extent, got.num_vertices) == (want.rank, want.extent, want.num_vertices)
     assert len(got.records) == len(want.records)
@@ -677,7 +683,7 @@ def test_regions_and_relabels_match_reference(name, monkeypatch):
     real_region = pipeline._region
     seen = {"regions": 0, "with_mass": 0, "shared_mass": 0}
 
-    def checked_region(rank, extent, ct, values, boundary, mass_verts, mass):
+    def checked_region(rank, extent, ct, values, boundary, mass_at, mass):
         assert (np.diff(ct.ids) > 0).all()
         st = ct.superstructure
         assert np.array_equal(st.rank, ct.ranks[st.vertex])
@@ -687,8 +693,8 @@ def test_regions_and_relabels_match_reference(name, monkeypatch):
         edges = zip(ct.ids[child].tolist(), ct.ids[ct.up[child]].tolist())
         ranks = rank_by_id(ct)
         assert_same_tree(ct, ref_augment(ref_from_edges(ct.ids.tolist(), ranks, list(edges))))
-        got = real_region(rank, extent, ct, values, boundary, mass_verts, mass)
-        want = ref_region(rank, extent, ct, values, boundary, mass_verts, mass)
+        got = real_region(rank, extent, ct, values, boundary, mass_at, mass)
+        want = ref_region(rank, extent, ct, values, ct.ids[boundary], ct.ids[mass_at], mass)
         assert_same_region(got, want)
         recs = got.records
         assert np.array_equal(recs.values, grid.values[recs.verts])
@@ -696,7 +702,7 @@ def test_regions_and_relabels_match_reference(name, monkeypatch):
         seen["regions"] += 1
         seen["with_mass"] += bool(mass.size)
         # A merge whose two regions both carry mass at one vertex.
-        seen["shared_mass"] += np.unique(mass_verts).size < mass_verts.size
+        seen["shared_mass"] += np.unique(mass_at).size < mass_at.size
         return got
 
     monkeypatch.setattr(pipeline, "_region", checked_region)
