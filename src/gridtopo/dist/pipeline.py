@@ -17,16 +17,20 @@ All ranks live in one process.  The phases:
    kept tree as numpy arrays (``RegionState``): sorted ids, aligned
    values, ``(child, parent)`` edge rows and carried mass, both by
    position in those ids.  A merge builds its tree over positions in the
-   union of the two id lists, so a region's ids are only labels and no
-   table spans the grid's id range before the finish.
-   Every tree ranks its own vertices from those values by (value, id).
+   union of the two id lists and then labels it with the ids, so the
+   tree layer never sees an id and no table spans the grid's id range
+   before the finish.  Every tree ranks its own vertices from those
+   values by (value, id).
 4. **Fan-out.**  Rank 0 sends the base tree and its values to every
    other rank; the ranks share the one tree, so only the comm log records
    the message.  The records stay one ``Records`` table, each rank's rows
    its own, with their vertices' ``values`` and each record's ``rises``.
 5. **Augmentation.**  Records whose measure exceeds the threshold lambda
    are put back into the base tree.  The others stay folded into the
-   volumes as mass at their attachment point.
+   volumes as mass at their attachment point.  The finish reads
+   positions through one index over the grid's ids per tree
+   (``_index``): one for the base tree, one per lambda for its
+   augmented tree.
 6. **Volumes and branches.**  ``measure.hypersweep`` runs before
    augmentation on the base tree and after it on the augmented tree;
    ``measure.branch_decomposition`` then builds the branches.
@@ -74,7 +78,7 @@ from ..errors import DataError, UsageError
 from ..grid import ScalarGrid, _coords, sos_order
 from ..measure import Branch, BranchDecomposition, VolumeAnnotation
 from ..sweep import _chain_ends
-from ..tree import _EMPTY, ContourTree, _ancestors, _from_edges, _Positions, _reroot
+from ..tree import _EMPTY, ContourTree, _ancestors, _from_edges, _reroot
 from ..tree import contour_tree, tree_from_graph
 
 # --- decomposition ---------------------------------------------------------
@@ -384,7 +388,7 @@ def _merge(a: RegionState, b: RegionState, dims) -> RegionState:
     edges = at[np.r_[a.kept_edges, b.kept_edges + m]]
     mass_at, mass = at[np.r_[a.mass_at, b.mass_at + m]], np.r_[a.mass, b.mass]
     del ids, given, first, at  # before the glued tree's build, the merge's peak
-    ct = replace(tree_from_graph(np.arange(verts.size), values, edges), ids=verts)
+    ct = replace(tree_from_graph(values, edges), ids=verts)
     extent = a.extent.union(b.extent)
     return _region(a.rank, extent, ct, values, extent.boundary(dims, verts), mass_at, mass)
 
@@ -420,8 +424,8 @@ def fan_in(
             stride *= 2
     top = regions[0]
     # A tree is its own contour tree: no sweep, only its edges and values.
-    base = _from_edges(np.arange(top.kept_verts.size), top.values, top.kept_edges)
-    return replace(base, ids=top.kept_verts), top.values, Records.concat(records)
+    base = replace(_from_edges(top.values, top.kept_edges), ids=top.kept_verts)
+    return base, top.values, Records.concat(records)
 
 
 def list_attachment_points(records: Records, lam: int) -> Records:
@@ -431,26 +435,50 @@ def list_attachment_points(records: Records, lam: int) -> Records:
     return records.take(records.measure > lam)
 
 
-def _augment(base: ContourTree, values: np.ndarray, retained: Records) -> ContourTree:
-    """The base tree, whose ``values`` align with its ids, with the retained records put back."""
+def _index(ids: np.ndarray, n: int) -> np.ndarray:
+    """Position of each of the grid's ``n`` ids in the ascending ``ids``, -1 where absent."""
+    index = np.full(n, -1, dtype=np.int64)
+    index[ids] = np.arange(ids.size)
+    return index
+
+
+def _augment(
+    base: ContourTree, values: np.ndarray, retained: Records, n: int
+) -> tuple[ContourTree, np.ndarray]:
+    """The base tree with the retained records put back, and its ``_index`` over ``n`` ids.
+
+    ``values`` align with the base tree's ids.  The tree's ids are the
+    union of the base ids and the records' vertices, taken in ascending
+    order from a mask over the grid's ids.  Both edge lists reach the
+    builder as positions in that union through the one index; a record
+    parent missing from the union maps to -1, which the builder rejects.
+    """
     if not retained:
-        return base
-    child = np.flatnonzero(base.up >= 0)
-    base_edges = np.column_stack((base.ids[child], base.ids[base.up[child]]))
-    edges = np.concatenate((base_edges, np.column_stack((retained.verts, retained.parent))))
-    return _from_edges(np.r_[base.ids, retained.verts], np.r_[values, retained.values], edges)
+        return base, _index(base.ids, n)
+    union = np.zeros(n, dtype=bool)
+    union[base.ids] = True
+    union[retained.verts] = True
+    ids = np.flatnonzero(union)
+    index = _index(ids, n)
+    at, child = index[base.ids], np.flatnonzero(base.up >= 0)
+    base_edges = np.column_stack((at[child], at[base.up[child]]))
+    edges = np.r_[base_edges, index[np.column_stack((retained.verts, retained.parent))]]
+    scalars = np.empty(ids.size, dtype=values.dtype)
+    scalars[at], scalars[index[retained.verts]] = values, retained.values
+    del union, at, child, base_edges  # before the augmented tree's build, the finish's peak
+    return replace(_from_edges(scalars, edges), ids=ids), index
 
 
-def _volumes(ct: ContourTree, where: _Positions, pruned: Records, n: int) -> VolumeAnnotation:
+def _volumes(ct: ContourTree, index: np.ndarray, pruned: Records, n: int) -> VolumeAnnotation:
     """Hypersweep of ``ct`` with pruned records folded in at their attachments.
 
     A measure counts on its attachment's superarc (``ct.outer``) and
     hangs at the attachment if that is a supernode.  Only records
     attached to a vertex of ``ct`` are folded; the others are already
-    inside the measure of the record they attach to.  ``where`` is
-    ``_Positions(ct.ids)`` and ``n`` the grid's vertex count.
+    inside the measure of the record they attach to.  ``index`` is
+    ``_index(ct.ids, n)`` and ``n`` the grid's vertex count.
     """
-    at = where.find(pruned.attach)
+    at = index[pruned.attach]
     at, amount = at[at >= 0], pruned.measure[at >= 0]
     arc = ct.outer[at]
     mass, node = np.zeros((2, ct.n), dtype=np.int64)
@@ -462,23 +490,23 @@ def _volumes(ct: ContourTree, where: _Positions, pruned: Records, n: int) -> Vol
 
 
 def _log_branch_entries(
-    aug: ContourTree, where: _Positions, retained: Records, pruned: Records,
+    aug: ContourTree, index: np.ndarray, retained: Records, pruned: Records,
     decomp: Decomposition, log: CommLog,
 ) -> None:
     """Best up/down and branch outer-end entries per rank (see the module notes).
 
-    ``where`` is ``_Positions(aug.ids)``.
+    ``index`` is ``_index(aug.ids, n)``; every retained vertex is in ``aug``.
     """
     up, down = np.ones((2, aug.n), dtype=np.int64)  # a regular vertex has one arc each way
     up[aug.superstructure.vertex], down[aug.superstructure.vertex] = aug.arc_degrees()
     # A pruned record still counts as an arc at an attachment in ``aug``.
-    at = where.find(pruned.attach)
+    at = index[pruned.attach]
     np.add.at(up, at[(at >= 0) & pruned.rises], 1)
     np.add.at(down, at[(at >= 0) & ~pruned.rises], 1)
     counted = (up != 1) | (down != 1)  # the critical vertices; extrema are among them
     holder = np.zeros(aug.n, dtype=np.int64)
     holder[counted] = decomp.owner_of(aug.ids[counted])
-    holder[where.of(retained.verts)] = np.repeat(retained.rank, np.diff(retained.start))
+    holder[index[retained.verts]] = np.repeat(retained.rank, np.diff(retained.start))
     critical = np.bincount(holder[counted], minlength=decomp.num_blocks).tolist()
     extrema = np.bincount(holder[up + down <= 1], minlength=decomp.num_blocks).tolist()
     for r in range(decomp.num_blocks):
@@ -555,7 +583,7 @@ def run_lambda_sweep(
     # Rank 0 sends the base tree to every other rank.
     for r in range(1, decomp.num_blocks):
         shared_log.add("fan-out", "tree_verts_recv", r, base.n)
-    pre_volumes = _volumes(base, _Positions(base.ids), records, grid.n)
+    pre_volumes = _volumes(base, _index(base.ids, grid.n), records, grid.n)
 
     for lam in lams:
         log = copy.deepcopy(shared_log)
@@ -564,11 +592,10 @@ def run_lambda_sweep(
         own = np.bincount(retained.rank, minlength=decomp.num_blocks)
         for r, recv in enumerate((len(retained) - own).tolist()):
             log.add("augmentation", "attachment_points_recv", r, recv)
-        augmented = _augment(base, values, retained)
-        where = _Positions(augmented.ids)
-        post_volumes = _volumes(augmented, where, pruned, grid.n)
+        augmented, index = _augment(base, values, retained, grid.n)
+        post_volumes = _volumes(augmented, index, pruned, grid.n)
         bd = measure.branch_decomposition(augmented, post_volumes)
-        _log_branch_entries(augmented, where, retained, pruned, decomp, log)
+        _log_branch_entries(augmented, index, retained, pruned, decomp, log)
 
         heavy = _heavy_branches(bd, lam)
         selected, lambda_b = measure.select_top_branches(

@@ -94,18 +94,18 @@ def sos_order(grid: ScalarGrid) -> VertexOrder:
 def value_order(values: np.ndarray) -> VertexOrder:
     """The (value, position) order of ``values``, which is (value, id) for ids in order.
 
-    One unstable sort by value, then ``_ties_by_id`` puts each run of
+    One unstable sort by value, then ``_ties_by_position`` puts each run of
     equal values back in position order.
     """
     n = values.size
     vertex_at = np.argsort(values)
-    _ties_by_id(vertex_at, values[vertex_at])
+    _ties_by_position(vertex_at, values[vertex_at])
     rank_of = np.empty(n, dtype=np.int64)
     rank_of[vertex_at] = np.arange(n)
     return VertexOrder(rank_of=rank_of, vertex_at=vertex_at)
 
 
-def _ties_by_id(vertex_at: np.ndarray, ordered: np.ndarray) -> None:
+def _ties_by_position(vertex_at: np.ndarray, ordered: np.ndarray) -> None:
     """Sort ``vertex_at`` by id within each run of equal ``ordered`` values, in place.
 
     ±0.0 are equal.  One sort of ``run * n + id`` over the tied positions

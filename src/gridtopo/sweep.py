@@ -6,8 +6,8 @@ components; the split tree mirrors it upward.  ``sweep_csr`` is the only
 sweep kernel.  It reads CSR arrays: ``nbrs[starts[v]:starts[v + 1]]``
 holds neighbours of ``v`` swept strictly before ``v``, never ``v``
 itself.  Grids build the arrays from their vertex order, and
-``tree.tree_from_graph`` numbers a graph's vertices in id order, sweeps
-them in rank order and lists each edge at one end.  A ``MergeTree``
+``tree.tree_from_graph``, whose graphs come over positions 0..n-1,
+sweeps them in rank order and lists each edge at one end.  A ``MergeTree``
 stores its arcs as one int64 array (-1 at the root), and callers read
 that array directly.
 

@@ -24,9 +24,10 @@ goes to the serial queue (``_leaf_transfer``) instead, so levels at
 least halve.
 
 Everything but that queue runs as numpy passes over vertex positions.
-Every builder numbers them in ascending id order, so position order is
-id order and no tree is re-sorted; ids may be sparse, and an edge list's
-ids become positions through one lookup table.  ``_from_edges`` re-roots
+Every builder works in positions 0..n-1 and returns ``ids`` equal to
+them.  A caller whose vertices have other ids, the distributed pipeline,
+lists them in ascending order and sets them as labels, so position
+order is id order and no tree is re-sorted.  ``_from_edges`` re-roots
 an edge list at the highest-ranked vertex, counts degrees with
 ``bincount``, finds each supernode's inner end by pointer jumping up
 regular chains and each regular vertex's outer end by jumping down
@@ -115,7 +116,7 @@ class Superstructure:
 
 @dataclass(eq=False)
 class ContourTree:
-    """Contour tree over an arbitrary vertex subset with global ids.
+    """Contour tree over vertex positions, labelled with vertex ids.
 
     The state is int64 arrays over vertex positions: ``ids``, which
     strictly ascend, and ``up``, the parent in the tree rooted at the
@@ -129,6 +130,8 @@ class ContourTree:
     in walk order.
     ``ranks[p]`` ranks position p among the tree's own vertices by (value, id);
     a grid tree's positions are its ids, so it is ``VertexOrder.rank_of``.
+    Every builder sets ``ids`` to the positions 0..n-1; the distributed
+    pipeline labels its trees with global ids through ``dataclasses.replace``.
     """
 
     ids: np.ndarray = field(repr=False)
@@ -487,46 +490,12 @@ def _walk_order(arc: np.ndarray, rank: np.ndarray, rises: np.ndarray) -> np.ndar
     return np.argsort(_pair_key(arc, signed + span, 2 * span))
 
 
-class _Positions:
-    """Vertex ids -> positions in ``ids`` through one table over ``0..max(id)``.
-
-    The table suits ids that fill their range: positions, a grid's ids,
-    or the distributed finish's trees, which span the grid.
-    """
-
-    def __init__(self, ids: np.ndarray):
-        self.ids = ids
-        n = ids.size
-        if ids.min(initial=0) < 0:
-            raise InternalError("vertex ids must be non-negative")
-        self.table = np.full(int(ids.max(initial=0)) + 1, -1, dtype=np.int64)
-        self.table[ids] = np.arange(n)
-        if (self.table[ids] != np.arange(n)).any():
-            raise InternalError("vertex ids are not distinct")
-
-    def find(self, ids: np.ndarray) -> np.ndarray:
-        """Positions of ``ids``, -1 for an id not in the table."""
-        inside = (ids >= 0) & (ids < self.table.size)
-        return np.where(inside, self.table[np.where(inside, ids, 0)], -1)
-
-    def of(self, ids: np.ndarray) -> np.ndarray:
-        """Positions of ``ids``; raises ``InternalError`` for an id not in the table."""
-        pos = self.find(ids)
-        if (pos < 0).any():
-            raise InternalError("edge endpoint outside the vertex set")
-        return pos
-
-
-def _by_id(verts, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``verts`` in id order (sorted if needed), then ``value_order``'s tables of their values."""
-    verts, values = np.asarray(verts, dtype=np.int64), np.asarray(values)
-    if values.shape != verts.shape:
-        raise UsageError(f"{values.size} values for {verts.size} vertices")
-    if (verts[1:] < verts[:-1]).any():
-        by_id = np.argsort(verts)
-        verts, values = verts[by_id], values[by_id]
-    order = value_order(values)
-    return verts, order.rank_of, order.vertex_at
+def _edge_rows(edges, n: int) -> np.ndarray:
+    """``edges`` as an (m, 2) int64 array; an endpoint outside 0..n-1 raises ``InternalError``."""
+    rows = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise InternalError("edge endpoint outside the vertex set")
+    return rows
 
 
 def _pair_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
@@ -539,29 +508,27 @@ def _pair_key(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
     return major * span + minor
 
 
-def _from_edges(verts, values, edges) -> ContourTree:
-    """The augmented contour tree with the given edges.
+def _from_edges(values, edges) -> ContourTree:
+    """The augmented contour tree with the given edges, over positions 0..n-1.
 
-    ``verts`` are the vertex ids, in any order (the tree holds them
-    sorted), ``values`` their scalars in the same order, which rank them
-    by (value, id), and ``edges`` an (n - 1, 2) array-like of
-    ``(child, parent)`` rows of some rooting of the tree: every vertex
-    but one is a child exactly once.  The tree is re-rooted at the
-    highest-ranked vertex by reversing the one path up from it.
-    Malformed input (a wrong edge count, two parents, an id outside
-    ``verts``, a cycle or a disconnected graph) raises ``InternalError``.
+    ``values[p]`` is position p's scalar, and positions rank by (value,
+    position).  ``edges`` is an (n - 1, 2) array-like of ``(child,
+    parent)`` rows of positions from some rooting of the tree: every
+    position but one is a child exactly once.  The tree is re-rooted at
+    the highest-ranked vertex by reversing the one path up from it, and
+    its ``ids`` are its positions.  Malformed input (a wrong edge count,
+    two parents, an endpoint outside 0..n-1, a cycle or a disconnected
+    graph) raises ``InternalError``.
     A regular vertex has one child, so jumping down child pointers ends
     at its superarc's outer end; ranks are monotone along a superarc, so
     one sort on (superarc, signed rank) lists its regulars from there inward.
     """
-    verts, rank, _ = _by_id(verts, values)
-    del values  # an unsorted temporary of the caller's goes before the tree is built
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    n = verts.size
+    rank = value_order(np.asarray(values)).rank_of
+    n = rank.size
+    edges = _edge_rows(edges, n)
     if n == 0 or len(edges) != n - 1:
         raise InternalError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
-    pairs = _Positions(verts).of(edges)
-    up, st = _from_pairs(rank, pairs[:, 0], pairs[:, 1])
+    up, st = _from_pairs(rank, edges[:, 0], edges[:, 1])
     is_super = np.zeros(n, dtype=bool)
     is_super[st.vertex] = True
     child = np.flatnonzero(up >= 0)
@@ -578,7 +545,7 @@ def _from_edges(verts, values, edges) -> ContourTree:
     rises = rank[regular] < rank[up[regular]]
     walk = regular[_walk_order(arc, rank[regular], rises)]
     walk_start = np.r_[0, np.cumsum(np.bincount(arc, minlength=n))]
-    return ContourTree(verts, rank, up, st, outer=outer, walk=walk, walk_start=walk_start)
+    return ContourTree(np.arange(n), rank, up, st, outer=outer, walk=walk, walk_start=walk_start)
 
 
 def _ancestors(parent: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -654,22 +621,22 @@ def contour_tree(grid: ScalarGrid, order: VertexOrder) -> ContourTree:
     return augment(combine(join, split, order.rank_of))
 
 
-def tree_from_graph(verts, values, edges) -> ContourTree:
-    """Contour tree of a connected graph on ``verts`` (used by the merge).
+def tree_from_graph(values, edges) -> ContourTree:
+    """Contour tree of a connected graph on positions 0..n-1 (used by the merge).
 
     Precondition: the graph's Reeb graph is a tree.  The fan-in glue
     graphs meet it because they come from simply connected regions.  On
     other graphs the result is not a contour tree, and it is not checked.
-    ``verts`` are distinct vertex ids, ``values`` their scalars in the
-    same order, and ``edges`` an (m, 2) array-like of id pairs.  The tree
-    is built over their positions in ascending id order, so its ``ids``
-    ascend like every other tree's, and ranks them by (value, id).
-    Self-loops are dropped, repeated edges are harmless, and an endpoint
-    outside ``verts`` raises ``InternalError``.
+    ``values[p]`` is position p's scalar, and positions rank by (value,
+    position); ``edges`` is an (m, 2) array-like of position pairs.  The
+    tree's ``ids`` are its positions.  Self-loops are dropped, repeated
+    edges are harmless, and an endpoint outside 0..n-1 raises
+    ``InternalError``.
     """
-    gid, rank, rising = _by_id(verts, values)
-    n = gid.size
-    a, b = _Positions(gid).of(np.asarray(edges, dtype=np.int64).reshape(-1, 2)).T
+    order = value_order(np.asarray(values))
+    rank, rising = order.rank_of, order.vertex_at
+    n = rank.size
+    a, b = _edge_rows(edges, n).T
     a_low, keep = rank[a] < rank[b], a != b
     lo, hi = np.where(a_low, a, b)[keep], np.where(a_low, b, a)[keep]
     # The join sweep visits a vertex after all higher-ranked ones and the
@@ -682,4 +649,4 @@ def tree_from_graph(verts, values, edges) -> ContourTree:
         by = np.argsort(at, kind="stable")
         starts = np.r_[0, np.cumsum(np.bincount(at, minlength=n))]
         trees.append(sweep_csr(seq, other[by], starts, n, direction))
-    return dataclasses.replace(combine(*trees, rank), ids=gid)
+    return combine(*trees, rank)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections import namedtuple
 
 import numpy as np
@@ -89,6 +90,24 @@ def neighbors(grid, vid):
         if 0 <= px < nx and 0 <= py < ny and 0 <= pz < nz:
             out.append(px + nx * (py + ny * pz))
     return out
+
+
+def over_ids(build, verts, values, edges):
+    """``build(values, edges)`` for vertices with distinct ids ``verts``, in any order.
+
+    ``build`` is an edge-list builder, which works over positions.  The
+    ids are sorted, ``values`` and the id pairs in ``edges`` move to
+    positions in that order, and the tree is labelled with the ids.
+    """
+    verts = np.asarray(verts, dtype=np.int64)
+    by_id = np.argsort(verts)
+    ids = verts[by_id]
+    rows = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    at = np.searchsorted(ids, rows)
+    assert (ids[np.minimum(at, ids.size - 1)] == rows).all(), "edge endpoint is not a vertex"
+    ct = build(np.asarray(values)[by_id], at)
+    assert np.array_equal(ct.ids, np.arange(ids.size))
+    return dataclasses.replace(ct, ids=ids)
 
 
 def rank_by_id(ct):

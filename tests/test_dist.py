@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gridtopo import contour_tree, select_top_branches, sos_order, tree
+from gridtopo import contour_tree, select_top_branches, sos_order
 from gridtopo.dist import (
     CommLog,
     Records,
@@ -16,7 +17,7 @@ from gridtopo.dist import (
     run_distributed,
     run_lambda_sweep,
 )
-from gridtopo.errors import DataError, UsageError
+from gridtopo.errors import DataError, InternalError, UsageError
 
 from conftest import (
     at_node,
@@ -238,27 +239,46 @@ def test_fan_in_names_the_lowest_clashing_vertex():
     )
 
 
-def test_local_phase_and_fan_in_tables_stay_within_their_ids(monkeypatch):
-    """Every id -> position table has no more entries than the ids it indexes.
+def test_finish_builds_one_grid_index_per_tree(monkeypatch):
+    """The finish indexes the grid's ids once for the base tree and once per lambda.
 
-    A region's message names its vertices by position, so no table over
-    the grid's id range is built before the finish.
+    Each augmented tree's ids are the base ids and the retained records'
+    vertices in ascending order, each at its position in that index.
     """
-    sizes = []
+    built = []
+    real = pipeline._index
 
-    class Recording(tree._Positions):
-        def __init__(self, ids):
-            super().__init__(ids)
-            sizes.append((self.table.size, ids.size))
+    def recording(ids, n):
+        index = real(ids, n)
+        built.append((index, ids))
+        return index
 
-    monkeypatch.setattr(tree, "_Positions", Recording)
-    monkeypatch.setattr(pipeline, "_Positions", Recording)
+    monkeypatch.setattr(pipeline, "_index", recording)
     grid = random_grid((10, 8, 6), 3)
-    decomp = decompose(grid, (2, 2, 2))
-    states = [local_phase(grid, decomp.extents[r], r) for r in range(decomp.num_blocks)]
-    fan_in(states, decomp, CommLog(decomp.num_blocks))
-    assert sizes
-    assert all(table <= ids for table, ids in sizes), sizes
+    lams = [0, 3, 10**6]
+    results = list(run_lambda_sweep(grid, (2, 2, 2), lams, b=10))
+    assert [index.size for index, _ in built] == [grid.n] * (1 + len(lams))
+    for index, ids in built:
+        assert np.array_equal(index[ids], np.arange(ids.size))
+        assert np.count_nonzero(index >= 0) == ids.size
+    for (_, ids), result in zip(built[1:], results):
+        got = result.augmented_tree.ids
+        assert (np.diff(got) > 0).all() and np.array_equal(got, ids)
+        assert np.array_equal(got, np.union1d(result.base_tree.ids, result.retained.verts))
+
+
+def test_augment_rejects_a_record_parent_outside_its_tree():
+    """A retained record whose parent is neither a base nor a retained vertex is malformed."""
+    grid = random_grid((10, 8, 6), 3)
+    result = run_distributed(grid, (2, 2, 2), lam=3, b=10)
+    base, retained = result.base_tree, result.retained
+    outside = np.setdiff1d(np.arange(grid.n), np.union1d(base.ids, retained.verts))
+    assert len(retained) and outside.size
+    parent = retained.parent.copy()
+    parent[0] = outside[0]
+    bad = replace(retained, parent=parent)
+    with pytest.raises(InternalError, match="outside the vertex set"):
+        pipeline._augment(base, grid.values[base.ids], bad, grid.n)
 
 
 # --- fan-out ---------------------------------------------------------------

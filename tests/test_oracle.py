@@ -24,7 +24,7 @@ from gridtopo.oracle import (
 )
 from gridtopo.tree import tree_from_graph
 
-from conftest import grid_1d, make_grid, random_grid, superparent
+from conftest import grid_1d, make_grid, over_ids, random_grid, superparent
 
 
 # --- the reference census ---------------------------------------------------
@@ -257,7 +257,7 @@ def sparse_id_tree():
     for r, v in enumerate([10, 40, 41, 120, 17, 3, 99]):
         ranks[v] = r
     edges = [(3, 10), (10, 17), (10, 40), (40, 41), (41, 99), (41, 120)]
-    return tree_from_graph(verts, [ranks[v] for v in verts], edges)
+    return over_ids(tree_from_graph, verts, [ranks[v] for v in verts], edges)
 
 
 @pytest.mark.parametrize(

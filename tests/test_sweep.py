@@ -20,6 +20,7 @@ from conftest import (
     local_extrema,
     make_grid,
     neighbors,
+    over_ids,
     parent_map,
     random_grid,
     sublevel_components,
@@ -400,7 +401,8 @@ def view_tree(sparse):
     for v, r in zip(gid, [0, 4, 3, 2, 5, 1]):
         ranks[v] = r
     verts = gid[::-1]
-    return gid, tree_from_graph(verts, [ranks[v] for v in verts], list(zip(gid, gid[1:])))
+    edges = list(zip(gid, gid[1:]))
+    return gid, over_ids(tree_from_graph, verts, [ranks[v] for v in verts], edges)
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense-ids", "sparse-ids"])

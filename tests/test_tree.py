@@ -18,6 +18,7 @@ from conftest import (
     grid_1d,
     local_extrema,
     make_grid,
+    over_ids,
     parent_map,
     random_grid,
     superparent,
@@ -111,7 +112,7 @@ def test_tree_from_graph_matches_grid_tree(grid):
     """The graph entry point over the stencil edges builds the grid's tree."""
     order = sos_order(grid)
     expected = contour_tree(grid, order)
-    got = tree_from_graph(range(grid.n), grid.values, list(grid.edges()))
+    got = tree_from_graph(grid.values, list(grid.edges()))
     assert got.supernodes == expected.supernodes
     assert got.arc_inner == expected.arc_inner
     assert superparent(got) == superparent(expected)
@@ -305,7 +306,7 @@ def test_array_combine_matches_set_based_edges(grid, combine_calls):
 @pytest.mark.parametrize("seed", range(4))
 def test_array_combine_matches_set_based_edges_on_graphs(edges, n, seed, combine_calls):
     ranks = np.random.default_rng(seed).permutation(n).tolist()
-    tree_from_graph(range(n), ranks, edges)
+    tree_from_graph(ranks, edges)
     (call,) = combine_calls
     edges = ref_vertex_combine(call["join"], call["split"])
     assert len(edges) == n - 1
@@ -317,8 +318,8 @@ def assert_combine_augments_like_from_edges(ct):
     """``combine``'s own augmentation equals ``_from_edges``'s over the tree's own edges."""
     assert gtree.augment(ct) is ct
     child = np.flatnonzero(ct.up >= 0)
-    rows = np.column_stack((ct.ids[child], ct.ids[ct.up[child]]))
-    full = gtree._from_edges(ct.ids, ct.ranks, rows)
+    rows = np.column_stack((child, ct.up[child]))
+    full = gtree._from_edges(ct.ranks, rows)
     assert gtree.augment(full) is full
     for name in ("outer", "walk", "walk_start"):
         got, want = getattr(ct, name), getattr(full, name)
@@ -337,7 +338,7 @@ def test_combine_augments_graph_trees_like_augment(seed, combine_calls):
     rng = np.random.default_rng(seed)
     n = 12
     edges = [(i, int(rng.integers(0, i))) for i in range(1, n)]
-    tree_from_graph(range(n), rng.permutation(n).tolist(), edges)
+    tree_from_graph(rng.permutation(n).tolist(), edges)
     (call,) = combine_calls
     assert_combine_augments_like_from_edges(call["tree"])
 
@@ -346,7 +347,8 @@ def test_combine_augments_graph_trees_like_augment(seed, combine_calls):
 def test_every_builder_returns_ascending_ids(seed):
     """``combine``, ``_from_edges`` and ``tree_from_graph`` all hold their ids in ascending order.
 
-    The edge-list builders get the vertices shuffled and random ranks.
+    The edge-list builders build over positions, and ``over_ids`` labels
+    them with sparse ids given shuffled, with random ranks.
     """
     rng = np.random.default_rng(seed)
     grid = random_grid((5, 4, 3), seed)
@@ -358,7 +360,7 @@ def test_every_builder_returns_ascending_ids(seed):
     edges = [(verts[i], verts[rng.integers(0, i)]) for i in range(1, verts.size)]
     for build in (gtree._from_edges, tree_from_graph):
         shuffled = rng.permutation(verts)
-        ct = build(shuffled, ranks[shuffled], edges)
+        ct = over_ids(build, shuffled, ranks[shuffled], edges)
         assert (np.diff(ct.ids) > 0).all() and np.array_equal(ct.ids, np.sort(verts))
 
 
@@ -366,9 +368,9 @@ def test_every_builder_returns_ascending_ids(seed):
 def test_builders_rank_by_value_then_id(seed):
     """Tied values, -0.0 and 0.0 among them, rank like a test-local (value, id) lexsort.
 
-    Each builder gets sparse ids in random order, or a grid's stencil
-    graph, with those values, and then the same ids with the lexsort's
-    ranks as values: the two trees are equal.
+    Each builder gets sparse ids in random order through ``over_ids``,
+    or a grid's stencil graph, with those values, and then the same ids
+    with the lexsort's ranks as values: the two trees are equal.
     """
     rng = np.random.default_rng(seed)
     verts = rng.choice(500, size=60, replace=False)
@@ -383,7 +385,7 @@ def test_builders_rank_by_value_then_id(seed):
     ):
         want_ranks = np.empty(60, dtype=np.int64)
         want_ranks[np.lexsort((ids, vals))] = np.arange(60)
-        got, want = build(ids, vals, edges), build(ids, want_ranks, edges)
+        got, want = over_ids(build, ids, vals, edges), over_ids(build, ids, want_ranks, edges)
         assert all(np.array_equal(x, y) for x, y in zip(tree_arrays(got), tree_arrays(want)))
         assert np.array_equal(got.ranks, want_ranks[np.argsort(ids)])
 
@@ -391,10 +393,9 @@ def test_builders_rank_by_value_then_id(seed):
 def test_tree_from_graph_rejects_endpoint_outside_verts():
     from gridtopo.errors import InternalError
 
-    with pytest.raises(InternalError):
-        tree_from_graph([0, 1, 2], [0, 1, 2], [(0, 1), (1, 5)])
-    with pytest.raises(InternalError):
-        tree_from_graph([0, 1, 2], [0, 1, 2], [(0, 1), (-1, 2)])
+    for outside in (3, -1, 2**40):
+        with pytest.raises(InternalError):
+            tree_from_graph([0, 1, 2], [(0, 1), (1, outside)])
 
 
 @pytest.mark.parametrize(
@@ -409,8 +410,8 @@ def test_tree_from_graph_rejects_endpoint_outside_verts():
 )
 def test_tree_from_graph_ignores_self_loops_and_repeats(ranks, edges, noisy):
     n = len(ranks)
-    want = tree_from_graph(range(n), ranks, edges)
-    got = tree_from_graph(range(n), ranks, noisy)
+    want = tree_from_graph(ranks, edges)
+    got = tree_from_graph(ranks, noisy)
     assert (got.root, parent_map(got), got.supernodes, got.arc_inner) == (
         want.root, parent_map(want), want.supernodes, want.arc_inner
     )
@@ -430,7 +431,7 @@ def test_tree_from_graph_sweeps_get_the_csr_contract(monkeypatch):
     monkeypatch.setattr(gtree, "sweep_csr", recording)
     ranks = [3, 0, 4, 1, 2]
     edges = [(0, 1), (1, 1), (1, 2), (2, 1), (2, 3), (3, 4), (4, 4), (0, 0)]
-    tree_from_graph(range(5), ranks, edges)
+    tree_from_graph(ranks, edges)
     assert len(calls) == 2
     for seq, nbrs, starts in calls:
         when = {v: i for i, v in enumerate(seq)}
@@ -502,7 +503,7 @@ def assert_rounds_match_references(call, n):
 @pytest.mark.parametrize("n", [12, 51, 300])
 @pytest.mark.parametrize("seed", range(3))
 def test_zigzag_path_sends_level_zero_to_the_queue(n, seed, combine_calls, levels):
-    tree_from_graph(range(n), zigzag_ranks(n, seed), path_edges(n))
+    tree_from_graph(zigzag_ranks(n, seed), path_edges(n))
     (call,) = combine_calls
     assert_rounds_match_references(call, n)
     assert levels == ([n], [n])
@@ -510,7 +511,7 @@ def test_zigzag_path_sends_level_zero_to_the_queue(n, seed, combine_calls, level
 
 def test_lower_pass_sees_the_upper_pass(levels):
     """Vertex 2 becomes a lower leaf only once the upper pass transfers vertex 3."""
-    ct = tree_from_graph(range(4), [0, 2, 1, 3], path_edges(4))
+    ct = tree_from_graph([0, 2, 1, 3], path_edges(4))
     assert levels == ([4], [])
     assert {frozenset(e) for e in ct.arc_inner.items()} == {frozenset(e) for e in path_edges(4)}
 
@@ -519,7 +520,7 @@ def test_lower_pass_sees_the_upper_pass(levels):
 @pytest.mark.parametrize("seed", range(3))
 def test_zigzag_spine_with_leaves_reaches_the_queue_deeper(m, seed, combine_calls, levels):
     ranks, edges = zigzag_spine_with_leaves(m, seed)
-    tree_from_graph(range(2 * m), ranks, edges)
+    tree_from_graph(ranks, edges)
     (call,) = combine_calls
     assert_rounds_match_references(call, 2 * m)
     sizes, queued = levels
@@ -538,7 +539,7 @@ def test_rounds_match_references_on_random_tree_graphs(n, width, seed, combine_c
     combine_calls.clear()
     rng = np.random.default_rng(seed)
     edges = [(i, int(rng.integers(max(0, i - width), i))) for i in range(1, n)]
-    ct = tree_from_graph(range(n), rng.permutation(n).tolist(), edges)
+    ct = tree_from_graph(rng.permutation(n).tolist(), edges)
     (call,) = combine_calls
     assert_rounds_match_references(call, n)
     # A tree graph is its own contour tree.
@@ -547,7 +548,7 @@ def test_rounds_match_references_on_random_tree_graphs(n, width, seed, combine_c
 
 def test_long_zigzag_path_is_its_own_contour_tree():
     n = 32_000
-    ct = tree_from_graph(range(n), zigzag_ranks(n, 0), path_edges(n))
+    ct = tree_from_graph(zigzag_ranks(n, 0), path_edges(n))
     assert len(ct.supernodes) == n
     assert {frozenset(e) for e in ct.arc_inner.items()} == {frozenset(e) for e in path_edges(n)}
 
@@ -558,7 +559,7 @@ def test_reeb_graph_loop_stalls():
 
     edges = [(1, 0), (2, 0), (3, 1), (4, 2), (5, 4), (0, 3), (5, 3)]
     with pytest.raises(InternalError, match="stalled"):
-        tree_from_graph(range(6), [3, 0, 1, 5, 4, 2], edges)
+        tree_from_graph([3, 0, 1, 5, 4, 2], edges)
 
 
 def test_level_sizes_halve_on_a_random_grid(levels):
@@ -580,7 +581,7 @@ def test_tree_from_graph_on_threads_matches_sequential():
     graphs = []
     for seed in range(8):
         grid = random_grid((12, 10, 8), seed)
-        graphs.append((range(grid.n), grid.values, list(grid.edges())))
+        graphs.append((grid.values, list(grid.edges())))
     want = [tree_from_graph(*g) for g in graphs]
     with ThreadPoolExecutor(max_workers=2) as pool:
         got = list(pool.map(lambda g: tree_from_graph(*g), graphs))
