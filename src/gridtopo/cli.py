@@ -129,7 +129,7 @@ def _oracle_check(grid: ScalarGrid, order, ct) -> None:
     n = grid.n
     gaps = range(n - 1) if n - 1 <= _ORACLE_GAPS else range(0, n - 1, (n - 1) // _ORACLE_GAPS)
     # One census call builds the simplex array once for every sampled gap.
-    for gap, expected in zip(gaps, oracle._census(grid, order, gaps).tolist()):
+    for gap, expected in zip(gaps, oracle.level_set_census(grid, order, gaps).tolist()):
         got = ct.straddling_arcs(gap)
         if expected != got:
             raise InternalError(
@@ -175,7 +175,7 @@ def run_pipeline(args: argparse.Namespace) -> dict:
             "synthetic": args.synthetic,
         },
         "n": grid.n,
-        "supernodes": len(ct.supernodes),
+        "supernodes": ct.superstructure.vertex.size,
         "superarcs": ct.superstructure.vertex.size - 1,
         "branches": len(bd.branches),
         "selected": len(selected),

@@ -29,8 +29,8 @@ All ranks live in one process.  The phases:
    are put back into the base tree.  The others stay folded into the
    volumes as mass at their attachment point.  The finish reads
    positions through one index over the grid's ids per tree
-   (``_index``): one for the base tree, one per lambda for its
-   augmented tree.
+   (``_index``): one for the base tree, which also serves a lambda that
+   retains no record, and one per other lambda for its augmented tree.
 6. **Volumes and branches.**  ``measure.hypersweep`` runs before
    augmentation on the base tree and after it on the augmented tree;
    ``measure.branch_decomposition`` then builds the branches.
@@ -453,8 +453,6 @@ def _augment(
     builder as positions in that union through the one index; a record
     parent missing from the union maps to -1, which the builder rejects.
     """
-    if not retained:
-        return base, _index(base.ids, n)
     union = np.zeros(n, dtype=bool)
     union[base.ids] = True
     union[retained.verts] = True
@@ -583,7 +581,8 @@ def run_lambda_sweep(
     # Rank 0 sends the base tree to every other rank.
     for r in range(1, decomp.num_blocks):
         shared_log.add("fan-out", "tree_verts_recv", r, base.n)
-    pre_volumes = _volumes(base, _index(base.ids, grid.n), records, grid.n)
+    base_index = _index(base.ids, grid.n)
+    pre_volumes = _volumes(base, base_index, records, grid.n)
 
     for lam in lams:
         log = copy.deepcopy(shared_log)
@@ -592,7 +591,9 @@ def run_lambda_sweep(
         own = np.bincount(retained.rank, minlength=decomp.num_blocks)
         for r, recv in enumerate((len(retained) - own).tolist()):
             log.add("augmentation", "attachment_points_recv", r, recv)
-        augmented, index = _augment(base, values, retained, grid.n)
+        augmented, index = (
+            _augment(base, values, retained, grid.n) if retained else (base, base_index)
+        )
         post_volumes = _volumes(augmented, index, pruned, grid.n)
         bd = measure.branch_decomposition(augmented, post_volumes)
         _log_branch_entries(augmented, index, retained, pruned, decomp, log)

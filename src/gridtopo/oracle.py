@@ -6,29 +6,23 @@ an edge is crossed at a rank gap when its endpoint ranks straddle it,
 and the crossed edges of one simplex lie on one contour.  The maximal
 simplices are one int64 array; at each gap the crossed edges of the
 simplices whose rank span contains it are joined by hooking and pointer
-jumping.  Subtree volumes come from severing the tree and flood-filling.
+jumping.  ``level_set_census`` returns the int64 counts at the gaps it
+is given, every gap by default, and ``count_contours`` is its one-gap
+case.  The count at a gap equals the number of contour-tree superarcs
+that cross it (Carr, Snoeyink & Axen, Computational Geometry 2003), so
+the census is the arbiter of ``--oracle-check``.  Subtree volumes come
+from severing the tree and flood-filling.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UsageError
 from .grid import _POS_OFFSETS, ScalarGrid, VertexOrder
 from .tree import ContourTree
-
-
-@dataclass
-class LevelSetCensus:
-    """Contour counts per rank gap; gap g sits between ranks g and g+1."""
-
-    counts: np.ndarray = field(repr=False)
-
-    def __getitem__(self, gap: int) -> int:
-        return int(self.counts[gap])
 
 
 def _simplices(dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -97,13 +91,17 @@ def _contours(names: np.ndarray, crossed: np.ndarray, size: int) -> int:
     return int(np.count_nonzero(label == np.arange(label.size)))
 
 
-def _census(grid: ScalarGrid, order: VertexOrder, gaps) -> np.ndarray:
-    """Contour counts at ``gaps``.
+def level_set_census(grid: ScalarGrid, order: VertexOrder, gaps=None) -> np.ndarray:
+    """Contour counts at ``gaps`` (every rank gap by default), as int64.
 
-    At each gap only the simplices whose rank span contains it take part;
-    their edges whose endpoint ranks straddle the gap are the crossed ones.
-    An edge is named by its lower vertex and its stencil slot.
+    Gap g sits between ranks g and g + 1.  The simplices and their ranks
+    are gathered once for all the gaps.  At each gap only the simplices
+    whose rank span contains it take part; their edges whose endpoint
+    ranks straddle the gap are the crossed ones.  An edge is named by its
+    lower vertex and its stencil slot.
     """
+    if gaps is None:
+        gaps = range(grid.n - 1)
     simplices, slot = _simplices(grid.dims)
     rank = order.rank_of[simplices]
     lo, hi = rank.min(axis=0), rank.max(axis=0)
@@ -119,24 +117,14 @@ def _census(grid: ScalarGrid, order: VertexOrder, gaps) -> np.ndarray:
 
 
 def count_contours(grid: ScalarGrid, order: VertexOrder, gap: int) -> int:
-    """Number of contours crossing the given rank gap.
+    """Number of contours crossing the given rank gap: ``level_set_census`` at that gap.
 
-    Collects the mesh edges whose endpoint ranks straddle the gap and
-    connects two crossed edges when they share a simplex of the
-    triangulation.  Everything is rank-based, consistent with the
-    symbolic perturbation used by the tree construction.
+    Everything is rank-based, consistent with the symbolic perturbation
+    used by the tree construction.
     """
     if not 0 <= gap < grid.n - 1:
         raise UsageError(f"gap index {gap} out of range [0, {grid.n - 1})")
-    return int(_census(grid, order, [gap])[0])
-
-
-def level_set_census(grid: ScalarGrid, order: VertexOrder) -> LevelSetCensus:
-    """Contour counts at every rank gap, by the definition of ``count_contours``.
-
-    The simplices and their ranks are gathered once for all the gaps.
-    """
-    return LevelSetCensus(counts=_census(grid, order, range(grid.n - 1)))
+    return int(level_set_census(grid, order, [gap])[0])
 
 
 def brute_subtree_volume(ct: ContourTree, arc_outer: int) -> int:

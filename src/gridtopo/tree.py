@@ -37,15 +37,15 @@ augmented trees: every tree holds its vertices' superarcs.  Each tree
 ranks its own vertices by (value, id) in ``ranks``, over positions.
 Those int64 arrays are the whole state of a tree, and callers read
 them directly.  ``arc_inner`` and ``arc_regulars`` are read-only
-mappings over them keyed by supernode id, and ``supernodes`` is a list
-built on first use.  No function keeps state between calls, so trees
-can be built on several threads at once.
+mappings keyed by supernode id: ``len`` counts the superarcs, and the
+first lookup or iteration builds one plain dict.  ``supernodes`` is a
+list built on first use.  No function keeps state between calls, so
+trees can be built on several threads at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import operator
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -61,40 +61,30 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 
 class _ArcView(Mapping):
-    """Read-only ``{keys[i]: ids[to[i]]}`` over the slots ``i`` with ``to[i] >= 0``.
+    """Read-only ``{outer-end id: entry}`` over a tree's superarcs, one dict built when read.
 
-    With ``spans = (walk, first, stop)``, slot ``i`` maps to the list
-    ``ids[walk[first[i]:stop[i]]]`` instead.  One lookup reads
-    memoryviews, which give plain ints several times faster than numpy
-    scalar indexing, through a table from key ids to slots.
+    ``entries(arcs)`` lists the entries of the superarcs at supernode
+    positions ``arcs`` (see ``Superstructure``).  The first lookup or
+    iteration builds the dict, in ascending id order; ``len`` counts the
+    superarcs without building it.
     """
 
-    __slots__ = ("_to", "_keys", "_ids", "_spans", "_at", "_slot_of", "_name")
+    def __init__(self, ids: np.ndarray, st: Superstructure, entries):
+        self._ids, self._st, self._entries = ids, st, entries
 
-    def __init__(self, to: np.ndarray, keys: np.ndarray, ids: np.ndarray, spans=None):
-        self._to, self._keys, self._ids, self._spans = to, keys, ids, spans
-        self._at, self._name = memoryview(to), memoryview(ids)
-        table = np.full(int(keys.max(initial=-1)) + 1, -1, dtype=np.int64)
-        table[keys] = np.arange(keys.size)
-        self._slot_of = memoryview(table)
+    @cached_property
+    def _dict(self) -> dict:
+        arcs = np.flatnonzero(self._st.inner >= 0)
+        return dict(zip(self._ids[self._st.vertex[arcs]].tolist(), self._entries(arcs)))
 
     def __getitem__(self, key):
-        try:
-            i = operator.index(key)
-            if i >= 0 and (i := self._slot_of[i]) >= 0 and (to := self._at[i]) >= 0:
-                if self._spans is None:
-                    return self._name[to]
-                walk, first, stop = self._spans
-                return self._ids[walk[first[i] : stop[i]]].tolist()
-        except (TypeError, IndexError):
-            pass
-        raise KeyError(key)
+        return self._dict[key]
 
     def __iter__(self):
-        return iter(self._keys[self._to >= 0].tolist())
+        return iter(self._dict)
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._to >= 0))
+        return int(np.count_nonzero(self._st.inner >= 0))
 
 
 @dataclass(frozen=True)
@@ -124,10 +114,10 @@ class ContourTree:
     ``outer`` holds the outer end of each vertex's superarc, and that
     superarc's regular vertices run from the outer end ``p`` inward as
     ``walk[walk_start[p]:walk_start[p + 1]]``.  Two read-only mappings
-    keyed by supernode id are built on first use: ``arc_inner`` maps
-    each non-root supernode to the other, root-facing end of its
-    superarc, and ``arc_regulars`` to that superarc's regular vertices
-    in walk order.
+    keyed by supernode id (``_ArcView``) build their dict on first
+    read: ``arc_inner`` maps each non-root supernode to the other,
+    root-facing end of its superarc, and ``arc_regulars`` to that
+    superarc's regular vertices in walk order.
     ``ranks[p]`` ranks position p among the tree's own vertices by (value, id);
     a grid tree's positions are its ids, so it is ``VertexOrder.rank_of``.
     Every builder sets ``ids`` to the positions 0..n-1; the distributed
@@ -157,14 +147,18 @@ class ContourTree:
 
     @cached_property
     def arc_inner(self) -> _ArcView:
-        sn = self.ids[self.superstructure.vertex]
-        return _ArcView(self.superstructure.inner, sn, sn)
+        ids, st = self.ids, self.superstructure
+        return _ArcView(ids, st, lambda arcs: ids[st.vertex[st.inner[arcs]]].tolist())
 
     @cached_property
     def arc_regulars(self) -> _ArcView:
-        st, start = self.superstructure, self.walk_start
-        spans = (self.walk, start[st.vertex], start[st.vertex + 1])
-        return _ArcView(st.inner, self.ids[st.vertex], self.ids, spans)
+        ids, st, walk, start = self.ids, self.superstructure, self.walk, self.walk_start
+
+        def regulars(arcs):
+            names, outer = ids[walk].tolist(), st.vertex[arcs]
+            return [names[a:b] for a, b in zip(start[outer].tolist(), start[outer + 1].tolist())]
+
+        return _ArcView(ids, st, regulars)
 
     def arc_degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """Per supernode position, its superarcs leading up (to a higher rank) and down."""

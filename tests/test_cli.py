@@ -480,8 +480,8 @@ def test_distributed_run_orders_the_whole_grid_only_for_the_oracle(oracle_check,
 def test_oracle_mismatch_is_internal_error(monkeypatch, capsys):
     from gridtopo import oracle
 
-    real = oracle._census
-    monkeypatch.setattr(oracle, "_census", lambda *a: real(*a) + 1)
+    real = oracle.level_set_census
+    monkeypatch.setattr(oracle, "level_set_census", lambda *a: real(*a) + 1)
     rc = run_cli(
         [
             "run", "--synthetic", "random", "--seed", "2", "--dims", "6,6,1",
@@ -496,7 +496,7 @@ def test_oracle_check_names_the_first_mismatch_at_a_later_gap(monkeypatch, capsy
     """One census call covers every sampled gap; the error names the lowest wrong one."""
     from gridtopo import oracle
 
-    real, calls = oracle._census, []
+    real, calls = oracle.level_set_census, []
 
     def census(grid, order, gaps):
         counts = real(grid, order, gaps)
@@ -504,7 +504,7 @@ def test_oracle_check_names_the_first_mismatch_at_a_later_gap(monkeypatch, capsy
         counts[[3, 5]] += 1
         return counts
 
-    monkeypatch.setattr(oracle, "_census", census)
+    monkeypatch.setattr(oracle, "level_set_census", census)
     rc = run_cli(
         [
             "run", "--synthetic", "random", "--seed", "2", "--dims", "9,9,9",

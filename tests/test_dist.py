@@ -18,6 +18,7 @@ from gridtopo.dist import (
     run_lambda_sweep,
 )
 from gridtopo.errors import DataError, InternalError, UsageError
+from gridtopo.grid import synthetic_gaussians, synthetic_random
 
 from conftest import (
     at_node,
@@ -160,6 +161,30 @@ def test_local_phase_partition_invariant(seed):
 # --- fan-in ----------------------------------------------------------------
 
 
+PARTITION_CASES = [
+    (dims, splits)
+    for dims in [(25, 1, 1), (13, 11, 1), (9, 8, 7)]
+    for splits in [(1, 1, 1), (4, 1, 1), (2, 2, 1), (2, 2, 2), (4, 2, 1), (3, 2, 2)]
+    if all(s == 1 or d > 1 for d, s in zip(dims, splits))
+]
+
+
+@pytest.mark.parametrize("synthesize", [synthetic_random, synthetic_gaussians])
+@pytest.mark.parametrize("dims,splits", PARTITION_CASES, ids=str)
+def test_fan_in_partitions_the_grid(dims, splits, synthesize):
+    """The base tree's ids and the records' vertices list every grid id exactly once.
+
+    ``_augment``'s union relies on it, and so does ``_volumes``' rule that
+    a record not attached to the tree is already in another record's measure.
+    """
+    grid = synthesize(dims, 5)
+    decomp = decompose(grid, splits)
+    states = [local_phase(grid, e, r) for r, e in enumerate(decomp.extents)]
+    base, _, records = fan_in(states, decomp, CommLog(decomp.num_blocks))
+    listed = np.bincount(np.r_[base.ids, records.verts], minlength=grid.n)
+    assert listed.size == grid.n and (listed == 1).all()
+
+
 def test_fan_in_two_blocks_equals_serial():
     grid, order, decomp = two_block_1d()
     states = [local_phase(grid, decomp.extents[r], r) for r in range(2)]
@@ -240,10 +265,11 @@ def test_fan_in_names_the_lowest_clashing_vertex():
 
 
 def test_finish_builds_one_grid_index_per_tree(monkeypatch):
-    """The finish indexes the grid's ids once for the base tree and once per lambda.
+    """The finish indexes the grid's ids for the base tree and each lambda that retains a record.
 
     Each augmented tree's ids are the base ids and the retained records'
-    vertices in ascending order, each at its position in that index.
+    vertices in ascending order, each at its position in that index.  A
+    lambda that retains nothing keeps the base tree and its index.
     """
     built = []
     real = pipeline._index
@@ -257,11 +283,12 @@ def test_finish_builds_one_grid_index_per_tree(monkeypatch):
     grid = random_grid((10, 8, 6), 3)
     lams = [0, 3, 10**6]
     results = list(run_lambda_sweep(grid, (2, 2, 2), lams, b=10))
-    assert [index.size for index, _ in built] == [grid.n] * (1 + len(lams))
+    assert [index.size for index, _ in built] == [grid.n] * (1 + 2)
     for index, ids in built:
         assert np.array_equal(index[ids], np.arange(ids.size))
         assert np.count_nonzero(index >= 0) == ids.size
-    for (_, ids), result in zip(built[1:], results):
+    assert not results[-1].retained and results[-1].augmented_tree is results[-1].base_tree
+    for (_, ids), result in zip(built[1:] + built[:1], results):
         got = result.augmented_tree.ids
         assert (np.diff(got) > 0).all() and np.array_equal(got, ids)
         assert np.array_equal(got, np.union1d(result.base_tree.ids, result.retained.verts))

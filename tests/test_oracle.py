@@ -16,7 +16,6 @@ from gridtopo.grid import (
     synthetic_random,
 )
 from gridtopo.oracle import (
-    LevelSetCensus,
     _simplices,
     brute_subtree_volume,
     count_contours,
@@ -124,7 +123,7 @@ def ref_count_contours(grid: ScalarGrid, order: VertexOrder, gap: int) -> int:
     return len(roots)
 
 
-def ref_level_set_census(grid: ScalarGrid, order: VertexOrder) -> LevelSetCensus:
+def ref_level_set_census(grid: ScalarGrid, order: VertexOrder) -> np.ndarray:
     """Contour counts at every rank gap, computed incrementally.
 
     Same crossed-edge/shared-simplex definition as ``count_contours``
@@ -155,7 +154,7 @@ def ref_level_set_census(grid: ScalarGrid, order: VertexOrder) -> LevelSetCensus
         counts[gap] = len({ds.find(e) for e in ds.parent})
         for idx in ends.get(gap + 1, ()):
             active.discard(idx)
-    return LevelSetCensus(counts=counts)
+    return counts
 
 
 def test_monotone_every_gap_one_contour():
@@ -170,7 +169,7 @@ def test_zigzag_census_hand_checked():
     grid = grid_1d([0, 5, 2, 6, 1])
     order = sos_order(grid)
     census = level_set_census(grid, order)
-    assert census.counts.tolist() == [1, 2, 4, 2]
+    assert census.tolist() == [1, 2, 4, 2]
     for gap in range(4):
         assert count_contours(grid, order, gap) == census[gap]
 
@@ -206,6 +205,9 @@ def test_census_matches_per_gap_calls(seed):
     grid = random_grid((5, 5, 1), seed)
     order = sos_order(grid)
     census = level_set_census(grid, order)
+    assert census.dtype == np.int64 and census.size == grid.n - 1
+    gaps = [0, 7, 8, 15, grid.n - 2]
+    assert level_set_census(grid, order, gaps).tolist() == census[gaps].tolist()
     for gap in range(grid.n - 1):
         assert census[gap] == count_contours(grid, order, gap)
 
@@ -310,8 +312,8 @@ KERNEL_GRIDS = _kernel_grids()
 @pytest.mark.parametrize("grid", KERNEL_GRIDS.values(), ids=KERNEL_GRIDS.keys())
 def test_kernel_matches_reference_every_gap(grid):
     order = sos_order(grid)
-    want = ref_level_set_census(grid, order).counts
-    assert level_set_census(grid, order).counts.tolist() == want.tolist()
+    want = ref_level_set_census(grid, order)
+    assert level_set_census(grid, order).tolist() == want.tolist()
     for gap in range(grid.n - 1):
         assert count_contours(grid, order, gap) == ref_count_contours(grid, order, gap) == want[gap]
 
@@ -329,5 +331,5 @@ small_dims = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_reference_property(grid):
     order = sos_order(grid)
-    got = level_set_census(grid, order).counts
-    assert got.tolist() == ref_level_set_census(grid, order).counts.tolist()
+    got = level_set_census(grid, order)
+    assert got.tolist() == ref_level_set_census(grid, order).tolist()

@@ -370,6 +370,17 @@ def test_arc_view_is_read_only():
     assert ct.arc_inner[1] == 0
 
 
+def test_arc_view_len_builds_no_mapping():
+    """``len`` counts the superarcs; the entries are one dict, built on the first lookup."""
+    grid = grid_1d(ROOTED_AT_0)
+    ct = contour_tree(grid, sos_order(grid))
+    for view in (ct.arc_inner, ct.arc_regulars):
+        assert len(view) == 4
+        assert "_dict" not in vars(view)
+        assert view.get(4) is not None and "_dict" in vars(view)
+        assert len(view) == 4 and list(view) == [1, 2, 3, 4]
+
+
 # Values 0, 5, 4, 3, 6, 1 on a path: vertex 2 is the one regular vertex,
 # on the superarc from the maximum 1 down to the minimum 3; 4 is the root.
 VIEW_VALUES = [0, 5, 4, 3, 6, 1]
