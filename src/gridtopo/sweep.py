@@ -23,14 +23,18 @@ tree of arcs between candidates.  That is one Python loop over a flat
 list of (candidate slot, peak slot) entries in sweep order, with union
 by size and path compression (Tarjan, JACM 1975), so it costs per
 entry: a candidate without entries is never visited.  Each regular
-vertex is placed by binary lifting up the reduced tree from its peak,
-and one stable sort links the regular vertices into chains between a
-candidate and its reduced parent.  This is exact.  Components merge
-only at candidates: a regular vertex joins the one component of its
-single neighbour.  The ascent chain from a vertex u to its peak runs
-over vertices swept before u, so by the time any later vertex lists u,
-u and its peak share a component, and the reduced sweep sees the same
-merges.  A regular vertex w extends the component of its peak; that
+vertex is placed trunk first up the reduced tree from its peak: a climb
+whose path meets the trunk, the root path of the first swept candidate,
+ends at the trunk's last candidate swept before the vertex, read from
+one running maximum; only the other climbs lift over the tree's powers.
+This answers most climbs with one path, the one-path form of a
+heavy-path decomposition (Sleator & Tarjan, JCSS 1983).  One stable sort
+links the regular vertices into chains between a candidate and its
+reduced parent.  This is exact.  Components merge only at candidates: a
+regular vertex joins the one component of its single neighbour.  The
+ascent chain from a vertex u to its peak runs over vertices swept before
+u, so by the time any later vertex lists u, u and its peak share a
+component, and the reduced sweep sees the same merges.  A regular vertex w extends the component of its peak; that
 component's last swept candidate is the farthest ancestor of the peak
 in the reduced tree swept before w, and w follows it and the regular
 vertices placed there before w.
@@ -121,7 +125,10 @@ def sweep_csr(seq, nbrs, starts, n: int, direction: str) -> MergeTree:
     entries in sweep order, and builds the reduced tree: the arcs between
     candidates.  A regular vertex w extends the component of its peak,
     whose last swept candidate c is the farthest ancestor of the peak in
-    the reduced tree swept before w; binary lifting finds it.  The sweep
+    the reduced tree swept before w.  When the path from the peak meets
+    the trunk, the root path of slot 0, before w is swept, c is the
+    trunk's last slot swept before w, one gather from a running maximum;
+    any other climb lifts over the reduced tree's powers.  The sweep
     positions of the regular vertices and of the candidates come from one
     ``flatnonzero`` each, and the candidates swept before the regular
     vertex at position p number p less its own index among the regular
@@ -188,7 +195,8 @@ def _reduced_arcs(owner: np.ndarray, found: np.ndarray, k: int) -> np.ndarray:
     runs over the entries, so a slot without entries costs nothing.  A
     slot's first entry hangs the slot, still a singleton, under the root
     that entry finds, as union by size would; each later entry in another
-    component unions it by size.  The per-entry Python lists are freed
+    component unions it by size.  The entries are read through
+    memoryviews, not copied to lists; the per-slot Python lists are freed
     when it returns.
     """
     if ((found < 0) | (found >= owner)).any():
@@ -200,7 +208,7 @@ def _reduced_arcs(owner: np.ndarray, found: np.ndarray, k: int) -> np.ndarray:
     extreme = list(range(k))
     up = [-1] * k
     v = root = -1
-    for w, u in zip(owner.tolist(), found.tolist()):
+    for w, u in zip(memoryview(owner), memoryview(found)):
         r = parent[u]
         if parent[r] != r:
             while parent[r] != r:
@@ -244,16 +252,34 @@ def _link_chains(
 def _climb(step: np.ndarray, x: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """The farthest ancestor of each slot ``x`` whose slot is below ``bound``.
 
-    ``step`` is the parent of each slot, itself at a root; a parent's slot
-    exceeds its child's, so binary lifting over ``step``'s powers finds it.
+    ``step`` is the parent of each of its k >= 1 slots, itself at a root;
+    a parent's slot exceeds its child's, and each ``x`` is below its
+    ``bound``, at most k.  Most paths meet the trunk, slot 0 and its
+    ancestors, which ``step``'s powers mark by doubling.  A query whose
+    path meets the trunk below its bound ends at the highest trunk slot
+    below the bound, read from a running maximum; the rest lift over the
+    powers, binary lifting.
     """
     hops = [step]
     while not np.array_equal(far := np.take(hops[-1], hops[-1]), hops[-1]):
         hops.append(far)
+    slots = np.arange(step.size)
+    trunk = slots == 0
+    for hop in hops:
+        trunk[np.take(hop, np.flatnonzero(trunk))] = True
+    # Each query's first trunk ancestor, or its root off the trunk.
+    meet = np.take(_chain_ends(np.where(trunk, slots, step)), x)
+    lift = np.flatnonzero(~np.take(trunk, meet) | (meet >= bound))
+    del meet
+    # Entry b: the highest trunk slot below b.
+    top = np.maximum.accumulate(np.r_[-1, np.where(trunk, slots, -1)])
+    out = np.take(top, bound)
+    x, bound = np.take(x, lift), np.take(bound, lift)
     for hop in reversed(hops):
         to = np.take(hop, x)
         x = np.where(to < bound, to, x)
-    return x
+    out[lift] = x
+    return out
 
 
 def _check_order(grid: ScalarGrid, order: VertexOrder) -> None:

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from gridtopo import compute_join_tree, compute_split_tree, contour_tree, sos_order
 from gridtopo.errors import InternalError
 from gridtopo.grid import _ALL_OFFSETS
-from gridtopo.sweep import _chain_ends, _reduced_arcs, link_representatives, sweep_csr
+from gridtopo.sweep import (
+    _chain_ends,
+    _climb,
+    _reduced_arcs,
+    link_representatives,
+    sweep_csr,
+)
 from gridtopo.tree import tree_from_graph
 
 from conftest import (
@@ -725,6 +731,48 @@ def test_chain_ends_reach_the_end_of_a_path(length):
     assert (_chain_ends(hop) == length - 1).all()
 
 
+def ref_climb(step, x, bound):
+    """``_climb`` by walking up one parent at a time while the parent is below the bound."""
+    out = []
+    for v, b in zip(x.tolist(), bound.tolist()):
+        while step[v] != v and step[v] < b:
+            v = int(step[v])
+        out.append(v)
+    return np.array(out, dtype=np.int64)
+
+
+@st.composite
+def climb_forests(draw):
+    """``_climb`` inputs: a forest over slots 0..k-1 whose parents lie above their children.
+
+    Slot k - 1 and up to five drawn slots are roots, slot 0 among them
+    when drawn isolated; one drawn stretch of slots is a chain, each
+    under the next, and every other slot hangs under a random later one.
+    Each query's bound is x + 1, k, or drawn between them.
+    """
+    k = draw(st.integers(min_value=1, max_value=80))
+    roots = draw(st.sets(st.integers(0, k - 1), max_size=5))
+    if draw(st.booleans()):
+        roots.add(0)
+    lo, hi = sorted(draw(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))))
+    step = np.arange(k)
+    for s in range(k - 1):
+        if s not in roots:
+            step[s] = s + 1 if lo <= s < hi else draw(st.integers(s + 1, k - 1))
+    x = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=40))
+    bound = [draw(st.sampled_from([v + 1, k]) | st.integers(v + 1, k)) for v in x]
+    return step, np.array(x, dtype=np.int64), np.array(bound, dtype=np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(climb_forests())
+def test_climb_matches_parent_walk(forest):
+    step, x, bound = forest
+    got = _climb(step, x, bound)
+    want = ref_climb(step, x, bound)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @st.composite
 def swept_graphs(draw):
     """A sweep order and, per vertex, entries for earlier-swept neighbours, with repeats."""
@@ -743,6 +791,35 @@ def swept_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(swept_graphs())
 def test_kernel_matches_reference_on_random_graphs(graph):
+    seq, lists = graph
+    tree = kernel_tree(seq, lists)
+    assert tree.root == seq[-1]
+
+
+@st.composite
+def off_trunk_graphs(draw):
+    """Sweeps whose first vertex lies in a component of one to three vertices.
+
+    The trunk, the root path of the first swept candidate, stays in that
+    component, so the regular vertices of the other component, most of
+    them, climb off it.  Each vertex lists zero to three earlier vertices
+    of its own component, one most often.
+    """
+    n = draw(st.integers(min_value=2, max_value=60))
+    seq = draw(st.permutations(range(n)))
+    small = {seq[0], *draw(st.lists(st.sampled_from(seq[1:]), max_size=2))}
+    lists = [[] for _ in range(n)]
+    for i, v in enumerate(seq):
+        earlier = [u for u in seq[:i] if (u in small) == (v in small)]
+        if earlier:
+            width = draw(st.sampled_from((1, 1, 1, 0, 2, 3)))
+            lists[v] = draw(st.lists(st.sampled_from(earlier), min_size=width, max_size=width))
+    return seq, lists
+
+
+@settings(max_examples=300, deadline=None)
+@given(off_trunk_graphs())
+def test_kernel_matches_reference_off_the_trunk(graph):
     seq, lists = graph
     tree = kernel_tree(seq, lists)
     assert tree.root == seq[-1]
