@@ -32,10 +32,9 @@ def arrays(ct, ann):
     """Every array of a tree's state and of its volumes, by name."""
     st = ct.superstructure
     return {
-        "ids": ct.ids, "up": ct.up, "outer": ct.outer, "walk": ct.walk,
-        "walk_start": ct.walk_start, "vertex": st.vertex, "inner": st.inner,
-        "rank": st.rank, "root": st.root, "out_volume": ann.out_volume,
-        "closed_volume": ann.closed_volume,
+        "ids": ct.ids, "up": ct.up, "outer": ct.outer, "vertex": st.vertex,
+        "inner": st.inner, "rank": st.rank, "root": st.root,
+        "out_volume": ann.out_volume, "closed_volume": ann.closed_volume,
     }
 
 

@@ -64,9 +64,9 @@ class VolumeAnnotation:
 
 
 def superarc_counts(ct: ContourTree) -> VolumeAnnotation:
-    """Count vertices per superarc (regulars plus the outer-end supernode)."""
+    """Count vertices per superarc (regulars plus the outer-end supernode) with one ``bincount``."""
     st = ct.superstructure
-    count = 1 + ct.walk_start[st.vertex + 1] - ct.walk_start[st.vertex]
+    count = np.bincount(ct.outer, minlength=ct.n)[st.vertex]
     count[st.root] = 0
     return VolumeAnnotation(ct.n, ct.ids[st.vertex], st.root, count, np.zeros_like(count))
 
@@ -339,11 +339,14 @@ def branch_decomposition(ct: ContourTree, ann: VolumeAnnotation) -> BranchDecomp
 
 
 def check_selection(b: int | None, threshold: float | None) -> None:
-    """Raise ``UsageError`` unless ``b`` (at least 1) or ``threshold`` is given."""
+    """Raise ``UsageError`` unless ``b`` >= 1 or a finite ``threshold`` >= 0 is given."""
     if b is None and threshold is None:
         raise UsageError("either b or threshold must be given")
     if b is not None and b < 1:
         raise UsageError("branch count must be at least 1")
+    if threshold is not None and not 0 <= threshold < np.inf:
+        # NaN fails every comparison and would quietly select only the trunk.
+        raise UsageError("threshold must be a finite non-negative number")
 
 
 def select_top_branches(

@@ -29,18 +29,16 @@ them.  A caller whose vertices have other ids, the distributed pipeline,
 lists them in ascending order and sets them as labels, so position
 order is id order and no tree is re-sorted.  ``_from_edges`` re-roots
 an edge list at the highest-ranked vertex, counts degrees with
-``bincount``, finds each supernode's inner end by pointer jumping up
-regular chains and each regular vertex's outer end by jumping down
-them.  ``combine`` and ``_from_edges`` order each superarc's regular
-vertices with one sort on (superarc, signed rank), so both return
-augmented trees: every tree holds its vertices' superarcs.  Each tree
-ranks its own vertices by (value, id) in ``ranks``, over positions.
-Those int64 arrays are the whole state of a tree, and callers read
-them directly.  ``arc_inner`` and ``arc_regulars`` are read-only
-mappings keyed by supernode id: ``len`` counts the superarcs, and the
-first lookup or iteration builds one plain dict.  ``supernodes`` is a
-list built on first use.  No function keeps state between calls, so
-trees can be built on several threads at once.
+``bincount`` and finds each vertex's outer end by one pointer jumping
+down regular chains, so it returns an augmented tree, as ``combine``
+does.  Each tree ranks its own vertices by (value, id) in ``ranks``.
+``ids``, ``ranks``, ``up``, ``outer`` and the superstructure are the
+whole state of a tree, and callers read them directly.  ``arc_inner``
+and ``arc_regulars`` are read-only mappings keyed by supernode id:
+``len`` counts the superarcs, and the first lookup or iteration builds
+one plain dict (``arc_regulars`` sorts the walk then).  ``supernodes``
+is a list built on first use.  No function keeps state between calls,
+so trees can be built on several threads at once.
 """
 
 from __future__ import annotations
@@ -109,15 +107,14 @@ class ContourTree:
     """Contour tree over vertex positions, labelled with vertex ids.
 
     The state is int64 arrays over vertex positions: ``ids``, which
-    strictly ascend, and ``up``, the parent in the tree rooted at the
-    highest-ranked vertex (-1 at the root).  Every tree is augmented:
-    ``outer`` holds the outer end of each vertex's superarc, and that
-    superarc's regular vertices run from the outer end ``p`` inward as
-    ``walk[walk_start[p]:walk_start[p + 1]]``.  Two read-only mappings
-    keyed by supernode id (``_ArcView``) build their dict on first
-    read: ``arc_inner`` maps each non-root supernode to the other,
-    root-facing end of its superarc, and ``arc_regulars`` to that
-    superarc's regular vertices in walk order.
+    strictly ascend; ``up``, the parent in the tree rooted at the
+    highest-ranked vertex (-1 at the root); and ``outer``, the outer end
+    of each vertex's superarc (a supernode is its own), so every tree is
+    augmented.  Two read-only mappings keyed by supernode id
+    (``_ArcView``) build their dict on first read: ``arc_inner`` maps
+    each non-root supernode to the other, root-facing end of its
+    superarc, and ``arc_regulars`` to that superarc's regular vertices
+    from the outer end inward, sorted by rank on that first read.
     ``ranks[p]`` ranks position p among the tree's own vertices by (value, id);
     a grid tree's positions are its ids, so it is ``VertexOrder.rank_of``.
     Every builder sets ``ids`` to the positions 0..n-1; the distributed
@@ -129,8 +126,6 @@ class ContourTree:
     up: np.ndarray = field(repr=False)
     superstructure: Superstructure = field(repr=False)
     outer: np.ndarray = field(repr=False)
-    walk: np.ndarray = field(repr=False)
-    walk_start: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -152,11 +147,16 @@ class ContourTree:
 
     @cached_property
     def arc_regulars(self) -> _ArcView:
-        ids, st, walk, start = self.ids, self.superstructure, self.walk, self.walk_start
+        ids, ranks, up, outer, st = self.ids, self.ranks, self.up, self.outer, self.superstructure
 
         def regulars(arcs):
-            names, outer = ids[walk].tolist(), st.vertex[arcs]
-            return [names[a:b] for a, b in zip(start[outer].tolist(), start[outer + 1].tolist())]
+            regular = np.flatnonzero(outer != np.arange(outer.size))
+            # A regular vertex ranks below its parent exactly when its arc rises inward.
+            rises = ranks[regular] < ranks[up[regular]]
+            walk = regular[_walk_order(outer[regular], ranks[regular], rises)]
+            start = np.r_[0, np.cumsum(np.bincount(outer[walk], minlength=outer.size))]
+            names, ends = ids[walk].tolist(), st.vertex[arcs]
+            return [names[a:b] for a, b in zip(start[ends].tolist(), start[ends + 1].tolist())]
 
         return _ArcView(ids, st, regulars)
 
@@ -217,9 +217,7 @@ def combine(join: MergeTree, split: MergeTree, ranks) -> ContourTree:
     crosses w's rank exactly once, on w's own superarc.  Binary lifting
     climbs from JU(w) while ancestors rank above w and from SD(w) while
     they rank below; the deeper stopping node is the outer end of that
-    arc.  One sort on (superarc, signed rank) then links each arc's
-    regular vertices in order.  That placement and walk are the
-    augmentation, so the tree comes back augmented.
+    arc.  That placement, ``outer``, is the augmentation: the tree comes back augmented.
     """
     if join.n != split.n:
         raise UsageError("join and split trees cover different vertex sets")
@@ -227,14 +225,8 @@ def combine(join: MergeTree, split: MergeTree, ranks) -> ContourTree:
     if n == 0:
         raise UsageError("empty vertex set")
     ranks = np.asarray(ranks, dtype=np.int64)
-    up, st, walk, arc = _assemble(join.arcs, split.arcs, ranks)
-    outer = np.arange(n)
-    outer[walk] = st.vertex[arc]
-    walk_start = np.r_[0, np.cumsum(np.bincount(outer[walk], minlength=n))]
-    return ContourTree(
-        ids=np.arange(n), ranks=ranks, up=up, superstructure=st,
-        outer=outer, walk=walk, walk_start=walk_start,
-    )
+    up, st, outer = _assemble(join.arcs, split.arcs, ranks)
+    return ContourTree(np.arange(n), ranks, up, st, outer)
 
 
 def _assemble(j_arcs: np.ndarray, s_arcs: np.ndarray, rank: np.ndarray):
@@ -243,8 +235,8 @@ def _assemble(j_arcs: np.ndarray, s_arcs: np.ndarray, rank: np.ndarray):
     ``j_arcs`` and ``s_arcs`` are parent arrays (-1 at the roots) and
     ``rank[p]`` ranks position p.  Returns ``up``, the parent of each
     position in the tree rooted at the highest rank; the superstructure,
-    whose ``vertex`` holds the supernodes' positions; and the regular
-    positions in walk order with the superarc (supernode slot) of each.
+    whose ``vertex`` holds the supernodes' positions; and ``outer``, the
+    outer end of each position's superarc.
     """
     m = j_arcs.size
     j_count, j_sum = _child_state(j_arcs)
@@ -258,25 +250,26 @@ def _assemble(j_arcs: np.ndarray, s_arcs: np.ndarray, rank: np.ndarray):
     # Free the per-vertex child state before the lifting tables are built.
     del j_count, j_sum, s_count, s_sum, slot
     child, parent = _transfer(j_tree, s_tree, rank[crit_ids])
-    st = _from_pairs(rank[crit_ids], child, parent)[1]
+    st = _from_pairs(rank[crit_ids], child, parent)[2]
     if st.vertex.size != crit_ids.size:
         raise InternalError("a critical vertex is regular in the contracted tree")
 
     up = np.empty(m, dtype=np.int64)
     up[crit_ids] = inner = np.where(st.inner >= 0, crit_ids[st.inner], -1)
-    regular = walk = np.flatnonzero(~crit)
+    regular = np.flatnonzero(~crit)
     arc = _EMPTY
     if regular.size:
         rank = rank[regular]
-        outer = _lift(st, ju[regular], sd[regular], rank)
-        lo, hi = st.rank[outer], st.rank[st.inner[outer]]
+        arc = _lift(st, ju[regular], sd[regular], rank)
+        lo, hi = st.rank[arc], st.rank[st.inner[arc]]
         if ((rank < np.minimum(lo, hi)) | (rank > np.maximum(lo, hi))).any():
             raise InternalError("regular vertex outside its superarc's rank range")
-        order = _walk_order(outer, rank, hi > lo)
-        walk, arc = regular[order], outer[order]
+        order = _walk_order(arc, rank, hi > lo)
         # Each arc's walk runs from its outer end inward.
-        _link_chains(up, walk, arc, crit_ids, inner)
-    return up, dataclasses.replace(st, vertex=crit_ids), walk, arc
+        _link_chains(up, regular[order], arc[order], crit_ids, inner)
+    outer = np.arange(m)
+    outer[regular] = crit_ids[arc]
+    return up, dataclasses.replace(st, vertex=crit_ids), outer
 
 
 def _child_state(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -508,38 +501,19 @@ def _from_edges(values, edges) -> ContourTree:
     ``values[p]`` is position p's scalar, and positions rank by (value,
     position).  ``edges`` is an (n - 1, 2) array-like of ``(child,
     parent)`` rows of positions from some rooting of the tree: every
-    position but one is a child exactly once.  The tree is re-rooted at
-    the highest-ranked vertex by reversing the one path up from it, and
-    its ``ids`` are its positions.  Malformed input (a wrong edge count,
-    two parents, an endpoint outside 0..n-1, a cycle or a disconnected
-    graph) raises ``InternalError``.
-    A regular vertex has one child, so jumping down child pointers ends
-    at its superarc's outer end; ranks are monotone along a superarc, so
-    one sort on (superarc, signed rank) lists its regulars from there inward.
+    position but one is a child exactly once.  ``_from_pairs`` re-roots
+    it at the highest-ranked vertex and places every vertex on its
+    superarc.  Malformed input (a wrong edge count, two parents, an
+    endpoint outside 0..n-1, a cycle or a disconnected graph) raises
+    ``InternalError``.
     """
     rank = value_order(np.asarray(values)).rank_of
     n = rank.size
     edges = _edge_rows(edges, n)
     if n == 0 or len(edges) != n - 1:
         raise InternalError(f"a tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
-    up, st = _from_pairs(rank, edges[:, 0], edges[:, 1])
-    is_super = np.zeros(n, dtype=bool)
-    is_super[st.vertex] = True
-    child = np.flatnonzero(up >= 0)
-    down = np.arange(n)
-    down[up[child]] = child  # only read at regular vertices, which have one child
-    outer = _chain_ends(np.where(is_super, np.arange(n), down))
-    if not is_super[outer].all():
-        raise InternalError("augmentation missed vertices")
-
-    regular = np.flatnonzero(~is_super)
-    arc = outer[regular]
-    # A regular vertex ranks below its parent exactly when its superarc
-    # rises from the outer end to the inner end.
-    rises = rank[regular] < rank[up[regular]]
-    walk = regular[_walk_order(arc, rank[regular], rises)]
-    walk_start = np.r_[0, np.cumsum(np.bincount(arc, minlength=n))]
-    return ContourTree(np.arange(n), rank, up, st, outer=outer, walk=walk, walk_start=walk_start)
+    up, outer, st = _from_pairs(rank, edges[:, 0], edges[:, 1])
+    return ContourTree(np.arange(n), rank, up, st, outer)
 
 
 def _ancestors(parent: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -577,8 +551,12 @@ def _reroot(parent: np.ndarray, root: int) -> np.ndarray:
 
 def _from_pairs(
     rank: np.ndarray, child: np.ndarray, par: np.ndarray
-) -> tuple[np.ndarray, Superstructure]:
-    """``_from_edges``'s ``up`` and superstructure, for edges between positions ranked ``rank``."""
+) -> tuple[np.ndarray, np.ndarray, Superstructure]:
+    """``_from_edges``'s ``up``, ``outer`` and superstructure, for positions ranked ``rank``.
+
+    A regular vertex has one child, so jumping down child pointers ends
+    at its superarc's outer end; the parent of an arc's topmost vertex is its inner end.
+    """
     n = rank.size
     if (np.bincount(child, minlength=n) > 1).any():
         raise InternalError("contour tree vertex with two parents")
@@ -591,14 +569,18 @@ def _from_pairs(
     up_deg = np.bincount(np.where(lo_is_child, child, par), minlength=n)
     down_deg = np.bincount(np.where(lo_is_child, par, child), minlength=n)
     is_super = (up_deg != 1) | (down_deg != 1)
-    # The root has no higher neighbour, so every upward chain of regular
-    # vertices ends at a supernode.
-    inner = _chain_ends(np.where(is_super, np.arange(n), parent))
+    kid = np.flatnonzero(parent >= 0)
+    down = np.arange(n)
+    down[parent[kid]] = kid  # only read at regular vertices, which have one child
+    outer = _chain_ends(np.where(is_super, np.arange(n), down))
+    if not is_super[outer].all():
+        raise InternalError("augmentation missed vertices")
     vertex = np.flatnonzero(is_super)
     slot = np.cumsum(is_super) - 1  # read only at supernodes
-    above = parent[vertex]
-    inner = np.where(above >= 0, slot[inner[above]], -1)
-    return parent, Superstructure(vertex, inner, rank[vertex], root=int(slot[root]))
+    inner = np.full(vertex.size, -1, dtype=np.int64)
+    top = kid[is_super[parent[kid]]]
+    inner[slot[outer[top]]] = slot[parent[top]]
+    return parent, outer, Superstructure(vertex, inner, rank[vertex], root=int(slot[root]))
 
 
 def augment(ct: ContourTree) -> ContourTree:

@@ -144,7 +144,6 @@ def tree_arrays(ct):
     st = ct.superstructure
     return {
         "ids": ct.ids.tolist(), "up": ct.up.tolist(), "outer": ct.outer.tolist(),
-        "walk": ct.walk.tolist(), "walk_start": ct.walk_start.tolist(),
         "vertex": st.vertex.tolist(), "inner": st.inner.tolist(),
         "rank": st.rank.tolist(), "root": st.root,
     }

@@ -598,7 +598,10 @@ def test_select_top_branches_distributed_b_zero():
         select_top_branches(result.bd, result.augmented_tree.ranks, b=0, among=heavy)
 
 
-@pytest.mark.parametrize("b,threshold", [(None, None), (0, None), (-1, 5.0)])
+@pytest.mark.parametrize(
+    "b,threshold",
+    [(None, None), (0, None), (-1, 5.0), (None, float("nan")), (None, float("inf")), (None, -1.0)],
+)
 def test_run_distributed_checks_selection_before_local_phase(b, threshold, monkeypatch):
     from gridtopo.dist import pipeline
 

@@ -176,11 +176,14 @@ def test_select_threshold():
     assert trunk(bd) in selected
 
 
-def test_select_b_zero_rejected():
+@pytest.mark.parametrize(
+    "b,threshold", [(0, None), (None, float("nan")), (None, float("inf")), (None, -1.0)]
+)
+def test_select_b_zero_rejected(b, threshold):
     grid = grid_1d([1, 2, 3])
     _, ct, ann, bd = serial_pipeline(grid)
     with pytest.raises(UsageError):
-        select_top_branches(bd, ct.ranks, b=0)
+        select_top_branches(bd, ct.ranks, b=b, threshold=threshold)
 
 
 def test_branch_csv_format(tmp_path):

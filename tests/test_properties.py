@@ -104,7 +104,7 @@ def test_distributed_matches_serial_property(case, extra):
         for mode in ("sequential", "concurrent")
     }
     first = runs["sequential"][0]
-    for name in ("ids", "up", "outer", "walk"):
+    for name in ("ids", "up", "outer"):
         assert getattr(first.augmented_tree, name).tolist() == getattr(ct, name).tolist(), name
     assert first.post_volumes.out_volume.tolist() == ann.out_volume.tolist()
     assert branch_keys_with_leaves(first.bd) == branch_keys_with_leaves(bd)

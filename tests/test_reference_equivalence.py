@@ -595,6 +595,39 @@ def test_sparse_ids_match_reference():
     assert_same_measures(ct, measure.superarc_counts(ct))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    width=st.integers(1, 60),
+    levels=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_rooted_trees_match_reference(n, width, levels, seed):
+    """Labelled trees rooted at a random input vertex, with tied values and shuffled rows.
+
+    Each vertex hangs from one of the ``width`` labelled before it, so a
+    small width makes long chains.  The input root is sometimes a regular
+    vertex, so re-rooting turns a path around in the middle of a
+    superarc; ties leave arcs with no regular vertex.
+    """
+    rng = np.random.default_rng(seed)
+    verts = sorted(rng.choice(4 * n, size=n, replace=False).tolist())
+    label = rng.permutation(verts).tolist()
+    parent = {label[i]: label[int(rng.integers(max(0, i - width), i))] for i in range(1, n)}
+    # Turn the path from a random vertex up to label[0] around: that vertex is the input root.
+    v, below = verts[int(rng.integers(n))], None
+    while v is not None:
+        above = parent.pop(v, None)
+        if below is not None:
+            parent[v] = below
+        v, below = above, v
+    edges = list(parent.items())
+    rng.shuffle(edges)
+    values = rng.integers(0, levels, n).tolist()
+    ct = check_tree_input(verts, values, edges)
+    assert_same_measures(ct, measure.superarc_counts(ct))
+
+
 @pytest.mark.parametrize("lam", [3, 20])
 def test_distributed_annotation_matches_reference(lam):
     """A pre-simplified tree with pruned mass folded in through ``at_node``."""

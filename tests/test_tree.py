@@ -321,7 +321,7 @@ def assert_combine_augments_like_from_edges(ct):
     rows = np.column_stack((child, ct.up[child]))
     full = gtree._from_edges(ct.ranks, rows)
     assert gtree.augment(full) is full
-    for name in ("outer", "walk", "walk_start"):
+    for name in ("up", "outer"):
         got, want = getattr(ct, name), getattr(full, name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -439,6 +439,28 @@ def test_tree_from_graph_sweeps_get_the_csr_contract(monkeypatch):
         assert all(when[u] < when[v] for v, u in listed)
         # Each edge but the self-loops, listed once per occurrence.
         assert len(listed) == 5
+
+
+def test_from_edges_jumps_each_chain_once_and_sorts_nothing(monkeypatch):
+    """One pointer jumping over the n vertices places them all; no walk is sorted."""
+    jumps, sorts = [], []
+    real_jump, real_sort = gtree._chain_ends, gtree._walk_order
+
+    def jump(hop):
+        jumps.append(hop.size)
+        return real_jump(hop)
+
+    def sort(*args):
+        sorts.append(args)
+        return real_sort(*args)
+
+    monkeypatch.setattr(gtree, "_chain_ends", jump)
+    monkeypatch.setattr(gtree, "_walk_order", sort)
+    n = 40
+    values = np.random.default_rng(5).permutation(n)
+    ct = gtree._from_edges(values, [(i, i + 1) for i in range(n - 1)])
+    assert jumps == [n] and sorts == []
+    assert len(ct.supernodes) < n
 
 
 # --- batched leaf-transfer rounds ---------------------------------------------
@@ -572,8 +594,7 @@ def test_level_sizes_halve_on_a_random_grid(levels):
 
 def tree_arrays(ct):
     st = ct.superstructure
-    return [ct.ids, ct.ranks, ct.up, ct.outer, ct.walk, ct.walk_start,
-            st.vertex, st.inner, st.rank, np.array([st.root])]
+    return [ct.ids, ct.ranks, ct.up, ct.outer, st.vertex, st.inner, st.rank, np.array([st.root])]
 
 
 def test_tree_from_graph_on_threads_matches_sequential():
