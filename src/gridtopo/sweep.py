@@ -2,14 +2,19 @@
 
 A graph's ``n`` vertices are numbered 0..n-1.  The join tree is built
 sweeping vertices in decreasing rank while merging superlevel-set
-components; the split tree mirrors it upward.  ``sweep_csr`` is the only
-sweep kernel.  It reads CSR arrays: ``nbrs[starts[v]:starts[v + 1]]``
-holds neighbours of ``v`` swept strictly before ``v``, never ``v``
-itself.  Grids build the arrays from their vertex order, and
-``tree.tree_from_graph``, whose graphs come over positions 0..n-1,
-sweeps them in rank order and lists each edge at one end.  A ``MergeTree``
-stores its arcs as one int64 array (-1 at the root), and callers read
-that array directly.
+components; the split tree mirrors it upward.  ``_sweep`` is the only
+sweep kernel.  Its input is each vertex's ascent pointer, ``hop[v]``,
+plus the link lists of the candidates: a vertex with exactly one
+neighbour swept strictly before it points at that neighbour, every other
+vertex at itself, and only the vertices with two or more list theirs.
+Grids build that input straight from their link masks (below).
+``sweep_csr`` is the graph entry point: it takes CSR arrays, where
+``nbrs[starts[v]:starts[v + 1]]`` holds the neighbours of ``v`` swept
+strictly before ``v``, never ``v`` itself, and derives the kernel's
+input from them.  ``tree.tree_from_graph``, whose graphs come over
+positions 0..n-1, sweeps them in rank order and lists each edge at one
+end.  A ``MergeTree`` stores its arcs as one int64 array (-1 at the
+root), and callers read that array directly.
 
 The kernel prunes the sweep to the vertices that can merge components,
 after parallel peak pruning (Carr, Weber, Sewell & Ahrens, LDAV 2016;
@@ -34,21 +39,24 @@ reduced parent.  This is exact.  Components merge only at candidates: a
 regular vertex joins the one component of its single neighbour.  The
 ascent chain from a vertex u to its peak runs over vertices swept before
 u, so by the time any later vertex lists u, u and its peak share a
-component, and the reduced sweep sees the same merges.  A regular vertex w extends the component of its peak; that
-component's last swept candidate is the farthest ancestor of the peak
-in the reduced tree swept before w, and w follows it and the regular
-vertices placed there before w.
+component, and the reduced sweep sees the same merges.  A regular
+vertex w extends the component of its peak; that component's last swept
+candidate is the farthest ancestor of the peak in the reduced tree
+swept before w, and w follows it and the regular vertices placed there
+before w.
 
 A grid sweep lists one neighbour per connected component of a vertex's
 upper link (join) or lower link (split), not the whole stencil: two link
 neighbours are linked when their offset difference is itself a stencil
 offset.  Each vertex's 14-bit mask of upper (or lower) stencil slots
 indexes tables cached per process: the number of link components, and
-for a vertex with one component, the lowest slot, which represents it.
-Only vertices with two or more components, a minority even on noise,
-expand their row of ``link_representatives``.  This is exact.  A link
-path between two upper neighbours runs over stencil edges whose
-endpoints all rank above the vertex, so by the time the vertex is swept
+for a mask with one component, the lowest slot, which represents it.  A
+per-call table of that slot's stencil delta per mask (0 for the other
+masks) gives every ascent pointer in one gather, so a regular vertex
+gets no list.  Only vertices with two or more components, a minority
+even on noise, expand their row of ``link_representatives``.  This is
+exact.  A link path between two upper neighbours runs over stencil edges
+whose endpoints all rank above the vertex, so by the time the vertex is swept
 its whole upper-link component is already one union-find component; one
 representative finds the same root as any other member, and the merge
 trees do not change.  It also makes most grid vertices regular: on
@@ -108,62 +116,80 @@ def _chain_ends(hop: np.ndarray) -> np.ndarray:
 
 
 def sweep_csr(seq, nbrs, starts, n: int, direction: str) -> MergeTree:
-    """The union-find sweep over vertices 0..n-1, visited in the order ``seq``.
+    """The union-find sweep over vertices 0..n-1 of a graph given as CSR arrays.
 
+    This is the graph entry point to the kernel, ``_sweep``.
     ``nbrs[starts[v]:starts[v + 1]]`` lists v's neighbours that ``seq``
-    visits strictly before v (so never v itself); repeats are allowed.
-    ``seq`` runs by decreasing rank for a join tree and by increasing
-    rank for a split tree.  All three are array-likes of ints.
-
-    Components merge only at candidates, the vertices with zero listed
-    neighbours or two or more.  A regular vertex (one entry) points at
-    that neighbour, and pointer jumping takes it to its peak, the
-    candidate where the chain ends.  The chain runs over vertices swept
-    earlier, so a vertex and its peak share a component by the time any
-    later vertex lists it.  The find/union loop therefore runs on the
-    candidates alone, over one flat list of (candidate slot, peak slot)
-    entries in sweep order, and builds the reduced tree: the arcs between
-    candidates.  A regular vertex w extends the component of its peak,
-    whose last swept candidate c is the farthest ancestor of the peak in
-    the reduced tree swept before w.  When the path from the peak meets
-    the trunk, the root path of slot 0, before w is swept, c is the
-    trunk's last slot swept before w, one gather from a running maximum;
-    any other climb lifts over the reduced tree's powers.  The sweep
-    positions of the regular vertices and of the candidates come from one
-    ``flatnonzero`` each, and the candidates swept before the regular
-    vertex at position p number p less its own index among the regular
-    ones.  One stable sort by c lists each candidate's regular vertices in
-    sweep order, and the merge tree runs from c through them to c's
-    reduced parent.
+    visits strictly before v (so never v itself); repeats are allowed.  ``seq`` runs by decreasing rank for a
+    join tree and by increasing rank for a split tree.  All three are
+    array-likes of ints.  The kernel's input comes from the rows: a
+    vertex with one entry points at it, and the rows of the vertices
+    with two or more are read in place, from their ``starts``.
     """
-    seq = np.asarray(seq, dtype=np.int64)
     nbrs = np.asarray(nbrs, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
-    arcs = np.full(n, -1, dtype=np.int64)
     count = np.diff(starts)
-    regular = count == 1
     hop = np.arange(n)
-    at = np.flatnonzero(regular)
+    at = np.flatnonzero(count == 1)
     hop[at] = nbrs[starts[at]]
     del at
+    return _sweep(seq, hop, count, starts[np.flatnonzero(count > 1)], nbrs, direction)
+
+
+def _sweep(
+    seq, hop: np.ndarray, count: np.ndarray, offsets: np.ndarray, nbrs: np.ndarray, direction: str
+) -> MergeTree:
+    """The peak-pruned sweep over vertices 0..hop.size-1, visited in the order ``seq``.
+
+    Each vertex lists ``count[v]`` neighbours that ``seq`` visits strictly
+    before it.  A regular vertex (one listed neighbour) is given by its
+    ascent pointer ``hop[v]``, that neighbour; every other vertex has
+    ``hop[v] == v``.  The vertices with two or more, in increasing id
+    order, list theirs in ``nbrs``, the i-th of them from ``offsets[i]``
+    on.  ``seq`` runs by decreasing rank for a join tree and by
+    increasing rank for a split tree.
+
+    Components merge only at candidates, the vertices with zero listed
+    neighbours or two or more.  Pointer jumping along ``hop`` takes each
+    regular vertex to its peak, the candidate where its chain ends.  The
+    chain runs over vertices swept earlier, so a vertex and its peak
+    share a component by the time any later vertex lists it.  The
+    find/union loop therefore runs on the candidates alone, over one
+    flat list of (candidate slot, peak slot) entries in sweep order, and
+    builds the reduced tree: the arcs between candidates.  A regular
+    vertex w extends the component of its peak, whose last swept
+    candidate c is the farthest ancestor of the peak in the reduced tree
+    swept before w.  When the path from the peak meets the trunk, the
+    root path of slot 0, before w is swept, c is the trunk's last slot
+    swept before w, one gather from a running maximum; any other climb
+    lifts over the reduced tree's powers.  The sweep positions of the
+    regular vertices and of the candidates come from one ``flatnonzero``
+    each, and the candidates swept before the regular vertex at position
+    p number p less its own index among the regular ones.  One stable
+    sort by c lists each candidate's regular vertices in sweep order,
+    and the merge tree runs from c through them to c's reduced parent.
+    """
+    seq = np.asarray(seq, dtype=np.int64)
+    n = hop.size
+    arcs = np.full(n, -1, dtype=np.int64)
     peak = _chain_ends(hop)
-    del hop
 
     # Candidates in sweep order; slot s is the s-th one swept.
-    swept_regular = regular[seq]
-    del regular
+    swept_regular = count[seq] == 1
     cand = seq[np.flatnonzero(~swept_regular)]
     k = cand.size
     slot = np.full(n, -1, dtype=np.int64)
     slot[cand] = np.arange(k)
-    width = count[cand]
-    del count
+    width = count[cand].astype(np.int64, copy=False)
+    # Each listing candidate's first entry in ``nbrs``, by slot.
+    first = np.zeros(k, dtype=np.int64)
+    first[slot[np.flatnonzero(count > 1)]] = offsets
     # One entry per listed neighbour of a candidate: its owner's slot and
     # the slot of the neighbour's peak, owners in sweep order.
     owner = np.repeat(np.arange(k), width)
-    entry = np.repeat(starts[cand] - np.cumsum(width) + width, width) + np.arange(owner.size)
+    entry = np.repeat(first - np.cumsum(width) + width, width) + np.arange(owner.size)
     found = slot[peak[nbrs[entry]]]
-    del entry, width
+    del first, entry, width
     up = _reduced_arcs(owner, found, k)
     del owner, found
 
@@ -346,14 +372,19 @@ def index_dtype(top: int) -> type[np.signedinteger]:
 
 def _link_neighbors(
     grid: ScalarGrid, order: VertexOrder, upper: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays (``nbrs``, ``starts``): one upper (or lower) neighbour per link component.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_sweep``'s input for a grid: one upper (or lower) neighbour per link component.
 
-    Each vertex's 14-bit mask of neighbours ranked on the sweep's processed
-    side is built from rank keys, int32 when ``index_dtype`` allows.  A
-    vertex with one representative reads its slot from
-    ``link_first_representative``; only vertices with two or more expand
-    their ``link_representatives`` rows.  Both are int64 arrays.
+    Returns (``hop``, ``count``, ``offsets``, ``nbrs``).  Each vertex's
+    14-bit mask of neighbours ranked on the sweep's processed side is
+    built from rank keys, int32 when ``index_dtype`` allows.  ``count``
+    is the mask's row of ``link_representative_counts`` (uint8).  A
+    vertex with one representative gets its ascent pointer from a
+    per-call table over the masks, that slot's stencil delta (0 for the
+    other masks), so it gets no list.  Only vertices with two or more
+    expand their ``link_representatives`` rows, in id order, into
+    ``nbrs``; ``offsets`` holds where each row starts.  ``hop``,
+    ``offsets`` and ``nbrs`` are int64.
     """
     nx, ny, nz = grid.dims
     n = grid.n
@@ -362,40 +393,40 @@ def _link_neighbors(
     key = (key if upper else n - 1 - key).reshape(nz, ny, nx)
     padded = np.pad(key, 1, constant_values=-1)
     mask = np.zeros(key.shape, dtype=np.uint16)
+    # One comparison and one shift buffer, reused for every slot.
+    above = np.empty(key.shape, dtype=bool)
+    bit = np.empty(key.shape, dtype=np.uint16)
     deltas = []
     for slot, (dx, dy, dz) in enumerate(_ALL_OFFSETS):
         nbr = padded[1 + dz : 1 + dz + nz, 1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx]
-        mask |= (nbr > key).astype(np.uint16) << slot
+        np.greater(nbr, key, out=above)
+        mask |= np.left_shift(above, np.uint16(slot), out=bit)
         deltas.append(dx + nx * (dy + ny * dz))
-    del key, padded
+    del key, padded, above, bit
     mask = mask.ravel()
     deltas = np.array(deltas, dtype=np.int64)
-    count = link_representative_counts()[mask]
-    starts = np.r_[0, np.cumsum(count, dtype=np.int64)]
-    nbrs = np.empty(starts[-1], dtype=np.int64)
-    single = np.flatnonzero(count == 1)
-    nbrs[starts[single]] = single + deltas[link_first_representative()[mask[single]]]
+    per_mask = link_representative_counts()
+    step = np.where(per_mask == 1, deltas[link_first_representative()], 0)
+    hop = np.arange(n) + step[mask]
+    count = per_mask[mask]
     multi = np.flatnonzero(count > 1)
-    # Row-major flat positions of the representatives name (row, slot);
-    # they fill every position a single representative left, in order.
+    # Row-major flat positions of the representatives name (row, slot).
     rows, slots = np.divmod(
         np.flatnonzero(link_representatives()[mask[multi]]), len(_ALL_OFFSETS)
     )
-    fill = np.ones(nbrs.size, dtype=bool)
-    fill[starts[single]] = False
-    nbrs[fill] = multi[rows] + deltas[slots]
-    return nbrs, starts
+    del mask
+    nbrs = multi[rows] + deltas[slots]
+    width = count[multi].astype(np.int64)
+    return hop, count, np.cumsum(width) - width, nbrs
 
 
 def compute_join_tree(grid: ScalarGrid, order: VertexOrder) -> MergeTree:
     """Sweep downward: tracks superlevel-set components merging at saddles."""
     _check_order(grid, order)
-    nbrs, starts = _link_neighbors(grid, order, True)
-    return sweep_csr(order.vertex_at[::-1], nbrs, starts, grid.n, "join")
+    return _sweep(order.vertex_at[::-1], *_link_neighbors(grid, order, True), "join")
 
 
 def compute_split_tree(grid: ScalarGrid, order: VertexOrder) -> MergeTree:
     """Sweep upward: tracks sublevel-set components merging at saddles."""
     _check_order(grid, order)
-    nbrs, starts = _link_neighbors(grid, order, False)
-    return sweep_csr(order.vertex_at, nbrs, starts, grid.n, "split")
+    return _sweep(order.vertex_at, *_link_neighbors(grid, order, False), "split")

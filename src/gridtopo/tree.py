@@ -239,16 +239,16 @@ def _assemble(j_arcs: np.ndarray, s_arcs: np.ndarray, rank: np.ndarray):
     outer end of each position's superarc.
     """
     m = j_arcs.size
-    j_count, j_sum = _child_state(j_arcs)
-    s_count, s_sum = _child_state(s_arcs)
+    j_count, j_one = _child_state(j_arcs)
+    s_count, s_one = _child_state(s_arcs)
     crit = (j_count != 1) | (s_count != 1)
     crit_ids = np.flatnonzero(crit)
     slot = np.full(m, -1, dtype=np.int64)
     slot[crit_ids] = np.arange(crit_ids.size)
-    ju, j_tree = _contract(j_arcs, j_count, j_sum, crit_ids, slot)
-    sd, s_tree = _contract(s_arcs, s_count, s_sum, crit_ids, slot)
+    ju, j_tree = _contract(j_arcs, j_count, j_one, crit_ids, slot)
+    sd, s_tree = _contract(s_arcs, s_count, s_one, crit_ids, slot)
     # Free the per-vertex child state before the lifting tables are built.
-    del j_count, j_sum, s_count, s_sum, slot
+    del j_count, j_one, s_count, s_one, slot
     child, parent = _transfer(j_tree, s_tree, rank[crit_ids])
     st = _from_pairs(rank[crit_ids], child, parent)[2]
     if st.vertex.size != crit_ids.size:
@@ -273,35 +273,40 @@ def _assemble(j_arcs: np.ndarray, s_arcs: np.ndarray, rank: np.ndarray):
 
 
 def _child_state(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Child count and sum of child ids per vertex of a parent array (-1 at roots).
+    """Child count per vertex of a parent array (-1 at roots), and one child of each.
 
-    The sum names the child of a vertex that has exactly one.
+    ``one[v]`` is one of v's children (-1 if it has none), so it names
+    the child of a vertex that has exactly one; it is read only there.
     """
     (src,) = np.nonzero(arcs >= 0)
     dst = arcs[src]
-    # Float sums of ids are exact: they stay far below 2**53.
-    total = np.bincount(dst, weights=src, minlength=arcs.size).astype(np.int64)
-    return np.bincount(dst, minlength=arcs.size), total
+    one = np.full(arcs.size, -1, dtype=np.int64)
+    one[dst] = src
+    return np.bincount(dst, minlength=arcs.size), one
 
 
 def _contract(
-    arcs: np.ndarray, count: np.ndarray, total: np.ndarray, crit_ids: np.ndarray, slot: np.ndarray
+    arcs: np.ndarray, count: np.ndarray, one: np.ndarray, crit_ids: np.ndarray, slot: np.ndarray
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """A merge tree contracted onto its critical vertices ``crit_ids`` (``slot`` numbers them).
 
-    ``count`` and ``total`` are ``_child_state(arcs)``.  Returns the slot
+    ``count`` and ``one`` are ``_child_state(arcs)``.  Returns the slot
     of each vertex's first critical vertex up its chain of single
     children (its own if critical), and the contracted tree over slots as
-    (parent, child count, child-slot sum) arrays.
+    (parent, child count, child-slot sum) arrays: the sums name a single
+    child as ``_leaf_transfer`` splices vertices out.
     """
     crit = slot >= 0
-    # A regular vertex has exactly one child, named by ``total``.
-    top = _chain_ends(np.where(crit, np.arange(arcs.size), total))
+    # A regular vertex has exactly one child, named by ``one``.
+    top = _chain_ends(np.where(crit, np.arange(arcs.size), one))
     # The bottom vertex of each chain carries the arc to the next critical one.
     (tail,) = np.nonzero((arcs >= 0) & crit[arcs])
     parent = np.full(crit_ids.size, -1, dtype=np.int64)
     parent[slot[top[tail]]] = slot[arcs[tail]]
-    return slot[top], (parent, count[crit_ids], _child_state(parent)[1])
+    (src,) = np.nonzero(parent >= 0)
+    # Float sums of slots are exact: they stay far below 2**53.
+    total = np.bincount(parent[src], weights=src, minlength=parent.size).astype(np.int64)
+    return slot[top], (parent, count[crit_ids], total)
 
 
 def _transfer(join, split, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -456,15 +456,31 @@ def test_contour_tree_views_read_like_dicts(name, sparse):
     assert view == want
 
 
+def listed_csr(hop, count, offsets, nbrs):
+    """Each vertex's listed neighbours as CSR (``nbrs``, ``starts``), from ``_link_neighbors``.
+
+    A vertex with one listed neighbour lists ``hop[v]``; one with two or
+    more lists its ``count[v]`` entries of ``nbrs`` from its offset.
+    """
+    rows = [hop[v : v + 1] if c == 1 else hop[:0] for v, c in enumerate(count.tolist())]
+    for v, at in zip(np.flatnonzero(count > 1).tolist(), offsets.tolist()):
+        rows[v] = nbrs[at : at + count[v]]
+    return np.concatenate(rows), np.r_[0, np.cumsum(count, dtype=np.int64)]
+
+
+def link_neighbors_csr(grid, order, upper):
+    from gridtopo.sweep import _link_neighbors
+
+    return listed_csr(*_link_neighbors(grid, order, upper))
+
+
 @pytest.mark.parametrize("dims", REDUCED_INPUT_DIMS)
 @pytest.mark.parametrize("upper", [True, False])
 def test_link_neighbors_are_swept_before(dims, upper):
-    """The grid CSR lists only neighbours the sweep visited strictly before."""
-    from gridtopo.sweep import _link_neighbors
-
+    """The grid front end lists only neighbours the sweep visited strictly before."""
     grid = tied_grid(dims, 0)
     order = sos_order(grid)
-    nbrs, starts = _link_neighbors(grid, order, upper)
+    nbrs, starts = link_neighbors_csr(grid, order, upper)
     rank = order.rank_of
     for v in range(grid.n):
         listed = nbrs[starts[v] : starts[v + 1]]
@@ -492,7 +508,6 @@ def ref_link_neighbors(grid, order, upper):
 @pytest.mark.parametrize("field", ["tied", "random", "synthetic_ramp"])
 def test_link_neighbors_match_reference(dims, field):
     from gridtopo.grid import synthetic_ramp
-    from gridtopo.sweep import _link_neighbors
 
     if field == "synthetic_ramp":
         grid = synthetic_ramp(dims)
@@ -500,7 +515,7 @@ def test_link_neighbors_match_reference(dims, field):
         grid = tied_grid(dims, 1) if field == "tied" else random_grid(dims, 1)
     order = sos_order(grid)
     for upper in (True, False):
-        nbrs, starts = _link_neighbors(grid, order, upper)
+        nbrs, starts = link_neighbors_csr(grid, order, upper)
         want_nbrs, want_starts = ref_link_neighbors(grid, order, upper)
         assert np.array_equal(nbrs, want_nbrs) and nbrs.dtype == want_nbrs.dtype
         assert np.array_equal(starts, want_starts) and starts.dtype == want_starts.dtype
@@ -508,6 +523,75 @@ def test_link_neighbors_match_reference(dims, field):
             # Every vertex but the sweep's first, the extreme, has one link
             # component: the all-regular path, with no row expanded.
             assert np.count_nonzero(np.diff(starts) != 1) == 1
+
+
+@pytest.mark.parametrize("dims", REDUCED_INPUT_DIMS)
+@pytest.mark.parametrize("field", ["tied", "random", "synthetic_ramp"])
+def test_link_neighbors_list_only_vertices_with_two_or_more(dims, field):
+    """Regular vertices get an ascent pointer and no list; candidates point at themselves."""
+    from gridtopo.grid import synthetic_ramp
+    from gridtopo.sweep import _link_neighbors, link_representative_counts
+
+    if field == "synthetic_ramp":
+        grid = synthetic_ramp(dims)
+    else:
+        grid = tied_grid(dims, 2) if field == "tied" else random_grid(dims, 2)
+    order = sos_order(grid)
+    for upper in (True, False):
+        hop, count, offsets, nbrs = _link_neighbors(grid, order, upper)
+        assert hop.dtype == offsets.dtype == nbrs.dtype == np.int64
+        assert count.dtype == link_representative_counts().dtype
+        multi = count > 1
+        assert offsets.size == np.count_nonzero(multi)
+        assert nbrs.size == count[multi].sum()
+        assert np.array_equal(offsets, np.cumsum(count[multi]) - count[multi])
+        self_loop = hop == np.arange(grid.n)
+        assert np.array_equal(self_loop, count != 1)
+        if field == "synthetic_ramp":
+            assert offsets.size == nbrs.size == 0
+
+
+@st.composite
+def small_grids(draw):
+    """Grids of 1-6 x 1-6 x 1-4 vertices, with three tied levels or random floats."""
+    dims = (draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    n = dims[0] * dims[1] * dims[2]
+    level = st.integers(0, 2) if draw(st.booleans()) else st.floats(-1, 1)
+    return make_grid(dims, draw(st.lists(level, min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_grids())
+def test_grid_sweeps_match_sweep_csr_over_reference_csr(grid):
+    """The mask-fed grid sweeps build the arcs ``sweep_csr`` builds from the reference CSR."""
+    order = sos_order(grid)
+    for build, upper, seq in (
+        (compute_join_tree, True, order.vertex_at[::-1]),
+        (compute_split_tree, False, order.vertex_at),
+    ):
+        got = build(grid, order)
+        want = sweep_csr(seq, *ref_link_neighbors(grid, order, upper), grid.n, got.direction)
+        assert np.array_equal(got.arcs, want.arcs)
+        assert got.root == want.root
+
+
+def test_grid_sweeps_and_graph_sweeps_reach_one_kernel(monkeypatch):
+    from gridtopo import sweep as gsweep
+
+    calls = []
+    real = gsweep._sweep
+
+    def recording(seq, hop, count, offsets, nbrs, direction):
+        calls.append(direction)
+        return real(seq, hop, count, offsets, nbrs, direction)
+
+    monkeypatch.setattr(gsweep, "_sweep", recording)
+    grid = random_grid((4, 3, 2), 0)
+    order = sos_order(grid)
+    compute_join_tree(grid, order)
+    compute_split_tree(grid, order)
+    tree_from_graph([2, 0, 1], [(0, 1), (1, 2)])
+    assert calls == ["join", "split", "join", "split"]
 
 
 def test_link_representative_counts_are_row_sums():
