@@ -78,7 +78,7 @@ from ..errors import DataError, UsageError
 from ..grid import ScalarGrid, _coords, sos_order
 from ..measure import Branch, BranchDecomposition, VolumeAnnotation
 from ..sweep import _chain_ends
-from ..tree import _EMPTY, ContourTree, _ancestors, _from_edges, _reroot
+from ..tree import _EMPTY, ContourTree, _from_edges
 from ..tree import contour_tree, tree_from_graph
 
 # --- decomposition ---------------------------------------------------------
@@ -296,22 +296,26 @@ def _region(
     """Split ``ct`` into the boundary's Steiner tree and the records hanging off it.
 
     The Steiner tree is the smallest subtree connecting every boundary
-    vertex (the root when there is none).  Rooted at one of them, it is
-    those vertices and all their ancestors.  Every other vertex lies in a
-    record, under the record's head next to its attachment.  ``values``
-    and the mask ``boundary`` are aligned with ``ct.ids``, which ascend
-    like every tree's, so positions order the kept vertices and records
-    by id.  ``mass``, the mass of earlier records attached at positions
-    ``mass_at`` (which may repeat), moves into the measure of a new record
-    that swallows its vertex.
+    vertex (the root when there is none): every vertex whose subtree
+    holds one, except those above the lowest that holds them all.  Every
+    other vertex lies in a record, under the record's head next to its
+    attachment.  ``values`` and the mask ``boundary`` are aligned with
+    ``ct.ids``, which ascend like every tree's, so positions order the
+    kept vertices and records by id.  ``mass``, the mass of earlier
+    records attached at positions ``mass_at`` (which may repeat), moves
+    into the measure of a new record that swallows its vertex.
     """
     n, up, ids = ct.n, ct.up, ct.ids
     st = ct.superstructure
-    marks = np.flatnonzero(boundary) if boundary.any() else st.vertex[[st.root]]
-    # In that rooting every parent leads toward the Steiner tree, so the
+    marked = boundary if boundary.any() else np.arange(n) == st.vertex[st.root]
+    kept, full = measure._marked_subtrees(ct, marked)
+    # ``full`` is the path from the root down to the marks' meeting point.
+    # Turned around, it leads every parent toward the Steiner tree, so the
     # parents are also the record edges, from child toward the attachment.
-    toward = _reroot(up, int(marks[0]))
-    kept, _ = _ancestors(toward, marks)
+    lower = np.flatnonzero(full & (up >= 0))
+    kept[up[lower]] = False
+    toward = up.copy()
+    toward[up[lower]] = lower
     # A record's head is its one vertex whose edge leads to a kept vertex.
     is_head = ~kept & kept[toward]
     head_of = _chain_ends(np.where(kept | is_head, np.arange(n), toward))

@@ -105,6 +105,32 @@ def _subtree_sums(parent: np.ndarray, root: int, weight: np.ndarray) -> np.ndarr
     return run[at[k:]] - run[at[:k]] + weight
 
 
+def _marked_subtrees(ct: ContourTree, marked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per position, whether its subtree holds some of the ``marked`` positions, and whether all.
+
+    Subtrees hang below each vertex with the tree rooted at its root.
+    Supernodes count their closed subtrees by ``_subtree_sums``; along a
+    superarc the rank signed by its direction grows inward, so a regular
+    vertex adds its arc's marks up to its own signed rank.
+    """
+    st, n = ct.superstructure, ct.n
+    k = st.vertex.size
+    is_super = ct.outer == np.arange(n)
+    arc = (np.cumsum(is_super) - 1)[ct.outer]
+    regular = np.flatnonzero(marked & ~is_super)
+    on_arc = np.bincount(arc[regular], minlength=k)
+    below = _subtree_sums(st.inner, st.root, marked[st.vertex] + on_arc)
+    # The root has no arc, and no regular vertex lies on one there.
+    signed = np.where((st.rank[st.inner] > st.rank)[arc], ct.ranks, -ct.ranks)
+    first = np.full(k, np.iinfo(np.int64).max)
+    np.minimum.at(first, arc[regular], signed[regular])
+    last = np.full(k, np.iinfo(np.int64).min)
+    np.maximum.at(last, arc[regular], signed[regular])
+    some = (below - on_arc > 0)[arc] | (signed >= first[arc])
+    every = (below == np.count_nonzero(marked))[arc] & (signed >= last[arc])
+    return some, every
+
+
 def hypersweep(ct: ContourTree, ann: VolumeAnnotation) -> VolumeAnnotation:
     """Aggregate counts leafward-to-root into outward subtree volumes.
 

@@ -26,19 +26,19 @@ least halve.
 Everything but that queue runs as numpy passes over vertex positions.
 Every builder works in positions 0..n-1 and returns ``ids`` equal to
 them.  A caller whose vertices have other ids, the distributed pipeline,
-lists them in ascending order and sets them as labels, so position
-order is id order and no tree is re-sorted.  ``_from_edges`` re-roots
-an edge list at the highest-ranked vertex, counts degrees with
-``bincount`` and finds each vertex's outer end by one pointer jumping
-down regular chains, so it returns an augmented tree, as ``combine``
-does.  Each tree ranks its own vertices by (value, id) in ``ranks``.
-``ids``, ``ranks``, ``up``, ``outer`` and the superstructure are the
-whole state of a tree, and callers read them directly.  ``arc_inner``
-and ``arc_regulars`` are read-only mappings keyed by supernode id:
-``len`` counts the superarcs, and the first lookup or iteration builds
-one plain dict (``arc_regulars`` sorts the walk then).  ``supernodes``
-is a list built on first use.  No function keeps state between calls,
-so trees can be built on several threads at once.
+lists them in ascending order and sets them as labels, so position order
+is id order and no tree is re-sorted.  ``_from_edges`` roots an edge
+list at the highest-ranked vertex by turning one path around, counts
+degrees with ``bincount`` and finds each vertex's outer end by one
+pointer jumping down regular chains, so it returns an augmented tree, as
+``combine`` does.  Each tree ranks its own vertices by (value, id) in
+``ranks``.  ``ids``, ``ranks``, ``up``, ``outer`` and the superstructure
+are the whole state of a tree, and callers read them directly.
+``arc_inner`` and ``arc_regulars`` are read-only mappings keyed by
+supernode id: ``len`` counts the superarcs, and the first lookup or
+iteration builds one plain dict (``arc_regulars`` sorts the walk then).
+``supernodes`` is a list built on first use.  No function keeps state
+between calls, so trees can be built on several threads at once.
 """
 
 from __future__ import annotations
@@ -506,11 +506,11 @@ def _from_edges(values, edges) -> ContourTree:
     ``values[p]`` is position p's scalar, and positions rank by (value,
     position).  ``edges`` is an (n - 1, 2) array-like of ``(child,
     parent)`` rows of positions from some rooting of the tree: every
-    position but one is a child exactly once.  ``_from_pairs`` re-roots
-    it at the highest-ranked vertex and places every vertex on its
-    superarc.  Malformed input (a wrong edge count, two parents, an
-    endpoint outside 0..n-1, a cycle or a disconnected graph) raises
-    ``InternalError``.
+    position but one is a child exactly once.  ``_from_pairs`` turns
+    the path from the highest-ranked vertex to the old root around and
+    places every vertex on its superarc.  Malformed input (a wrong edge
+    count, two parents, an endpoint outside 0..n-1, a cycle or a
+    disconnected graph) raises ``InternalError``.
     """
     rank = value_order(np.asarray(values)).rank_of
     n = rank.size
@@ -521,46 +521,16 @@ def _from_edges(values, edges) -> ContourTree:
     return ContourTree(np.arange(n), rank, up, st, outer)
 
 
-def _ancestors(parent: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """A mask of ``seeds`` and their ancestors, and the root each node leads to.
-
-    Both come from one pointer doubling up the parent array ``parent``
-    (-1 at a root).  A node on a cycle leads to some node of the cycle.
-    """
-    n = parent.size
-    jump = np.where(parent < 0, np.arange(n), parent)
-    marked = np.zeros(n, dtype=bool)
-    marked[seeds] = True
-    for _ in range(n.bit_length()):
-        marked[jump[marked]] = True
-        jump = jump[jump]
-    return marked, jump
-
-
-def _reroot(parent: np.ndarray, root: int) -> np.ndarray:
-    """A copy of the parent array ``parent`` re-rooted at node ``root``.
-
-    The path from ``root`` up to the old root turns around.  Every node
-    must lead to that root: a forest, or a cycle of two or more nodes,
-    raises ``InternalError``.
-    """
-    path, jump = _ancestors(parent, root)
-    if (jump != jump[root]).any():
-        raise InternalError("contour tree is not connected")
-    below = np.flatnonzero(path & (parent >= 0))
-    out = parent.copy()
-    out[parent[below]] = below
-    out[root] = -1
-    return out
-
-
 def _from_pairs(
     rank: np.ndarray, child: np.ndarray, par: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, Superstructure]:
     """``_from_edges``'s ``up``, ``outer`` and superstructure, for positions ranked ``rank``.
 
-    A regular vertex has one child, so jumping down child pointers ends
-    at its superarc's outer end; the parent of an arc's topmost vertex is its inner end.
+    The walk up from the highest-ranked vertex to the old root turns
+    around.  A regular vertex has one child, so jumping down child
+    pointers ends at its superarc's outer end; the parent of an arc's
+    topmost vertex is its inner end.  A cycle on the walk makes it longer
+    than n; one off it has supernodes whose superarc chain misses the root.
     """
     n = rank.size
     if (np.bincount(child, minlength=n) > 1).any():
@@ -568,7 +538,14 @@ def _from_pairs(
     parent = np.full(n, -1, dtype=np.int64)
     parent[child] = par
     root = int(np.argmax(rank))
-    parent = _reroot(parent, root)
+    hop, path = memoryview(parent), [root]
+    while (v := hop[path[-1]]) >= 0:
+        if len(path) == n:
+            raise InternalError("contour tree is not connected")
+        path.append(v)
+    path = np.array(path)
+    parent[path[1:]] = path[:-1]
+    parent[root] = -1
 
     lo_is_child = rank[child] < rank[par]
     up_deg = np.bincount(np.where(lo_is_child, child, par), minlength=n)
@@ -585,6 +562,8 @@ def _from_pairs(
     inner = np.full(vertex.size, -1, dtype=np.int64)
     top = kid[is_super[parent[kid]]]
     inner[slot[outer[top]]] = slot[parent[top]]
+    if (_chain_ends(np.where(inner >= 0, inner, np.arange(vertex.size))) != slot[root]).any():
+        raise InternalError("contour tree is not connected")
     return parent, outer, Superstructure(vertex, inner, rank[vertex], root=int(slot[root]))
 
 

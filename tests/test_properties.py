@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtopo import contour_tree, select_top_branches, sos_order
 from gridtopo.dist import run_distributed, run_lambda_sweep
+from gridtopo.measure import _marked_subtrees
 from gridtopo.oracle import level_set_census
+from gridtopo.tree import _from_edges
 
 from conftest import (
     branch_keys_with_leaves,
@@ -123,3 +126,57 @@ def test_distributed_matches_serial_property(case, extra):
     for seq, con in zip(runs["sequential"], runs["concurrent"]):
         assert_same_run(con, seq)
         assert tree_arrays(con.augmented_tree) == tree_arrays(seq.augmented_tree)
+
+
+@st.composite
+def marked_trees(draw):
+    """A tree from a grid of 1-5 vertices per axis or from random edges, and a mark mask.
+
+    Values are tied (0..3) or nearly distinct.  The marks are the root,
+    one vertex, every vertex, a random set, or a set of the regular
+    vertices of one superarc.
+    """
+    wide = draw(st.booleans())
+    value = st.integers(0, 10**6) if wide else st.integers(0, 3)
+    if draw(st.booleans()):
+        dims = draw(st.tuples(*[st.integers(1, 5)] * 3))
+        n = math.prod(dims)
+        grid = make_grid(dims, draw(st.lists(value, min_size=n, max_size=n)))
+        ct = contour_tree(grid, sos_order(grid))
+    else:
+        n = draw(st.integers(1, 40))
+        edges = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+        label = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+        edges = label[np.array(edges, dtype=np.int64).reshape(-1, 2)]
+        ct = _from_edges(draw(st.lists(value, min_size=n, max_size=n)), edges)
+    marked = np.zeros(n, dtype=bool)
+    kind = draw(st.sampled_from(["root", "one", "every", "random", "arc"]))
+    regular = np.flatnonzero(ct.outer != np.arange(n))
+    if kind == "root":
+        marked[ct.superstructure.vertex[ct.superstructure.root]] = True
+    elif kind == "one":
+        marked[draw(st.integers(0, n - 1))] = True
+    elif kind == "every":
+        marked[:] = True
+    elif kind == "random" or not regular.size:
+        marked[:] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        outer = draw(st.sampled_from(sorted(set(ct.outer[regular].tolist()))))
+        on = regular[ct.outer[regular] == outer]
+        marked[on] = draw(st.lists(st.booleans(), min_size=on.size, max_size=on.size))
+    return ct, marked
+
+
+@given(case=marked_trees())
+@settings(max_examples=400, deadline=None)
+def test_marked_subtrees_match_ancestor_walks(case):
+    """Each vertex's subtree holds some marks exactly when a mark's walk to the root meets it."""
+    ct, marked = case
+    below = np.zeros(ct.n, dtype=np.int64)
+    for v in np.flatnonzero(marked).tolist():
+        while v >= 0:
+            below[v] += 1
+            v = ct.up[v]
+    some, every = _marked_subtrees(ct, marked)
+    assert some.tolist() == (below > 0).tolist()
+    assert every.tolist() == (below == marked.sum()).tolist()

@@ -767,11 +767,12 @@ def test_regions_and_relabels_match_reference(name, monkeypatch):
         ([10, 20, 30], [(0, 1), (2**40, 2)]),
         ([0, 1, 2], [(0, 1), (1, -1)]),
         (list(range(20000)), [(i, (i + 1) % 19999) for i in range(19999)]),
+        (list(range(6)), [(5, 4), (4, 3), (3, 5), (0, 1), (1, 2)]),
     ],
     ids=[
         "cycle", "two-parents", "disconnected-pair", "too-few-edges",
         "too-many-edges", "id-outside", "sparse-id-outside", "negative-id",
-        "long-cycle",
+        "long-cycle", "cycle-through-top",
     ],
 )
 def test_from_edges_rejects_malformed(values, edges):

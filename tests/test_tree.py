@@ -442,7 +442,11 @@ def test_tree_from_graph_sweeps_get_the_csr_contract(monkeypatch):
 
 
 def test_from_edges_jumps_each_chain_once_and_sorts_nothing(monkeypatch):
-    """One pointer jumping over the n vertices places them all; no walk is sorted."""
+    """One pointer jumping over the n vertices places them all; no walk is sorted.
+
+    The one other jump runs over the supernodes, to check that every
+    superarc chain ends at the root.
+    """
     jumps, sorts = [], []
     real_jump, real_sort = gtree._chain_ends, gtree._walk_order
 
@@ -459,7 +463,7 @@ def test_from_edges_jumps_each_chain_once_and_sorts_nothing(monkeypatch):
     n = 40
     values = np.random.default_rng(5).permutation(n)
     ct = gtree._from_edges(values, [(i, i + 1) for i in range(n - 1)])
-    assert jumps == [n] and sorts == []
+    assert jumps == [n, len(ct.supernodes)] and sorts == []
     assert len(ct.supernodes) < n
 
 
@@ -608,38 +612,6 @@ def test_tree_from_graph_on_threads_matches_sequential():
         got = list(pool.map(lambda g: tree_from_graph(*g), graphs))
     for a, b in zip(got, want):
         assert all(np.array_equal(x, y) for x, y in zip(tree_arrays(a), tree_arrays(b)))
-
-
-def undirected_edges(parent):
-    child = np.flatnonzero(parent >= 0)
-    return {frozenset(e) for e in zip(child.tolist(), parent[child].tolist())}
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 40), width=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
-def test_reroot_at_every_vertex_keeps_the_edges(n, width, seed):
-    rng = np.random.default_rng(seed)
-    label = rng.permutation(n)
-    parent = np.full(n, -1, dtype=np.int64)
-    for i in range(1, n):
-        parent[label[i]] = label[rng.integers(max(0, i - width), i)]
-    before = parent.copy()
-    for root in range(n):
-        out = gtree._reroot(parent, root)
-        assert np.flatnonzero(out < 0).tolist() == [root]
-        assert undirected_edges(out) == undirected_edges(parent)
-        assert (gtree._chain_ends(np.where(out < 0, np.arange(n), out)) == root).all()
-    assert np.array_equal(parent, before)
-
-
-@pytest.mark.parametrize(
-    "parent", [[-1, 0, -1, 2], [-1, 2, 3, 1], [1, 0, 1], [1, 2, 0]]
-)
-def test_reroot_rejects_a_parent_array_that_is_not_one_tree(parent):
-    from gridtopo.errors import InternalError
-
-    with pytest.raises(InternalError, match="not connected"):
-        gtree._reroot(np.array(parent, dtype=np.int64), 0)
 
 
 def ref_lift(st_, ju, sd, rank):
