@@ -115,6 +115,8 @@ def _ties_by_position(vertex_at: np.ndarray, ordered: np.ndarray) -> None:
     freed before ``value_order`` builds the rank table.
     """
     n = vertex_at.size
+    if n < 2:
+        return
     tied = ordered[1:] == ordered[:-1]
     in_run = np.r_[tied, False] | np.r_[False, tied]
     run = np.cumsum(~np.r_[False, tied][in_run])

@@ -7,14 +7,11 @@ sweep kernel.  Its input is each vertex's ascent pointer, ``hop[v]``,
 plus the link lists of the candidates: a vertex with exactly one
 neighbour swept strictly before it points at that neighbour, every other
 vertex at itself, and only the vertices with two or more list theirs.
-Grids build that input straight from their link masks (below).
-``sweep_csr`` is the graph entry point: it takes CSR arrays, where
-``nbrs[starts[v]:starts[v + 1]]`` holds the neighbours of ``v`` swept
-strictly before ``v``, never ``v`` itself, and derives the kernel's
-input from them.  ``tree.tree_from_graph``, whose graphs come over
-positions 0..n-1, sweeps them in rank order and lists each edge at one
-end.  A ``MergeTree`` stores its arcs as one int64 array (-1 at the
-root), and callers read that array directly.
+Grids build that input straight from their link masks (below), and
+``tree.tree_from_graph`` builds it from a graph's edges, each listed at
+its end swept later; neither builds a neighbour CSR of every vertex.  A
+``MergeTree`` stores its arcs as one int64 array (-1 at the root), and
+callers read that array directly.
 
 The kernel prunes the sweep to the vertices that can merge components,
 after parallel peak pruning (Carr, Weber, Sewell & Ahrens, LDAV 2016;
@@ -115,27 +112,6 @@ def _chain_ends(hop: np.ndarray) -> np.ndarray:
     raise InternalError("pointer chain has a cycle")
 
 
-def sweep_csr(seq, nbrs, starts, n: int, direction: str) -> MergeTree:
-    """The union-find sweep over vertices 0..n-1 of a graph given as CSR arrays.
-
-    This is the graph entry point to the kernel, ``_sweep``.
-    ``nbrs[starts[v]:starts[v + 1]]`` lists v's neighbours that ``seq``
-    visits strictly before v (so never v itself); repeats are allowed.  ``seq`` runs by decreasing rank for a
-    join tree and by increasing rank for a split tree.  All three are
-    array-likes of ints.  The kernel's input comes from the rows: a
-    vertex with one entry points at it, and the rows of the vertices
-    with two or more are read in place, from their ``starts``.
-    """
-    nbrs = np.asarray(nbrs, dtype=np.int64)
-    starts = np.asarray(starts, dtype=np.int64)
-    count = np.diff(starts)
-    hop = np.arange(n)
-    at = np.flatnonzero(count == 1)
-    hop[at] = nbrs[starts[at]]
-    del at
-    return _sweep(seq, hop, count, starts[np.flatnonzero(count > 1)], nbrs, direction)
-
-
 def _sweep(
     seq, hop: np.ndarray, count: np.ndarray, offsets: np.ndarray, nbrs: np.ndarray, direction: str
 ) -> MergeTree:
@@ -147,7 +123,8 @@ def _sweep(
     ``hop[v] == v``.  The vertices with two or more, in increasing id
     order, list theirs in ``nbrs``, the i-th of them from ``offsets[i]``
     on.  ``seq`` runs by decreasing rank for a join tree and by
-    increasing rank for a split tree.
+    increasing rank for a split tree.  ``_link_neighbors`` (grids) and
+    ``tree.tree_from_graph`` (graphs) build this input directly.
 
     Components merge only at candidates, the vertices with zero listed
     neighbours or two or more.  Pointer jumping along ``hop`` takes each

@@ -51,9 +51,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import sweep
 from .errors import InternalError, UsageError
 from .grid import ScalarGrid, VertexOrder, value_order
-from .sweep import MergeTree, _chain_ends, _link_chains, index_dtype, sweep_csr
+from .sweep import MergeTree, _chain_ends, _link_chains, index_dtype
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -592,6 +593,11 @@ def tree_from_graph(values, edges) -> ContourTree:
     tree's ``ids`` are its positions.  Self-loops are dropped, repeated
     edges are harmless, and an endpoint outside 0..n-1 raises
     ``InternalError``.
+
+    Each sweep lists an edge at its end swept later and builds
+    ``_sweep``'s input from the edges, with no CSR: a vertex listing one
+    edge points at its other end, and one stable argsort orders the
+    edges of the vertices listing two or more.
     """
     order = value_order(np.asarray(values))
     rank, rising = order.rank_of, order.vertex_at
@@ -599,14 +605,18 @@ def tree_from_graph(values, edges) -> ContourTree:
     a, b = _edge_rows(edges, n).T
     a_low, keep = rank[a] < rank[b], a != b
     lo, hi = np.where(a_low, a, b)[keep], np.where(a_low, b, a)[keep]
-    # The join sweep visits a vertex after all higher-ranked ones and the
-    # split sweep after all lower-ranked ones: list each edge at one end.
     trees = []
     for at, other, seq, direction in (
         (lo, hi, rising[::-1], "join"),
         (hi, lo, rising, "split"),
     ):
-        by = np.argsort(at, kind="stable")
-        starts = np.r_[0, np.cumsum(np.bincount(at, minlength=n))]
-        trees.append(sweep_csr(seq, other[by], starts, n, direction))
+        count = np.bincount(at, minlength=n)
+        one = count[at] == 1
+        hop = np.arange(n)
+        hop[at[one]] = other[one]
+        many = np.flatnonzero(~one)
+        many = many[np.argsort(at[many], kind="stable")]
+        width = count[count > 1]
+        offsets = np.cumsum(width) - width
+        trees.append(sweep._sweep(seq, hop, count, offsets, other[many], direction))
     return combine(*trees, rank)

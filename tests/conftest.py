@@ -19,7 +19,7 @@ from gridtopo import (
 from gridtopo import tree as gtree
 from gridtopo.errors import UsageError
 from gridtopo.grid import _ALL_OFFSETS, _coords
-from gridtopo.sweep import _chain_ends
+from gridtopo.sweep import MergeTree, _chain_ends, _sweep
 
 
 def make_grid(dims, values):
@@ -34,6 +34,28 @@ def random_grid(dims, seed):
     rng = np.random.default_rng(seed)
     n = dims[0] * dims[1] * dims[2]
     return make_grid(dims, rng.integers(0, max(4, n // 2), size=n))
+
+
+def sweep_csr(seq, nbrs, starts, n: int, direction: str) -> MergeTree:
+    """The union-find sweep over vertices 0..n-1 of a graph given as CSR arrays.
+
+    The CSR reference front end to the kernel, ``_sweep``, for the kernel
+    tests.  ``nbrs[starts[v]:starts[v + 1]]`` lists v's neighbours that
+    ``seq`` visits strictly before v (so never v itself); repeats are
+    allowed.  ``seq`` runs by decreasing rank for a join tree and by
+    increasing rank for a split tree.  All three are array-likes of
+    ints.  The kernel's input comes from the rows: a vertex with one
+    entry points at it, and the rows of the vertices with two or more
+    are read in place, from their ``starts``.
+    """
+    nbrs = np.asarray(nbrs, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    count = np.diff(starts)
+    hop = np.arange(n)
+    at = np.flatnonzero(count == 1)
+    hop[at] = nbrs[starts[at]]
+    del at
+    return _sweep(seq, hop, count, starts[np.flatnonzero(count > 1)], nbrs, direction)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gridtopo import ScalarGrid, load_raw, save_raw, sos_order
 from gridtopo.errors import DataError, UsageError
-from gridtopo.grid import synthetic_gaussians
+from gridtopo.grid import synthetic_gaussians, value_order
 
 from conftest import make_grid, neighbors, random_grid
 
@@ -56,6 +56,11 @@ def test_round_trip_big_endian(tmp_path):
 def test_grid_rejects_bad_shape():
     with pytest.raises(UsageError):
         ScalarGrid(dims=(2, 2, 1), values=np.zeros(3))
+
+
+def test_value_order_of_no_values_is_empty():
+    order = value_order(np.empty(0))
+    assert order.n == 0 and order.vertex_at.size == 0
 
 
 def test_sos_ranks_distinct_values():

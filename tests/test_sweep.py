@@ -15,10 +15,10 @@ from gridtopo.sweep import (
     _climb,
     _reduced_arcs,
     link_representatives,
-    sweep_csr,
 )
 from gridtopo.tree import tree_from_graph
 
+import conftest
 from conftest import (
     arc_to,
     child_counts,
@@ -33,6 +33,7 @@ from conftest import (
     superarcs,
     superlevel_components,
     superparent,
+    sweep_csr,
 )
 from test_reference_equivalence import assert_same_merge_tree, ref_sweep
 
@@ -592,6 +593,87 @@ def test_grid_sweeps_and_graph_sweeps_reach_one_kernel(monkeypatch):
     compute_split_tree(grid, order)
     tree_from_graph([2, 0, 1], [(0, 1), (1, 2)])
     assert calls == ["join", "split", "join", "split"]
+
+
+@st.composite
+def noisy_trees(draw):
+    """A tree on 1-40 vertices with repeated edges and self-loops, in shuffled order.
+
+    Values take three tied levels or random floats.  Each repeat or
+    self-loop may be flipped; the Reeb graph stays a tree.
+    """
+    n = draw(st.integers(1, 40))
+    level = st.integers(0, 2) if draw(st.booleans()) else st.floats(-1, 1)
+    values = draw(st.lists(level, min_size=n, max_size=n))
+    edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    noise = st.sampled_from(edges + [(v, v) for v in range(n)])
+    extra = draw(st.lists(st.tuples(noise, st.booleans()), max_size=2 * n))
+    edges += [(b, a) if flip else (a, b) for (a, b), flip in extra]
+    return values, draw(st.permutations(edges))
+
+
+def listed_rows(count, offsets, nbrs):
+    """The lists of the vertices that list two or more, in id order."""
+    width = count[count > 1]
+    return [nbrs[o : o + w].tolist() for o, w in zip(offsets.tolist(), width.tolist())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(noisy_trees())
+def test_tree_from_graph_hands_the_kernel_what_sweep_csr_derives(graph):
+    """``tree_from_graph``'s kernel input is ``sweep_csr``'s over the old argsort CSR.
+
+    The reference CSR lists each edge at its end swept later, ordered by
+    one stable argsort over every edge, with offsets from the cumulative
+    sum of one ``bincount``.  ``hop`` and ``count`` agree element for
+    element; ``nbrs`` holds exactly the reference rows of the vertices
+    that list two or more, packed in id order from ``offsets``.  The
+    merge trees and the contour tree agree too.
+    """
+    from gridtopo import combine
+    from gridtopo import sweep as gsweep
+    from gridtopo.grid import value_order
+
+    values, edges = graph
+    n = len(values)
+    real = gsweep._sweep
+    calls = []
+
+    def recording(seq, hop, count, offsets, nbrs, direction):
+        tree = real(seq, hop, count, offsets, nbrs, direction)
+        calls.append(((hop, count, offsets, nbrs), tree))
+        return tree
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gsweep, "_sweep", recording)
+        mp.setattr(conftest, "_sweep", recording)
+        ct = tree_from_graph(values, edges)
+        order = value_order(np.asarray(values))
+        rank, rising = order.rank_of, order.vertex_at
+        a, b = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        a_low, keep = rank[a] < rank[b], a != b
+        lo, hi = np.where(a_low, a, b)[keep], np.where(a_low, b, a)[keep]
+        for at, other, seq, direction in (
+            (lo, hi, rising[::-1], "join"),
+            (hi, lo, rising, "split"),
+        ):
+            by = np.argsort(at, kind="stable")
+            starts = np.r_[0, np.cumsum(np.bincount(at, minlength=n))]
+            sweep_csr(seq, other[by], starts, n, direction)
+    assert len(calls) == 4
+    for (got, got_tree), (want, want_tree) in zip(calls[:2], calls[2:]):
+        (hop, count, offsets, nbrs), (want_hop, want_count, want_offsets, want_nbrs) = got, want
+        assert np.array_equal(hop, want_hop)
+        assert count.tolist() == want_count.tolist()
+        width = count[count > 1]
+        assert np.array_equal(offsets, np.cumsum(width) - width)
+        rows = listed_rows(want_count, want_offsets, want_nbrs)
+        assert nbrs.tolist() == list(itertools.chain.from_iterable(rows))
+        assert np.array_equal(got_tree.arcs, want_tree.arcs)
+        assert got_tree.root == want_tree.root
+    want_ct = combine(calls[2][1], calls[3][1], rank)
+    assert np.array_equal(ct.up, want_ct.up) and np.array_equal(ct.outer, want_ct.outer)
+    assert np.array_equal(ct.superstructure.inner, want_ct.superstructure.inner)
 
 
 def test_link_representative_counts_are_row_sums():

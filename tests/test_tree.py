@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gridtopo import compute_join_tree, compute_split_tree, contour_tree, sos_order
 from gridtopo import tree as gtree
+from gridtopo.errors import InternalError, UsageError
 from gridtopo.oracle import level_set_census
 from gridtopo.tree import tree_from_graph
 
@@ -390,6 +391,17 @@ def test_builders_rank_by_value_then_id(seed):
         assert np.array_equal(got.ranks, want_ranks[np.argsort(ids)])
 
 
+@pytest.mark.parametrize(
+    "build,error",
+    [(tree_from_graph, UsageError), (gtree._from_edges, InternalError)],
+    ids=["tree_from_graph", "from_edges"],
+)
+def test_builders_reject_an_empty_vertex_set(build, error):
+    """No vertices reach ``combine``'s ``UsageError`` and ``_from_edges``'s ``InternalError``."""
+    with pytest.raises(error):
+        build([], [])
+
+
 def test_tree_from_graph_rejects_endpoint_outside_verts():
     from gridtopo.errors import InternalError
 
@@ -420,22 +432,31 @@ def test_tree_from_graph_ignores_self_loops_and_repeats(ranks, edges, noisy):
 
 
 def test_tree_from_graph_sweeps_get_the_csr_contract(monkeypatch):
-    """Each sweep lists, per vertex, only neighbours it swept strictly before."""
+    """Each sweep lists, per vertex, only neighbours it swept strictly before.
+
+    A vertex's listings are its ascent pointer, when ``hop[v] != v``, or
+    its row of ``nbrs``, from its entry in ``offsets``.
+    """
+    from gridtopo import sweep as gsweep
+
     calls = []
-    real = gtree.sweep_csr
+    real = gsweep._sweep
 
-    def recording(seq, nbrs, starts, n, direction):
-        calls.append((list(seq), nbrs, starts))
-        return real(seq, nbrs, starts, n, direction)
+    def recording(seq, hop, count, offsets, nbrs, direction):
+        calls.append((list(seq), hop, count, offsets, nbrs))
+        return real(seq, hop, count, offsets, nbrs, direction)
 
-    monkeypatch.setattr(gtree, "sweep_csr", recording)
+    monkeypatch.setattr(gsweep, "_sweep", recording)
     ranks = [3, 0, 4, 1, 2]
     edges = [(0, 1), (1, 1), (1, 2), (2, 1), (2, 3), (3, 4), (4, 4), (0, 0)]
     tree_from_graph(ranks, edges)
     assert len(calls) == 2
-    for seq, nbrs, starts in calls:
+    for seq, hop, count, offsets, nbrs in calls:
         when = {v: i for i, v in enumerate(seq)}
-        listed = [(v, u) for v in seq for u in nbrs[starts[v] : starts[v + 1]]]
+        pointers = [(v, hop[v]) for v in seq if hop[v] != v]
+        rows = zip(np.flatnonzero(count > 1).tolist(), offsets.tolist())
+        lists = [(v, u) for v, start in rows for u in nbrs[start : start + count[v]]]
+        listed = pointers + lists
         assert all(when[u] < when[v] for v, u in listed)
         # Each edge but the self-loops, listed once per occurrence.
         assert len(listed) == 5
